@@ -1,11 +1,10 @@
 module Crc32 = Ifp_util.Crc32
 
-(* v3: the result payload is CRC32-framed (header carries length +
-   checksum), so torn writes and bit rot are detected deterministically
-   instead of relying on [Marshal] raising on garbage. v2 entries (and
-   v1 before them) live in their own version directory and are simply
-   never read by a v3 binary. *)
-let format_version = 3
+(* v4: the entry header is fixed-layout bytes (see [header_len]),
+   checked field by field before anything is unmarshalled, so a crafted
+   header cannot crash the reader. Older version directories are never
+   read. *)
+let format_version = 4
 
 type stats = {
   entries : int;
@@ -22,10 +21,10 @@ type t = {
   root : string;
   max_bytes : int option;
   (* size accounting + counters; mutated from every engine worker domain
-     (and the daemon's shard workers), hence atomics. [bytes]/[entries]
-     are a best-effort running tally re-grounded by each sweep's
-     directory walk, so a concurrent process evicting the same directory
-     skews them only until the next sweep. *)
+     ([-j N]), hence atomics. [bytes]/[entries] are a best-effort running
+     tally re-grounded by each sweep's directory walk, so a concurrent
+     process evicting the same directory skews them only until the next
+     sweep. *)
   bytes : int Atomic.t;
   entries : int Atomic.t;
   hits : int Atomic.t;
@@ -33,23 +32,37 @@ type t = {
   stores_n : int Atomic.t;
   evictions : int Atomic.t;
   evicted_bytes : int Atomic.t;
-  (* the per-instance lock the daemon's shards rely on: at most one
-     domain walks/evicts this cache directory at a time *)
+  (* at most one worker domain walks/evicts this cache directory at a
+     time *)
   sweep_lock : Mutex.t;
 }
 
-(* header stored alongside the result so [find] can reject entries whose
-   file name lies about the content (truncated copy, digest collision)
-   before paying for the payload, and verify the payload it does read *)
-type entry_header = {
-  h_magic : string;
-  h_digest : string;
-  h_job : string;
-  h_len : int;  (** payload byte length *)
-  h_crc : int32;  (** CRC-32 of the payload bytes *)
-}
+(* Entry layout, all integers big-endian:
 
-let magic = "ifp-campaign-cache"
+     0  magic           8 bytes  "ifpcache"
+     8  format version  u32
+    12  job digest     32 bytes  (hex, as the file name)
+    44  payload length  u32
+    48  payload CRC-32  u32
+    52  payload         [Marshal] of the [Vm.result]
+
+   [find] checks every header field, and that the file is exactly
+   [header_len + length] bytes, before the payload CRC; only a payload
+   that passes all of them reaches [Marshal]. *)
+let magic = "ifpcache"
+
+let digest_len = 32
+
+let header_len = 52
+
+let encode_header ~digest ~len ~crc =
+  let b = Bytes.create header_len in
+  Bytes.blit_string magic 0 b 0 8;
+  Bytes.set_int32_be b 8 (Int32.of_int format_version);
+  Bytes.blit_string digest 0 b 12 digest_len;
+  Bytes.set_int32_be b 44 (Int32.of_int len);
+  Bytes.set_int32_be b 48 crc;
+  Bytes.unsafe_to_string b
 
 let rec mkdir_p path =
   if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
@@ -206,6 +219,8 @@ let read_exact ic n =
   | () -> Some (Bytes.unsafe_to_string buf)
   | exception End_of_file -> None
 
+let u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xffff_ffff
+
 let find t ~digest =
   let path = path_of t digest in
   match open_in_bin path with
@@ -214,25 +229,31 @@ let find t ~digest =
     Miss
   | ic ->
     let verdict =
-      try
-        let header : entry_header = Marshal.from_channel ic in
-        if header.h_magic <> magic then Error ("bad magic", false)
-        else if header.h_digest <> digest then Error ("digest mismatch", false)
-        else if header.h_len < 0 then Error ("negative payload length", false)
+      match read_exact ic header_len with
+      | exception Sys_error why -> Error ("unreadable: " ^ why, false)
+      | None -> Error ("short header", false)
+      | Some h ->
+        let len = u32 h 44 in
+        let on_disk = in_channel_length ic - header_len in
+        if String.sub h 0 8 <> magic then Error ("bad magic", false)
+        else if u32 h 8 <> format_version then Error ("version mismatch", false)
+        else if String.sub h 12 digest_len <> digest then
+          Error ("digest mismatch", false)
+        else if on_disk < len then Error ("truncated payload", true)
+        else if on_disk > len then Error ("trailing bytes", false)
         else
-          match read_exact ic header.h_len with
+          match read_exact ic len with
+          | exception Sys_error why -> Error ("unreadable: " ^ why, false)
           | None -> Error ("truncated payload", true)
           | Some payload ->
-            if Crc32.string payload <> header.h_crc then
+            if Crc32.string payload <> String.get_int32_be h 48 then
               Error ("payload crc mismatch", true)
             else (
+              (* trusted from here on: see the trust boundary in
+                 cache.mli *)
               match (Marshal.from_string payload 0 : Ifp_vm.Vm.result) with
               | result -> Ok result
-              | exception _ ->
-                (* crc verified but the shape didn't decode: a
-                   same-version serialisation bug, not a torn write *)
-                Error ("undecodable payload", false))
-      with _ -> Error ("truncated or undecodable header", false)
+              | exception _ -> Error ("undecodable payload", false))
     in
     close_in_noerr ic;
     (match verdict with
@@ -256,7 +277,9 @@ let find t ~digest =
        with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ()));
       Quarantined { path = qpath; reason; crc_mismatch })
 
-let store t ~digest ~job_name result =
+let store t ~digest ~job_name:_ result =
+  if String.length digest <> digest_len then
+    invalid_arg "Cache.store: digest must be 32 characters";
   let path = path_of t digest in
   try
     mkdir_p (Filename.dirname path);
@@ -266,10 +289,9 @@ let store t ~digest ~job_name result =
     in
     let payload = Marshal.to_string result [] in
     let oc = open_out_bin tmp in
-    Marshal.to_channel oc
-      { h_magic = magic; h_digest = digest; h_job = job_name;
-        h_len = String.length payload; h_crc = Crc32.string payload }
-      [];
+    output_string oc
+      (encode_header ~digest ~len:(String.length payload)
+         ~crc:(Crc32.string payload));
     output_string oc payload;
     close_out oc;
     (* replacing an entry must not double-count its bytes *)

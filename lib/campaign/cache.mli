@@ -3,11 +3,30 @@
     Layout: [<dir>/v<format_version>/<d0d1>/<digest>.result], where
     [digest] is the job's content digest ({!Job.digest}) and [d0d1] its
     first two hex characters (fan-out to keep directories small). Each
-    file is an atomic-renamed [Marshal] of a small header plus the
-    {!Ifp_vm.Vm.result} payload; since format v3 the header carries the
-    payload's length and CRC-32 ({!Ifp_util.Crc32}), so a torn write or
-    flipped bit is detected {e deterministically} on read instead of
-    depending on [Marshal] happening to raise.
+    file is written to a temporary name and atomically renamed into
+    place. It holds a fixed-layout 52-byte header — magic, format
+    version, the 32-character digest, payload length and payload CRC-32
+    ({!Ifp_util.Crc32}) — followed by the payload, a [Marshal] of the
+    {!Ifp_vm.Vm.result}. The header is plain bytes, so a damaged or
+    hostile header is rejected field by field; a torn write or flipped
+    payload bit is caught by the length and CRC checks
+    {e deterministically} instead of depending on [Marshal] happening to
+    raise.
+
+    {2 Trust boundary}
+
+    A payload is trusted once magic, version, digest, exact file length
+    and CRC all match: it is then unmarshalled as a
+    {!Ifp_vm.Vm.result} without further checking. [Marshal] is not
+    type-safe, so a {e crafted} file with a valid CRC over a value of
+    another type is reported as a {!Hit} and crashes the process on
+    first field access. The cache directory must therefore only be
+    writable by the user running the campaign; the checks defend against
+    torn writes, bit rot and stale formats, not against an attacker.
+    For the same reason, any change to the shape of
+    {!Ifp_vm.Vm.result} (or of the types it contains) must bump
+    {!format_version} — and {!Journal.magic}, which has the same
+    boundary.
 
     Invalidation is entirely key-driven: the job digest covers the
     lowered program, the configuration and the cost-model/ISA constants
@@ -22,9 +41,8 @@
     successful [find] refreshes the entry's mtime, and a [store] that
     pushes the directory past the budget triggers a sweep that deletes
     oldest-mtime entries until it fits again. The sweep re-walks the
-    directory (under a per-instance lock — the "per-shard lock" when the
-    experiment daemon partitions one cache into digest shards), so
-    concurrent campaign processes sharing a directory stay consistent:
+    directory under a per-instance lock (the [-j N] worker domains share
+    one cache), so concurrent campaign processes sharing a directory stay consistent:
     drift in the running tally heals at the next sweep, and entries
     deleted under us are skipped, never errors. *)
 
@@ -56,8 +74,7 @@ val stats : t -> stats
     per-instance, not persisted). *)
 
 val stats_json : t -> Events.json
-(** {!stats} as a JSON object, plus a derived [hit_rate] — the shape the
-    daemon's [stats] reply and the JSONL log carry. *)
+(** {!stats} as a JSON object, plus a derived [hit_rate]. *)
 
 val sweep : t -> unit
 (** Force an LRU sweep now (normally triggered by [store] crossing the
@@ -74,14 +91,18 @@ type lookup =
   | Miss
   | Quarantined of { path : string; reason : string; crc_mismatch : bool }
       (** [path] is the quarantine file; [reason] is why the entry was
-          rejected. [crc_mismatch] holds when the CRC32 framing caught
-          the damage (short or checksum-failing payload — a torn write
-          or bit rot), as opposed to a header-level rejection (bad
-          magic, digest mismatch, undecodable header). *)
+          rejected. [crc_mismatch] holds when the length/CRC framing
+          caught the damage (short or checksum-failing payload — a torn
+          write or bit rot), as opposed to a header-level rejection
+          (short header, bad magic, version or digest mismatch, trailing
+          bytes, undecodable payload). *)
 
 val find : t -> digest:string -> lookup
 
 val store : t -> digest:string -> job_name:string -> Ifp_vm.Vm.result -> unit
 (** Atomic (write-to-temp then rename), so concurrent worker domains and
     concurrent campaign processes can share one cache directory. I/O
-    errors are swallowed: failure to cache never fails the job. *)
+    errors are swallowed: failure to cache never fails the job.
+    [job_name] is not persisted (the entry is keyed by [digest] alone).
+    @raise Invalid_argument if [digest] is not 32 characters long (a
+    {!Job.digest} always is). *)

@@ -1,46 +1,16 @@
-(* Shared plumbing for the campaign binaries (and the experiment
-   daemon): signal-driven stop flags, journal/log opening under
-   --resume, and the process-exit contract. *)
+(* Shared plumbing for the campaign binaries: signal-driven stop flags,
+   journal/log opening under --resume, and the process-exit contract. *)
 
-type signals = {
-  stop : unit -> bool;  (** true once any armed signal has been seen *)
-  restore : unit -> unit;
-      (** reinstall the handlers that were live before [install_stop];
-          idempotent, safe to call from a finaliser path *)
-}
-
-(* The stop-flag wiring, factored so a long-running process (the
-   experiment daemon) can install it for one serving phase and cleanly
-   uninstall on drain: [restore] puts back whatever handlers were
-   previously installed, so nested or repeated install/restore cycles
-   compose. *)
-let install_stop ?(signals = [ Sys.sigint; Sys.sigterm ]) () =
+let install_interrupt () =
   let flag = Atomic.make false in
-  let saved =
-    List.filter_map
-      (fun signum ->
-        match
-          Sys.signal signum
-            (Sys.Signal_handle (fun _ -> Atomic.set flag true))
-        with
-        | prev -> Some (signum, prev)
-        | exception (Invalid_argument _ | Sys_error _) -> None)
-      signals
-  in
-  let restored = Atomic.make false in
-  {
-    stop = (fun () -> Atomic.get flag);
-    restore =
-      (fun () ->
-        if not (Atomic.exchange restored true) then
-          List.iter
-            (fun (signum, prev) ->
-              try Sys.set_signal signum prev
-              with Invalid_argument _ | Sys_error _ -> ())
-            saved);
-  }
-
-let install_interrupt () = (install_stop ()).stop
+  List.iter
+    (fun signum ->
+      try
+        Sys.set_signal signum
+          (Sys.Signal_handle (fun _ -> Atomic.set flag true))
+      with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigint; Sys.sigterm ];
+  fun () -> Atomic.get flag
 
 (* "64k" / "100M" / "2G" / plain bytes — for --cache-max-bytes flags *)
 let parse_bytes s =
@@ -89,12 +59,11 @@ let emit_resumed log ~replay ~log_truncated =
         ("log_torn_line", Events.Bool log_truncated);
       ]
 
-let finish ?hint ?signals ~journal ~log ~interrupted () =
+let finish ?hint ~journal ~log ~interrupted () =
   (* order matters: the journal is the source of truth for resume — it
      goes down first; the log close is best-effort observability *)
   Option.iter Journal.close journal;
   Events.close log;
-  Option.iter (fun s -> s.restore ()) signals;
   if interrupted then (
     Option.iter prerr_endline hint;
     (* 130 = 128 + SIGINT, the conventional "killed by Ctrl-C" status;

@@ -4,24 +4,13 @@
     the interrupted-exit path. Lives in the library so the three drivers
     stay flag-for-flag and event-for-event consistent. *)
 
-type signals = {
-  stop : unit -> bool;  (** true once any armed signal has been seen *)
-  restore : unit -> unit;
-      (** reinstall the handlers live before {!install_stop}; idempotent *)
-}
-
-val install_stop : ?signals:int list -> unit -> signals
-(** Installs handlers (default SIGINT + SIGTERM) that set a shared stop
-    flag, remembering the previous handlers so [restore] can put them
-    back — the shape a long-running process (the experiment daemon)
-    needs to install for one serving phase and cleanly uninstall on
-    drain. Handlers only set the flag — the engine drains in-flight
-    jobs, the driver flushes and exits. Platforms rejecting a signal are
-    tolerated (that signal then never fires the flag). *)
-
 val install_interrupt : unit -> unit -> bool
-(** [(install_stop ()).stop] — the one-shot batch-CLI form, where the
-    process exits right after the drain and never restores handlers. *)
+(** Installs SIGINT and SIGTERM handlers that set a shared stop flag and
+    returns the flag's reader, for {!Engine.run}'s [?stop]. Handlers
+    only set the flag — the engine drains in-flight jobs, the driver
+    flushes and exits via {!finish}, so the handlers are never
+    uninstalled. Platforms rejecting a signal are tolerated (that signal
+    then never fires the flag). *)
 
 val parse_bytes : string -> int option
 (** Byte-count CLI arguments: plain digits, or with a [k]/[M]/[G]
@@ -49,7 +38,6 @@ val emit_resumed :
 
 val finish :
   ?hint:string ->
-  ?signals:signals ->
   journal:Journal.t option ->
   log:Events.t ->
   interrupted:bool ->
@@ -57,8 +45,7 @@ val finish :
   unit
 (** The single exit point for a campaign driver, enforcing the
     process-exit contract of {!Engine}: flush and close the journal and
-    log, restore [signals] handlers if given, then [Stdlib.exit] —
-    [130] when [interrupted] (printing the resume [hint] to stderr, if
-    any), [0] otherwise — rather than returning from [main] and waiting
+    log, then [Stdlib.exit] — [130] when [interrupted] (printing the
+    resume [hint] to stderr, if any), [0] otherwise — rather than returning from [main] and waiting
     on abandoned watchdog domains that cannot be cancelled. Never
     returns. *)

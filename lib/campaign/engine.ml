@@ -64,40 +64,26 @@ let backoff_delay ~base ~digest ~attempt =
    deadline. On timeout the domain is abandoned (OCaml domains cannot be
    killed): it keeps burning a core until its VM budget trips, but the
    campaign itself moves on. If the domain limit is hit, the attempt
-   falls back to running inline (no watchdog, but the job still runs).
-
-   [fatal] punches a hole in the isolation: an exception it selects
-   (e.g. the experiment daemon's worker-crash sentinel, or OOM) is
-   re-raised to the caller instead of becoming a [Failed] outcome, so a
-   supervisor above the job layer can see it and restart the worker. *)
-let run_attempt ~fatal ~job_timeout ~runner job =
+   falls back to running inline (no watchdog, but the job still runs). *)
+let run_attempt ~job_timeout ~runner job =
   let attempt () =
     match runner job with
     | result -> `Ok result
-    | exception exn when not (fatal exn) -> `Exn (Printexc.to_string exn)
+    | exception exn -> `Exn (Printexc.to_string exn)
   in
   match job_timeout with
   | None -> attempt ()
   | Some limit -> (
     let slot = Atomic.make None in
-    let guarded () =
-      match attempt () with r -> r | exception exn -> `Fatal exn
-    in
-    match Domain.spawn (fun () -> Atomic.set slot (Some (guarded ()))) with
+    match Domain.spawn (fun () -> Atomic.set slot (Some (attempt ()))) with
     | exception _ -> attempt ()
     | d ->
       let deadline = Unix.gettimeofday () +. limit in
       let rec wait () =
         match Atomic.get slot with
-        | Some (`Fatal exn) ->
+        | Some r ->
           Domain.join d;
-          raise exn
-        | Some (`Ok _ | `Exn _) as some ->
-          Domain.join d;
-          (match some with
-          | Some (`Ok r) -> `Ok r
-          | Some (`Exn e) -> `Exn e
-          | _ -> assert false)
+          r
         | None ->
           if Unix.gettimeofday () >= deadline then `Timeout
           else (
@@ -117,8 +103,11 @@ let journal_append ~journal ~digest (job : Job.t) status result =
     Journal.append j
       { Journal.digest; job_name = job.Job.name; status; result }
 
-let run_job ?(fatal = fun _ -> false) ~cache ~journal ~on_job_done ~log
-    ~retries ~backoff ~job_timeout ~runner ~digest (job : Job.t) =
+(* One job through the single-job path: journal-replay check, cache
+   probe (with quarantine), retries/backoff/watchdog, journal append,
+   events. [digest] is [Job.digest job], computed up front by [run]. *)
+let run_job ~cache ~journal ~on_job_done ~log ~retries ~backoff ~job_timeout
+    ~runner ~digest (job : Job.t) =
   let open Events in
   let t0 = Unix.gettimeofday () in
   let base_fields = [ ("job", String job.Job.name); ("digest", String digest) ] in
@@ -173,7 +162,7 @@ let run_job ?(fatal = fun _ -> false) ~cache ~journal ~on_job_done ~log
       emit log "job_start" base_fields;
       let max_attempts = 1 + max 0 retries in
       let rec attempt n =
-        match run_attempt ~fatal ~job_timeout ~runner job with
+        match run_attempt ~job_timeout ~runner job with
         | `Ok result -> (n, `Ok result)
         | `Timeout ->
           (* no retry: a runaway job would just hang the watchdog again *)

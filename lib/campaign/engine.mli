@@ -111,34 +111,6 @@ val backoff_delay : base:float -> digest:string -> attempt:int -> float
     jitter factor in [[1, 1.5)] seeded from [(digest, attempt)], capped
     at 5 s. [0.0] when [base <= 0.0]. Exposed for tests. *)
 
-val run_job :
-  ?fatal:(exn -> bool) ->
-  cache:Cache.t option ->
-  journal:Journal.t option ->
-  on_job_done:(outcome -> unit) ->
-  log:Events.t ->
-  retries:int ->
-  backoff:float ->
-  job_timeout:float option ->
-  runner:(Job.t -> Ifp_vm.Vm.result) ->
-  digest:string ->
-  Job.t ->
-  outcome
-(** One job through the full single-job path — journal-replay check,
-    cache probe (with quarantine), retries/backoff/watchdog, journal
-    append, events — without the batch scaffolding of {!run}. This is
-    the experiment daemon's per-request entry point ([lib/service]), so
-    daemon-served results flow through {e exactly} the code a direct
-    {!run} would use and stay byte-identical to it. [digest] must be
-    {!Job.digest} of [job] (computed by the caller, which typically also
-    uses it as the cache-shard key).
-
-    [fatal] (default: nothing) selects exceptions that must {e escape}
-    the per-job isolation: instead of retries and a [Failed] outcome
-    they re-raise to the caller, so a supervisor (the daemon's worker
-    supervision) can treat them as a worker crash and restart the
-    domain. *)
-
 val default_runner : Job.t -> Ifp_vm.Vm.result
 (** [Engines.run ~config:job.config job.prog] — the [runner] default.
     The engine named by [config.engine] executes the job; since engines

@@ -28,20 +28,6 @@ let magic = "ifp-journal-v1.\n"
    allocate for it (a torn length word can read as anything) *)
 let max_frame = 64 * 1024 * 1024
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xff));
-  Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xff));
-  Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
-  Buffer.add_char buf (Char.chr (Int32.to_int v land 0xff))
-
-let get_u32 s pos =
-  let b i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor
-    (Int32.shift_left (b 0) 24)
-    (Int32.logor
-       (Int32.shift_left (b 1) 16)
-       (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
-
 (* reads exactly [n] bytes or returns None (EOF / short read = torn) *)
 let read_exact ic n =
   let buf = Bytes.create n in
@@ -65,8 +51,8 @@ let replay_channel ~path ic =
     match read_exact ic 8 with
     | None -> if pos_in ic > !valid then torn := true
     | Some frame -> (
-      let len = Int32.to_int (get_u32 frame 0) in
-      let crc = get_u32 frame 4 in
+      let len = Int32.to_int (String.get_int32_be frame 0) in
+      let crc = String.get_int32_be frame 4 in
       if len <= 0 || len > max_frame then torn := true
       else
         match read_exact ic len with
@@ -143,8 +129,8 @@ let append t entry =
   assert (entry.status <> Skipped);
   let payload = Marshal.to_string entry [] in
   let buf = Buffer.create (String.length payload + 8) in
-  put_u32 buf (Int32.of_int (String.length payload));
-  put_u32 buf (Crc32.string payload);
+  Buffer.add_int32_be buf (Int32.of_int (String.length payload));
+  Buffer.add_int32_be buf (Crc32.string payload);
   Buffer.add_string buf payload;
   Mutex.lock t.mutex;
   Hashtbl.replace t.seen entry.digest entry;

@@ -26,6 +26,20 @@
     undecodable marshal) and drops — every preceding record is intact by
     construction. Nothing is ever rewritten in place.
 
+    {2 Trust boundary}
+
+    The magic and the frame header are plain bytes, checked before
+    anything is unmarshalled. A payload is trusted once the magic, the
+    frame length and the CRC all match: it is then unmarshalled as an
+    {!entry} without further checking. [Marshal] is not type-safe, so a
+    {e crafted} frame with a valid CRC over a value of another type
+    replays as an entry and crashes the process on first field access.
+    A journal is only as trustworthy as the user who can write it; the
+    checks defend against torn appends and bit rot, not against an
+    attacker. For the same reason, any change to the shape of {!entry}
+    or {!Ifp_vm.Vm.result} must change {!magic} (and bump
+    {!Cache.format_version}, which has the same boundary).
+
     {2 Replay semantics}
 
     Replay is idempotent: records are keyed by job digest and a later

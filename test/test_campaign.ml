@@ -248,21 +248,27 @@ let find_results dir =
   in
   go dir
 
+(* Store one live entry, apply [damage] to its file, and probe it. *)
+let damage_and_probe damage =
+  let dir = temp_dir "ifp-cache-damage" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cache = Rcache.create ~dir () in
+      let job = tiny_job "tiny/damage" in
+      let _ = Engine.run ~cache [ job ] in
+      let path = List.hd (find_results dir) in
+      damage path;
+      Rcache.find cache ~digest:(Job.digest job))
+
+(* damage that rewrites the entry's bytes [e] as [f e] *)
+let forge f path =
+  let original = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (f original))
+
 let test_cache_crc_catches_damage () =
-  (* the v3 CRC framing must catch both torn writes (short payload) and
+  (* the CRC framing must catch both torn writes (short payload) and
      bit rot (flipped byte) deterministically, flagged [crc_mismatch] *)
-  let damage_and_probe damage =
-    let dir = temp_dir "ifp-cache-crc" in
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        let cache = Rcache.create ~dir () in
-        let job = tiny_job "tiny/crc" in
-        let _ = Engine.run ~cache [ job ] in
-        let path = List.hd (find_results dir) in
-        damage path;
-        Rcache.find cache ~digest:(Job.digest job))
-  in
   let flip_last_byte path =
     let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
     let size = (Unix.fstat fd).Unix.st_size in
@@ -290,6 +296,63 @@ let test_cache_crc_catches_damage () =
     Alcotest.(check bool) "torn payload flagged as CRC mismatch" true
       crc_mismatch
   | _ -> Alcotest.fail "torn payload not quarantined"
+
+let test_cache_hostile_headers () =
+  (* every header field is checked as plain bytes before [Marshal] sees
+     anything; a v3 reader unmarshalled the header first and died with
+     SIGSEGV on the first of these *)
+  let marshalled_int = Marshal.to_string 42 [] in
+  let set_u32 pos v s =
+    let b = Bytes.of_string s in
+    Bytes.set_int32_be b pos v;
+    Bytes.to_string b
+  in
+  let cases =
+    [
+      ("marshalled int as the whole entry", (fun _ -> marshalled_int), false);
+      ("marshalled int in front of an entry", (fun e -> marshalled_int ^ e),
+       false);
+      ("short file", (fun e -> String.sub e 0 20), false);
+      ("empty file", (fun _ -> ""), false);
+      ("wrong magic",
+       (fun e -> "IFPCACHE" ^ String.sub e 8 (String.length e - 8)), false);
+      ("v3 version field", set_u32 8 3l, false);
+      ("trailing bytes", (fun e -> e ^ "x"), false);
+      ("length past end of file", set_u32 44 0xffff_ffffl, true);
+    ]
+  in
+  List.iter
+    (fun (name, f, crc) ->
+      match damage_and_probe (forge f) with
+      | Rcache.Quarantined { crc_mismatch; _ } ->
+        Alcotest.(check bool) (name ^ ": crc_mismatch flag") crc crc_mismatch
+      | Rcache.Hit _ | Rcache.Miss -> Alcotest.fail (name ^ " not quarantined"))
+    cases;
+  (* an entry that cannot be read at all is an I/O error, never a raise *)
+  let as_directory path =
+    Sys.remove path;
+    Unix.mkdir path 0o755
+  in
+  match damage_and_probe as_directory with
+  | Rcache.Hit _ -> Alcotest.fail "directory entry read as a hit"
+  | Rcache.Miss | Rcache.Quarantined _ -> ()
+
+let test_cache_trusts_crc_valid_payload () =
+  (* the documented trust boundary (cache.mli): a payload whose header
+     and CRC all check out is unmarshalled as a [Vm.result] unverified,
+     so a forged payload of another type is a [Hit]. The value is never
+     touched here — reading a field of it would crash the process. *)
+  let forged original =
+    let payload = Marshal.to_string 42 [] in
+    let b = Bytes.of_string (String.sub original 0 52) in
+    Bytes.set_int32_be b 44 (Int32.of_int (String.length payload));
+    Bytes.set_int32_be b 48 (Ifp_util.Crc32.string payload);
+    Bytes.to_string b ^ payload
+  in
+  match damage_and_probe (forge forged) with
+  | Rcache.Hit _ -> ()
+  | Rcache.Miss | Rcache.Quarantined _ ->
+    Alcotest.fail "CRC-valid payload no longer trusted: update cache.mli"
 
 let test_events_torn_line_tolerated () =
   let path = Filename.temp_file "ifp-events-torn" ".jsonl" in
@@ -368,7 +431,7 @@ let test_cache_lru_byte_budget () =
       (Ir.program ~tenv:Ctype.empty_tenv ~globals:[]
          [ Ir.func "main" [] Ctype.I64 [ Ir.Return (Some (Ir.i 42)) ] ])
   in
-  let digest c = String.make 30 c ^ Printf.sprintf "%02d" (Char.code c) in
+  let digest c = String.make 30 c ^ Printf.sprintf "%02x" (Char.code c) in
   (* entry size depends on the marshalled result, so measure it first *)
   let entry_bytes =
     let dir = temp_dir "ifp-cache-measure" in
@@ -390,7 +453,7 @@ let test_cache_lru_byte_budget () =
       let store ch =
         Rcache.store cache ~digest:(digest ch) ~job_name:"jx" result;
         (* mtime is the LRU clock; keep stores strictly ordered *)
-        Thread.delay 0.02
+        Unix.sleepf 0.02
       in
       store 'a';
       store 'b';
@@ -399,7 +462,7 @@ let test_cache_lru_byte_budget () =
       (match Rcache.find cache ~digest:(digest 'a') with
       | Rcache.Hit _ -> ()
       | _ -> Alcotest.fail "expected hit on 'a'");
-      Thread.delay 0.02;
+      Unix.sleepf 0.02;
       store 'd';
       store 'e';
       let hit ch =
@@ -447,43 +510,6 @@ let test_parse_bytes () =
   check "10x" None;
   check "1kk" None
 
-let test_install_stop_restores_handlers () =
-  (* SIGUSR1 stands in for SIGTERM so a restored default handler can't
-     kill the test runner *)
-  let fired = ref 0 in
-  let previous =
-    Sys.signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> incr fired))
-  in
-  Fun.protect
-    ~finally:(fun () -> Sys.set_signal Sys.sigusr1 previous)
-    (fun () ->
-      let signals = Ifp_campaign.Cli.install_stop ~signals:[ Sys.sigusr1 ] () in
-      Alcotest.(check bool) "flag starts false" false (signals.stop ());
-      Unix.kill (Unix.getpid ()) Sys.sigusr1;
-      let rec await n =
-        if signals.stop () then ()
-        else if n <= 0 then Alcotest.fail "stop flag never fired"
-        else begin
-          Thread.delay 0.01;
-          await (n - 1)
-        end
-      in
-      await 200;
-      Alcotest.(check int) "counting handler was displaced" 0 !fired;
-      signals.restore ();
-      signals.restore ();  (* idempotent *)
-      Unix.kill (Unix.getpid ()) Sys.sigusr1;
-      let rec await2 n =
-        if !fired > 0 then ()
-        else if n <= 0 then Alcotest.fail "previous handler not restored"
-        else begin
-          Thread.delay 0.01;
-          await2 (n - 1)
-        end
-      in
-      await2 200;
-      Alcotest.(check int) "previous handler back in place" 1 !fired)
-
 let tests =
   [
     Alcotest.test_case "serial = parallel (3 workloads x 5 variants)" `Slow
@@ -498,6 +524,10 @@ let tests =
       test_watchdog_times_out;
     Alcotest.test_case "cache CRC catches torn writes and bit rot" `Quick
       test_cache_crc_catches_damage;
+    Alcotest.test_case "cache quarantines hostile headers" `Quick
+      test_cache_hostile_headers;
+    Alcotest.test_case "cache trusts a CRC-valid payload" `Quick
+      test_cache_trusts_crc_valid_payload;
     Alcotest.test_case "event log tolerates a torn final line" `Quick
       test_events_torn_line_tolerated;
     Alcotest.test_case "failed variant visible in row status" `Quick
@@ -505,6 +535,4 @@ let tests =
     Alcotest.test_case "cache LRU byte budget evicts coldest" `Quick
       test_cache_lru_byte_budget;
     Alcotest.test_case "parse_bytes suffixes" `Quick test_parse_bytes;
-    Alcotest.test_case "install_stop restores previous handlers" `Quick
-      test_install_stop_restores_handlers;
   ]

@@ -26,8 +26,6 @@ let () =
       ("chaos", Test_chaos.tests);
       ("faultinject", Test_faultinject.tests);
       ("guarantees", Test_guarantees.tests);
-      ("service", Test_service.tests);
-      ("resilience", Test_resilience.tests);
       ("fuzz", Test_fuzz.tests);
       ("temporal", Test_temporal.tests);
     ]
