@@ -37,8 +37,11 @@ let open_journal ~path ~resume =
   | None -> (None, None)
   | Some path ->
     if resume then
-      let j, rep = Journal.open_resume ~path in
-      (Some j, Some rep)
+      match Journal.open_resume ~path with
+      | j, rep -> (Some j, Some rep)
+      | exception Journal.Bad_magic file ->
+        Printf.eprintf "%s: not a campaign journal, cannot resume from it\n" file;
+        Stdlib.exit 1
     else (Some (Journal.create ~path), None)
 
 let open_log ~path ~resume =

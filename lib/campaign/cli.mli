@@ -23,7 +23,9 @@ val open_journal :
   Journal.t option * Journal.replay option
 (** [path = None]: no journal. [resume = false]: fresh journal at
     [path]. [resume = true]: {!Journal.open_resume} — the replay info is
-    returned for the [campaign_resumed] event. *)
+    returned for the [campaign_resumed] event. A file that is not a
+    journal ({!Journal.Bad_magic}) prints one stderr line naming it and
+    exits 1. *)
 
 val open_log :
   path:string option -> resume:bool -> Events.t * bool

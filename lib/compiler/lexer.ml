@@ -61,6 +61,13 @@ let rec skip_ws t =
       skip_ws t
     | _ -> ()
 
+(* [Int64.of_string] fails on literals past 64 bits; that is a located
+   lex error, not a crash *)
+let int_lit t s =
+  match Int64.of_string_opt s with
+  | Some n -> INT n
+  | None -> raise (Lex_error ("integer literal out of range", t.line_no))
+
 let scan t =
   skip_ws t;
   if t.pos >= String.length t.src then EOF
@@ -89,7 +96,7 @@ let scan t =
           t.pos <- t.pos + 1
         done;
         if t.pos = hstart then raise (Lex_error ("bad hex literal", t.line_no));
-        INT (Int64.of_string ("0x" ^ String.sub t.src hstart (t.pos - hstart)))
+        int_lit t ("0x" ^ String.sub t.src hstart (t.pos - hstart))
       end
       else if t.pos < String.length t.src && t.src.[t.pos] = '.' then begin
         t.pos <- t.pos + 1;
@@ -98,7 +105,7 @@ let scan t =
         done;
         FLOAT (float_of_string (String.sub t.src start (t.pos - start)))
       end
-      else INT (Int64.of_string (String.sub t.src start (t.pos - start)))
+      else int_lit t (String.sub t.src start (t.pos - start))
     end
     else if is_ident_start c then begin
       let start = t.pos in

@@ -12,10 +12,10 @@
        {!Buddy} — the runtime-library allocators}
     {- {!Ir}, {!Typecheck}, {!Instrument}, {!Resolve} — MiniC and the
        compiler passes}
-    {- {!Vm}, {!Vm_ref}, {!Vm_closure}, {!Engines}, {!Profile},
-       {!Counters}, {!Cost}, {!Memmap} — the execution engines
-       (slot-resolved interpreter, reference tree walker,
-       closure-compiled) and their dispatch/profiling support}
+    {- {!Vm}, {!Vm_ref}, {!Vm_closure}, {!Engines}, {!Counters},
+       {!Cost}, {!Memmap} — the execution engines (slot-resolved
+       interpreter, reference tree walker, closure-compiled) and their
+       dispatch support}
     {- {!Report} — multi-variant evaluation harness (Table 4 /
        Fig. 10–12 rows)}}
 
@@ -55,7 +55,6 @@ module Vm = Ifp_vm.Vm
 module Vm_ref = Ifp_vm.Vm_ref
 module Vm_closure = Ifp_vm.Vm_closure
 module Engines = Ifp_vm.Engines
-module Profile = Ifp_vm.Profile
 module Counters = Ifp_vm.Counters
 module Cost = Ifp_vm.Cost
 module Memmap = Ifp_vm.Memmap

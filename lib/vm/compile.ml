@@ -39,7 +39,6 @@ type ucode = frame -> unit
 
 type env = {
   st : state;
-  prof : Profile.t option;
   fbodies : ucode array;  (* compiled bodies, parallel to rp.funcs *)
   ic_tyid : int array;  (* per-site IC key: last tyid seen, -1 = empty *)
   ic_ptr : int64 array;  (* per-site IC value: resolved layout pointer *)
@@ -53,48 +52,6 @@ type env = {
 type ctx = { env : env; instr : bool }
 
 let nop_u : ucode = fun _ -> ()
-
-(* ---- profile probes ------------------------------------------------- *)
-
-let pv c k (f : vcode) : vcode =
-  match c.env.prof with
-  | None -> f
-  | Some p ->
-    fun fr ->
-      Profile.enter p k;
-      (match f fr with
-      | v ->
-        Profile.exit p;
-        v
-      | exception e ->
-        Profile.exit p;
-        raise e)
-
-let pi c k (f : icode) : icode =
-  match c.env.prof with
-  | None -> f
-  | Some p ->
-    fun fr ->
-      Profile.enter p k;
-      (match f fr with
-      | v ->
-        Profile.exit p;
-        v
-      | exception e ->
-        Profile.exit p;
-        raise e)
-
-let pu c k (f : ucode) : ucode =
-  match c.env.prof with
-  | None -> f
-  | Some p ->
-    fun fr ->
-      Profile.enter p k;
-      (match f fr with
-      | () -> Profile.exit p
-      | exception e ->
-        Profile.exit p;
-        raise e)
 
 (* ---- call helper ---------------------------------------------------- *)
 
@@ -117,6 +74,7 @@ let run_body st (f : R.func) (body : ucode) callee_frame spills =
     | exception Return_exc v -> v
   in
   st.sp <- saved_sp;
+  st.depth <- st.depth - 1;
   if spills > 0 then charge_ifp st Insn.Ldbnd spills;
   if f.instrumented then ret else strip_bounds ret
 
@@ -611,15 +569,6 @@ let never_ptr (e : R.expr) =
   | R.Cast { kind = R.Cast_int _ | R.Cast_f64; _ } -> true
   | _ -> false
 
-let cmp_test : Ir.binop -> int -> bool = function
-  | Ir.Eq -> fun cv -> cv = 0
-  | Ir.Ne -> fun cv -> cv <> 0
-  | Ir.Lt -> fun cv -> cv < 0
-  | Ir.Le -> fun cv -> cv <= 0
-  | Ir.Gt -> fun cv -> cv > 0
-  | Ir.Ge -> fun cv -> cv >= 0
-  | _ -> assert false
-
 (* ---- the compiler --------------------------------------------------- *)
 
 let rec compile_expr c (e : R.expr) : vcode =
@@ -627,28 +576,27 @@ let rec compile_expr c (e : R.expr) : vcode =
   match e with
   | R.Int x ->
     let v = VI x in
-    pv c Profile.op_const (fun _ -> v)
+    fun _ -> v
   | R.Float f ->
     let v = VF f in
-    pv c Profile.op_const (fun _ -> v)
+    fun _ -> v
   | R.Var i ->
-    pv c Profile.op_var (fun fr ->
-        let v = Array.unsafe_get fr.vars i in
-        if v == unbound then
-          abort ("unbound variable " ^ fr.rf.var_names.(i))
-        else v)
+    fun fr ->
+      let v = Array.unsafe_get fr.vars i in
+      if v == unbound then
+        abort ("unbound variable " ^ fr.rf.var_names.(i))
+      else v
   | R.Binop (Ir.LAnd, a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
-    pv c Profile.op_binop (fun fr ->
-        base st 1;
-        if not (truth (ca fr)) then vi_zero else vi_bool (truth (cb fr)))
+    fun fr ->
+      base st 1;
+      if not (truth (ca fr)) then vi_zero else vi_bool (truth (cb fr))
   | R.Binop (Ir.LOr, a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
-    pv c Profile.op_binop (fun fr ->
-        base st 1;
-        if truth (ca fr) then vi_one else vi_bool (truth (cb fr)))
-  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b)
-    when c.env.prof = None ->
+    fun fr ->
+      base st 1;
+      if truth (ca fr) then vi_one else vi_bool (truth (cb fr))
+  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b) ->
     (* boxed twin of the comparison specialization: only the boolean
        result is boxed *)
     let cc = compile_cmp_bool c op a b in
@@ -657,13 +605,11 @@ let rec compile_expr c (e : R.expr) : vcode =
       ( ( Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Rem | Ir.BAnd | Ir.BOr
         | Ir.BXor | Ir.Shl | Ir.Shr ),
         _,
-        _ )
-    when c.env.prof = None ->
+        _ ) ->
     (* integer-producing op: reuse the unboxed compiler, box once *)
     let ci = compile_expr_i c e in
     fun fr -> VI (ci fr)
-  | R.Binop (((Ir.FAdd | Ir.FSub | Ir.FMul | Ir.FDiv) as op), a, b)
-    when c.env.prof = None ->
+  | R.Binop (((Ir.FAdd | Ir.FSub | Ir.FMul | Ir.FDiv) as op), a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
     let fpx = Cost.fp - 1 in
     (match op with
@@ -696,8 +642,7 @@ let rec compile_expr c (e : R.expr) : vcode =
         cycles st fpx;
         VF (as_float va /. as_float vb)
     | _ -> assert false)
-  | R.Binop (((Ir.FEq | Ir.FLt | Ir.FLe) as op), a, b)
-    when c.env.prof = None ->
+  | R.Binop (((Ir.FEq | Ir.FLt | Ir.FLe) as op), a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
     let fpx = Cost.fp - 1 in
     (match op with
@@ -723,92 +668,85 @@ let rec compile_expr c (e : R.expr) : vcode =
         cycles st fpx;
         vi_bool (as_float va <= as_float vb)
     | _ -> assert false)
-  | R.Binop (op, a, b) ->
-    (* reference order: the generic application evaluates b, then a *)
-    let ca = compile_expr c a and cb = compile_expr c b in
-    pv c Profile.op_binop (fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        eval_binop st op va vb)
   | R.Unop (op, a) ->
     let ca = compile_expr c a in
-    pv c Profile.op_unop (fun fr -> eval_unop st op (ca fr))
+    fun fr -> eval_unop st op (ca fr)
   | R.Load { cls; bytes; addr } -> compile_load c cls bytes addr
   | R.Addr_local slot ->
     if c.instr then
       let chg_bnd = stage_charge_ifp st Insn.Ifpbnd in
-      pv c Profile.op_addr_local (fun fr ->
-          base st 1;
-          let addr = fr.local_addr.(slot) in
-          if Int64.equal addr local_unset then
-            abort ("address of unknown local " ^ fr.rf.local_names.(slot))
-          else begin
-            chg_bnd ();
-            VP
-              ( fr.local_tagged.(slot),
-                Bounds.of_base_size addr fr.local_size.(slot) )
-          end)
+      fun fr ->
+        base st 1;
+        let addr = fr.local_addr.(slot) in
+        if Int64.equal addr local_unset then
+          abort ("address of unknown local " ^ fr.rf.local_names.(slot))
+        else begin
+          chg_bnd ();
+          VP
+            ( fr.local_tagged.(slot),
+              Bounds.of_base_size addr fr.local_size.(slot) )
+        end
     else
-      pv c Profile.op_addr_local (fun fr ->
-          base st 1;
-          let addr = fr.local_addr.(slot) in
-          if Int64.equal addr local_unset then
-            abort ("address of unknown local " ^ fr.rf.local_names.(slot))
-          else VP (addr, Bounds.no_bounds))
+      fun fr ->
+        base st 1;
+        let addr = fr.local_addr.(slot) in
+        if Int64.equal addr local_unset then
+          abort ("address of unknown local " ^ fr.rf.local_names.(slot))
+        else VP (addr, Bounds.no_bounds)
   | R.Addr_global g ->
     (* globals are fully set up before compilation runs *)
     let go = st.globals.(g) in
     if c.instr then
       let chg_bnd = stage_charge_ifp st Insn.Ifpbnd in
-      pv c Profile.op_addr_global (fun _ ->
-          base st 5;
-          chg_bnd ();
-          VP (go.gtagged, go.gbounds))
+      fun _ ->
+        base st 5;
+        chg_bnd ();
+        VP (go.gtagged, go.gbounds)
     else
-      pv c Profile.op_addr_global (fun _ ->
-          base st 1;
-          VP (go.gaddr, Bounds.no_bounds))
+      fun _ ->
+        base st 1;
+        VP (go.gaddr, Bounds.no_bounds)
   | R.Load_global { g; cls; bytes } ->
     (* the global's address is static: the staged access tail runs on
        the pre-masked address, like any fused load *)
     let go = st.globals.(g) in
     let tail = load_tail (stage_load st bytes) cls bytes in
     let ga = Int64.logand go.gaddr addr_mask in
-    pv c Profile.op_load_global (fun _ -> tail ga)
+    fun _ -> tail ga
   | R.Gep { base = gbase; steps; idx_delta; site = _ } ->
     compile_gep c gbase steps idx_delta
   | R.Call { target; args; n_args } -> compile_call c target args n_args
   | R.Malloc { scale; count; cty; layout_multi } ->
     let cc = compile_expr_i c count in
-    pv c Profile.op_malloc (fun fr ->
-        let n = Int64.to_int (cc fr) in
-        do_malloc st fr ~size:(max 1 n * scale) ~cty ~layout_multi)
+    fun fr ->
+      let n = Int64.to_int (cc fr) in
+      do_malloc st fr ~size:(max 1 n * scale) ~cty ~layout_multi
   | R.Cast { kind; e } -> (
     let ce = compile_expr c e in
     match kind with
     | R.Cast_ptr ->
-      pv c Profile.op_cast (fun fr ->
-          match ce fr with
-          | VI w ->
-            if Int64.equal w 0L then null_ptr else VP (w, Bounds.no_bounds)
-          | VP _ as v -> v
-          | VF _ -> abort "float to pointer cast")
+      (fun fr ->
+        match ce fr with
+        | VI w ->
+          if Int64.equal w 0L then null_ptr else VP (w, Bounds.no_bounds)
+        | VP _ as v -> v
+        | VF _ -> abort "float to pointer cast")
     | R.Cast_f64 ->
-      pv c Profile.op_cast (fun fr ->
-          let v = ce fr in
-          base st 1;
-          VF (as_float v))
+      fun fr ->
+        let v = ce fr in
+        base st 1;
+        VF (as_float v)
     | R.Cast_int n ->
-      pv c Profile.op_cast (fun fr ->
-          match ce fr with
-          | VF f ->
-            base st 1;
-            VI (Int64.of_float f)
-          | v -> VI (sext (as_int v) n)))
+      (fun fr ->
+        match ce fr with
+        | VF f ->
+          base st 1;
+          VI (Int64.of_float f)
+        | v -> VI (sext (as_int v) n)))
   | R.Ifp_promote { e; site = _ } ->
     let ce = compile_expr c e in
-    pv c Profile.op_promote (fun fr -> eval_promote st (ce fr))
-  | R.Bad msg -> pv c Profile.op_bad (fun _ -> abort msg)
+    fun fr -> eval_promote st (ce fr)
+  | R.Bad msg -> fun _ -> abort msg
 
 (* Unboxed integer compilation: the staged twin of [Vm.eval_i], used in
    the same contexts (conditions, integer arithmetic, gep indexes,
@@ -817,147 +755,129 @@ let rec compile_expr c (e : R.expr) : vcode =
 and compile_expr_i c (e : R.expr) : icode =
   let st = c.env.st in
   match e with
-  | R.Int x -> pi c Profile.op_const (fun _ -> x)
+  | R.Int x -> fun _ -> x
   | R.Var i ->
-    pi c Profile.op_var (fun fr ->
-        let v = Array.unsafe_get fr.vars i in
-        if v == unbound then
-          abort ("unbound variable " ^ fr.rf.var_names.(i))
-        else as_int v)
+    fun fr ->
+      let v = Array.unsafe_get fr.vars i in
+      if v == unbound then
+        abort ("unbound variable " ^ fr.rf.var_names.(i))
+      else as_int v
   | R.Binop (Ir.LAnd, a, b) ->
     let ca = compile_expr_i c a and cb = compile_expr_i c b in
-    pi c Profile.op_binop_i (fun fr ->
-        base st 1;
-        if Int64.equal (ca fr) 0L then 0L
-        else if Int64.equal (cb fr) 0L then 0L
-        else 1L)
+    fun fr ->
+      base st 1;
+      if Int64.equal (ca fr) 0L then 0L
+      else if Int64.equal (cb fr) 0L then 0L
+      else 1L
   | R.Binop (Ir.LOr, a, b) ->
     let ca = compile_expr_i c a and cb = compile_expr_i c b in
-    pi c Profile.op_binop_i (fun fr ->
-        base st 1;
-        if not (Int64.equal (ca fr) 0L) then 1L
-        else if Int64.equal (cb fr) 0L then 0L
-        else 1L)
+    fun fr ->
+      base st 1;
+      if not (Int64.equal (ca fr) 0L) then 1L
+      else if Int64.equal (cb fr) 0L then 0L
+      else 1L
   | R.Binop
       ( (( Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Rem | Ir.BAnd | Ir.BOr
          | Ir.BXor | Ir.Shl | Ir.Shr ) as op),
         a,
         b ) ->
     let ca = compile_expr_i c a and cb = compile_expr_i c b in
-    pi c Profile.op_binop_i
-      (match op with
-      | Ir.Add ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          base st 1;
-          Int64.add x y
-      | Ir.Sub ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          base st 1;
-          Int64.sub x y
-      | Ir.Mul ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          cycles st (Cost.mul - 1);
-          base st 1;
-          Int64.mul x y
-      | Ir.Div ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          cycles st (Cost.div - 1);
-          if Int64.equal y 0L then abort "division by zero";
-          base st 1;
-          Int64.div x y
-      | Ir.Rem ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          cycles st (Cost.div - 1);
-          if Int64.equal y 0L then abort "remainder by zero";
-          base st 1;
-          Int64.rem x y
-      | Ir.BAnd ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          base st 1;
-          Int64.logand x y
-      | Ir.BOr ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          base st 1;
-          Int64.logor x y
-      | Ir.BXor ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          base st 1;
-          Int64.logxor x y
-      | Ir.Shl ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          base st 1;
-          Int64.shift_left x (Int64.to_int y land 63)
-      | Ir.Shr ->
-        fun fr ->
-          let y = cb fr in
-          let x = ca fr in
-          base st 1;
-          Int64.shift_right_logical x (Int64.to_int y land 63)
-      | _ -> assert false)
+    (match op with
+    | Ir.Add ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        base st 1;
+        Int64.add x y
+    | Ir.Sub ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        base st 1;
+        Int64.sub x y
+    | Ir.Mul ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        cycles st (Cost.mul - 1);
+        base st 1;
+        Int64.mul x y
+    | Ir.Div ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        cycles st (Cost.div - 1);
+        if Int64.equal y 0L then abort "division by zero";
+        base st 1;
+        Int64.div x y
+    | Ir.Rem ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        cycles st (Cost.div - 1);
+        if Int64.equal y 0L then abort "remainder by zero";
+        base st 1;
+        Int64.rem x y
+    | Ir.BAnd ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        base st 1;
+        Int64.logand x y
+    | Ir.BOr ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        base st 1;
+        Int64.logor x y
+    | Ir.BXor ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        base st 1;
+        Int64.logxor x y
+    | Ir.Shl ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        base st 1;
+        Int64.shift_left x (Int64.to_int y land 63)
+    | Ir.Shr ->
+      fun fr ->
+        let y = cb fr in
+        let x = ca fr in
+        base st 1;
+        Int64.shift_right_logical x (Int64.to_int y land 63)
+    | _ -> assert false)
   | R.Unop (((Ir.Neg | Ir.BNot | Ir.LNot) as op), a) ->
     let ca = compile_expr_i c a in
-    pi c Profile.op_unop_i
-      (match op with
-      | Ir.Neg ->
-        fun fr ->
-          let x = ca fr in
-          base st 1;
-          Int64.neg x
-      | Ir.BNot ->
-        fun fr ->
-          let x = ca fr in
-          base st 1;
-          Int64.lognot x
-      | Ir.LNot ->
-        fun fr ->
-          let x = ca fr in
-          base st 1;
-          if Int64.equal x 0L then 1L else 0L
-      | _ -> assert false)
+    (match op with
+    | Ir.Neg ->
+      fun fr ->
+        let x = ca fr in
+        base st 1;
+        Int64.neg x
+    | Ir.BNot ->
+      fun fr ->
+        let x = ca fr in
+        base st 1;
+        Int64.lognot x
+    | Ir.LNot ->
+      fun fr ->
+        let x = ca fr in
+        base st 1;
+        if Int64.equal x 0L then 1L else 0L
+    | _ -> assert false)
   | R.Load { cls = R.Cls_int; bytes; addr } -> compile_load_int c bytes addr
-  | R.Load_global { g; cls = R.Cls_int; bytes } when c.env.prof = None ->
+  | R.Load_global { g; cls = R.Cls_int; bytes } ->
     (* unboxed twin of the staged global load *)
-    let go = c.env.st.globals.(g) in
-    let tail = load_tail_i (stage_load c.env.st bytes) bytes in
+    let go = st.globals.(g) in
+    let tail = load_tail_i (stage_load st bytes) bytes in
     let ga = Int64.logand go.gaddr addr_mask in
     fun _ -> tail ga
   | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b) ->
-    if c.env.prof = None then
-      let cc = compile_cmp_bool c op a b in
-      fun fr -> if cc fr then 1L else 0L
-    else
-      (* probed generic path so profiling sees operand dispatches *)
-      let test = cmp_test op in
-      let ca = compile_expr c a and cb = compile_expr c b in
-      pi c Profile.op_cmp (fun fr ->
-          let vb = cb fr in
-          let va = ca fr in
-          base st 1;
-          let cv =
-            match (va, vb) with
-            | VP (wa, _), VP (wb, _) ->
-              Int64.compare (Tag.addr wa) (Tag.addr wb)
-            | _ -> Int64.compare (as_int va) (as_int vb)
-          in
-          if test cv then 1L else 0L)
+    let cc = compile_cmp_bool c op a b in
+    fun fr -> if cc fr then 1L else 0L
   | R.Binop (((Ir.FEq | Ir.FLt | Ir.FLe) as op), a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
     let test : float -> float -> bool =
@@ -967,14 +887,14 @@ and compile_expr_i c (e : R.expr) : icode =
       | Ir.FLe -> ( <= )
       | _ -> assert false
     in
-    pi c Profile.op_fcmp (fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st (Cost.fp - 1);
-        let y = as_float vb in
-        let x = as_float va in
-        if test x y then 1L else 0L)
+    fun fr ->
+      let vb = cb fr in
+      let va = ca fr in
+      base st 1;
+      cycles st (Cost.fp - 1);
+      let y = as_float vb in
+      let x = as_float va in
+      if test x y then 1L else 0L
   | e ->
     let ce = compile_expr c e in
     fun fr -> as_int (ce fr)
@@ -984,8 +904,7 @@ and compile_expr_i c (e : R.expr) : icode =
    (no test closure to call at run time) and leaf operands (Var / Int)
    read inline. Handles every comparison shape: when one side is an
    integer literal or provably non-pointer the VP/VP address-compare
-   branch is compiled away, otherwise it is kept. Only used when
-   profiling is off (callers fall back to probed generic code). *)
+   branch is compiled away, otherwise it is kept. *)
 and compile_cmp_bool c op a b : frame -> bool =
   let st = c.env.st in
   let an, az, ap =
@@ -1065,13 +984,10 @@ and compile_cmp_bool c op a b : frame -> bool =
 
 (* Boolean condition compilation for [If]/[While]: same closure as
    [compile_expr_i] followed by a zero test, but a comparison skips the
-   0L/1L materialization and returns the test result directly. Kept
-   generic under profiling so the dispatch histogram still sees the
-   condition's [op_cmp] probe. *)
+   0L/1L materialization and returns the test result directly. *)
 and compile_cond c (e : R.expr) : frame -> bool =
   match e with
-  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b)
-    when c.env.prof = None ->
+  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b) ->
     compile_cmp_bool c op a b
   | e ->
     let cc = compile_expr_i c e in
@@ -1210,82 +1126,81 @@ and compile_gep_addr c gbase steps idx_delta : (frame -> int64) option =
 and compile_gep c gbase steps idx_delta : vcode =
   let st = c.env.st in
   let cb = compile_expr c gbase in
-  pv c Profile.op_gep
-    (match steps with
-    | [] ->
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        gep_finish st fr w b idx_delta ~delta:0L ~dyn:0 ~nb_lo:0L ~nb_hi:0L
-          ~have_nb:false
-    | [ R.Rs_field { off; fsize } ] ->
-      let offL = Int64.of_int off and fsizeL = Int64.of_int fsize in
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        let lo = Int64.add (Tag.addr w) offL in
-        gep_finish st fr w b idx_delta ~delta:offL ~dyn:0 ~nb_lo:lo
-          ~nb_hi:(Int64.add lo fsizeL) ~have_nb:true
-    | [ R.Rs_index { esize; idx } ] ->
-      let ci = compile_expr_i c idx in
-      let esizeL = Int64.of_int esize in
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        let k = ci fr in
-        gep_finish st fr w b idx_delta
-          ~delta:(Int64.mul k esizeL)
-          ~dyn:1 ~nb_lo:0L ~nb_hi:0L ~have_nb:false
-    | steps ->
-      let csteps =
-        List.map
-          (function
-            | R.Rs_field { off; fsize } -> `F (Int64.of_int off, Int64.of_int fsize)
-            | R.Rs_index { esize; idx } ->
-              `I (Int64.of_int esize, compile_expr_i c idx)
-            | R.Rs_bad msg -> `B msg)
-          steps
+  match steps with
+  | [] ->
+    fun fr ->
+      let v = cb fr in
+      let w =
+        match v with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
       in
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        let addr0 = Tag.addr w in
-        let rec walk cs addr nb_lo nb_hi have_nb dyn =
-          match cs with
-          | [] -> (addr, nb_lo, nb_hi, have_nb, dyn)
-          | `F (offL, fsizeL) :: rest ->
-            let a' = Int64.add addr offL in
-            walk rest a' a' (Int64.add a' fsizeL) true dyn
-          | `I (esizeL, ci) :: rest ->
-            let k = ci fr in
-            walk rest (Int64.add addr (Int64.mul k esizeL)) nb_lo nb_hi have_nb
-              (dyn + 1)
-          | `B msg :: _ -> abort msg
-        in
-        let addr, nb_lo, nb_hi, have_nb, dyn = walk csteps addr0 0L 0L false 0 in
-        gep_finish st fr w b idx_delta
-          ~delta:(Int64.sub addr addr0)
-          ~dyn ~nb_lo ~nb_hi ~have_nb)
+      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+      gep_finish st fr w b idx_delta ~delta:0L ~dyn:0 ~nb_lo:0L ~nb_hi:0L
+        ~have_nb:false
+  | [ R.Rs_field { off; fsize } ] ->
+    let offL = Int64.of_int off and fsizeL = Int64.of_int fsize in
+    fun fr ->
+      let v = cb fr in
+      let w =
+        match v with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+      let lo = Int64.add (Tag.addr w) offL in
+      gep_finish st fr w b idx_delta ~delta:offL ~dyn:0 ~nb_lo:lo
+        ~nb_hi:(Int64.add lo fsizeL) ~have_nb:true
+  | [ R.Rs_index { esize; idx } ] ->
+    let ci = compile_expr_i c idx in
+    let esizeL = Int64.of_int esize in
+    fun fr ->
+      let v = cb fr in
+      let w =
+        match v with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+      let k = ci fr in
+      gep_finish st fr w b idx_delta
+        ~delta:(Int64.mul k esizeL)
+        ~dyn:1 ~nb_lo:0L ~nb_hi:0L ~have_nb:false
+  | steps ->
+    let csteps =
+      List.map
+        (function
+          | R.Rs_field { off; fsize } -> `F (Int64.of_int off, Int64.of_int fsize)
+          | R.Rs_index { esize; idx } ->
+            `I (Int64.of_int esize, compile_expr_i c idx)
+          | R.Rs_bad msg -> `B msg)
+        steps
+    in
+    fun fr ->
+      let v = cb fr in
+      let w =
+        match v with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+      let addr0 = Tag.addr w in
+      let rec walk cs addr nb_lo nb_hi have_nb dyn =
+        match cs with
+        | [] -> (addr, nb_lo, nb_hi, have_nb, dyn)
+        | `F (offL, fsizeL) :: rest ->
+          let a' = Int64.add addr offL in
+          walk rest a' a' (Int64.add a' fsizeL) true dyn
+        | `I (esizeL, ci) :: rest ->
+          let k = ci fr in
+          walk rest (Int64.add addr (Int64.mul k esizeL)) nb_lo nb_hi have_nb
+            (dyn + 1)
+        | `B msg :: _ -> abort msg
+      in
+      let addr, nb_lo, nb_hi, have_nb, dyn = walk csteps addr0 0L 0L false 0 in
+      gep_finish st fr w b idx_delta
+        ~delta:(Int64.sub addr addr0)
+        ~dyn ~nb_lo ~nb_hi ~have_nb
 
 (* ---- loads (with fusion) -------------------------------------------- *)
 
@@ -1299,57 +1214,57 @@ and compile_load c cls bytes addr : vcode =
       (* gep→check→load superinstruction *)
       let tail = load_tail (stage_load st bytes) cls bytes in
       if c.instr then
-        pv c Profile.op_fused_gep_load (fun fr ->
-            let w' = ga fr in
-            let ob = env.gb in
-            tail (check_instr st w' ob ~is_store:false ~size:bytes))
+        fun fr ->
+          let w' = ga fr in
+          let ob = env.gb in
+          tail (check_instr st w' ob ~is_store:false ~size:bytes)
       else
-        pv c Profile.op_fused_gep_load (fun fr ->
-            tail (Int64.logand (ga fr) addr_mask))
+        fun fr ->
+          tail (Int64.logand (ga fr) addr_mask)
     | None -> compile_load_generic c cls bytes addr)
   | R.Ifp_promote { e; site = _ } when st.inj = None ->
     (* promote→check→load superinstruction *)
     let ce = compile_expr c e in
     let tail = load_tail (stage_load st bytes) cls bytes in
     if c.instr then
-      pv c Profile.op_fused_promote_load (fun fr ->
-          let w, b =
-            match eval_promote st (ce fr) with
-            | VP (w, b) -> (w, b)
-            | VI w -> (w, Bounds.no_bounds)
-            | VF _ -> abort "float used as pointer"
-          in
-          tail (check_instr st w b ~is_store:false ~size:bytes))
+      fun fr ->
+        let w, b =
+          match eval_promote st (ce fr) with
+          | VP (w, b) -> (w, b)
+          | VI w -> (w, Bounds.no_bounds)
+          | VF _ -> abort "float used as pointer"
+        in
+        tail (check_instr st w b ~is_store:false ~size:bytes)
     else
-      pv c Profile.op_fused_promote_load (fun fr ->
-          let w =
-            match eval_promote st (ce fr) with
-            | VP (w, _) | VI w -> w
-            | VF _ -> abort "float used as pointer"
-          in
-          tail (Int64.logand w addr_mask))
+      fun fr ->
+        let w =
+          match eval_promote st (ce fr) with
+          | VP (w, _) | VI w -> w
+          | VF _ -> abort "float used as pointer"
+        in
+        tail (Int64.logand w addr_mask)
   | addr -> compile_load_generic c cls bytes addr
 
 and compile_load_generic c cls bytes addr : vcode =
   let st = c.env.st in
   let ca = compile_expr c addr in
   if st.inj <> None then
-    pv c Profile.op_load (fun fr -> do_load st fr cls bytes (ca fr))
+    fun fr -> do_load st fr cls bytes (ca fr)
   else
     (* staged twin of [Rt.do_load]: the [as_ptr] split, the checked
        access (static per mode), then the staged load tail *)
     let tail = load_tail (stage_load st bytes) cls bytes in
     if c.instr then
-      pv c Profile.op_load (fun fr ->
-          match ca fr with
-          | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
-          | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
-          | VF _ -> abort "float used as pointer")
+      (fun fr ->
+        match ca fr with
+        | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
+        | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
+        | VF _ -> abort "float used as pointer")
     else
-      pv c Profile.op_load (fun fr ->
-          match ca fr with
-          | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
-          | VF _ -> abort "float used as pointer")
+      (fun fr ->
+        match ca fr with
+        | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
+        | VF _ -> abort "float used as pointer")
 
 (* the [eval_i] integer-load context: same fusion, unboxed result *)
 and compile_load_int c bytes addr : icode =
@@ -1361,13 +1276,13 @@ and compile_load_int c bytes addr : icode =
     | Some ga ->
       let tail = load_tail_i (stage_load st bytes) bytes in
       if c.instr then
-        pi c Profile.op_fused_gep_load_i (fun fr ->
-            let w' = ga fr in
-            let ob = env.gb in
-            tail (check_instr st w' ob ~is_store:false ~size:bytes))
+        fun fr ->
+          let w' = ga fr in
+          let ob = env.gb in
+          tail (check_instr st w' ob ~is_store:false ~size:bytes)
       else
-        pi c Profile.op_fused_gep_load_i (fun fr ->
-            tail (Int64.logand (ga fr) addr_mask))
+        fun fr ->
+          tail (Int64.logand (ga fr) addr_mask)
     | None -> compile_load_int_generic c bytes addr)
   | addr -> compile_load_int_generic c bytes addr
 
@@ -1375,20 +1290,20 @@ and compile_load_int_generic c bytes addr : icode =
   let st = c.env.st in
   let ca = compile_expr c addr in
   if st.inj <> None then
-    pi c Profile.op_load_i (fun fr -> do_load_int st fr bytes (ca fr))
+    fun fr -> do_load_int st fr bytes (ca fr)
   else
     let tail = load_tail_i (stage_load st bytes) bytes in
     if c.instr then
-      pi c Profile.op_load_i (fun fr ->
-          match ca fr with
-          | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
-          | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
-          | VF _ -> abort "float used as pointer")
+      (fun fr ->
+        match ca fr with
+        | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
+        | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
+        | VF _ -> abort "float used as pointer")
     else
-      pi c Profile.op_load_i (fun fr ->
-          match ca fr with
-          | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
-          | VF _ -> abort "float used as pointer")
+      (fun fr ->
+        match ca fr with
+        | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
+        | VF _ -> abort "float used as pointer")
 
 (* staged twins of [Rt.do_store_int] / [Rt.do_store] for non-fused
    store addresses; generic [do_store*] kept when an injector is armed *)
@@ -1396,64 +1311,64 @@ and compile_store_int_generic c bytes addr v next : ucode =
   let st = c.env.st in
   let ca = compile_expr c addr and cv = compile_expr_i c v in
   if st.inj <> None then
-    pu c Profile.op_store (fun fr ->
-        let a = ca fr in
-        let raw = cv fr in
-        do_store_int st fr bytes a raw;
-        next fr)
+    fun fr ->
+      let a = ca fr in
+      let raw = cv fr in
+      do_store_int st fr bytes a raw;
+      next fr
   else
     let stw = stage_store st bytes in
     if c.instr then
-      pu c Profile.op_store (fun fr ->
-          let a = ca fr in
-          let raw = cv fr in
-          (match a with
-          | VP (w, b) -> stw (check_instr st w b ~is_store:true ~size:bytes) raw
-          | VI w -> stw (check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes) raw
-          | VF _ -> abort "float used as pointer");
-          next fr)
+      fun fr ->
+        let a = ca fr in
+        let raw = cv fr in
+        (match a with
+        | VP (w, b) -> stw (check_instr st w b ~is_store:true ~size:bytes) raw
+        | VI w -> stw (check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes) raw
+        | VF _ -> abort "float used as pointer");
+        next fr
     else
-      pu c Profile.op_store (fun fr ->
-          let a = ca fr in
-          let raw = cv fr in
-          (match a with
-          | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) raw
-          | VF _ -> abort "float used as pointer");
-          next fr)
+      fun fr ->
+        let a = ca fr in
+        let raw = cv fr in
+        (match a with
+        | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) raw
+        | VF _ -> abort "float used as pointer");
+        next fr
 
 and compile_store_generic c cls bytes addr v next : ucode =
   let st = c.env.st in
   let ca = compile_expr c addr and cv = compile_expr c v in
   if st.inj <> None then
-    pu c Profile.op_store (fun fr ->
-        let a = ca fr in
-        let value = cv fr in
-        do_store st fr cls bytes a value;
-        next fr)
+    fun fr ->
+      let a = ca fr in
+      let value = cv fr in
+      do_store st fr cls bytes a value;
+      next fr
   else
     let stw = stage_store st bytes in
     let sraw = stage_store_raw st ~instr:c.instr cls in
     if c.instr then
-      pu c Profile.op_store (fun fr ->
-          let a = ca fr in
-          let value = cv fr in
-          (match a with
-          | VP (w, b) ->
-            let ma = check_instr st w b ~is_store:true ~size:bytes in
-            stw ma (sraw value)
-          | VI w ->
-            let ma = check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes in
-            stw ma (sraw value)
-          | VF _ -> abort "float used as pointer");
-          next fr)
+      fun fr ->
+        let a = ca fr in
+        let value = cv fr in
+        (match a with
+        | VP (w, b) ->
+          let ma = check_instr st w b ~is_store:true ~size:bytes in
+          stw ma (sraw value)
+        | VI w ->
+          let ma = check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes in
+          stw ma (sraw value)
+        | VF _ -> abort "float used as pointer");
+        next fr
     else
-      pu c Profile.op_store (fun fr ->
-          let a = ca fr in
-          let value = cv fr in
-          (match a with
-          | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) (sraw value)
-          | VF _ -> abort "float used as pointer");
-          next fr)
+      fun fr ->
+        let a = ca fr in
+        let value = cv fr in
+        (match a with
+        | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) (sraw value)
+        | VF _ -> abort "float used as pointer");
+        next fr
 
 (* ---- calls ---------------------------------------------------------- *)
 
@@ -1477,87 +1392,86 @@ and compile_call c target args n_args : vcode =
       Array.of_list (List.map2 (fun p a -> (p, carg a)) f.params args)
     in
     (* unroll the common small arities into straight-line slot writes *)
-    pv c Profile.op_call
-      (match binds with
-      | [||] ->
-        fun _ ->
-          let callee_frame = make_frame f in
-          let spills = call_prelude st f n_args in
-          run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
-      | [| (p0, ce0) |] ->
-        fun fr ->
-          let callee_frame = make_frame f in
-          Array.unsafe_set callee_frame.vars p0 (ce0 fr);
-          let spills = call_prelude st f n_args in
-          run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
-      | [| (p0, ce0); (p1, ce1) |] ->
-        fun fr ->
-          let callee_frame = make_frame f in
-          Array.unsafe_set callee_frame.vars p0 (ce0 fr);
-          Array.unsafe_set callee_frame.vars p1 (ce1 fr);
-          let spills = call_prelude st f n_args in
-          run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
-      | [| (p0, ce0); (p1, ce1); (p2, ce2) |] ->
-        fun fr ->
-          let callee_frame = make_frame f in
-          Array.unsafe_set callee_frame.vars p0 (ce0 fr);
-          Array.unsafe_set callee_frame.vars p1 (ce1 fr);
-          Array.unsafe_set callee_frame.vars p2 (ce2 fr);
-          let spills = call_prelude st f n_args in
-          run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
-      | binds ->
-        let n_binds = Array.length binds in
-        fun fr ->
-          let callee_frame = make_frame f in
-          for j = 0 to n_binds - 1 do
-            let p, ce = Array.unsafe_get binds j in
-            Array.unsafe_set callee_frame.vars p (ce fr)
-          done;
-          let spills = call_prelude st f n_args in
-          run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills)
+    (match binds with
+    | [||] ->
+      fun _ ->
+        let callee_frame = make_frame f in
+        let spills = call_prelude st f n_args in
+        run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
+    | [| (p0, ce0) |] ->
+      fun fr ->
+        let callee_frame = make_frame f in
+        Array.unsafe_set callee_frame.vars p0 (ce0 fr);
+        let spills = call_prelude st f n_args in
+        run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
+    | [| (p0, ce0); (p1, ce1) |] ->
+      fun fr ->
+        let callee_frame = make_frame f in
+        Array.unsafe_set callee_frame.vars p0 (ce0 fr);
+        Array.unsafe_set callee_frame.vars p1 (ce1 fr);
+        let spills = call_prelude st f n_args in
+        run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
+    | [| (p0, ce0); (p1, ce1); (p2, ce2) |] ->
+      fun fr ->
+        let callee_frame = make_frame f in
+        Array.unsafe_set callee_frame.vars p0 (ce0 fr);
+        Array.unsafe_set callee_frame.vars p1 (ce1 fr);
+        Array.unsafe_set callee_frame.vars p2 (ce2 fr);
+        let spills = call_prelude st f n_args in
+        run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills
+    | binds ->
+      let n_binds = Array.length binds in
+      fun fr ->
+        let callee_frame = make_frame f in
+        for j = 0 to n_binds - 1 do
+          let p, ce = Array.unsafe_get binds j in
+          Array.unsafe_set callee_frame.vars p (ce fr)
+        done;
+        let spills = call_prelude st f n_args in
+        run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills)
   | target -> (
     let cargs = List.map (compile_expr c) args in
     match target with
     | R.C_print_i64 ->
-      pv c Profile.op_call (fun fr ->
-          let argv = List.map (fun ce -> ce fr) cargs in
-          base st 3;
-          (match argv with
-          | [ v ] -> st.out <- Int64.to_string (as_int v) :: st.out
-          | _ -> ());
-          VI 0L)
+      fun fr ->
+        let argv = List.map (fun ce -> ce fr) cargs in
+        base st 3;
+        (match argv with
+        | [ v ] -> st.out <- Int64.to_string (as_int v) :: st.out
+        | _ -> ());
+        VI 0L
     | R.C_print_f64 ->
-      pv c Profile.op_call (fun fr ->
-          let argv = List.map (fun ce -> ce fr) cargs in
-          base st 3;
-          (match argv with
-          | [ v ] -> st.out <- Printf.sprintf "%.6g" (as_float v) :: st.out
-          | _ -> ());
-          VI 0L)
+      fun fr ->
+        let argv = List.map (fun ce -> ce fr) cargs in
+        base st 3;
+        (match argv with
+        | [ v ] -> st.out <- Printf.sprintf "%.6g" (as_float v) :: st.out
+        | _ -> ());
+        VI 0L
     | R.C_abort ->
-      pv c Profile.op_call (fun fr ->
-          let argv = List.map (fun ce -> ce fr) cargs in
-          ignore argv;
-          abort "program called __abort")
+      fun fr ->
+        let argv = List.map (fun ce -> ce fr) cargs in
+        ignore argv;
+        abort "program called __abort"
     | R.C_unknown fn ->
-      pv c Profile.op_call (fun fr ->
-          let argv = List.map (fun ce -> ce fr) cargs in
-          ignore argv;
-          abort ("call to unknown function " ^ fn))
+      fun fr ->
+        let argv = List.map (fun ce -> ce fr) cargs in
+        ignore argv;
+        abort ("call to unknown function " ^ fn)
     | R.C_func i ->
       (* arity mismatch: keep the reference path, including its
          [Invalid_argument] after evaluating every argument *)
-      pv c Profile.op_call (fun fr ->
-          let argv = List.map (fun ce -> ce fr) cargs in
-          let f = st.rp.funcs.(i) in
-          let spills = call_prelude st f n_args in
-          let callee_frame = make_frame f in
-          List.iter2
-            (fun slot v ->
-              let v = if f.instrumented then v else strip_bounds v in
-              Array.unsafe_set callee_frame.vars slot v)
-            f.params argv;
-          run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills))
+      fun fr ->
+        let argv = List.map (fun ce -> ce fr) cargs in
+        let f = st.rp.funcs.(i) in
+        let spills = call_prelude st f n_args in
+        let callee_frame = make_frame f in
+        List.iter2
+          (fun slot v ->
+            let v = if f.instrumented then v else strip_bounds v in
+            Array.unsafe_set callee_frame.vars slot v)
+          f.params argv;
+        run_body st f (Array.unsafe_get env.fbodies i) callee_frame spills)
 
 (* ---- statements ----------------------------------------------------- *)
 
@@ -1572,70 +1486,70 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     match k with
     | R.K_i64 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
-          let x = ce fr in
-          base st 1;
-          Array.unsafe_set fr.vars slot (VI x);
-          next fr)
+      fun fr ->
+        let x = ce fr in
+        base st 1;
+        Array.unsafe_set fr.vars slot (VI x);
+        next fr
     | R.K_i32 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
-          let x = ce fr in
-          base st 1;
-          Array.unsafe_set fr.vars slot (VI (sext x 4));
-          next fr)
+      fun fr ->
+        let x = ce fr in
+        base st 1;
+        Array.unsafe_set fr.vars slot (VI (sext x 4));
+        next fr
     | R.K_i16 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
-          let x = ce fr in
-          base st 1;
-          Array.unsafe_set fr.vars slot (VI (sext x 2));
-          next fr)
+      fun fr ->
+        let x = ce fr in
+        base st 1;
+        Array.unsafe_set fr.vars slot (VI (sext x 2));
+        next fr
     | R.K_i8 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
-          let x = ce fr in
-          base st 1;
-          Array.unsafe_set fr.vars slot (VI (sext x 1));
-          next fr)
+      fun fr ->
+        let x = ce fr in
+        base st 1;
+        Array.unsafe_set fr.vars slot (VI (sext x 1));
+        next fr
     | k ->
       let ce = compile_expr c e in
-      pu c Profile.op_let (fun fr ->
-          let v = coerce k (ce fr) in
-          base st 1;
-          Array.unsafe_set fr.vars slot v;
-          next fr))
+      fun fr ->
+        let v = coerce k (ce fr) in
+        base st 1;
+        Array.unsafe_set fr.vars slot v;
+        next fr)
   | R.Assign { slot; e } ->
     let ce = compile_expr c e in
-    pu c Profile.op_assign (fun fr ->
-        let v = ce fr in
-        base st 1;
-        if Array.unsafe_get fr.vars slot == unbound then
-          abort ("assign to unbound variable " ^ fr.rf.var_names.(slot))
-        else Array.unsafe_set fr.vars slot v;
-        next fr)
+    fun fr ->
+      let v = ce fr in
+      base st 1;
+      if Array.unsafe_get fr.vars slot == unbound then
+        abort ("assign to unbound variable " ^ fr.rf.var_names.(slot))
+      else Array.unsafe_set fr.vars slot v;
+      next fr
   | R.Decl_local { slot; size; tyid } ->
     let footprint =
       if c.instr then Meta.Local_offset.footprint ~size
       else Ifp_util.Bits.align_up size 16
     in
-    pu c Profile.op_decl_local (fun fr ->
-        (if Int64.equal fr.local_addr.(slot) local_unset then begin
-           let addr =
-             Ifp_util.Bits.align_down64
-               (Int64.sub st.sp (Int64.of_int footprint))
-               16
-           in
-           if Int64.compare addr st.stack_limit < 0 then
-             raise (Abort Stack_overflow);
-           st.sp <- addr;
-           base st 1;
-           fr.local_addr.(slot) <- addr;
-           fr.local_tagged.(slot) <- addr;
-           fr.local_size.(slot) <- size;
-           fr.local_tyid.(slot) <- tyid
-         end);
-        next fr)
+    fun fr ->
+      (if Int64.equal fr.local_addr.(slot) local_unset then begin
+         let addr =
+           Ifp_util.Bits.align_down64
+             (Int64.sub st.sp (Int64.of_int footprint))
+             16
+         in
+         if Int64.compare addr st.stack_limit < 0 then
+           raise (Abort Stack_overflow);
+         st.sp <- addr;
+         base st 1;
+         fr.local_addr.(slot) <- addr;
+         fr.local_tagged.(slot) <- addr;
+         fr.local_size.(slot) <- size;
+         fr.local_tyid.(slot) <- tyid
+       end);
+      next fr
   | R.Store { cls = R.Cls_int; bytes; addr; v } -> (
     match addr with
     | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
@@ -1647,18 +1561,18 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
         let cv = compile_expr_i c v in
         let stw = stage_store st bytes in
         if c.instr then
-          pu c Profile.op_fused_gep_store_i (fun fr ->
-              let w' = ga fr in
-              let ob = env.gb in
-              let raw = cv fr in
-              stw (check_instr st w' ob ~is_store:true ~size:bytes) raw;
-              next fr)
+          fun fr ->
+            let w' = ga fr in
+            let ob = env.gb in
+            let raw = cv fr in
+            stw (check_instr st w' ob ~is_store:true ~size:bytes) raw;
+            next fr
         else
-          pu c Profile.op_fused_gep_store_i (fun fr ->
-              let w' = ga fr in
-              let raw = cv fr in
-              stw (Int64.logand w' addr_mask) raw;
-              next fr)
+          fun fr ->
+            let w' = ga fr in
+            let raw = cv fr in
+            stw (Int64.logand w' addr_mask) raw;
+            next fr
       | None -> compile_store_int_generic c bytes addr v next)
     | addr -> compile_store_int_generic c bytes addr v next)
   | R.Store { cls; bytes; addr; v } -> (
@@ -1670,19 +1584,19 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
         let stw = stage_store st bytes in
         let sraw = stage_store_raw st ~instr:c.instr cls in
         if c.instr then
-          pu c Profile.op_fused_gep_store (fun fr ->
-              let w' = ga fr in
-              let ob = env.gb in
-              let value = cv fr in
-              let ma = check_instr st w' ob ~is_store:true ~size:bytes in
-              stw ma (sraw value);
-              next fr)
+          fun fr ->
+            let w' = ga fr in
+            let ob = env.gb in
+            let value = cv fr in
+            let ma = check_instr st w' ob ~is_store:true ~size:bytes in
+            stw ma (sraw value);
+            next fr
         else
-          pu c Profile.op_fused_gep_store (fun fr ->
-              let w' = ga fr in
-              let value = cv fr in
-              stw (Int64.logand w' addr_mask) (sraw value);
-              next fr)
+          fun fr ->
+            let w' = ga fr in
+            let value = cv fr in
+            stw (Int64.logand w' addr_mask) (sraw value);
+            next fr
       | None -> compile_store_generic c cls bytes addr v next)
     | addr -> compile_store_generic c cls bytes addr v next)
   | R.Store_global { g; cls = R.Cls_int; bytes; e } ->
@@ -1691,91 +1605,91 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     let stw = stage_store st bytes in
     (* the global's address is static, so its tag strip stages too *)
     let ga = Int64.logand go.gaddr addr_mask in
-    pu c Profile.op_store_global (fun fr ->
-        let raw = ce fr in
-        stw ga raw;
-        next fr)
+    fun fr ->
+      let raw = ce fr in
+      stw ga raw;
+      next fr
   | R.Store_global { g; cls; bytes; e } ->
     let ce = compile_expr c e in
     let go = st.globals.(g) in
     let sraw = stage_store_raw st ~instr:c.instr cls in
-    pu c Profile.op_store_global (fun fr ->
-        let v = ce fr in
-        (* reference order ([Vm.exec]): charge first, then demote *)
-        charge_store st go.gaddr bytes;
-        let raw = sraw v in
-        Memory.write_size st.mem go.gaddr ~bytes raw;
-        next fr)
+    fun fr ->
+      let v = ce fr in
+      (* reference order ([Vm.exec]): charge first, then demote *)
+      charge_store st go.gaddr bytes;
+      let raw = sraw v in
+      Memory.write_size st.mem go.gaddr ~bytes raw;
+      next fr
   | R.If (cond, t, e) ->
     let cc = compile_cond c cond in
     let ct = compile_seq c t next and ce = compile_seq c e next in
-    pu c Profile.op_if (fun fr ->
-        base st 2 (* compare + branch *);
-        if cc fr then ct fr else ce fr)
+    fun fr ->
+      base st 2 (* compare + branch *);
+      if cc fr then ct fr else ce fr
   | R.While (cond, body) ->
     let cc = compile_cond c cond in
     let cbody = compile_seq c body nop_u in
-    pu c Profile.op_while (fun fr ->
-        let rec loop () =
-          budget_check st;
-          base st 2 (* compare + branch *);
-          if cc fr then begin
-            (match cbody fr with () -> () | exception Continue_exc -> ());
-            loop ()
-          end
-        in
-        (try loop () with Break_exc -> ());
-        next fr)
+    fun fr ->
+      let rec loop () =
+        budget_check st;
+        base st 2 (* compare + branch *);
+        if cc fr then begin
+          (match cbody fr with () -> () | exception Continue_exc -> ());
+          loop ()
+        end
+      in
+      (try loop () with Break_exc -> ());
+      next fr
   | R.Return None ->
-    pu c Profile.op_return (fun _ -> raise (Return_exc (VI 0L)))
+    fun _ -> raise (Return_exc (VI 0L))
   | R.Return (Some e) ->
     let ce = compile_expr c e in
-    pu c Profile.op_return (fun fr -> raise (Return_exc (ce fr)))
+    fun fr -> raise (Return_exc (ce fr))
   | R.Expr e ->
     let ce = compile_expr c e in
-    pu c Profile.op_expr (fun fr ->
-        ignore (ce fr);
-        next fr)
+    fun fr ->
+      ignore (ce fr);
+      next fr
   | R.Free e ->
     let ce = compile_expr c e in
-    pu c Profile.op_free (fun fr ->
-        let w, _ = as_ptr (ce fr) in
-        let cost = st.allocator.free w in
-        charge_alloc_cost st cost;
-        next fr)
+    fun fr ->
+      let w, _ = as_ptr (ce fr) in
+      let cost = st.allocator.free w in
+      charge_alloc_cost st cost;
+      next fr
   | R.Break -> fun _ -> raise Break_exc
   | R.Continue -> fun _ -> raise Continue_exc
   | R.Ifp_register_local { slot; site } ->
     (* inline cache: memoize this site's (tyid → layout pointer)
        resolution; fall back to the per-run table walk on miss. *)
-    pu c Profile.op_register_local (fun fr ->
-        let addr = fr.local_addr.(slot) in
-        if Int64.equal addr local_unset then
-          abort ("register of unknown local " ^ fr.rf.local_names.(slot))
-        else begin
-          let tyid = fr.local_tyid.(slot) in
-          let lp =
-            if Array.unsafe_get env.ic_tyid site = tyid then
-              Array.unsafe_get env.ic_ptr site
-            else begin
-              let lp = layout_ptr_of st tyid in
-              Array.unsafe_set env.ic_tyid site tyid;
-              Array.unsafe_set env.ic_ptr site lp;
-              lp
-            end
-          in
-          register_local_lp st fr slot lp
-        end;
-        next fr)
+    fun fr ->
+      let addr = fr.local_addr.(slot) in
+      if Int64.equal addr local_unset then
+        abort ("register of unknown local " ^ fr.rf.local_names.(slot))
+      else begin
+        let tyid = fr.local_tyid.(slot) in
+        let lp =
+          if Array.unsafe_get env.ic_tyid site = tyid then
+            Array.unsafe_get env.ic_ptr site
+          else begin
+            let lp = layout_ptr_of st tyid in
+            Array.unsafe_set env.ic_tyid site tyid;
+            Array.unsafe_set env.ic_ptr site lp;
+            lp
+          end
+        in
+        register_local_lp st fr slot lp
+      end;
+      next fr
   | R.Ifp_deregister_local slot ->
-    pu c Profile.op_deregister_local (fun fr ->
-        deregister_local st fr slot;
-        next fr)
+    fun fr ->
+      deregister_local st fr slot;
+      next fr
   | R.Bad_store_global { e; msg } ->
     let ce = compile_expr c e in
-    pu c Profile.op_bad (fun fr ->
-        ignore (ce fr);
-        abort msg)
+    fun fr ->
+      ignore (ce fr);
+      abort msg
 
 and compile_seq c stmts (next : ucode) : ucode =
   match stmts with
@@ -1788,12 +1702,11 @@ let compile_func env (f : R.func) : ucode =
   let c = { env; instr = ifp_mode env.st && f.instrumented } in
   compile_seq c f.body nop_u
 
-let program ?profile (st : state) : env =
+let program (st : state) : env =
   let n = Array.length st.rp.funcs in
   let env =
     {
       st;
-      prof = profile;
       fbodies = Array.make n nop_u;
       ic_tyid = Array.make (max 1 st.rp.n_sites) (-1);
       ic_ptr = Array.make (max 1 st.rp.n_sites) 0L;

@@ -8,3 +8,4 @@ let heap_base = 0x1000_0000L (* = 2^28, aligned for a 2^28-byte buddy arena *)
 let heap_size_log2 = 28
 let stack_top = 0x7000_0000L
 let stack_size = 16 * 1024 * 1024
+let max_call_depth = 1 lsl 16

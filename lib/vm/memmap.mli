@@ -12,3 +12,11 @@ val heap_base : int64
 val heap_size_log2 : int
 val stack_top : int64
 val stack_size : int
+
+val max_call_depth : int
+(** Guest call-depth bound. A call that declares no locals moves no
+    simulated [sp], so the stack region alone cannot stop unbounded
+    recursion; every engine aborts with [Stack_overflow] when a call
+    would nest deeper than this. 64 Ki frames is far above any
+    terminating workload and keeps each engine's host recursion well
+    inside OCaml's default stack limit. *)

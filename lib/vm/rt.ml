@@ -186,6 +186,7 @@ type state = {
   inj : Fault.t option;
   mutable sp : int64;
   stack_limit : int64;
+  mutable depth : int;  (* guest calls active below main *)
   mutable out : string list;
   mutable trace : trace_event list; (* reversed *)
   mutable trace_left : int;
@@ -672,7 +673,11 @@ let do_malloc st frame ~size ~cty ~layout_multi =
   end
   else VP (ptr, Bounds.no_bounds)
 
+(* every engine's call path enters here; the matching [depth] decrement
+   sits where the callee returns and [sp] is restored *)
 let call_prelude st (f : R.func) n_args =
+  if st.depth >= Memmap.max_call_depth then raise (Abort Stack_overflow);
+  st.depth <- st.depth + 1;
   budget_check st;
   (* call + ret + prologue/epilogue (ra/s-reg save, sp adjust) *)
   base st (6 + n_args);
@@ -849,6 +854,7 @@ let run_with ~(config : config) (raw_prog : Ir.program)
       layout_ptrs = Array.make (Array.length rp.types) (-1L);
       sp = Memmap.stack_top;
       stack_limit = Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size);
+      depth = 0;
       out = [];
       trace = [];
       trace_left = config.trace_limit;

@@ -295,6 +295,7 @@ and call_run st (f : R.func) callee_frame spills =
     | exception Return_exc v -> v
   in
   st.sp <- saved_sp;
+  st.depth <- st.depth - 1;
   if spills > 0 then charge_ifp st Insn.Ldbnd spills;
   (* implicit bounds clearing on return from legacy code (§4.1.2) *)
   if f.instrumented then ret else strip_bounds ret

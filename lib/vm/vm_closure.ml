@@ -5,9 +5,9 @@
    Compilation is host-side work and charges nothing, matching the
    interpreter (whose dispatch is equally uncharged). *)
 
-let run ?(config = Rt.default_config) ?profile (raw_prog : Ifp_compiler.Ir.program)
-    : Vm.result =
+let run ?(config = Rt.default_config) (raw_prog : Ifp_compiler.Ir.program) :
+    Vm.result =
   Rt.run_with ~config raw_prog ~main_body:(fun st frame mainf ->
       ignore mainf;
-      let cp = Compile.program ?profile st in
+      let cp = Compile.program st in
       Compile.main_code cp frame)

@@ -3,20 +3,13 @@
     closure per node, successors pre-linked, hot tagged-pointer
     sequences fused into superinstructions, metadata layout walks
     served from per-site inline caches — and [run] executes main's
-    compiled body.
+    compiled body. Each IR node has exactly one compiled form.
 
     Observationally identical to {!Vm.run} and {!Vm_ref.run}: same
     outcome, every counter, traces and output, bit for bit. Only
-    host-side wall time differs. *)
+    host-side wall time differs; [sh perfbench/run.sh --trace 1] times
+    each engine ([vm.engine_s.*]). *)
 
-val run :
-  ?config:Vm.config ->
-  ?profile:Profile.t ->
-  Ifp_compiler.Ir.program ->
-  Vm.result
+val run : ?config:Vm.config -> Ifp_compiler.Ir.program -> Vm.result
 (** Same contract as {!Vm.run} (typecheck, instrument, execute,
-    per-call state — safe to call concurrently from multiple domains).
-    [?profile] attaches a dispatch profiler: every compiled closure is
-    wrapped with enter/exit probes feeding per-opcode counts and
-    self-time ({!Profile.report}); omitting it compiles probe-free
-    closures with zero overhead. *)
+    per-call state — safe to call concurrently from multiple domains). *)

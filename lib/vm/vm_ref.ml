@@ -4,8 +4,8 @@
 
    Kept verbatim so that (a) test_vm can differentially check that the
    slot-resolved Vm produces bit-identical counters, traces and output,
-   and (b) bench/ifp_bench can report before/after host cost per
-   simulated instruction. Do not "improve" this module — its value is
+   and (b) perfbench can time it beside the faster engines
+   ([vm.engine_s.vm-ref]). Do not "improve" this module — its value is
    being the unoptimised executable specification. *)
 
 module Ctype = Ifp_types.Ctype
@@ -72,6 +72,7 @@ type state = {
   inj : Fault.t option;
   mutable sp : int64;
   stack_limit : int64;
+  mutable depth : int;  (* guest calls active below main *)
   mutable out : string list;
   mutable trace : trace_event list; (* reversed *)
   mutable trace_left : int;
@@ -623,6 +624,8 @@ and eval_call st frame fn args =
     match Hashtbl.find_opt st.funcs fn with
     | None -> abort ("call to unknown function " ^ fn)
     | Some f ->
+      if st.depth >= Memmap.max_call_depth then raise (Abort Stack_overflow);
+      st.depth <- st.depth + 1;
       budget_check st;
       (* call + ret + prologue/epilogue (ra/s-reg save, sp adjust) *)
       base st (6 + List.length args);
@@ -654,6 +657,7 @@ and eval_call st frame fn args =
         | exception Return_exc v -> v
       in
       st.sp <- saved_sp;
+      st.depth <- st.depth - 1;
       if spills > 0 then charge_ifp st Insn.Ldbnd spills;
       (* implicit bounds clearing on return from legacy code (§4.1.2) *)
       if f.instrumented then ret else strip_bounds ret)
@@ -945,6 +949,7 @@ let run ?(config = default_config) (raw_prog : Ir.program) =
       layouts = Hashtbl.create 32;
       sp = Memmap.stack_top;
       stack_limit = Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size);
+      depth = 0;
       out = [];
       trace = [];
       trace_left = config.trace_limit;

@@ -300,6 +300,30 @@ let test_graceful_stop_in_process () =
     full;
   remove_quiet journal_path
 
+(* --resume of a file that is not a journal (here: a future magic) is a
+   one-line error naming the file and exit 1, never an uncaught
+   exception; the file is left untouched *)
+let test_resume_non_journal () =
+  let bogus = fresh_path "ifp-chaos-bogus" ".wal" in
+  let contents = "ifp-journal-v2.\nnot a v1 record stream" in
+  Out_channel.with_open_bin bogus (fun oc -> output_string oc contents);
+  let err = fresh_path "ifp-chaos-bogus" ".err" in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process child_exe
+      [| child_exe; "--resume"; bogus |]
+      Unix.stdin Unix.stdout fd
+  in
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check string) "exit status" "exited 1" (status_str status);
+  Alcotest.(check string) "one stderr line naming the file"
+    (bogus ^ ": not a campaign journal, cannot resume from it\n")
+    (read_file err);
+  Alcotest.(check string) "file untouched" contents (read_file bogus);
+  remove_quiet bogus;
+  remove_quiet err
+
 let tests =
   [
     Alcotest.test_case "SIGKILL at seeded points; resume is byte-identical"
@@ -312,4 +336,6 @@ let tests =
       test_tear_cache_entry_quarantines;
     Alcotest.test_case "in-process graceful stop and resume" `Quick
       test_graceful_stop_in_process;
+    Alcotest.test_case "resume of a non-journal is a clean error" `Quick
+      test_resume_non_journal;
   ]

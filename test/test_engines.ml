@@ -168,9 +168,32 @@ let test_failure_paths () =
           ];
       ]
   in
+  (* unbounded recursion with no locals: no simulated sp moves, so only
+     the guest call-depth bound stops it — on every engine, on the main
+     domain's stack and on a spawned domain's (as under [-j N]) *)
+  let recur =
+    program ~tenv ~globals:[]
+      [ func "main" [] Ctype.I64 [ Return (Some (Call ("main", []))) ] ]
+  in
+  let check_stack_overflow name config =
+    List.iter
+      (fun (ename, erun) ->
+        List.iter
+          (fun (where, r) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: %s on %s" name ename where)
+              "aborted:stack overflow" (outcome_str r.Vm.outcome))
+          [
+            ("main domain", erun config recur);
+            ("spawned domain", Domain.join (Domain.spawn (fun () -> erun config recur)));
+          ])
+      engines
+  in
   List.iter
     (fun (cname, config) ->
       check_all_engines_agree ("div0/" ^ cname) config div0;
+      check_all_engines_agree ("recur/" ^ cname) config recur;
+      check_stack_overflow ("recur/" ^ cname) config;
       check_all_engines_agree ("spin/" ^ cname)
         { config with Vm.max_cycles = 10_000 }
         spin;
@@ -430,37 +453,6 @@ let test_engines_dispatch () =
         (result_sig base) (result_sig r))
     Engines.all
 
-let test_profile () =
-  (* deterministic fake clock: +1 "ns" per probe; the profiler must see
-     every dispatch and attribute self-time without losing any *)
-  let ticks = ref 0.0 in
-  let clock () =
-    ticks := !ticks +. 1.0;
-    !ticks
-  in
-  let p = Profile.create ~clock in
-  let w = Option.get (Ifp_workloads.Registry.find "treeadd") in
-  let prog = Lazy.force w.Ifp_workloads.Workload.prog in
-  let r = Vm_closure.run ~config:Vm.ifp_subheap ~profile:p prog in
-  (match r.Vm.outcome with
-  | Vm.Finished _ -> ()
-  | o -> Alcotest.fail ("treeadd did not finish: " ^ outcome_str o));
-  let rows = Profile.report p in
-  Alcotest.(check bool) "has rows" true (List.length rows > 3);
-  let total_count =
-    List.fold_left (fun acc (row : Profile.row) -> acc + row.count) 0 rows
-  in
-  Alcotest.(check bool) "counted dispatches" true (total_count > 1000);
-  let shares = List.fold_left (fun acc (r : Profile.row) -> acc +. r.share) 0.0 rows in
-  Alcotest.(check bool) "shares sum to 1" true (abs_float (shares -. 1.0) < 1e-9);
-  (* the ifp-subheap treeadd run must hit the fused gep superinstructions *)
-  Alcotest.(check bool) "fused ops present" true
-    (List.exists
-       (fun (r : Profile.row) ->
-         String.length r.op >= 3 && String.sub r.op 0 3 = "gep"
-         && String.contains r.op '+')
-       rows)
-
 let tests =
   [
     Alcotest.test_case "three engines agree on workloads" `Quick test_workloads;
@@ -471,5 +463,4 @@ let tests =
     Alcotest.test_case "three engines agree on random programs" `Quick
       test_random_programs;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
-    Alcotest.test_case "closure dispatch profiler" `Quick test_profile;
   ]

@@ -48,9 +48,23 @@ let test_errors () =
   (match toks "@" with
   | exception L.Lex_error _ -> ()
   | _ -> Alcotest.fail "expected lex error");
-  match toks "/* unterminated" with
+  (match toks "/* unterminated" with
   | exception L.Lex_error _ -> ()
-  | _ -> Alcotest.fail "expected unterminated-comment error"
+  | _ -> Alcotest.fail "expected unterminated-comment error");
+  (* literals past 64 bits, decimal and hex, on line 2 *)
+  List.iter
+    (fun src ->
+      match toks src with
+      | exception L.Lex_error (msg, line) ->
+        Alcotest.(check (pair string int))
+          ("out of range: " ^ src)
+          ("integer literal out of range", 2)
+          (msg, line)
+      | _ -> Alcotest.fail ("expected out-of-range error: " ^ src))
+    [
+      "return\n99999999999999999999999;";
+      "return\n0x1ffffffffffffffff;";
+    ]
 
 let test_keywords_vs_idents () =
   Alcotest.(check (list tok)) "keyword recognition"
