@@ -16,18 +16,17 @@
    tables printed on stdout are byte-identical for any `-j`; an
    end-of-run aggregate is written to BENCH_experiments.json.
 
-   Runs are crash-safe when given a write-ahead journal (--journal):
-   each completion is CRC32-framed and flushed before the next job, so
-   after a SIGKILL/OOM/power loss, --resume JOURNAL replays the finished
-   prefix and re-runs only the rest — converging to tables and
-   aggregates identical to an uninterrupted run. SIGINT/SIGTERM drain
-   gracefully: running jobs finish and are journaled, pending jobs are
-   skipped, and the process exits nonzero (resume with --resume).
+   The cache is also the crash-recovery story: each result is renamed
+   into it before its job is reported done, so after a
+   SIGKILL/OOM/power loss, re-running the same command (same
+   --cache-dir) serves the finished jobs as cache hits and runs only the
+   rest — converging to tables and aggregates identical to an
+   uninterrupted run. SIGINT/SIGTERM drain gracefully: running jobs
+   finish and are cached, pending jobs are skipped, and the process
+   exits nonzero.
 
    Usage: ifp_experiments [TARGET] [-j N] [--cache-dir DIR] [--no-cache]
-                          [--log FILE] [--no-log] [--retries N]
-                          [--journal FILE] [--resume FILE]
-                          [--bench-out FILE] *)
+                          [--log FILE] [--no-log] [--bench-out FILE] *)
 
 open Core
 module W = Ifp_workloads.Workload
@@ -45,12 +44,8 @@ type opts = {
   target : string;
   workers : int;
   cache_dir : string option;
-  cache_max_bytes : int option;
   log_path : string option;
   bench_out : string;
-  retries : int;
-  journal : string option;
-  resume : bool;
   chaos_kill_after : int option;
 }
 
@@ -59,27 +54,18 @@ let default_opts =
     target = "all";
     workers = 1;
     cache_dir = Some ".ifp-cache";
-    cache_max_bytes = None;
     log_path = Some "campaign.jsonl";
     bench_out = "BENCH_experiments.json";
-    retries = 2;
-    journal = None;
-    resume = false;
     chaos_kill_after = None;
   }
 
 let usage () =
   prerr_endline
     "usage: ifp_experiments [TARGET] [-j N] [--cache-dir DIR] [--no-cache]\n\
-    \                       [--cache-max-bytes BYTES[k|M|G]]\n\
-    \                       [--log FILE] [--no-log] [--retries N]\n\
-    \                       [--journal FILE] [--resume FILE]\n\
-    \                       [--bench-out FILE]\n\
+    \                       [--log FILE] [--no-log] [--bench-out FILE]\n\
      TARGET: all table2 table4 fig10 fig11 fig12 fig13 baselines extensions\n\
     \        juliet  (default: all)\n\
-    \  --journal FILE  write-ahead journal of completed jobs (crash-safe)\n\
-    \  --resume FILE   replay FILE's completed jobs, run the rest, keep\n\
-    \                  journaling to it; tolerates a torn final record\n\
+    \  an interrupted run resumes by re-running it with the same --cache-dir\n\
     \  (--chaos-kill-after N: test hook — SIGKILL self after N jobs)";
   exit 1
 
@@ -106,19 +92,8 @@ let parse_opts argv =
     | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
     | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
     | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> o := { !o with cache_max_bytes = Some b }
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        usage ())
     | "--log" -> o := { !o with log_path = Some (next "--log") }
     | "--no-log" -> o := { !o with log_path = None }
-    | "--retries" -> o := { !o with retries = int_arg "--retries" }
-    | "--journal" -> o := { !o with journal = Some (next "--journal") }
-    | "--resume" ->
-      o := { !o with journal = Some (next "--resume"); resume = true }
     | "--chaos-kill-after" ->
       o := { !o with chaos_kill_after = Some (int_arg "--chaos-kill-after") }
     | "--bench-out" -> o := { !o with bench_out = next "--bench-out" }
@@ -707,36 +682,26 @@ let needs_rows target =
 let () =
   let opts = parse_opts Sys.argv in
   let jobs = dedupe_jobs (jobs_for_target opts.target) in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:opts.cache_max_bytes ~dir ())
-      opts.cache_dir
-  in
+  let cache = Option.map (fun dir -> Rcache.create ~dir ()) opts.cache_dir in
   let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:opts.journal ~resume:opts.resume in
-  let log, log_truncated = Cli.open_log ~path:opts.log_path ~resume:opts.resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
+  let log = Cli.open_log ~path:opts.log_path in
   let on_job_done =
     match opts.chaos_kill_after with
     | Some n -> Ifp_campaign.Chaos.arm_kill ~after:n
     | None -> fun _ -> ()
   in
   let outcomes, stats =
-    Engine.run ~workers:opts.workers ?cache ?journal ~log ~stop ~on_job_done
-      ~retries:opts.retries jobs
+    Engine.run ~workers:opts.workers ?cache ~log ~stop ~on_job_done jobs
   in
   if stats.Engine.interrupted then
     Cli.finish
       ~hint:
         (Printf.sprintf
-           "campaign interrupted: %d done, %d skipped%s"
+           "campaign interrupted: %d done, %d skipped; %s"
            (stats.Engine.completed + stats.Engine.failed
           + stats.Engine.timed_out)
-           stats.Engine.skipped
-           (match opts.journal with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> " (no --journal: a re-run starts from the cache only)"))
-      ~journal ~log ~interrupted:true ();
+           stats.Engine.skipped (Cli.resume_hint cache))
+      ~log ~interrupted:true ();
   let ctx = { outcomes = Hashtbl.create (Array.length outcomes * 2) } in
   Array.iter
     (fun (o : Engine.outcome) -> Hashtbl.replace ctx.outcomes o.job.Job.name o)
@@ -758,4 +723,4 @@ let () =
   List.iter run (targets_of opts.target);
   Events.write_json_file ~path:opts.bench_out
     (bench_aggregate ~opts ~stats ctx (needs_rows opts.target));
-  Cli.finish ~journal ~log ~interrupted:false ()
+  Cli.finish ~log ~interrupted:false ()

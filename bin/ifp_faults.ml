@@ -15,14 +15,13 @@
    watchdog). The coverage table is printed on stdout and the per-class
    x per-variant counts are written to BENCH_faults.json.
 
-   With --journal the campaign is crash-safe: completions are written
-   ahead to a CRC32-framed journal, --resume JOURNAL replays them, and
-   SIGINT/SIGTERM drain gracefully (exit 130, resumable).
+   SIGINT/SIGTERM drain gracefully (exit 130); an interrupted or killed
+   campaign resumes by re-running the same command with the same
+   --cache-dir.
 
    Usage: ifp_faults [--seeds N] [-j N] [--cache-dir DIR] [--no-cache]
                      [--log FILE] [--no-log] [--timeout SECS]
-                     [--journal FILE] [--resume FILE]
-                     [--retries N] [--out FILE] *)
+                     [--out FILE] *)
 
 open Core
 module Job = Ifp_campaign.Job
@@ -41,13 +40,9 @@ type opts = {
   seeds : int;
   workers : int;
   cache_dir : string option;
-  cache_max_bytes : int option;
   log_path : string option;
   out : string;
-  retries : int;
   timeout : float option;
-  journal : string option;
-  resume : bool;
 }
 
 let default_opts =
@@ -55,22 +50,16 @@ let default_opts =
     seeds = 20;
     workers = 1;
     cache_dir = Some ".ifp-cache";
-    cache_max_bytes = None;
     log_path = Some "faults.jsonl";
     out = "BENCH_faults.json";
-    retries = 1;
     timeout = Some 60.0;
-    journal = None;
-    resume = false;
   }
 
 let usage () =
   prerr_endline
     "usage: ifp_faults [--seeds N] [-j N] [--cache-dir DIR] [--no-cache]\n\
-    \                  [--cache-max-bytes BYTES[k|M|G]]\n\
     \                  [--log FILE] [--no-log] [--timeout SECS]\n\
-    \                  [--journal FILE] [--resume FILE]\n\
-    \                  [--retries N] [--out FILE]";
+    \                  [--out FILE]";
   exit 1
 
 let parse_opts argv =
@@ -97,13 +86,6 @@ let parse_opts argv =
     | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
     | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
     | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> o := { !o with cache_max_bytes = Some b }
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        usage ())
     | "--log" -> o := { !o with log_path = Some (next "--log") }
     | "--no-log" -> o := { !o with log_path = None }
     | "--timeout" -> (
@@ -114,10 +96,6 @@ let parse_opts argv =
       | None ->
         Printf.eprintf "bad --timeout argument %S\n" s;
         usage ())
-    | "--retries" -> o := { !o with retries = int_arg "--retries" }
-    | "--journal" -> o := { !o with journal = Some (next "--journal") }
-    | "--resume" ->
-      o := { !o with journal = Some (next "--resume"); resume = true }
     | "--out" -> o := { !o with out = next "--out" }
     | "-h" | "--help" -> usage ()
     | s ->
@@ -252,28 +230,19 @@ let detection_rate t =
 let () =
   let opts = parse_opts Sys.argv in
   let all_jobs = jobs ~seeds:opts.seeds in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:opts.cache_max_bytes ~dir ())
-      opts.cache_dir
-  in
+  let cache = Option.map (fun dir -> Rcache.create ~dir ()) opts.cache_dir in
   let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:opts.journal ~resume:opts.resume in
-  let log, log_truncated = Cli.open_log ~path:opts.log_path ~resume:opts.resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
+  let log = Cli.open_log ~path:opts.log_path in
   let outcomes, stats =
-    Engine.run ~workers:opts.workers ?cache ?journal ~log ~stop
-      ~retries:opts.retries ?job_timeout:opts.timeout all_jobs
+    Engine.run ~workers:opts.workers ?cache ~log ~stop
+      ?job_timeout:opts.timeout all_jobs
   in
   if stats.Engine.interrupted then
     Cli.finish
       ~hint:
-        (Printf.sprintf "fault campaign interrupted: %d skipped%s"
-           stats.Engine.skipped
-           (match opts.journal with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> ""))
-      ~journal ~log ~interrupted:true ();
+        (Printf.sprintf "fault campaign interrupted: %d skipped; %s"
+           stats.Engine.skipped (Cli.resume_hint cache))
+      ~log ~interrupted:true ();
   let by_name = Hashtbl.create (Array.length outcomes * 2) in
   Array.iter
     (fun (o : Engine.outcome) -> Hashtbl.replace by_name o.Engine.job.Job.name o)
@@ -407,5 +376,5 @@ let () =
        ]);
   Printf.printf "wrote %s\n" opts.out;
   (* explicit exit: a Timed_out job's abandoned domain must not delay
-     process death once the journal, log and aggregate are flushed *)
-  Cli.finish ~journal ~log ~interrupted:false ()
+     process death once the log and aggregate are flushed *)
+  Cli.finish ~log ~interrupted:false ()

@@ -11,15 +11,15 @@
 
    Everything inherits the campaign engine's machinery: -j workers,
    result cache (battery verdicts are digest-addressed, salted so they
-   never collide with plain runs), per-job watchdog, CRC write-ahead
-   journal, --resume, SIGINT/SIGTERM graceful drain (exit 130). A
-   killed and resumed campaign reaches the same final report.
+   never collide with plain runs), per-job watchdog, SIGINT/SIGTERM
+   graceful drain (exit 130). A killed campaign re-run with the same
+   --cache-dir resumes from the cache and reaches the same final
+   report.
 
    Usage:
      ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]
-              [-j N] [--cache-dir DIR] [--cache-max-bytes B[k|M|G]]
-              [--log FILE] [--no-log] [--timeout SECS] [--retries N]
-              [--journal FILE] [--resume FILE] [--corpus DIR]
+              [-j N] [--cache-dir DIR] [--no-cache]
+              [--log FILE] [--no-log] [--timeout SECS] [--corpus DIR]
               [--shrink-budget N] [--out FILE]
      ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR] *)
 
@@ -42,12 +42,8 @@ type opts = {
   quick : bool;
   workers : int;
   cache_dir : string option;
-  cache_max_bytes : int option;
   log_path : string option;
   timeout : float option;
-  retries : int;
-  journal : string option;
-  resume : bool;
   corpus : string;
   shrink_budget : int;
   out : string;
@@ -64,12 +60,8 @@ let default_opts =
     quick = false;
     workers = 1;
     cache_dir = None;
-    cache_max_bytes = None;
     log_path = Some "fuzz.jsonl";
     timeout = Some 120.0;
-    retries = 1;
-    journal = None;
-    resume = false;
     corpus = "test/golden/fuzz";
     shrink_budget = 1200;
     out = "BENCH_fuzz.json";
@@ -80,9 +72,8 @@ let default_opts =
 let usage () =
   prerr_endline
     "usage: ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]\n\
-    \                [-j N] [--cache-dir DIR] [--cache-max-bytes BYTES[k|M|G]]\n\
-    \                [--log FILE] [--no-log] [--timeout SECS] [--retries N]\n\
-    \                [--journal FILE] [--resume FILE] [--corpus DIR]\n\
+    \                [-j N] [--cache-dir DIR] [--no-cache]\n\
+    \                [--log FILE] [--no-log] [--timeout SECS] [--corpus DIR]\n\
     \                [--shrink-budget N] [--out FILE]\n\
     \       ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]";
   exit 1
@@ -123,13 +114,6 @@ let parse_opts argv =
     | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
     | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
     | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> o := { !o with cache_max_bytes = Some b }
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        usage ())
     | "--log" -> o := { !o with log_path = Some (next "--log") }
     | "--no-log" -> o := { !o with log_path = None }
     | "--timeout" -> (
@@ -140,10 +124,6 @@ let parse_opts argv =
       | None ->
         Printf.eprintf "bad --timeout argument %S\n" s;
         usage ())
-    | "--retries" -> o := { !o with retries = int_arg "--retries" }
-    | "--journal" -> o := { !o with journal = Some (next "--journal") }
-    | "--resume" ->
-      o := { !o with journal = Some (next "--resume"); resume = true }
     | "--corpus" -> o := { !o with corpus = next "--corpus" }
     | "--shrink-budget" ->
       o := { !o with shrink_budget = int_arg "--shrink-budget" }
@@ -320,15 +300,9 @@ let () =
   let opts = parse_opts Sys.argv in
   (match opts.repro with Some t -> repro opts t | None -> ());
   let knobs = if opts.quick then Gen.quick else Gen.default in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:opts.cache_max_bytes ~dir ())
-      opts.cache_dir
-  in
+  let cache = Option.map (fun dir -> Rcache.create ~dir ()) opts.cache_dir in
   let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:opts.journal ~resume:opts.resume in
-  let log, log_truncated = Cli.open_log ~path:opts.log_path ~resume:opts.resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
+  let log = Cli.open_log ~path:opts.log_path in
   let seen = Hashtbl.create 16 in
   (* corpus entries already present count as known, not new *)
   List.iter
@@ -350,9 +324,8 @@ let () =
           Fuzz.job ~knobs ~campaign_seed:opts.seed ~round:r ~idx)
     in
     let outcomes, stats =
-      Engine.run ~workers:opts.workers ?cache ?journal ~log ~stop
-        ~retries:opts.retries ?job_timeout:opts.timeout ~runner:Fuzz.runner
-        jobs
+      Engine.run ~workers:opts.workers ?cache ~log ~stop
+        ?job_timeout:opts.timeout ~runner:Fuzz.runner jobs
     in
     agg := stats :: !agg;
     total_cases := !total_cases + stats.Engine.completed;
@@ -396,10 +369,9 @@ let () =
       if !fresh = 0 then incr dry_rounds else dry_rounds := 0;
       Printf.printf
         "round %d: %d cases, %d divergent, %d new counterexample(s), %d \
-         cache/journal hits (%.1fs)%s\n%!"
+         cache hits (%.1fs)%s\n%!"
         r (List.length jobs) (List.length divergent) !fresh
-        (stats.Engine.cache_hits + stats.Engine.journal_replays)
-        stats.Engine.wall_seconds
+        stats.Engine.cache_hits stats.Engine.wall_seconds
         (if !fresh = 0 then Printf.sprintf " [dry %d/%d]" !dry_rounds opts.dry
          else "")
     end;
@@ -408,11 +380,9 @@ let () =
   if !interrupted then
     Cli.finish
       ~hint:
-        (Printf.sprintf "fuzz campaign interrupted in round %d%s" (!round - 1)
-           (match opts.journal with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> ""))
-      ~journal ~log ~interrupted:true ();
+        (Printf.sprintf "fuzz campaign interrupted in round %d; %s"
+           (!round - 1) (Cli.resume_hint cache))
+      ~log ~interrupted:true ();
   let stats_sum f = List.fold_left (fun acc s -> acc + f s) 0 !agg in
   let open Events in
   Events.write_json_file ~path:opts.out
@@ -438,8 +408,6 @@ let () =
                ("failed", Int (stats_sum (fun s -> s.Engine.failed)));
                ("timed_out", Int (stats_sum (fun s -> s.Engine.timed_out)));
                ("cache_hits", Int (stats_sum (fun s -> s.Engine.cache_hits)));
-               ( "journal_replays",
-                 Int (stats_sum (fun s -> s.Engine.journal_replays)) );
                ( "wall_seconds",
                  Float
                    (List.fold_left
@@ -457,8 +425,7 @@ let () =
      else "")
     opts.out;
   (* the CI gate: a fuzz run must end with zero unexplained divergences *)
-  if !total_divergent > 0 then begin
-    Cli.finish ~journal ~log ~interrupted:false ();
-    exit 1
-  end
-  else Cli.finish ~journal ~log ~interrupted:false ()
+  if !total_divergent > 0 then (
+    Events.close log;
+    exit 1)
+  else Cli.finish ~log ~interrupted:false ()

@@ -5,12 +5,11 @@
    so runs parallelise with -j N and repeat invocations hit the on-disk
    result cache.
 
-   With --journal the campaign is crash-safe (write-ahead journal of
-   completed cases); --resume JOURNAL replays it, and SIGINT/SIGTERM
-   drain gracefully (exit 130, resumable).
+   SIGINT/SIGTERM drain gracefully (exit 130); an interrupted or killed
+   run resumes by re-running the same command with the same --cache-dir.
 
    Usage: ifp_juliet [CONFIG] [-v] [-j N] [--cache-dir DIR] [--no-cache]
-                     [--journal FILE] [--resume FILE] [--log FILE] *)
+                     [--log FILE] *)
 
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
@@ -35,10 +34,7 @@ let () =
   let verbose = ref false in
   let workers = ref 1 in
   let cache_dir = ref (Some ".ifp-cache") in
-  let cache_max_bytes = ref None in
   let log_path = ref None in
-  let journal_path = ref None in
-  let resume = ref false in
   let argv = Sys.argv in
   let i = ref 1 in
   let next what =
@@ -55,18 +51,7 @@ let () =
       workers := max 1 (int_of_string_opt (next "-j") |> Option.value ~default:1)
     | "--cache-dir" -> cache_dir := Some (next "--cache-dir")
     | "--no-cache" -> cache_dir := None
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> cache_max_bytes := Some b
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        exit 1)
     | "--log" -> log_path := Some (next "--log")
-    | "--journal" -> journal_path := Some (next "--journal")
-    | "--resume" ->
-      journal_path := Some (next "--resume");
-      resume := true
     | s when String.length s > 0 && s.[0] = '-' ->
       Printf.eprintf "unknown option %s\n" s;
       exit 1
@@ -90,27 +75,16 @@ let () =
         ])
       cases
   in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:!cache_max_bytes ~dir ())
-      !cache_dir
-  in
+  let cache = Option.map (fun dir -> Rcache.create ~dir ()) !cache_dir in
   let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:!journal_path ~resume:!resume in
-  let log, log_truncated = Cli.open_log ~path:!log_path ~resume:!resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
-  let outcomes, stats =
-    Engine.run ~workers:!workers ?cache ?journal ~log ~stop jobs
-  in
+  let log = Cli.open_log ~path:!log_path in
+  let outcomes, stats = Engine.run ~workers:!workers ?cache ~log ~stop jobs in
   if stats.Engine.interrupted then
     Cli.finish
       ~hint:
-        (Printf.sprintf "juliet campaign interrupted: %d skipped%s"
-           stats.Engine.skipped
-           (match !journal_path with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> ""))
-      ~journal ~log ~interrupted:true ();
+        (Printf.sprintf "juliet campaign interrupted: %d skipped; %s"
+           stats.Engine.skipped (Cli.resume_hint cache))
+      ~log ~interrupted:true ();
   let tbl = Hashtbl.create 256 in
   Array.iter
     (fun (o : Engine.outcome) -> Hashtbl.replace tbl o.job.Job.name o)
@@ -144,4 +118,4 @@ let () =
   Printf.printf
     "\nsummary: %d/%d bad cases detected, %d missed, %d good-case failures\n"
     summary.detected summary.total summary.missed summary.good_failures;
-  Cli.finish ~journal ~log ~interrupted:false ()
+  Cli.finish ~log ~interrupted:false ()

@@ -6,36 +6,7 @@ module Crc32 = Ifp_util.Crc32
    read. *)
 let format_version = 4
 
-type stats = {
-  entries : int;
-  bytes : int;
-  max_bytes : int option;
-  hits : int;
-  misses : int;
-  stores : int;
-  evictions : int;
-  evicted_bytes : int;
-}
-
-type t = {
-  root : string;
-  max_bytes : int option;
-  (* size accounting + counters; mutated from every engine worker domain
-     ([-j N]), hence atomics. [bytes]/[entries] are a best-effort running
-     tally re-grounded by each sweep's directory walk, so a concurrent
-     process evicting the same directory skews them only until the next
-     sweep. *)
-  bytes : int Atomic.t;
-  entries : int Atomic.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  stores_n : int Atomic.t;
-  evictions : int Atomic.t;
-  evicted_bytes : int Atomic.t;
-  (* at most one worker domain walks/evicts this cache directory at a
-     time *)
-  sweep_lock : Mutex.t;
-}
+type t = { root : string }
 
 (* Entry layout, all integers big-endian:
 
@@ -84,127 +55,7 @@ let path_of t digest =
     (Filename.concat (version_dir t) fanout)
     (digest ^ ".result")
 
-let is_entry name = Filename.check_suffix name ".result"
-
-(* every live entry under the version dir as (path, mtime, size) *)
-let scan_entries t =
-  let vdir = version_dir t in
-  match Sys.readdir vdir with
-  | exception Sys_error _ -> []
-  | fanouts ->
-    Array.fold_left
-      (fun acc fanout ->
-        let fdir = Filename.concat vdir fanout in
-        match Sys.readdir fdir with
-        | exception Sys_error _ -> acc
-        | files ->
-          Array.fold_left
-            (fun acc f ->
-              if not (is_entry f) then acc
-              else
-                let path = Filename.concat fdir f in
-                match Unix.stat path with
-                | exception Unix.Unix_error _ -> acc
-                | st -> (path, st.Unix.st_mtime, st.Unix.st_size) :: acc)
-            acc files)
-      [] fanouts
-
-let create ?max_bytes ~dir () =
-  let t =
-    {
-      root = dir;
-      max_bytes;
-      bytes = Atomic.make 0;
-      entries = Atomic.make 0;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      stores_n = Atomic.make 0;
-      evictions = Atomic.make 0;
-      evicted_bytes = Atomic.make 0;
-      sweep_lock = Mutex.create ();
-    }
-  in
-  (* ground the size tally in whatever a previous run left behind *)
-  List.iter
-    (fun (_, _, size) ->
-      Atomic.set t.bytes (Atomic.get t.bytes + size);
-      Atomic.set t.entries (Atomic.get t.entries + 1))
-    (scan_entries t);
-  t
-
-let stats t =
-  {
-    entries = Atomic.get t.entries;
-    bytes = Atomic.get t.bytes;
-    max_bytes = t.max_bytes;
-    hits = Atomic.get t.hits;
-    misses = Atomic.get t.misses;
-    stores = Atomic.get t.stores_n;
-    evictions = Atomic.get t.evictions;
-    evicted_bytes = Atomic.get t.evicted_bytes;
-  }
-
-let stats_json t =
-  let s = stats t in
-  let total = s.hits + s.misses in
-  Events.Obj
-    [
-      ("entries", Events.Int s.entries);
-      ("bytes", Events.Int s.bytes);
-      ( "max_bytes",
-        match s.max_bytes with Some b -> Events.Int b | None -> Events.Null );
-      ("hits", Events.Int s.hits);
-      ("misses", Events.Int s.misses);
-      ("stores", Events.Int s.stores);
-      ("evictions", Events.Int s.evictions);
-      ("evicted_bytes", Events.Int s.evicted_bytes);
-      ( "hit_rate",
-        if total = 0 then Events.Null
-        else Events.Float (float_of_int s.hits /. float_of_int total) );
-    ]
-
-(* LRU sweep: oldest-mtime entries go first until the directory fits the
-   budget again. The walk re-grounds the running tally, so drift from
-   concurrent writers (another campaign sharing the cache dir) heals
-   here. Entries that vanish mid-sweep (a concurrent eviction) are
-   skipped, not errors. *)
-let sweep t =
-  match t.max_bytes with
-  | None -> ()
-  | Some budget ->
-    if Atomic.get t.bytes > budget then begin
-      Mutex.lock t.sweep_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.sweep_lock)
-        (fun () ->
-          let entries = scan_entries t in
-          let total =
-            List.fold_left (fun acc (_, _, size) -> acc + size) 0 entries
-          in
-          Atomic.set t.bytes total;
-          Atomic.set t.entries (List.length entries);
-          if total > budget then begin
-            let by_age =
-              List.sort
-                (fun (_, m1, _) (_, m2, _) -> compare (m1 : float) m2)
-                entries
-            in
-            let over = ref (total - budget) in
-            List.iter
-              (fun (path, _, size) ->
-                if !over > 0 then
-                  match Sys.remove path with
-                  | () ->
-                    over := !over - size;
-                    Atomic.set t.bytes (Atomic.get t.bytes - size);
-                    Atomic.set t.entries (Atomic.get t.entries - 1);
-                    Atomic.incr t.evictions;
-                    Atomic.set t.evicted_bytes
-                      (Atomic.get t.evicted_bytes + size)
-                  | exception Sys_error _ -> ())
-              by_age
-          end)
-    end
+let create ~dir () = { root = dir }
 
 type lookup =
   | Hit of Ifp_vm.Vm.result
@@ -224,9 +75,7 @@ let u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xffff_ffff
 let find t ~digest =
   let path = path_of t digest in
   match open_in_bin path with
-  | exception Sys_error _ ->
-    Atomic.incr t.misses;
-    Miss
+  | exception Sys_error _ -> Miss
   | ic ->
     let verdict =
       match read_exact ic header_len with
@@ -257,22 +106,11 @@ let find t ~digest =
     in
     close_in_noerr ic;
     (match verdict with
-    | Ok result ->
-      Atomic.incr t.hits;
-      (* LRU touch: a hit refreshes the entry's mtime so the byte-budget
-         sweep evicts cold entries first *)
-      (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-      Hit result
+    | Ok result -> Hit result
     | Error (reason, crc_mismatch) ->
-      Atomic.incr t.misses;
       (* move the damaged file aside so the next run re-misses cleanly
          instead of re-tripping on it forever; keep it for post-mortem *)
       let qpath = quarantine_path path in
-      (match Unix.stat path with
-      | st ->
-        Atomic.set t.bytes (Atomic.get t.bytes - st.Unix.st_size);
-        Atomic.set t.entries (Atomic.get t.entries - 1)
-      | exception Unix.Unix_error _ -> ());
       (try Sys.rename path qpath
        with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ()));
       Quarantined { path = qpath; reason; crc_mismatch })
@@ -294,22 +132,5 @@ let store t ~digest ~job_name:_ result =
          ~crc:(Crc32.string payload));
     output_string oc payload;
     close_out oc;
-    (* replacing an entry must not double-count its bytes *)
-    let replaced =
-      match Unix.stat path with
-      | st -> Some st.Unix.st_size
-      | exception Unix.Unix_error _ -> None
-    in
-    let size =
-      match Unix.stat tmp with
-      | st -> st.Unix.st_size
-      | exception Unix.Unix_error _ -> 0
-    in
-    Sys.rename tmp path;
-    Atomic.incr t.stores_n;
-    (match replaced with
-    | Some old -> Atomic.set t.bytes (Atomic.get t.bytes - old)
-    | None -> Atomic.set t.entries (Atomic.get t.entries + 1));
-    Atomic.set t.bytes (Atomic.get t.bytes + size);
-    sweep t
+    Sys.rename tmp path
   with Sys_error _ | Unix.Unix_error _ -> ()

@@ -25,60 +25,33 @@
     torn writes, bit rot and stale formats, not against an attacker.
     For the same reason, any change to the shape of
     {!Ifp_vm.Vm.result} (or of the types it contains) must bump
-    {!format_version} — and {!Journal.magic}, which has the same
-    boundary.
+    {!format_version}.
 
     Invalidation is entirely key-driven: the job digest covers the
     lowered program, the configuration and the cost-model/ISA constants
     ({!Job.model_digest}), so any of those changing simply misses the
     cache. {!format_version} is bumped when the serialised shape itself
     changes; old version directories are ignored (and can be deleted
-    freely — the cache is always safe to wipe).
+    freely — the cache is always safe to wipe). There is no size bound
+    and no eviction: a full [ifp_experiments all] leaves a few
+    megabytes.
 
-    {2 Byte budget}
+    {2 Resume}
 
-    With [?max_bytes], the cache is an LRU with size accounting: every
-    successful [find] refreshes the entry's mtime, and a [store] that
-    pushes the directory past the budget triggers a sweep that deletes
-    oldest-mtime entries until it fits again. The sweep re-walks the
-    directory under a per-instance lock (the [-j N] worker domains share
-    one cache), so concurrent campaign processes sharing a directory stay consistent:
-    drift in the running tally heals at the next sweep, and entries
-    deleted under us are skipped, never errors. *)
+    The cache is the campaign's only durable store ({!Engine}). An entry
+    is renamed into place before the engine reports the job done, so a
+    killed campaign resumes by re-running the same command against the
+    same directory: finished jobs come back as hits. *)
 
 type t
 
 val format_version : int
 
-val create : ?max_bytes:int -> dir:string -> unit -> t
-(** Opens (creating directories as needed) a cache rooted at [dir],
-    grounding the size tally in whatever entries already exist there.
-    [max_bytes] arms the LRU byte budget; omitted = unbounded (the
-    pre-existing behaviour). *)
+val create : dir:string -> unit -> t
+(** A cache rooted at [dir]. Nothing is touched on disk until the first
+    {!store}, which creates directories as needed. *)
 
 val dir : t -> string
-
-type stats = {
-  entries : int;  (** live entries (best-effort running tally) *)
-  bytes : int;  (** total entry bytes on disk (best-effort) *)
-  max_bytes : int option;
-  hits : int;
-  misses : int;  (** includes quarantined probes *)
-  stores : int;
-  evictions : int;  (** entries deleted by the byte-budget sweep *)
-  evicted_bytes : int;
-}
-
-val stats : t -> stats
-(** Counters since [create] (hits/misses/stores/evictions are
-    per-instance, not persisted). *)
-
-val stats_json : t -> Events.json
-(** {!stats} as a JSON object, plus a derived [hit_rate]. *)
-
-val sweep : t -> unit
-(** Force an LRU sweep now (normally triggered by [store] crossing the
-    budget). No-op without [max_bytes]. *)
 
 (** Result of a cache probe. A damaged entry is never fatal: it is
     quarantined — renamed to [<digest>.corrupt] next to its original

@@ -1,13 +1,12 @@
 module Prng = Ifp_util.Prng
 
-type cls = Kill_runner | Tear_cache_entry | Truncate_journal_tail
+type cls = Kill_runner | Tear_cache_entry
 
-let all_classes = [ Kill_runner; Tear_cache_entry; Truncate_journal_tail ]
+let all_classes = [ Kill_runner; Tear_cache_entry ]
 
 let class_name = function
   | Kill_runner -> "kill_runner"
   | Tear_cache_entry -> "tear_cache_entry"
-  | Truncate_journal_tail -> "truncate_journal_tail"
 
 let class_of_name s =
   List.find_opt (fun c -> class_name c = s) all_classes
@@ -22,12 +21,7 @@ let fingerprint p =
 (* one PRNG per plan; the class index keeps different classes on the
    same seed decorrelated, as Fault.default_plan does *)
 let rng_of p =
-  let ci =
-    match p.cls with
-    | Kill_runner -> 1L
-    | Tear_cache_entry -> 2L
-    | Truncate_journal_tail -> 3L
-  in
+  let ci = match p.cls with Kill_runner -> 1L | Tear_cache_entry -> 2L in
   Prng.create (Prng.mix2 p.seed ci)
 
 let kill_point p ~jobs =
@@ -38,7 +32,7 @@ let arm_kill ~after =
   fun _ ->
     if Atomic.fetch_and_add count 1 + 1 >= max 1 after then
       (* SIGKILL, not exit: nothing may drain, flush or at_exit — this
-         is the power-loss case the journal exists for *)
+         is the power-loss case resume-from-cache exists for *)
       Unix.kill (Unix.getpid ()) Sys.sigkill
 
 let ftruncate_file path len =
@@ -71,27 +65,3 @@ let tear_cache_entry p ~dir =
        ftruncate_file path cut;
        Some path
      with Unix.Unix_error _ -> None)
-
-let magic_len = String.length Journal.magic
-
-let truncate_tail ~path ~bytes =
-  match Unix.stat path with
-  | exception Unix.Unix_error _ -> false
-  | st ->
-    let keep = max magic_len (st.Unix.st_size - bytes) in
-    if keep >= st.Unix.st_size then false
-    else (
-      try
-        ftruncate_file path keep;
-        true
-      with Unix.Unix_error _ -> false)
-
-let truncate_journal_tail p ~path =
-  match Unix.stat path with
-  | exception Unix.Unix_error _ -> None
-  | st ->
-    let body = st.Unix.st_size - magic_len in
-    if body <= 0 then None
-    else
-      let cut = 1 + Prng.int (rng_of p) (min 256 body) in
-      if truncate_tail ~path ~bytes:cut then Some cut else None

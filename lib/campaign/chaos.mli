@@ -2,11 +2,11 @@
     dual of [lib/faultinject].
 
     [lib/faultinject] corrupts the {e simulated} machine and asks
-    whether the modelled hardware detects it; this module corrupts the
+    whether the modelled hardware detects it; this module attacks the
     {e host-side} campaign infrastructure — kills the runner process
-    cold, tears cache entries mid-write, truncates the journal tail —
-    and the chaos tests ask whether the crash-consistency machinery
-    ({!Journal} replay, {!Cache} CRC quarantine, [--resume]) converges
+    cold, tears cache entries mid-write — and the chaos tests ask
+    whether the crash-consistency machinery ({!Cache} atomic renames and
+    CRC quarantine, resume by re-running against the cache) converges
     back to results byte-identical to an undisturbed run.
 
     Everything is seed-driven, like a fault plan: same seed ⇒ same kill
@@ -15,15 +15,12 @@
 (** What gets attacked. *)
 type cls =
   | Kill_runner
-      (** SIGKILL the campaign process after the n-th journaled job — an
+      (** SIGKILL the campaign process after the n-th completed job — an
           uncatchable, un-drainable death (OOM killer, power loss) *)
   | Tear_cache_entry
       (** truncate a stored [.result] file at a seeded byte offset — a
           write torn by a crash racing the atomic rename, or bit rot;
           must surface as a CRC quarantine, never a wrong result *)
-  | Truncate_journal_tail
-      (** chop seeded bytes off the journal's end — the torn final
-          append; replay must drop at most the torn record *)
 
 val all_classes : cls list
 val class_name : cls -> string
@@ -43,7 +40,7 @@ val kill_point : plan -> jobs:int -> int
 val arm_kill : after:int -> 'a -> unit
 (** [arm_kill ~after] is a hook for {!Engine.run}'s [on_job_done]: on
     its [after]-th invocation it SIGKILLs the current process — after
-    the journal record is on disk, before anything else happens. The
+    that job's result is in the cache, before anything else happens. The
     count is shared across worker domains. [after <= 0] kills on the
     first completion. *)
 
@@ -52,13 +49,3 @@ val tear_cache_entry : plan -> dir:string -> string option
     (recursively, in sorted order for determinism) and truncates it at
     a seeded interior offset. Returns the damaged path, or [None] if
     the cache holds no entries. *)
-
-val truncate_journal_tail : plan -> path:string -> int option
-(** Chops a seeded number of trailing bytes (at least 1, never into the
-    magic header) off the journal at [path]. Returns how many bytes
-    were cut, or [None] if the journal has no body to cut. *)
-
-val truncate_tail : path:string -> bytes:int -> bool
-(** Byte-precise tail chop (clamped to keep at least the journal-magic
-    length), for exhaustive torn-frame sweeps in tests. [false] if the
-    file is missing or already that short. *)

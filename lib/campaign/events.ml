@@ -130,31 +130,6 @@ let iter_lines ~path f =
   List.iter f lines;
   truncated
 
-let open_append ~path =
-  (* byte offset just past the last complete line; everything after it
-     is a torn append that must not be glued onto the next line *)
-  let keep =
-    match open_in_bin path with
-    | exception Sys_error _ -> 0
-    | ic ->
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in_noerr ic;
-      (match String.rindex_opt s '\n' with Some i -> i + 1 | None -> 0)
-  in
-  let truncated =
-    match Unix.stat path with
-    | exception Unix.Unix_error _ -> false
-    | st -> st.Unix.st_size > keep
-  in
-  if truncated then (
-    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-    Unix.ftruncate fd keep;
-    Unix.close fd);
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
-  ( { oc = Some oc; mutex = Mutex.create (); t0 = Unix.gettimeofday () },
-    truncated )
-
 let null = { oc = None; mutex = Mutex.create (); t0 = 0.0 }
 
 let emit t event fields =

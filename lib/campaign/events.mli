@@ -1,10 +1,11 @@
 (** JSONL observability for campaign runs.
 
-    Every significant engine event (job start/finish, cache hit, retry,
-    failure, campaign begin/end) is appended as one JSON object per line
-    to the event log, so a run can be tailed live and post-processed with
-    standard line-oriented tooling. The writer is mutex-protected: worker
-    domains emit concurrently and lines never interleave.
+    Every significant engine event (job start/finish, cache hit,
+    failure, timeout, campaign begin/end) is appended as one JSON object
+    per line to the event log, so a run can be tailed live and
+    post-processed with standard line-oriented tooling. The writer is
+    mutex-protected: worker domains emit concurrently and lines never
+    interleave.
 
     The log is pure observability — it carries wall-clock timings and is
     therefore {e not} expected to be byte-identical across runs. The
@@ -32,13 +33,6 @@ type t
 
 val create : path:string -> t
 (** Opens (truncates) [path] for writing. *)
-
-val open_append : path:string -> t * bool
-(** Reopens an existing log for appending (creating it if missing) —
-    the resume path: an interrupted campaign's log is continued, not
-    thrown away. A torn final line (crash mid-append) is physically
-    truncated away first; the returned flag reports whether that
-    happened. Timestamps restart from the reopen. *)
 
 val read_lines : path:string -> string list * bool
 (** Crash-tolerant read: every complete (newline-terminated,

@@ -45,16 +45,17 @@ let pop q =
 
 let run ~workers tasks =
   let n = Array.length tasks in
-  if workers <= 1 || n <= 1 then
-    Array.iter (fun task -> try task () with _ -> ()) tasks
+  if workers <= 1 || n <= 1 then Array.map (fun task -> task ()) tasks
   else begin
+    (* one writer per slot, and [Domain.join] publishes every write *)
+    let slots = Array.make n None in
     let q = queue_create () in
     let worker () =
       let rec loop () =
         match pop q with
         | None -> ()
         | Some i ->
-          (try tasks.(i) () with _ -> ());
+          slots.(i) <- Some (tasks.(i) ());
           loop ()
       in
       loop ()
@@ -66,5 +67,6 @@ let run ~workers tasks =
       push q i
     done;
     close q;
-    Array.iter Domain.join domains
+    Array.iter Domain.join domains;
+    Array.map Option.get slots
   end

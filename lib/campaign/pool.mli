@@ -5,12 +5,11 @@
     domain in submission order — the guaranteed-serial reference path the
     determinism tests compare against.
 
-    The pool is oblivious to results: tasks are [unit -> unit] thunks
-    that record their own output (typically into a per-index slot of a
-    pre-sized array, which is race-free since every slot has exactly one
-    writer). Tasks must not raise; a stray exception is caught and
-    dropped so one bad task cannot tear down a worker. *)
+    Tasks must not raise: an exception escaping a task ends its worker
+    and is re-raised from {!run} when that worker is joined. The
+    campaign engine wraps every job so that nothing escapes. *)
 
-val run : workers:int -> (unit -> unit) array -> unit
-(** Runs every task to completion before returning. Spawns
-    [min workers (Array.length tasks)] domains ([workers <= 1]: none). *)
+val run : workers:int -> (unit -> 'a) array -> 'a array
+(** Runs every task to completion and returns their results in
+    submission order. Spawns [min workers (Array.length tasks)] domains
+    ([workers <= 1]: none). *)

@@ -465,9 +465,33 @@ and parse_block st : Ir.stmt list =
 
 (* ---- declarations ---------------------------------------------------- *)
 
+(* does [ty] hold a [target] by value, directly or through the by-value
+   fields of declared structs? Pointers break the chain; structs not yet
+   declared are forward references and close no cycle until they are.
+   Terminates because the declared structs never form a cycle. *)
+let rec contains_by_value tenv ~target = function
+  | Ctype.Struct n -> (
+    String.equal n target
+    ||
+    match Ctype.lookup tenv n with
+    | def ->
+      List.exists
+        (fun f -> contains_by_value tenv ~target f.Ctype.fty)
+        def.Ctype.fields
+    | exception Not_found -> false)
+  | Ctype.Array (elt, _) -> contains_by_value tenv ~target elt
+  | Ctype.Void | I8 | I16 | I32 | I64 | F64 | Ptr _ -> false
+
 let parse_struct_decl st =
   expect_kw st "struct";
   let name = expect_ident st in
+  let line = L.line st.lx in
+  let fail fmt =
+    Format.kasprintf (fun m -> raise (Parse_error (m, line))) fmt
+  in
+  (match Ctype.lookup st.tenv name with
+  | _ -> fail "duplicate struct %s" name
+  | exception Not_found -> ());
   st.struct_names <- name :: st.struct_names;
   expect_punct st "{";
   let rec fields acc =
@@ -482,6 +506,14 @@ let parse_struct_decl st =
   in
   let fs = fields [] in
   expect_punct st ";";
+  (* every by-value cycle is closed by the declaration of its last
+     member, so checking each new struct against the declared ones
+     catches them all *)
+  if
+    List.exists
+      (fun f -> contains_by_value st.tenv ~target:name f.Ctype.fty)
+      fs
+  then fail "struct %s contains itself by value" name;
   st.tenv <- Ctype.declare st.tenv { Ctype.sname = name; fields = fs }
 
 let parse_params st =

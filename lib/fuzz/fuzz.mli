@@ -11,9 +11,9 @@
     same program. The runner returns a synthesized result whose outcome
     is [Finished 0] (all oracles agree) or [Finished 1] (divergence),
     with one {!Oracle.to_line} per failure in [output] — so the engine's
-    cache, journal, resume and watchdog machinery applies to fuzz
-    batteries unchanged, and a resumed campaign reaches the same report
-    from journal replay alone. *)
+    cache and watchdog machinery applies to fuzz batteries unchanged,
+    and a killed campaign re-run against the same cache reaches the same
+    report from cache hits alone. *)
 
 val salt : string
 (** Digest salt for battery jobs (versioned: bump when the battery
@@ -30,8 +30,8 @@ val runner : Ifp_campaign.Job.t -> Ifp_vm.Vm.result
 (** The battery: {!Oracle.check} with [fault_seed = config.seed]. *)
 
 val failures_of : Ifp_vm.Vm.result -> Oracle.failure list
-(** Decode a battery result's output lines (works on cached/journaled
-    results too). *)
+(** Decode a battery result's output lines (works on cached results
+    too). *)
 
 val minimize :
   ?budget:int -> fault_seed:int64 -> key:string ->

@@ -1,35 +1,25 @@
 (* Table-driven reflected CRC-32, the IEEE 802.3 variant every zip/png
    tool agrees on: init 0xFFFFFFFF, process LSB-first against polynomial
-   0xEDB88320, final xor 0xFFFFFFFF. *)
+   0xEDB88320, final xor 0xFFFFFFFF. Computed on native ints (the values
+   fit in 32 bits), so the table is one unboxed block.
+
+   The table is built eagerly at module initialisation: campaign worker
+   domains checksum cache entries concurrently, and forcing a shared
+   [lazy] from two domains at once raises [CamlinternalLazy.Undefined]
+   in one of them. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Crc32.sub";
-  let t = Lazy.force table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int
-        (Int32.logand
-           (Int32.logxor !c (Int32.of_int (Char.code (String.unsafe_get s i))))
-           0xFFl)
-    in
-    c := Int32.logxor (Array.unsafe_get t idx) (Int32.shift_right_logical !c 8)
+let string s =
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    let idx = (!c lxor Char.code (String.unsafe_get s i)) land 0xFF in
+    c := Array.unsafe_get table idx lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let string s = sub s ~pos:0 ~len:(String.length s)
-
-let to_hex c = Printf.sprintf "%08lx" c
+  Int32.of_int (!c lxor 0xFFFFFFFF)

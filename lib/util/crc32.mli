@@ -1,20 +1,12 @@
 (** CRC-32 (IEEE 802.3, polynomial [0xEDB88320], reflected) over byte
     strings.
 
-    Used by the campaign persistence layers ([lib/campaign]'s result
-    cache and write-ahead journal) to detect torn writes and bit rot
-    deterministically, instead of relying on [Marshal] happening to
-    raise on garbage. The checksum is stored alongside the payload it
-    covers; a mismatch on read means the record must be discarded (and,
-    for the journal, that replay has reached the torn tail). *)
+    Used by [lib/campaign]'s result cache to detect torn writes and bit
+    rot deterministically, instead of relying on [Marshal] happening to
+    raise on garbage: the checksum is stored in the entry header next to
+    the payload it covers, and a mismatch on read quarantines the entry.
+    Safe to call from several domains at once. *)
 
 val string : string -> int32
 (** [string s] is the CRC-32 of the whole of [s]. The standard check
     value holds: [string "123456789" = 0xCBF43926l]. *)
-
-val sub : string -> pos:int -> len:int -> int32
-(** CRC-32 of [len] bytes of [s] starting at [pos].
-    @raise Invalid_argument if the range is out of bounds. *)
-
-val to_hex : int32 -> string
-(** 8-character lowercase hex rendering (for log/event fields). *)

@@ -1,16 +1,16 @@
 (* Victim campaign binary for the chaos integration tests (the host-layer
    analogue of faultinject's pointer_maze victim): a small, fully
    deterministic job matrix driven through the real engine with a real
-   journal, so the parent test can SIGKILL/SIGTERM an actual process at a
-   seeded point and assert that --resume converges to byte-identical
-   output.
+   result cache, so the parent test can SIGKILL/SIGTERM an actual process
+   at a seeded point and assert that re-running against the same cache
+   converges to byte-identical output.
 
-   Usage: chaos_child --out FILE [--journal FILE] [--resume FILE]
-                      [--cache DIR] [-j N] [--kill-after N] [--slow-ms M]
+   Usage: chaos_child --out FILE [--cache DIR] [-j N] [--kill-after N]
+                      [--slow-ms M]
 
    The result table is written to --out only when the campaign runs to
    completion; an interrupted run exits 130 (or dies raw on SIGKILL)
-   leaving only the journal behind. *)
+   leaving only the cache entries of its finished jobs behind. *)
 
 open Core
 module Job = Ifp_campaign.Job
@@ -34,8 +34,6 @@ let job i =
 
 let () =
   let out = ref None in
-  let journal_path = ref None in
-  let resume = ref false in
   let cache_dir = ref None in
   let workers = ref 1 in
   let kill_after = ref None in
@@ -52,10 +50,6 @@ let () =
   while !i < Array.length argv do
     (match argv.(!i) with
     | "--out" -> out := Some (next "--out")
-    | "--journal" -> journal_path := Some (next "--journal")
-    | "--resume" ->
-      journal_path := Some (next "--resume");
-      resume := true
     | "--cache" -> cache_dir := Some (next "--cache")
     | "-j" -> workers := max 1 (int_of_string (next "-j"))
     | "--kill-after" -> kill_after := Some (int_of_string (next "--kill-after"))
@@ -68,7 +62,6 @@ let () =
   let jobs = List.init n_jobs job in
   let cache = Option.map (fun dir -> Rcache.create ~dir ()) !cache_dir in
   let stop = Cli.install_interrupt () in
-  let journal, _replay = Cli.open_journal ~path:!journal_path ~resume:!resume in
   let on_job_done =
     match !kill_after with
     | Some n -> Chaos.arm_kill ~after:n
@@ -79,11 +72,10 @@ let () =
     Vm.run ~config:j.Job.config j.Job.prog
   in
   let outcomes, stats =
-    Engine.run ~workers:!workers ?cache ?journal ~stop ~on_job_done ~runner
-      jobs
+    Engine.run ~workers:!workers ?cache ~stop ~on_job_done ~runner jobs
   in
   if stats.Engine.interrupted then
-    Cli.finish ~hint:"chaos_child: interrupted" ~journal ~log:Ifp_campaign.Events.null
+    Cli.finish ~hint:"chaos_child: interrupted" ~log:Ifp_campaign.Events.null
       ~interrupted:true ();
   let render (o : Engine.outcome) =
     match (o.Engine.status, o.Engine.result) with
@@ -104,4 +96,4 @@ let () =
     let oc = open_out path in
     output_string oc table;
     close_out oc);
-  Cli.finish ~journal ~log:Ifp_campaign.Events.null ~interrupted:false ()
+  Cli.finish ~log:Ifp_campaign.Events.null ~interrupted:false ()

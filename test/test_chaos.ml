@@ -1,14 +1,13 @@
 (* Chaos-harness integration tests: fork the real chaos_child campaign
    binary, SIGKILL it at seeded points (or SIGTERM it mid-flight), and
-   assert that --resume converges to output byte-identical to an
-   uninterrupted run — for several kill points and worker counts. Also
-   covers seeded journal-tail truncation, torn cache entries, and the
+   assert that re-running it against the same result cache converges to
+   output byte-identical to an uninterrupted run — for several kill
+   points and worker counts. Also covers torn cache entries and the
    in-process graceful-stop path. *)
 
 open Core
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
-module Journal = Ifp_campaign.Journal
 module Rcache = Ifp_campaign.Cache
 module Events = Ifp_campaign.Events
 module Chaos = Ifp_campaign.Chaos
@@ -43,6 +42,14 @@ let read_file path =
 
 let remove_quiet path = try Sys.remove path with Sys_error _ -> ()
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> remove_quiet path
+
 (* spawn chaos_child with stdout/stderr discarded; returns pid *)
 let spawn args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -74,23 +81,41 @@ let golden =
      remove_quiet out;
      bytes)
 
-let check_resume_matches_golden ~label ~journal ~workers =
+(* every live cache entry under [dir]: one per job whose result was
+   renamed into place *)
+let count_entries dir =
+  let rec go path =
+    match Sys.is_directory path with
+    | exception Sys_error _ -> 0
+    | true ->
+      Array.fold_left
+        (fun n f -> n + go (Filename.concat path f))
+        0 (Sys.readdir path)
+    | false -> if Filename.check_suffix path ".result" then 1 else 0
+  in
+  go dir
+
+(* resuming is re-running the same command against the same cache *)
+let check_resume_matches_golden ~label ~cache ~workers =
   let out = fresh_path "ifp-chaos-resume" ".txt" in
   (match
-     run_child
-       [ "--out"; out; "--resume"; journal; "-j"; string_of_int workers ]
+     run_child [ "--out"; out; "--cache"; cache; "-j"; string_of_int workers ]
    with
   | Unix.WEXITED 0 -> ()
   | st -> Alcotest.failf "%s: resume run: %s" label (status_str st));
   Alcotest.(check string)
     (label ^ ": resumed table byte-identical to golden")
     (Lazy.force golden) (read_file out);
+  Alcotest.(check int)
+    (label ^ ": cache complete after resume")
+    child_jobs (count_entries cache);
   remove_quiet out
 
 let test_kill_and_resume () =
   (* for every seeded kill point x worker count: the child must die on
-     SIGKILL having journaled exactly/at least the armed number of
-     completions, and --resume must converge to the golden table *)
+     SIGKILL having cached exactly/at least the armed number of
+     completions, and a re-run against that cache must converge to the
+     golden table *)
   List.iter
     (fun seed ->
       List.iter
@@ -100,11 +125,11 @@ let test_kill_and_resume () =
           let label =
             Printf.sprintf "%s j=%d" (Chaos.fingerprint p) workers
           in
-          let journal = fresh_path "ifp-chaos-kill" ".wal" in
+          let cache = fresh_dir "ifp-chaos-kill" in
           let out = fresh_path "ifp-chaos-kill" ".txt" in
           (match
              run_child
-               [ "--out"; out; "--journal"; journal; "--kill-after";
+               [ "--out"; out; "--cache"; cache; "--kill-after";
                  string_of_int k; "-j"; string_of_int workers ]
            with
           | Unix.WSIGNALED s when s = Sys.sigkill -> ()
@@ -113,65 +138,32 @@ let test_kill_and_resume () =
           Alcotest.(check bool)
             (label ^ ": no output table from the killed run")
             false (Sys.file_exists out);
-          let rep = Journal.replay ~path:journal in
-          let n = List.length rep.Journal.entries in
-          (* WAL discipline: the record hits disk before the hook fires,
-             so the k-th completion is always journaled; concurrent
-             workers may have landed a few more *)
+          let n = count_entries cache in
+          (* the entry is renamed into place before the hook fires, so
+             the k-th completion is always cached; concurrent workers
+             may have landed a few more *)
           if not (n >= k && n <= child_jobs) then
-            Alcotest.failf "%s: %d journaled records outside [%d, %d]"
+            Alcotest.failf "%s: %d cache entries outside [%d, %d]"
               label n k child_jobs;
           if workers = 1 then
             Alcotest.(check int)
-              (label ^ ": single worker journals exactly k records")
+              (label ^ ": single worker caches exactly k entries")
               k n;
-          check_resume_matches_golden ~label ~journal ~workers;
-          Alcotest.(check int)
-            (label ^ ": journal complete after resume")
-            child_jobs
-            (List.length (Journal.replay ~path:journal).Journal.entries);
-          remove_quiet journal)
+          check_resume_matches_golden ~label ~cache ~workers;
+          rm_rf cache)
         [ 1; 3 ])
     [ 0xC4A05L; 0x7EA51DEL ]
 
-let test_truncate_journal_tail_and_resume () =
-  (* complete a run, chop seeded bytes off the journal tail, resume:
-     only torn records may be lost, and resume restores the full set *)
-  List.iter
-    (fun seed ->
-      let p = Chaos.plan Chaos.Truncate_journal_tail ~seed in
-      let label = Chaos.fingerprint p in
-      let journal = fresh_path "ifp-chaos-trunc" ".wal" in
-      let out = fresh_path "ifp-chaos-trunc" ".txt" in
-      (match run_child [ "--out"; out; "--journal"; journal ] with
-      | Unix.WEXITED 0 -> ()
-      | st -> Alcotest.failf "%s: full run: %s" label (status_str st));
-      remove_quiet out;
-      let cut = Chaos.truncate_journal_tail p ~path:journal in
-      if cut = None then Alcotest.failf "%s: nothing truncated" label;
-      let rep = Journal.replay ~path:journal in
-      let n = List.length rep.Journal.entries in
-      if n > child_jobs then
-        Alcotest.failf "%s: replay grew records (%d)" label n;
-      check_resume_matches_golden ~label ~journal ~workers:2;
-      Alcotest.(check int)
-        (label ^ ": journal complete after resume")
-        child_jobs
-        (List.length (Journal.replay ~path:journal).Journal.entries);
-      remove_quiet journal)
-    [ 3L; 0xB0B0L ]
-
 let test_sigterm_drains_and_resumes () =
   (* graceful path: slow jobs, SIGTERM mid-campaign. Either the child
-     drains and exits 130 (then resume must converge) or — if the
+     drains and exits 130 (then a re-run must converge) or — if the
      machine was fast enough to finish first — it exits 0 with the
      golden table directly. Both are correct behaviours; a raw death is
      not. *)
-  let journal = fresh_path "ifp-chaos-term" ".wal" in
+  let cache = fresh_dir "ifp-chaos-term" in
   let out = fresh_path "ifp-chaos-term" ".txt" in
   let pid =
-    spawn
-      [ "--out"; out; "--journal"; journal; "--slow-ms"; "40"; "-j"; "2" ]
+    spawn [ "--out"; out; "--cache"; cache; "--slow-ms"; "40"; "-j"; "2" ]
   in
   Unix.sleepf 0.25;
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -180,10 +172,7 @@ let test_sigterm_drains_and_resumes () =
   | Unix.WEXITED 130 ->
     Alcotest.(check bool) "no table from the interrupted run" false
       (Sys.file_exists out);
-    let rep = Journal.replay ~path:journal in
-    Alcotest.(check bool) "drained journal is not torn" false
-      rep.Journal.torn_tail;
-    check_resume_matches_golden ~label:"sigterm" ~journal ~workers:2
+    check_resume_matches_golden ~label:"sigterm" ~cache ~workers:2
   | Unix.WEXITED 0 ->
     (* campaign finished before the signal landed *)
     Alcotest.(check string) "finished run matches golden"
@@ -191,7 +180,7 @@ let test_sigterm_drains_and_resumes () =
   | st -> Alcotest.failf "sigterm: expected exit 130 or 0, got %s"
             (status_str st));
   remove_quiet out;
-  remove_quiet journal
+  rm_rf cache
 
 let tiny_prog i =
   Ir.program ~tenv:Ctype.empty_tenv ~globals:[]
@@ -260,82 +249,48 @@ let test_tear_cache_entry_quarantines () =
           (Sys.file_exists path))
     jobs;
   Alcotest.(check int) "exactly the torn entry quarantined" 1 !quarantined;
-  Alcotest.(check bool) "torn original gone" false (Sys.file_exists torn)
+  Alcotest.(check bool) "torn original gone" false (Sys.file_exists torn);
+  rm_rf dir
 
 let test_graceful_stop_in_process () =
   (* in-process dual of the SIGTERM test: flip the stop flag from the
      first completion hook, confirm the drain (skipped jobs, interrupted
-     stats, journal holds only completions), then resume to convergence *)
-  let journal_path = fresh_path "ifp-chaos-stop" ".wal" in
+     stats, the cache holds exactly the completions), then re-run against
+     the cache to convergence *)
+  let dir = fresh_dir "ifp-chaos-stop" in
+  let cache = Rcache.create ~dir () in
   let jobs = List.init 12 tiny_job in
   let stopped = Atomic.make false in
-  let journal = Journal.create ~path:journal_path in
   let _, s1 =
-    Engine.run ~workers:2 ~journal
+    Engine.run ~workers:2 ~cache
       ~stop:(fun () -> Atomic.get stopped)
       ~on_job_done:(fun _ -> Atomic.set stopped true)
       jobs
   in
-  Journal.close journal;
   Alcotest.(check bool) "run reports interrupted" true s1.Engine.interrupted;
   Alcotest.(check bool) "some jobs were skipped" true (s1.Engine.skipped > 0);
-  let rep = Journal.replay ~path:journal_path in
-  let done_before = List.length rep.Journal.entries in
-  Alcotest.(check int) "journal holds exactly the completions" done_before
-    (s1.Engine.completed + s1.Engine.failed + s1.Engine.timed_out);
-  (* resume: replays everything journaled, runs only the skipped rest *)
-  let journal, rep = Journal.open_resume ~path:journal_path in
-  Alcotest.(check bool) "graceful journal is not torn" false
-    rep.Journal.torn_tail;
-  let full, s2 = Engine.run ~workers:2 ~journal jobs in
-  Journal.close journal;
+  Alcotest.(check int) "cache holds exactly the completions"
+    s1.Engine.completed (count_entries dir);
+  let full, s2 = Engine.run ~workers:2 ~cache jobs in
   Alcotest.(check bool) "resumed run completes" false s2.Engine.interrupted;
-  Alcotest.(check int) "replays = prior completions" done_before
-    s2.Engine.journal_replays;
+  Alcotest.(check int) "hits = prior completions" s1.Engine.completed
+    s2.Engine.cache_hits;
   let reference, _ = Engine.run jobs in
   Array.iteri
     (fun i (o : Engine.outcome) ->
       Alcotest.(check bool) "converged result identical" true
         (o.Engine.result = reference.(i).Engine.result))
     full;
-  remove_quiet journal_path
-
-(* --resume of a file that is not a journal (here: a future magic) is a
-   one-line error naming the file and exit 1, never an uncaught
-   exception; the file is left untouched *)
-let test_resume_non_journal () =
-  let bogus = fresh_path "ifp-chaos-bogus" ".wal" in
-  let contents = "ifp-journal-v2.\nnot a v1 record stream" in
-  Out_channel.with_open_bin bogus (fun oc -> output_string oc contents);
-  let err = fresh_path "ifp-chaos-bogus" ".err" in
-  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let pid =
-    Unix.create_process child_exe
-      [| child_exe; "--resume"; bogus |]
-      Unix.stdin Unix.stdout fd
-  in
-  Unix.close fd;
-  let _, status = Unix.waitpid [] pid in
-  Alcotest.(check string) "exit status" "exited 1" (status_str status);
-  Alcotest.(check string) "one stderr line naming the file"
-    (bogus ^ ": not a campaign journal, cannot resume from it\n")
-    (read_file err);
-  Alcotest.(check string) "file untouched" contents (read_file bogus);
-  remove_quiet bogus;
-  remove_quiet err
+  rm_rf dir
 
 let tests =
   [
     Alcotest.test_case "SIGKILL at seeded points; resume is byte-identical"
       `Slow test_kill_and_resume;
-    Alcotest.test_case "seeded journal-tail truncation; resume converges"
-      `Slow test_truncate_journal_tail_and_resume;
     Alcotest.test_case "SIGTERM drains gracefully; resume converges" `Slow
       test_sigterm_drains_and_resumes;
     Alcotest.test_case "torn cache entry quarantines and self-heals" `Quick
       test_tear_cache_entry_quarantines;
     Alcotest.test_case "in-process graceful stop and resume" `Quick
       test_graceful_stop_in_process;
-    Alcotest.test_case "resume of a non-journal is a clean error" `Quick
-      test_resume_non_journal;
   ]

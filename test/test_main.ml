@@ -22,10 +22,10 @@ let () =
       ("parser", Test_parser.tests);
       ("trace-report", Test_trace_report.tests);
       ("campaign", Test_campaign.tests);
-      ("journal", Test_journal.tests);
       ("chaos", Test_chaos.tests);
       ("faultinject", Test_faultinject.tests);
       ("guarantees", Test_guarantees.tests);
       ("fuzz", Test_fuzz.tests);
       ("temporal", Test_temporal.tests);
+      ("paper", Test_paper.tests);
     ]

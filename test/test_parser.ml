@@ -222,7 +222,22 @@ let test_parse_errors () =
       "i64 main() { return 1 + ; }";
       "struct S { i64 }; i64 main() { return 0; }";
       "i64 main() { @ }";
-    ]
+    ];
+  (* struct declaration errors are located at the offending struct *)
+  let use = "\ni64 main() { let p: a* = malloc(a); return 0; }" in
+  List.iter
+    (fun (src, line) ->
+      match parse src with
+      | exception Ifp_compiler.Parser.Parse_error (_, l) ->
+        Alcotest.(check int) ("error line of " ^ String.escaped src) line l
+      | _ -> Alcotest.fail ("parsed invalid program: " ^ src))
+    [
+      ("struct a { i64 x; };\nstruct a { i64 y; };" ^ use, 2);
+      ("struct a {\n  a x;\n};" ^ use, 1);
+      ("struct a { b x; };\nstruct b { a y; };" ^ use, 2);
+    ];
+  (* a forward reference by value is not a cycle *)
+  ignore (parse ("struct a { b x; };\nstruct b { i64 y; };" ^ use))
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in

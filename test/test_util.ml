@@ -101,6 +101,16 @@ let test_table_render () =
   Alcotest.(check bool) "uniform width" true
     (List.for_all (fun w -> w = List.hd widths) widths)
 
+let test_crc32 () =
+  let crc = Ifp_util.Crc32.string in
+  Alcotest.(check int32) "IEEE check value" 0xCBF43926l (crc "123456789");
+  Alcotest.(check int32) "empty string" 0l (crc "");
+  (* concurrent first use from several domains: the table is shared *)
+  let ds = List.init 4 (fun _ -> Domain.spawn (fun () -> crc "123456789")) in
+  List.iter
+    (fun d -> Alcotest.(check int32) "same on every domain" 0xCBF43926l (Domain.join d))
+    ds
+
 let tests =
   [
     Alcotest.test_case "mask" `Quick test_mask;
@@ -115,4 +125,5 @@ let tests =
     Alcotest.test_case "mix2 sensitivity" `Quick test_mix2_sensitivity;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "table render" `Quick test_table_render;
+    Alcotest.test_case "crc32" `Quick test_crc32;
   ]
