@@ -1,121 +1,188 @@
-(* Run one workload (or all) under a chosen configuration and print its
-   dynamic statistics. *)
+(* Run one program under chosen configurations and print its dynamic
+   statistics. TARGET is a workload name, `all` (every workload, the
+   default), or a path to a MiniC source file (`.minic`; syntax in
+   lib/compiler/parser.mli), which is parsed and typechecked first —
+   a located parse, lex or type error exits 1.
 
-open Cmdliner
+   Usage: ifp_run [TARGET] [-c CONFIG]... [--engine ENGINE] [-v]
+                  [--dump-ir] [--dump-instrumented] [--trace]
 
-let variant_of_string = function
-  | "baseline" -> Ok Core.Vm.baseline
-  | "subheap" -> Ok Core.Vm.ifp_subheap
-  | "wrapped" -> Ok Core.Vm.ifp_wrapped
-  | "subheap-np" -> Ok (Core.Vm.no_promote Core.Vm.Alloc_subheap)
-  | "wrapped-np" -> Ok (Core.Vm.no_promote Core.Vm.Alloc_wrapped)
-  | "mixed" -> Ok Core.Vm.ifp_mixed
-  | "no-narrowing" -> Ok (Core.Vm.no_narrowing Core.Vm.Alloc_subheap)
-  | "infer-types" -> Ok { Core.Vm.ifp_subheap with infer_alloc_types = true }
-  | s -> Error (`Msg ("unknown variant " ^ s))
+   -c names a configuration of Report.configs (repeatable; default
+   baseline, subheap and wrapped). --engine picks the execution engine
+   (vm | vm-ref | closure, default vm); all engines give identical
+   results. -v prints detailed counters; --dump-ir and
+   --dump-instrumented print the program before and after the IFP
+   instrumentation pass; --trace prints the first 64 IFP events of each
+   run. *)
 
-let engine_of_string s =
-  match Core.Engines.of_string s with
-  | Some e -> Ok e
-  | None ->
-    Error
-      (`Msg
-        (Printf.sprintf "unknown engine %s (expected %s)" s
-           (String.concat " | " Core.Engines.names)))
+open Core
 
-let run_one ~verbose name cfg_name cfg =
-  match Ifp_workloads.Registry.find name with
-  | None ->
-    Printf.eprintf "unknown workload %s (have: %s)\n" name
-      (String.concat ", " Ifp_workloads.Registry.names);
-    exit 1
-  | Some wl ->
-    let prog = Lazy.force wl.Ifp_workloads.Workload.prog in
-    let t0 = Sys.time () in
-    let r = Core.Engines.run ~config:cfg prog in
-    let dt = Sys.time () -. t0 in
-    let open Core in
-    let c = r.Vm.counters in
-    Printf.printf "%-12s %-11s %-22s instrs=%-10d cycles=%-11d promotes=%-8d valid=%-8d footprint=%-9d (%.2fs)\n"
-      name cfg_name
-      (match r.Vm.outcome with
-      | Vm.Finished x -> Printf.sprintf "ret=%Ld" x
-      | Vm.Trapped t -> "TRAP " ^ Trap.to_string t
-      | Vm.Aborted m -> "ABORT " ^ Vm.abort_reason_string m)
-      (Counters.total_instrs c) c.cycles
-      (Counters.ifp_count c Insn.Promote)
-      c.promotes_valid r.Vm.mem_footprint dt;
-    if verbose then begin
-      Printf.printf "  objects: %d global (%d LT), %d local (%d LT), %d heap (%d LT)\n"
-        c.global_objs c.global_objs_layout c.local_objs c.local_objs_layout
-        c.heap_objs c.heap_objs_layout;
-      Printf.printf "  promote mix: valid=%d null=%d legacy=%d poisoned=%d invalid=%d subobj=%d narrows ok/fail=%d/%d\n"
-        c.promotes_valid c.promotes_null c.promotes_legacy c.promotes_poisoned
-        c.promotes_invalid_meta c.promotes_subobj c.narrows_ok c.narrows_failed;
-      Printf.printf "  ifp mix:";
-      List.iter
-        (fun k ->
-          let n = Counters.ifp_count c k in
-          if n > 0 then Printf.printf " %s=%d" (Insn.mnemonic k) n)
-        Insn.all;
-      print_newline ();
-      Printf.printf "  cache: %d accesses, %d misses; alloc: %s\n"
-        r.Vm.cache_accesses r.Vm.cache_misses
-        (String.concat ", "
-           (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.Vm.alloc_extra))
-    end
+type opts = {
+  target : string;
+  configs : string list;
+  engine : Vm.engine;
+  verbose : bool;
+  dump_ir : bool;
+  dump_instrumented : bool;
+  trace : bool;
+}
 
-let main workload variants engine verbose =
-  let names =
-    match workload with
-    | "all" -> Ifp_workloads.Registry.names
-    | w -> [ w ]
+let usage () =
+  prerr_endline
+    "usage: ifp_run [TARGET] [-c CONFIG]... [--engine ENGINE] [-v]\n\
+    \               [--dump-ir] [--dump-instrumented] [--trace]\n\
+     TARGET: a workload name, all (default), or a FILE.minic";
+  Printf.eprintf "CONFIG: %s\nENGINE: %s\n"
+    (String.concat " | " (List.map fst Report.configs))
+    (String.concat " | " Engines.names);
+  exit 1
+
+let parse_opts argv =
+  let o =
+    ref
+      {
+        target = "all";
+        configs = [];
+        engine = Vm.Eng_vm;
+        verbose = false;
+        dump_ir = false;
+        dump_instrumented = false;
+        trace = false;
+      }
   in
-  let variants =
-    match variants with
-    | [] -> [ "baseline"; "subheap"; "wrapped" ]
-    | vs -> vs
+  let i = ref 1 in
+  let next what =
+    incr i;
+    if !i >= Array.length argv then (
+      Printf.eprintf "missing argument to %s\n" what;
+      usage ())
+    else argv.(!i)
   in
+  while !i < Array.length argv do
+    (match argv.(!i) with
+    | "-c" | "--variant" ->
+      let c = next "-c" in
+      if not (List.mem_assoc c Report.configs) then (
+        Printf.eprintf "unknown config %s\n" c;
+        usage ());
+      o := { !o with configs = !o.configs @ [ c ] }
+    | "--engine" -> (
+      let e = next "--engine" in
+      match Engines.of_string e with
+      | Some engine -> o := { !o with engine }
+      | None ->
+        Printf.eprintf "unknown engine %s\n" e;
+        usage ())
+    | "-v" | "--verbose" -> o := { !o with verbose = true }
+    | "--dump-ir" -> o := { !o with dump_ir = true }
+    | "--dump-instrumented" -> o := { !o with dump_instrumented = true }
+    | "--trace" -> o := { !o with trace = true }
+    | "-h" | "--help" -> usage ()
+    | s when String.length s > 0 && s.[0] = '-' ->
+      Printf.eprintf "unknown option %s\n" s;
+      usage ()
+    | target -> o := { !o with target });
+    incr i
+  done;
+  if !o.configs = [] then { !o with configs = [ "baseline"; "subheap"; "wrapped" ] }
+  else !o
+
+let load_minic file =
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        prerr_endline m;
+        exit 1)
+      fmt
+  in
+  let src =
+    try In_channel.with_open_text file In_channel.input_all
+    with Sys_error m -> fail "%s" m
+  in
+  let prog =
+    try Parser.parse src with
+    | Parser.Parse_error (m, line) -> fail "%s:%d: parse error: %s" file line m
+    | Lexer.Lex_error (m, line) -> fail "%s:%d: lex error: %s" file line m
+  in
+  (try Typecheck.check_program prog
+   with Typecheck.Type_error m -> fail "%s: type error: %s" file m);
+  prog
+
+let programs target =
+  let workload name =
+    match Ifp_workloads.Registry.find name with
+    | Some wl -> (name, Lazy.force wl.Ifp_workloads.Workload.prog)
+    | None ->
+      Printf.eprintf "unknown workload %s (have: %s)\n" name
+        (String.concat ", " Ifp_workloads.Registry.names);
+      exit 1
+  in
+  if Filename.check_suffix target ".minic" then [ (target, load_minic target) ]
+  else if target = "all" then List.map workload Ifp_workloads.Registry.names
+  else [ workload target ]
+
+let print_trace (r : Vm.result) =
   List.iter
-    (fun name ->
-      List.iter
-        (fun vname ->
-          match variant_of_string vname with
-          | Ok cfg -> run_one ~verbose name vname { cfg with Core.Vm.engine }
-          | Error (`Msg m) ->
-            Printf.eprintf "%s\n" m;
-            exit 1)
-        variants)
-    names
+    (function
+      | Vm.T_promote { ptr; outcome; bounds } ->
+        Printf.printf "trace: promote 0x%Lx -> %s %s\n" ptr outcome bounds
+      | Vm.T_register { what; ptr; size } ->
+        Printf.printf "trace: register %s 0x%Lx (%d B)\n" what ptr size
+      | Vm.T_deregister { what; ptr } ->
+        Printf.printf "trace: deregister %s 0x%Lx\n" what ptr
+      | Vm.T_trap msg -> Printf.printf "trace: TRAP %s\n" msg)
+    r.trace
 
-let workload_arg =
-  Arg.(value & pos 0 string "all" & info [] ~docv:"WORKLOAD"
-         ~doc:"Workload name, or 'all'.")
+let print_details (r : Vm.result) =
+  let c = r.counters in
+  Printf.printf "  objects: %d global (%d LT), %d local (%d LT), %d heap (%d LT)\n"
+    c.global_objs c.global_objs_layout c.local_objs c.local_objs_layout
+    c.heap_objs c.heap_objs_layout;
+  Printf.printf "  promote mix: valid=%d null=%d legacy=%d poisoned=%d invalid=%d subobj=%d narrows ok/fail=%d/%d\n"
+    c.promotes_valid c.promotes_null c.promotes_legacy c.promotes_poisoned
+    c.promotes_invalid_meta c.promotes_subobj c.narrows_ok c.narrows_failed;
+  Printf.printf "  ifp mix:";
+  List.iter
+    (fun k ->
+      let n = Counters.ifp_count c k in
+      if n > 0 then Printf.printf " %s=%d" (Insn.mnemonic k) n)
+    Insn.all;
+  print_newline ();
+  Printf.printf "  cache: %d accesses, %d misses; alloc: %s\n" r.cache_accesses
+    r.cache_misses
+    (String.concat ", "
+       (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.alloc_extra))
 
-let variants_arg =
-  Arg.(value & opt_all string [] & info [ "variant"; "c" ] ~docv:"VARIANT"
-         ~doc:
-           "baseline | subheap | wrapped | subheap-np | wrapped-np | mixed | \
-            no-narrowing | infer-types (repeatable)")
-
-let engine_arg =
-  let engine_conv =
-    Arg.conv
-      ( engine_of_string,
-        fun fmt e -> Format.pp_print_string fmt (Core.Engines.to_string e) )
+let run_one opts name prog cfg_name =
+  let config = List.assoc cfg_name Report.configs in
+  let config =
+    { config with
+      Vm.engine = opts.engine;
+      trace_limit = (if opts.trace then 64 else config.Vm.trace_limit) }
   in
-  Arg.(value & opt engine_conv Core.Vm.Eng_vm
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: vm | vm-ref | closure (default vm). All \
-                 engines produce identical results; they differ only in \
-                 host speed.")
+  let t0 = Sys.time () in
+  let r = Engines.run ~config prog in
+  let dt = Sys.time () -. t0 in
+  print_trace r;
+  List.iter print_endline r.output;
+  let c = r.counters in
+  Printf.printf "%-12s %-11s %-22s instrs=%-10d cycles=%-11d promotes=%-8d valid=%-8d footprint=%-9d (%.2fs)\n"
+    name cfg_name
+    (match r.outcome with
+    | Vm.Finished x -> Printf.sprintf "ret=%Ld" x
+    | Vm.Trapped t -> "TRAP " ^ Trap.to_string t
+    | Vm.Aborted m -> "ABORT " ^ Vm.abort_reason_string m)
+    (Counters.total_instrs c) c.cycles
+    (Counters.ifp_count c Insn.Promote)
+    c.promotes_valid r.mem_footprint dt;
+  if opts.verbose then print_details r
 
-let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print detailed counters.")
-
-let cmd =
-  Cmd.v
-    (Cmd.info "ifp_run" ~doc:"Run an In-Fat Pointer benchmark workload")
-    Term.(const main $ workload_arg $ variants_arg $ engine_arg $ verbose_arg)
-
-let () = exit (Cmd.eval cmd)
+let () =
+  let opts = parse_opts Sys.argv in
+  List.iter
+    (fun (name, prog) ->
+      if opts.dump_ir then print_string (Ir_pp.program_to_string prog);
+      if opts.dump_instrumented then
+        print_string (Ir_pp.program_to_string (fst (Instrument.run prog)));
+      List.iter (run_one opts name prog) opts.configs)
+    (programs opts.target)

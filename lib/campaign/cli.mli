@@ -1,5 +1,5 @@
 (** Shared plumbing for the campaign binaries ([ifp_experiments],
-    [ifp_faults], [ifp_juliet], [ifp_fuzz]): signal-driven graceful
+    [ifp_fuzz]): signal-driven graceful
     shutdown, the event log, and the interrupted-exit path. Lives in the
     library so the drivers stay flag-for-flag and event-for-event
     consistent. *)

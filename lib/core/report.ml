@@ -18,6 +18,14 @@ let variants =
     ("wrapped-np", Vm.no_promote Vm.Alloc_wrapped);
   ]
 
+let configs =
+  variants
+  @ [
+      ("mixed", Vm.ifp_mixed);
+      ("no-narrowing", Vm.no_narrowing Vm.Alloc_subheap);
+      ("infer-types", { Vm.ifp_subheap with infer_alloc_types = true });
+    ]
+
 let of_results ~name ~lookup =
   {
     name;

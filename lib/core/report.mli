@@ -16,6 +16,11 @@ val variants : (string * Ifp_vm.Vm.config) list
 (** The five standard configurations of a row, in reporting order:
     [baseline], [subheap], [wrapped], [subheap-np], [wrapped-np]. *)
 
+val configs : (string * Ifp_vm.Vm.config) list
+(** Every configuration the command-line tools know by name: {!variants},
+    then [mixed], [no-narrowing] (subheap with the layout walker off)
+    and [infer-types] (subheap with allocation-wrapper type inference). *)
+
 val of_results : name:string -> lookup:(string -> Ifp_vm.Vm.result) -> row
 (** Assembles a row from per-variant results, e.g. ones computed by the
     campaign engine. [lookup] is applied to each name in {!variants}. *)

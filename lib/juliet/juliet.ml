@@ -492,7 +492,7 @@ let all_cases () =
 
 (* ------------------------------------------------------------------ *)
 
-type verdict = Detected | Silent | False_positive | Error of string
+type verdict = Detected | Silent | Error of string
 
 type outcome = { case : case; bad_verdict : verdict; good_ok : bool }
 
@@ -518,7 +518,6 @@ type summary = {
   total : int;
   detected : int;
   missed : int;
-  false_positives : int;
   good_failures : int;
 }
 
@@ -530,10 +529,9 @@ let summarize outcomes =
           total = s.total + 1;
           detected = (s.detected + match o.bad_verdict with Detected -> 1 | _ -> 0);
           missed = (s.missed + match o.bad_verdict with Silent -> 1 | _ -> 0);
-          false_positives = s.false_positives + (if o.good_ok then 0 else 1);
           good_failures = s.good_failures + (if o.good_ok then 0 else 1);
         })
-      { total = 0; detected = 0; missed = 0; false_positives = 0; good_failures = 0 }
+      { total = 0; detected = 0; missed = 0; good_failures = 0 }
       outcomes
   in
   (outcomes, summary)

@@ -74,7 +74,7 @@ val temporal_cases : unit -> case list
     spatial-only configuration promotes the stale pointer against the
     churn object's valid metadata and stays silent. *)
 
-type verdict = Detected | Silent | False_positive | Error of string
+type verdict = Detected | Silent | Error of string
 
 type outcome = {
   case : case;
@@ -88,7 +88,6 @@ type summary = {
   total : int;
   detected : int;
   missed : int;
-  false_positives : int;
   good_failures : int;
 }
 
