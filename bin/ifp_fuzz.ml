@@ -2,7 +2,7 @@
 
    Rounds of seeded, size-bounded generated MiniC programs are pushed
    through the campaign engine; each case's runner executes the full
-   oracle battery (three engines x three configs agreement,
+   oracle battery (every engine x three configs agreement,
    baseline-vs-IFP behavioral equivalence, fault-classifier sanity).
    Divergent cases are greedily minimized into parser-image repros and
    written to the content-addressed corpus; the campaign stops after
@@ -29,6 +29,7 @@ module Rcache = Ifp_campaign.Cache
 module Events = Ifp_campaign.Events
 module Cli = Ifp_campaign.Cli
 module Vm = Ifp_vm.Vm
+module Engines = Ifp_vm.Engines
 module Table = Ifp_util.Table
 module Gen = Ifp_fuzz.Gen
 module Oracle = Ifp_fuzz.Oracle
@@ -233,8 +234,11 @@ let repro opts target =
       (fun (cname, cfg) ->
         ( cname,
           List.map
-            (fun (ename, erun) -> (ename, Oracle.result_sig (erun cfg prog)))
-            Oracle.engines ))
+            (fun engine ->
+              ( Engines.to_string engine,
+                Oracle.result_sig
+                  (Engines.run ~config:{ cfg with Vm.engine } prog) ))
+            Engines.all ))
       Oracle.configs
   in
   let header = [ "config"; "engine"; "outcome"; "cycles"; "output" ] in

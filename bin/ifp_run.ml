@@ -43,7 +43,7 @@ let parse_opts argv =
       {
         target = "all";
         configs = [];
-        engine = Vm.Eng_vm;
+        engine = Vm.default_config.engine;
         verbose = false;
         dump_ir = false;
         dump_instrumented = false;

@@ -30,7 +30,7 @@ type stats = {
 let default_runner (job : Job.t) =
   Ifp_vm.Engines.run ~config:job.Job.config job.Job.prog
 
-let outcome_string (r : Vm.result) =
+let outcome_label (r : Vm.result) =
   match r.Vm.outcome with
   | Vm.Finished _ -> "finished"
   | Vm.Trapped t -> "trapped: " ^ Ifp_isa.Trap.to_string t
@@ -106,7 +106,7 @@ let run_job ~cache ~on_job_done ~log ~job_timeout ~runner ~digest ~started
         cache;
       finish "job_finish"
         [
-          ("outcome", String (outcome_string result));
+          ("outcome", String (outcome_label result));
           ("cycles", Int result.Vm.counters.Ifp_vm.Counters.cycles);
           ("instrs", Int (Ifp_vm.Counters.total_instrs result.Vm.counters));
           ("mem_footprint", Int result.Vm.mem_footprint);

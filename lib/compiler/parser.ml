@@ -57,7 +57,11 @@ let parse_type st =
     | tok -> err st "expected a type, got %s" (L.token_to_string tok)
   in
   let rec stars ty = if accept_punct st "*" then stars (Ctype.Ptr ty) else ty in
-  stars base
+  match (base, stars base) with
+  | Ctype.Struct n, Ctype.Struct _ when not (List.mem n st.struct_names) ->
+    (* a pointer may name an opaque struct; a value needs its layout *)
+    err st "undeclared struct %s used by value" n
+  | _, ty -> ty
 
 let parse_array_suffix st ty =
   (* i64 x[4][2] parses as array of 4 arrays of 2 *)
@@ -557,14 +561,19 @@ let prescan src =
     | L.EOF -> ()
     | L.KW "struct" ->
       ignore (L.next lx);
+      let name =
+        match L.next lx with
+        | L.IDENT s -> s
+        | tok ->
+          raise
+            (Parse_error ("expected struct name, got " ^ L.token_to_string tok,
+                          L.line lx))
+      in
+      (* only a declaration names a struct; a by-value use does not *)
       (match L.next lx with
-      | L.IDENT s -> struct_names := s :: !struct_names
-      | tok ->
-        raise
-          (Parse_error ("expected struct name, got " ^ L.token_to_string tok,
-                        L.line lx)));
-      (match L.next lx with
-      | L.PUNCT "{" -> skip_braces 1
+      | L.PUNCT "{" ->
+        struct_names := name :: !struct_names;
+        skip_braces 1
       | _ -> ());
       (* trailing ';' and field tokens are skipped by skip_braces *)
       (match L.peek lx with

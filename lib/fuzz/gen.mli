@@ -13,7 +13,7 @@
 
     Generated programs are memory-safe: under the differential oracles
     ({!Oracle}) the baseline and IFP configurations must behave
-    identically on them, and the three engines must agree bit-for-bit.
+    identically on them, and every engine must agree bit-for-bit.
 
     Everything is driven by one {!Ifp_util.Prng} stream: the same
     [seed × knobs] always yields byte-identical source. *)

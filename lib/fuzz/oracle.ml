@@ -1,6 +1,5 @@
 module Vm = Ifp_vm.Vm
-module Vm_ref = Ifp_vm.Vm_ref
-module Vm_closure = Ifp_vm.Vm_closure
+module Engines = Ifp_vm.Engines
 module Counters = Ifp_vm.Counters
 module Trap = Ifp_isa.Trap
 module Fault = Ifp_faultinject.Fault
@@ -19,13 +18,6 @@ let configs =
     ("baseline", { Vm.baseline with max_cycles = budget });
     ("ifp-subheap", { Vm.ifp_subheap with trace_limit = 32; max_cycles = budget });
     ("ifp-wrapped", { Vm.ifp_wrapped with max_cycles = budget });
-  ]
-
-let engines =
-  [
-    ("vm", fun config prog -> Vm.run ~config prog);
-    ("vm-ref", fun config prog -> Vm_ref.run ~config prog);
-    ("closure", fun config prog -> Vm_closure.run ~config prog);
   ]
 
 (* Heap_smash is out of the architectural detection contract; the
@@ -128,134 +120,141 @@ let observed (r : Vm.result) =
     output = r.Vm.output;
   }
 
+(* oracle A: every engine against the reference, the head of Engines.all *)
+let agree cname cfg prog =
+  let run engine = Engines.run ~config:{ cfg with Vm.engine } prog in
+  match Engines.all with
+  | [] -> invalid_arg "Oracle.agree: no engines"
+  | reference :: rest ->
+    let r = run reference in
+    let s = result_sig r in
+    let fails =
+      List.filter_map
+        (fun e ->
+          let s' = result_sig (run e) in
+          if String.equal s s' then None
+          else
+            Some
+              {
+                oracle = "engines";
+                site = cname ^ "/" ^ Engines.to_string e;
+                detail = sig_diff s s';
+              })
+        rest
+    in
+    (fails, r)
+
+(* oracle B: instrumented-vs-baseline behavioral equivalence *)
+let equivalence ~baseline results =
+  match baseline.Vm.outcome with
+  | Vm.Finished n ->
+    List.filter_map
+      (fun (cname, r) ->
+        let fail detail = Some { oracle = "equivalence"; site = cname; detail } in
+        match r.Vm.outcome with
+        | Vm.Finished m when Int64.equal m n && r.Vm.output = baseline.Vm.output
+          ->
+          None
+        | Vm.Finished m when Int64.equal m n ->
+          fail
+            (Printf.sprintf "output differs: baseline=[%s] %s=[%s]"
+               (String.concat "|" baseline.Vm.output)
+               cname
+               (String.concat "|" r.Vm.output))
+        | o ->
+          fail
+            (Printf.sprintf "baseline finished:%Ld but %s %s" n cname
+               (outcome_str o)))
+      results
+  | o -> [ { oracle = "wellformed"; site = "baseline"; detail = outcome_str o } ]
+
+(* one armed plan per class against [cfg] (plan seeds derived from
+   [fault_seed]); the (class, plan, run) of every plan that classifies
+   as silent corruption against [golden] *)
+let silent_plans ~fault_seed classes cfg prog golden =
+  let golden_obs = observed golden in
+  List.concat
+    (List.mapi
+       (fun k cls ->
+         let plan =
+           Fault.default_plan cls ~seed:(Prng.mix2 fault_seed (Int64.of_int k))
+         in
+         let r = Engines.run ~config:{ cfg with Vm.fault_plan = Some plan } prog in
+         let fired = r.Vm.fault_injections <> [] in
+         match
+           Classify.classify ~cls ~fired ~golden:golden_obs ~faulted:(observed r)
+         with
+         | Classify.Silent_corruption -> [ (cls, plan, r) ]
+         | _ -> [])
+       classes)
+
 let check ?(fault_seed = 1L) prog =
-  let fails = ref [] in
-  let add oracle site detail = fails := { oracle; site; detail } :: !fails in
-  (* oracle A: three-way engine agreement, per configuration *)
-  let vm_results =
-    List.map
-      (fun (cname, cfg) ->
-        let r_vm = Vm.run ~config:cfg prog in
-        let sig_vm = result_sig r_vm in
-        List.iter
-          (fun (ename, erun) ->
-            if ename <> "vm" then
-              let s = result_sig (erun cfg prog) in
-              if not (String.equal s sig_vm) then
-                add "engines" (cname ^ "/" ^ ename) (sig_diff sig_vm s))
-          engines;
-        (cname, cfg, r_vm))
-      configs
+  let runs =
+    List.map (fun (cname, cfg) -> (cname, cfg, agree cname cfg prog)) configs
   in
   let find name =
-    let _, cfg, r = List.find (fun (n, _, _) -> String.equal n name) vm_results in
+    let _, cfg, (_, r) = List.find (fun (n, _, _) -> String.equal n name) runs in
     (cfg, r)
   in
   let _, base_r = find "baseline" in
   let subheap_cfg, golden = find "ifp-subheap" in
-  (* oracle B: instrumented-vs-baseline behavioral equivalence *)
-  (match base_r.Vm.outcome with
-  | Vm.Finished n ->
-    List.iter
-      (fun (cname, _, r) ->
-        if cname <> "baseline" then
-          match r.Vm.outcome with
-          | Vm.Finished m
-            when Int64.equal m n && r.Vm.output = base_r.Vm.output ->
-            ()
-          | Vm.Finished m when Int64.equal m n ->
-            add "equivalence" cname
-              (Printf.sprintf "output differs: baseline=[%s] %s=[%s]"
-                 (String.concat "|" base_r.Vm.output)
-                 cname
-                 (String.concat "|" r.Vm.output))
-          | o ->
-            add "equivalence" cname
-              (Printf.sprintf "baseline finished:%Ld but %s %s" n cname
-                 (outcome_str o)))
-      vm_results
-  | o -> add "wellformed" "baseline" (outcome_str o));
+  let engine_fails = List.concat_map (fun (_, _, (fails, _)) -> fails) runs in
+  let equiv_fails =
+    equivalence ~baseline:base_r (List.map (fun (n, _, (_, r)) -> (n, r)) runs)
+  in
   (* oracle C: armed plans never classify silent for defended classes *)
-  (match golden.Vm.outcome with
-  | Vm.Finished _ ->
-    let golden_obs = observed golden in
-    List.iteri
-      (fun k cls ->
-        let seed = Prng.mix2 fault_seed (Int64.of_int k) in
-        let plan = Fault.default_plan cls ~seed in
-        let cfg = { subheap_cfg with Vm.fault_plan = Some plan } in
-        let r = Vm.run ~config:cfg prog in
-        let fired = r.Vm.fault_injections <> [] in
-        match
-          Classify.classify ~cls ~fired ~golden:golden_obs ~faulted:(observed r)
-        with
-        | Classify.Silent_corruption ->
-          add "faults" (Fault.class_name cls)
-            (Printf.sprintf "plan %s fired [%s] yet finished %s vs golden %s"
-               (Fault.fingerprint plan)
-               (String.concat ";" r.Vm.fault_injections)
-               (outcome_str r.Vm.outcome)
-               (outcome_str golden.Vm.outcome))
-        | _ -> ())
-      defended
-  | _ -> ());
-  (List.rev !fails, golden)
+  let fault_fails =
+    match golden.Vm.outcome with
+    | Vm.Finished _ ->
+      List.map
+        (fun (cls, plan, r) ->
+          {
+            oracle = "faults";
+            site = Fault.class_name cls;
+            detail =
+              Printf.sprintf "plan %s fired [%s] yet finished %s vs golden %s"
+                (Fault.fingerprint plan)
+                (String.concat ";" r.Vm.fault_injections)
+                (outcome_str r.Vm.outcome)
+                (outcome_str golden.Vm.outcome);
+          })
+        (silent_plans ~fault_seed defended subheap_cfg prog golden)
+    | _ -> []
+  in
+  (engine_fails @ equiv_fails @ fault_fails, golden)
 
 (* ---- the temporal battery -------------------------------------------- *)
 
 let check_temporal ?(fault_seed = 1L) ?(expect_fault = false) prog =
-  let fails = ref [] in
-  let add oracle site detail = fails := { oracle; site; detail } :: !fails in
-  List.iter
+  List.concat_map
     (fun (cname, cfg) ->
-      let r0 = Vm.run ~config:cfg prog in
-      (* oracle A, temporal edition: the three engines must agree under
-         temporal configurations too *)
-      let sig0 = result_sig r0 in
-      List.iter
-        (fun (ename, erun) ->
-          if ename <> "vm" then
-            let s = result_sig (erun cfg prog) in
-            if not (String.equal s sig0) then
-              add "engines" (cname ^ "/" ^ ename) (sig_diff sig0 s))
-        engines;
+      let engine_fails, r0 = agree cname cfg prog in
+      let fail oracle site detail = [ { oracle; site; detail } ] in
+      engine_fails
+      @
       match (expect_fault, r0.Vm.outcome) with
       | true, Vm.Trapped (Trap.Use_after_free _ | Trap.Write_to_freed _ | Trap.Double_free _)
         ->
         (* a generated temporal-fault program must die with a temporal
            trap, never run to completion or trap for a spatial reason *)
-        ()
+        []
       | true, o ->
-        add "temporal" cname
+        fail "temporal" cname
           ("temporal-fault program did not trap temporally: " ^ outcome_str o)
       | false, Vm.Finished _ ->
         (* a safe program must finish under temporal mode; it is then the
            golden for the armed plans: temporal-mode IFP must never
            classify a defended temporal fault as silent corruption *)
-        let golden_obs = observed r0 in
-        List.iteri
-          (fun k cls ->
-            let seed = Prng.mix2 fault_seed (Int64.of_int k) in
-            let plan = Fault.default_plan cls ~seed in
-            let r =
-              Vm.run ~config:{ cfg with Vm.fault_plan = Some plan } prog
-            in
-            let fired = r.Vm.fault_injections <> [] in
-            match
-              Classify.classify ~cls ~fired ~golden:golden_obs
-                ~faulted:(observed r)
-            with
-            | Classify.Silent_corruption ->
-              add "temporal-faults"
-                (cname ^ "/" ^ Fault.class_name cls)
-                (Printf.sprintf "plan %s fired [%s] yet finished %s"
-                   (Fault.fingerprint plan)
-                   (String.concat ";" r.Vm.fault_injections)
-                   (outcome_str r.Vm.outcome))
-            | _ -> ())
-          temporal_defended
+        List.concat_map
+          (fun (cls, plan, r) ->
+            fail "temporal-faults"
+              (cname ^ "/" ^ Fault.class_name cls)
+              (Printf.sprintf "plan %s fired [%s] yet finished %s"
+                 (Fault.fingerprint plan)
+                 (String.concat ";" r.Vm.fault_injections)
+                 (outcome_str r.Vm.outcome)))
+          (silent_plans ~fault_seed temporal_defended cfg prog r0)
       | false, o ->
-        add "temporal" cname
+        fail "temporal" cname
           ("safe program did not finish under temporal mode: " ^ outcome_str o))
-    temporal_configs;
-  List.rev !fails
+    temporal_configs

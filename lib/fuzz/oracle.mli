@@ -1,17 +1,19 @@
-(** The three differential oracles of the fuzz campaign.
+(** The differential oracles: the fuzz campaign's battery, and the one
+    harness every engine- and config-agreement test goes through.
 
     Given one (generated or replayed) well-typed program, {!check} runs
     the full battery and returns every disagreement found:
 
-    - oracle [engines] — for each configuration of {!configs}, the
-      slot-resolved interpreter, the reference tree-walker and the
-      closure-compiled engine must produce bit-identical observable
-      signatures ({!result_sig}: outcome, every counter, IFP trace,
-      cache statistics, footprint, output);
-    - oracle [equivalence] — on a well-defined program (baseline run
-      finishes), every IFP configuration must finish with the same exit
-      value and the same output as baseline: instrumentation may change
-      costs, never behavior;
+    - oracle [engines] ({!agree}) — for each configuration of {!configs},
+      every engine of {!Ifp_vm.Engines.all}, run through
+      {!Ifp_vm.Engines.run}, must produce the same observable signature
+      ({!result_sig}: outcome, every counter, IFP trace, cache
+      statistics, footprint, output) as the reference engine, the head
+      of that list;
+    - oracle [equivalence] ({!equivalence}) — on a well-defined program
+      (baseline run finishes), every IFP configuration must finish with
+      the same exit value and the same output as baseline:
+      instrumentation may change costs, never behavior;
     - oracle [faults] — an armed {!Ifp_faultinject} plan of each
       defended class against the subheap configuration must never
       classify as silent corruption: the defense either detects the
@@ -35,10 +37,6 @@ val configs : (string * Ifp_vm.Vm.config) list
     fixed cycle budget so instrumentation overhead can never turn a
     well-defined program into a budget abort. *)
 
-val engines :
-  (string * (Ifp_vm.Vm.config -> Ifp_compiler.Ir.program -> Ifp_vm.Vm.result))
-  list
-
 val defended : Ifp_faultinject.Fault.fault_class list
 (** Every class except [Heap_smash] (data smashes are out of the
     architectural detection contract) and the temporal classes
@@ -58,6 +56,24 @@ val result_sig : Ifp_vm.Vm.result -> string
 (** Every observable field of a run folded into a line-oriented string;
     two runs are equivalent iff their signatures are equal. *)
 
+val agree :
+  string ->
+  Ifp_vm.Vm.config ->
+  Ifp_compiler.Ir.program ->
+  failure list * Ifp_vm.Vm.result
+(** [agree name config prog] is oracle [engines] for one configuration:
+    runs [prog] under [config] on every engine of
+    {!Ifp_vm.Engines.all} (whatever engine [config] names) and returns
+    one failure, site [name/engine], per engine whose {!result_sig}
+    differs from the reference's, together with the reference result. *)
+
+val equivalence :
+  baseline:Ifp_vm.Vm.result -> (string * Ifp_vm.Vm.result) list -> failure list
+(** Oracle [equivalence]: when [baseline] finishes, one failure (site:
+    the config name) per named result that does not finish with the same
+    exit value and output; otherwise the single [wellformed/baseline]
+    failure. The baseline result itself may appear in the list. *)
+
 val failure_key : failure -> string
 (** ["oracle/site"] — the dedup and shrink-preservation key. *)
 
@@ -70,8 +86,8 @@ val check :
   ?fault_seed:int64 ->
   Ifp_compiler.Ir.program ->
   failure list * Ifp_vm.Vm.result
-(** Runs the battery: 3 configs x 3 engines agreement, baseline-vs-IFP
-    equivalence, and one armed plan per defended class (plan seeds
+(** Runs the battery: {!agree} on each of {!configs}, {!equivalence}
+    across them, and one armed plan per defended class (plan seeds
     derived from [fault_seed], default 1). Also returns the nominal
     ifp-subheap result (the golden run) so campaign runners can reuse
     it. Deterministic in [program x fault_seed]. *)
@@ -83,8 +99,7 @@ val check_temporal :
   failure list
 (** The temporal battery, over {!temporal_configs}:
 
-    - oracle [engines] — the three engines must agree bit-identically
-      under temporal configurations too;
+    - oracle [engines] — {!agree} under temporal configurations too;
     - with [expect_fault:true] (a program generated with
       {!Gen.knobs}[.temporal]): oracle [temporal] — the run must end in
       a temporal trap ([Use_after_free] / [Write_to_freed] /

@@ -1,5 +1,6 @@
 (* The differential fuzzer: generator determinism and well-typedness,
-   printer round-trips on generated programs, the oracle battery,
+   printer round-trips on generated programs, the oracle battery and
+   engine/config agreement over every named configuration,
    greedy shrinking, failure-line encoding, and replay of the committed
    counterexample corpus in test/golden/fuzz/. *)
 
@@ -69,6 +70,31 @@ let test_battery_green () =
         []
         (List.map Oracle.failure_key failures))
     (seeds 400L 6)
+
+let test_configs_agree () =
+  (* the differential gate over every named configuration: each
+     generated program runs on every engine under each of Report.configs;
+     the engines must agree bit-identically and every configuration must
+     compute what baseline computes *)
+  let check knobs seed =
+    let p = Gen.generate ~knobs ~seed () in
+    let runs =
+      List.map
+        (fun (name, cfg) -> (name, Oracle.agree name cfg p))
+        Core.Report.configs
+    in
+    let results = List.map (fun (name, (_, r)) -> (name, r)) runs in
+    let failures =
+      List.concat_map (fun (_, (fails, _)) -> fails) runs
+      @ Oracle.equivalence ~baseline:(List.assoc "baseline" results) results
+    in
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %Ld" seed)
+      []
+      (List.map Oracle.to_line failures)
+  in
+  List.iter (check Gen.quick) (seeds 800L 60);
+  List.iter (check Gen.default) (seeds 900L 20)
 
 let test_temporal_knob_off_identical () =
   (* the temporal knob must not perturb the PRNG stream when off: same
@@ -269,6 +295,8 @@ let tests =
     Alcotest.test_case "oracle battery green on clean seeds" `Quick
       test_battery_green;
     Alcotest.test_case "oracle battery flags oob" `Quick test_battery_flags_oob;
+    Alcotest.test_case "engines and configs agree on generated programs" `Quick
+      test_configs_agree;
     Alcotest.test_case "temporal knob off is byte-identical" `Quick
       test_temporal_knob_off_identical;
     Alcotest.test_case "temporal battery green on safe seeds" `Quick

@@ -17,7 +17,6 @@ let () =
       ("juliet", Test_juliet.tests);
       ("models", Test_models.tests);
       ("extensions", Test_extensions.tests);
-      ("differential", Test_differential.tests);
       ("lexer", Test_lexer.tests);
       ("parser", Test_parser.tests);
       ("trace-report", Test_trace_report.tests);

@@ -59,6 +59,46 @@ let test_fig10 () =
         true (v < 0.0))
     [ "perimeter"; "treeadd" ]
 
+let test_table4 () =
+  let table4 = section "== Table 4" in
+  (* a row's last three cells: subheap and wrapped dynamic instructions
+     relative to baseline, then status *)
+  let row =
+    Str.regexp
+      {|| \([a-z0-9-]+\) +|.*| +\([0-9.]+\)x | +\([0-9.]+\)x | +ok |$|}
+  in
+  let rows =
+    List.filter_map
+      (fun l ->
+        if Str.string_match row l 0 then
+          Some
+            ( Str.matched_group 1 l,
+              float_of_string (Str.matched_group 2 l),
+              float_of_string (Str.matched_group 3 l) )
+        else None)
+      table4
+  in
+  Alcotest.(check int) "18 workloads" 18 (List.length rows);
+  List.iter
+    (fun (wl, subheap, wrapped) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: subheap %.2fx <= wrapped %.2fx" wl subheap wrapped)
+        true (subheap <= wrapped))
+    rows;
+  match
+    List.map float_of_string
+      (matching table4 2
+         (Printf.sprintf
+            "geo-mean dynamic instruction increase: subheap %s, wrapped %s" pct
+            pct))
+  with
+  | [ subheap; wrapped ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "geo-mean subheap %+.1f%% < wrapped %+.1f%%" subheap
+         wrapped)
+      true (subheap < wrapped)
+  | _ -> assert false
+
 let test_fig12 () =
   let subheap, wrapped = geo_mean (section "== Figure 12") "memory" in
   Alcotest.(check bool)
@@ -106,6 +146,7 @@ let test_walker_ablation () =
 
 let tests =
   [
+    Alcotest.test_case "Table 4: subheap executes no more" `Quick test_table4;
     Alcotest.test_case "Fig. 10: subheap beats wrapped" `Quick test_fig10;
     Alcotest.test_case "Fig. 12: subheap saves, wrapped costs" `Quick
       test_fig12;

@@ -223,7 +223,8 @@ let test_parse_errors () =
       "struct S { i64 }; i64 main() { return 0; }";
       "i64 main() { @ }";
     ];
-  (* struct declaration errors are located at the offending struct *)
+  (* struct declaration errors are located at the offending struct or
+     use *)
   let use = "\ni64 main() { let p: a* = malloc(a); return 0; }" in
   List.iter
     (fun (src, line) ->
@@ -235,6 +236,14 @@ let test_parse_errors () =
       ("struct a { i64 x; };\nstruct a { i64 y; };" ^ use, 2);
       ("struct a {\n  a x;\n};" ^ use, 1);
       ("struct a { b x; };\nstruct b { a y; };" ^ use, 2);
+      (* a by-value use of an undeclared struct, whose layout sizeof,
+         malloc, a stack local or a global would need *)
+      ("struct a {\n  struct t x;\n};\ni64 main() { return sizeof(a); }", 2);
+      ( "struct a {\n  struct t x[2];\n};\n\
+         i64 main() { let p: a* = malloc(a, 1); return 0; }",
+        2 );
+      ("i64 main() {\n  var x: struct t;\n  return 0;\n}", 2);
+      ("global struct t g;\ni64 main() { return 0; }", 1);
     ];
   (* a forward reference by value is not a cycle *)
   ignore (parse ("struct a { b x; };\nstruct b { i64 y; };" ^ use))

@@ -277,16 +277,11 @@ let test_engines_agree_on_temporal () =
   let config = temporal_cfg Vm.Alloc_wrapped in
   let case = List.hd (Lazy.force tcases) in
   List.iter
-    (fun prog ->
-      let r0 = Engines.run ~config:{ config with Vm.engine = Vm.Eng_vm } prog in
-      let r1 = Engines.run ~config:{ config with Vm.engine = Vm.Eng_ref } prog in
-      let r2 =
-        Engines.run ~config:{ config with Vm.engine = Vm.Eng_closure } prog
-      in
-      let obs (r : Vm.result) = (r.Vm.outcome, r.Vm.counters, r.Vm.output) in
-      Alcotest.(check bool) "ref agrees" true (obs r0 = obs r1);
-      Alcotest.(check bool) "closure agrees" true (obs r0 = obs r2))
-    [ case.J.bad; case.J.good ]
+    (fun (name, prog) ->
+      Alcotest.(check (list string)) name []
+        (List.map Ifp_fuzz.Oracle.to_line
+           (fst (Ifp_fuzz.Oracle.agree name config prog))))
+    [ ("bad", case.J.bad); ("good", case.J.good) ]
 
 (* ---- fault-injection classification split ---- *)
 

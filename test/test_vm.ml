@@ -263,94 +263,6 @@ let test_output () =
   in
   Alcotest.(check (list string)) "printed" [ "42" ] r.Vm.output
 
-(* ---- slot-resolution determinism ---------------------------------- *)
-
-(* The slot-resolved interpreter must be observationally identical to
-   the frozen name-keyed reference: same outcome, every counter, cache
-   statistics, footprint, output and IFP trace, across all execution
-   modes. *)
-
-let outcome_str = function
-  | Vm.Finished v -> "finished:" ^ Int64.to_string v
-  | Vm.Trapped t -> "trapped:" ^ Trap.to_string t
-  | Vm.Aborted r -> "aborted:" ^ Vm.abort_reason_string r
-
-let trace_str = function
-  | Vm.T_promote { ptr; outcome; bounds } ->
-    Printf.sprintf "promote:%Lx:%s:%s" ptr outcome bounds
-  | Vm.T_register { what; ptr; size } ->
-    Printf.sprintf "register:%s:%Lx:%d" what ptr size
-  | Vm.T_deregister { what; ptr } -> Printf.sprintf "deregister:%s:%Lx" what ptr
-  | Vm.T_trap m -> "trap:" ^ m
-
-let check_engines_agree name config prog =
-  let a = Vm.run ~config prog in
-  let b = Vm_ref.run ~config prog in
-  let chk what = Alcotest.check Alcotest.string (name ^ ": " ^ what) in
-  chk "outcome" (outcome_str b.Vm.outcome) (outcome_str a.Vm.outcome);
-  let ca = a.Vm.counters and cb = b.Vm.counters in
-  let chki what x y = Alcotest.(check int) (name ^ ": " ^ what) y x in
-  chki "base_instrs" ca.Counters.base_instrs cb.Counters.base_instrs;
-  chki "cycles" ca.Counters.cycles cb.Counters.cycles;
-  chki "loads" ca.Counters.loads cb.Counters.loads;
-  chki "stores" ca.Counters.stores cb.Counters.stores;
-  chki "implicit_checks" ca.Counters.implicit_checks cb.Counters.implicit_checks;
-  chki "promotes_valid" ca.Counters.promotes_valid cb.Counters.promotes_valid;
-  chki "promotes_total" (Counters.promotes_total ca) (Counters.promotes_total cb);
-  Array.iteri
-    (fun i x -> chki (Printf.sprintf "ifp[%d]" i) x cb.Counters.ifp.(i))
-    ca.Counters.ifp;
-  chki "cache_accesses" a.Vm.cache_accesses b.Vm.cache_accesses;
-  chki "cache_misses" a.Vm.cache_misses b.Vm.cache_misses;
-  chki "mem_footprint" a.Vm.mem_footprint b.Vm.mem_footprint;
-  chk "output"
-    (String.concat "|" b.Vm.output)
-    (String.concat "|" a.Vm.output);
-  chk "trace"
-    (String.concat ";" (List.map trace_str b.Vm.trace))
-    (String.concat ";" (List.map trace_str a.Vm.trace))
-
-let determinism_configs =
-  [
-    ("baseline", Vm.baseline);
-    ("ifp-subheap", { Vm.ifp_subheap with trace_limit = 64 });
-    ("ifp-wrapped", { Vm.ifp_wrapped with trace_limit = 64 });
-    ("ifp-mixed", Vm.ifp_mixed);
-  ]
-
-let test_engine_agreement_workloads () =
-  List.iter
-    (fun wname ->
-      match Ifp_workloads.Registry.find wname with
-      | None -> Alcotest.fail ("missing workload " ^ wname)
-      | Some w ->
-        let prog = Lazy.force w.Ifp_workloads.Workload.prog in
-        List.iter
-          (fun (cname, config) ->
-            check_engines_agree (wname ^ "/" ^ cname) config prog)
-          determinism_configs)
-    [ "treeadd"; "mst"; "power" ]
-
-let test_engine_agreement_failures () =
-  (* failure paths must match too: division abort and budget abort *)
-  let div0 =
-    program ~tenv ~globals:[] [ func "main" [] Ctype.I64 [ Return (Some (i 1 /: i 0)) ] ]
-  in
-  let spin =
-    program ~tenv ~globals:[]
-      [
-        func "main" [] Ctype.I64
-          [ While (i 1, [ Let ("x", Ctype.I64, i 0) ]); Return (Some (i 0)) ]
-      ]
-  in
-  List.iter
-    (fun (cname, config) ->
-      check_engines_agree ("div0/" ^ cname) config div0;
-      check_engines_agree ("spin/" ^ cname)
-        { config with Vm.max_cycles = 10_000 }
-        spin)
-    determinism_configs
-
 let tests =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -370,8 +282,4 @@ let tests =
       test_checksums_equal_across_variants;
     Alcotest.test_case "cycle budget" `Quick test_cycle_budget;
     Alcotest.test_case "host output" `Quick test_output;
-    Alcotest.test_case "engines agree on workloads" `Quick
-      test_engine_agreement_workloads;
-    Alcotest.test_case "engines agree on failure paths" `Quick
-      test_engine_agreement_failures;
   ]
