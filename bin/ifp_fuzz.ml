@@ -21,7 +21,10 @@
               [-j N] [--cache-dir DIR] [--no-cache]
               [--log FILE] [--no-log] [--timeout SECS] [--corpus DIR]
               [--shrink-budget N] [--out FILE]
-     ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR] *)
+     ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]
+     ifp_fuzz [--fault-seed S] [--shrink-budget N] --shrink FILE
+     ifp_fuzz --canon FILE
+     ifp_fuzz [--quick] --emit-seed S *)
 
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
@@ -76,8 +79,19 @@ let usage () =
     \                [-j N] [--cache-dir DIR] [--no-cache]\n\
     \                [--log FILE] [--no-log] [--timeout SECS] [--corpus DIR]\n\
     \                [--shrink-budget N] [--out FILE]\n\
-    \       ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]";
+    \       ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]\n\
+    \       ifp_fuzz [--fault-seed S] [--shrink-budget N] --shrink FILE\n\
+    \       ifp_fuzz --canon FILE\n\
+    \       ifp_fuzz [--quick] --emit-seed S";
   exit 1
+
+(* a MiniC file through the front end, or its located error and exit 1 *)
+let load path =
+  match Ifp_compiler.Frontend.load path with
+  | Ok loaded -> loaded
+  | Error m ->
+    prerr_endline m;
+    exit 1
 
 let parse_opts argv =
   let o = ref default_opts in
@@ -132,28 +146,20 @@ let parse_opts argv =
     | "--repro" -> o := { !o with repro = Some (next "--repro") }
     | "--canon" ->
       (* parse + typecheck + reprint: the corpus' canonical text form *)
-      let path = next "--canon" in
-      let src = In_channel.with_open_text path In_channel.input_all in
-      let p = Ifp_compiler.Parser.parse src in
-      Ifp_compiler.Typecheck.check_program p;
+      let _, p = load (next "--canon") in
       print_string (Ifp_compiler.Ir_pp.program_to_string p);
       exit 0
     | "--shrink" ->
       (* minimize a diverging source file and print the result *)
       let path = next "--shrink" in
-      let src = In_channel.with_open_text path In_channel.input_all in
+      let _, prog = load path in
       let fault_seed = !o.fault_seed in
-      (match Fuzz.check_source ~fault_seed src with
-      | Error m ->
-        Printf.eprintf "%s: %s\n" path m;
-        exit 1
-      | Ok [] ->
+      (match Oracle.check ~fault_seed prog with
+      | [], _ ->
         Printf.eprintf "%s: no divergence to minimize\n" path;
         exit 1
-      | Ok (f :: _) ->
+      | f :: _, _ ->
         let key = Oracle.failure_key f in
-        let prog = Ifp_compiler.Parser.parse src in
-        Ifp_compiler.Typecheck.check_program prog;
         let small =
           Fuzz.minimize ~budget:!o.shrink_budget ~fault_seed ~key prog
         in
@@ -213,21 +219,9 @@ let repro opts target =
           (String.concat ", " (List.map fst many));
         exit 2
   in
-  let src = In_channel.with_open_text path In_channel.input_all in
+  let src, prog = load path in
   Printf.printf "== repro %s (digest %s, fault seed %Ld) ==\n" path
     (Fuzz.text_digest src) opts.fault_seed;
-  let prog =
-    match Ifp_compiler.Parser.parse src with
-    | exception Ifp_compiler.Parser.Parse_error (m, l) ->
-      Printf.eprintf "%s:%d: parse error: %s\n" path l m;
-      exit 1
-    | p ->
-      (try Ifp_compiler.Typecheck.check_program p with
-      | Ifp_compiler.Typecheck.Type_error m ->
-        Printf.eprintf "%s: type error: %s\n" path m;
-        exit 1);
-      p
-  in
   (* the full engine x config matrix, with signatures kept for diffing *)
   let matrix =
     List.map

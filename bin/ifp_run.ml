@@ -88,25 +88,11 @@ let parse_opts argv =
   else !o
 
 let load_minic file =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        prerr_endline m;
-        exit 1)
-      fmt
-  in
-  let src =
-    try In_channel.with_open_text file In_channel.input_all
-    with Sys_error m -> fail "%s" m
-  in
-  let prog =
-    try Parser.parse src with
-    | Parser.Parse_error (m, line) -> fail "%s:%d: parse error: %s" file line m
-    | Lexer.Lex_error (m, line) -> fail "%s:%d: lex error: %s" file line m
-  in
-  (try Typecheck.check_program prog
-   with Typecheck.Type_error m -> fail "%s: type error: %s" file m);
-  prog
+  match Frontend.load file with
+  | Ok (_, prog) -> prog
+  | Error m ->
+    prerr_endline m;
+    exit 1
 
 let programs target =
   let workload name =

@@ -10,8 +10,8 @@
        promote engine}
     {- {!Alloc}, {!Baseline_alloc}, {!Wrapped_alloc}, {!Subheap_alloc},
        {!Buddy} — the runtime-library allocators}
-    {- {!Ir}, {!Typecheck}, {!Instrument}, {!Resolve} — MiniC and the
-       compiler passes}
+    {- {!Ir}, {!Typecheck}, {!Frontend}, {!Instrument}, {!Resolve} — MiniC
+       and the compiler passes}
     {- {!Vm}, {!Vm_ref}, {!Vm_closure}, {!Engines}, {!Counters},
        {!Cost}, {!Memmap} — the execution engines (slot-resolved
        interpreter, reference tree walker, closure-compiled) and their
@@ -49,6 +49,7 @@ module Ir_pp = Ifp_compiler.Ir_pp
 module Lexer = Ifp_compiler.Lexer
 module Parser = Ifp_compiler.Parser
 module Typecheck = Ifp_compiler.Typecheck
+module Frontend = Ifp_compiler.Frontend
 module Instrument = Ifp_compiler.Instrument
 module Resolve = Ifp_compiler.Resolve
 module Vm = Ifp_vm.Vm

@@ -42,10 +42,6 @@ let evaluate ~name prog =
   in
   of_results ~name ~lookup:(fun vname -> List.assoc vname results)
 
-let evaluate_variants ~name prog variants =
-  ignore name;
-  List.map (fun (vname, config) -> (vname, Vm.run ~config prog)) variants
-
 let aborted_result msg =
   {
     Vm.outcome = Vm.Aborted (Vm.Host_failure msg);
@@ -76,25 +72,29 @@ let memory_overhead ~(baseline : Vm.result) (r : Vm.result) =
     (float_of_int r.mem_footprint)
     (float_of_int baseline.mem_footprint)
 
-let outcome_reason (r : Vm.result) =
-  match r.outcome with
-  | Vm.Finished _ -> None
-  | Vm.Trapped t -> Some ("trap: " ^ Ifp_isa.Trap.to_string t)
-  | Vm.Aborted reason -> Some ("abort: " ^ Vm.abort_reason_string reason)
-
-(* Structured short label for a did-not-finish outcome — derived from the
-   outcome constructors, never by parsing reason strings. *)
-let outcome_kind (r : Vm.result) =
-  match r.outcome with
-  | Vm.Finished _ -> None
-  | Vm.Trapped _ -> Some "trap"
-  | Vm.Aborted Vm.Budget_exhausted -> Some "budget"
-  | Vm.Aborted _ -> Some "abort"
-
-let check_outcomes row =
+(* (variant, status label, full reason) for every variant that did not
+   finish, or finished with a return value other than baseline's:
+   instrumentation must never change what a program computes. Labels
+   come from the outcome constructors, never from parsing reason
+   strings. *)
+let problems row =
+  let expected =
+    match row.baseline.outcome with Vm.Finished v -> Some v | _ -> None
+  in
   List.filter_map
-    (fun (vname, r) ->
-      match outcome_reason r with None -> None | Some why -> Some (vname, why))
+    (fun (vname, (r : Vm.result)) ->
+      let flag kind why = Some (vname, kind, why) in
+      match r.outcome with
+      | Vm.Finished v -> (
+        match expected with
+        | Some b when not (Int64.equal v b) ->
+          flag "checksum" (Printf.sprintf "checksum: %Ld, baseline %Ld" v b)
+        | _ -> None)
+      | Vm.Trapped t -> flag "trap" ("trap: " ^ Ifp_isa.Trap.to_string t)
+      | Vm.Aborted reason ->
+        flag
+          (match reason with Vm.Budget_exhausted -> "budget" | _ -> "abort")
+          ("abort: " ^ Vm.abort_reason_string reason))
     [
       ("baseline", row.baseline);
       ("subheap", row.subheap);
@@ -103,19 +103,9 @@ let check_outcomes row =
       ("wrapped-np", row.wrapped_np);
     ]
 
+let check_outcomes row = List.map (fun (v, _, why) -> (v, why)) (problems row)
+
 let status_string row =
-  let bad =
-    List.filter_map
-      (fun (vname, r) ->
-        match outcome_kind r with
-        | None -> None
-        | Some kind -> Some (vname ^ "(" ^ kind ^ ")"))
-      [
-        ("baseline", row.baseline);
-        ("subheap", row.subheap);
-        ("wrapped", row.wrapped);
-        ("subheap-np", row.subheap_np);
-        ("wrapped-np", row.wrapped_np);
-      ]
-  in
-  match bad with [] -> "ok" | bad -> String.concat "," bad
+  match problems row with
+  | [] -> "ok"
+  | bad -> String.concat "," (List.map (fun (v, k, _) -> v ^ "(" ^ k ^ ")") bad)

@@ -31,21 +31,9 @@ val aborted_result : string -> Ifp_vm.Vm.result
     at the engine level (the failure stays visible via
     {!check_outcomes} / {!status_string}). *)
 
-val outcome_kind : Ifp_vm.Vm.result -> string option
-(** [None] for a finished run, otherwise the short status-column label
-    (["trap"] / ["budget"] / ["abort"]), derived from the outcome
-    constructors — never by parsing reason strings. *)
-
 val evaluate : name:string -> Ifp_compiler.Ir.program -> row
 (** Runs the workload under all five configurations, serially in the
     calling domain. *)
-
-val evaluate_variants :
-  name:string ->
-  Ifp_compiler.Ir.program ->
-  (string * Ifp_vm.Vm.config) list ->
-  (string * Ifp_vm.Vm.result) list
-(** Custom configuration set. *)
 
 val runtime_overhead : baseline:Ifp_vm.Vm.result -> Ifp_vm.Vm.result -> float
 (** Cycle-count ratio ([1.12] = +12%). *)
@@ -57,11 +45,12 @@ val memory_overhead : baseline:Ifp_vm.Vm.result -> Ifp_vm.Vm.result -> float
 (** Footprint ratio (Fig. 12). *)
 
 val check_outcomes : row -> (string * string) list
-(** Configurations that did not finish cleanly, as (variant, reason) —
-    expected to be empty for the benchmark workloads. *)
+(** Configurations that did not finish cleanly, or finished with a
+    return value other than baseline's, as (variant, reason) — expected
+    to be empty for the benchmark workloads. *)
 
 val status_string : row -> string
 (** ["ok"], or a compact comma-separated summary of the variants that
-    did not finish, e.g. ["wrapped(trap),subheap-np(abort)"] — the
-    status column of the report tables. Full reasons are available from
-    {!check_outcomes}. *)
+    {!check_outcomes} reports, e.g. ["wrapped(trap),subheap-np(checksum)"]
+    — the status column of the report tables, which so gates semantic
+    preservation. Full reasons are available from {!check_outcomes}. *)

@@ -52,15 +52,9 @@ let minimize ?(budget = 1200) ~fault_seed ~key prog =
   match Parser.parse text with p -> p | exception _ -> small
 
 let check_source ?(fault_seed = 1L) src =
-  match Parser.parse src with
-  | exception Parser.Parse_error (m, l) ->
-    Error (Printf.sprintf "line %d: parse error: %s" l m)
-  | exception Lexer.Lex_error (m, l) ->
-    Error (Printf.sprintf "line %d: lex error: %s" l m)
-  | p -> (
-    match Typecheck.check_program p with
-    | exception Typecheck.Type_error m -> Error ("type error: " ^ m)
-    | () -> Ok (fst (Oracle.check ~fault_seed p)))
+  Result.map
+    (fun p -> fst (Oracle.check ~fault_seed p))
+    (Frontend.check ~file:"<source>" src)
 
 (* ---- corpus ---------------------------------------------------------- *)
 

@@ -43,8 +43,8 @@ val minimize :
 
 val check_source :
   ?fault_seed:int64 -> string -> (Oracle.failure list, string) result
-(** Parse + typecheck + battery on MiniC source text; [Error] describes
-    a parse/type failure. *)
+(** {!Ifp_compiler.Frontend.check} + battery on MiniC source text;
+    [Error] is the front end's located message. *)
 
 (** Content-addressed counterexample corpus: [<digest>.minic] is the
     minimized program text ({!Ifp_compiler.Ir_pp} form), [<digest>.expect]

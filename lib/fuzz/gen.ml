@@ -648,17 +648,10 @@ let source ?(knobs = default) ~seed () =
   Buffer.contents st.b
 
 let generate ?(knobs = default) ~seed () =
-  let src = source ~knobs ~seed () in
-  let prog =
-    try Ifp_compiler.Parser.parse src with
-    | Ifp_compiler.Parser.Parse_error (m, l) ->
-      raise
-        (Gen_bug (Printf.sprintf "seed %Ld: parse error at line %d: %s" seed l m))
-    | Ifp_compiler.Lexer.Lex_error (m, l) ->
-      raise
-        (Gen_bug (Printf.sprintf "seed %Ld: lex error at line %d: %s" seed l m))
-  in
-  (try Ifp_compiler.Typecheck.check_program prog with
-  | Ifp_compiler.Typecheck.Type_error m ->
-    raise (Gen_bug (Printf.sprintf "seed %Ld: type error: %s" seed m)));
-  prog
+  match
+    Ifp_compiler.Frontend.check
+      ~file:(Printf.sprintf "<seed %Ld>" seed)
+      (source ~knobs ~seed ())
+  with
+  | Ok prog -> prog
+  | Error m -> raise (Gen_bug m)

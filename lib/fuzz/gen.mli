@@ -61,6 +61,5 @@ val source : ?knobs:knobs -> seed:int64 -> unit -> string
     [knobs]. *)
 
 val generate : ?knobs:knobs -> seed:int64 -> unit -> Ifp_compiler.Ir.program
-(** [source] fed through the real {!Ifp_compiler.Parser} and
-    {!Ifp_compiler.Typecheck}.
+(** [source] fed through the real front end, {!Ifp_compiler.Frontend}.
     @raise Gen_bug if either rejects the program. *)

@@ -423,18 +423,26 @@ let test_failed_job_visible_in_row () =
   (* a hard-failed variant still renders: the placeholder result keeps
      the row assemblable and the failure shows up in the status column *)
   let r = Report.aborted_result "campaign job failed: injected" in
-  let row =
-    Report.of_results ~name:"synthetic" ~lookup:(fun vname ->
-        if vname = "wrapped" then r
-        else
-          Vm.run ~config:(List.assoc vname Report.variants)
-            (Ir.program ~tenv:Ctype.empty_tenv ~globals:[]
-               [ Ir.func "main" [] Ctype.I64 [ Ir.Return (Some (Ir.i 0)) ] ]))
+  let returning v vname =
+    Vm.run ~config:(List.assoc vname Report.variants)
+      (Ir.program ~tenv:Ctype.empty_tenv ~globals:[]
+         [ Ir.func "main" [] Ctype.I64 [ Ir.Return (Some (Ir.i v)) ] ])
   in
-  Alcotest.(check string) "status flags the aborted variant"
-    "wrapped(abort)" (Report.status_string row);
-  Alcotest.(check bool) "reason preserved" true
-    (List.mem_assoc "wrapped" (Report.check_outcomes row))
+  let row =
+    Report.of_results ~name:"synthetic" ~lookup:(function
+      | "wrapped" -> r
+      | "subheap" -> returning 1 "subheap"
+      | vname -> returning 0 vname)
+  in
+  (* a variant that finishes with another value than baseline's changed
+     what the program computes: the status column flags that too *)
+  Alcotest.(check string) "status flags the aborted and the diverging variant"
+    "subheap(checksum),wrapped(abort)" (Report.status_string row);
+  Alcotest.(check (list (pair string string))) "reasons preserved"
+    [ ("subheap", "checksum: 1, baseline 0");
+      ("wrapped", "abort: " ^ Vm.abort_reason_string
+                    (Vm.Host_failure "campaign job failed: injected")) ]
+    (Report.check_outcomes row)
 
 let tests =
   [

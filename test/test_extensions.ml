@@ -20,21 +20,6 @@ let test_mixed_allocator_semantics () =
       | _ -> Alcotest.fail (name ^ " did not finish"))
     [ "em3d"; "treeadd"; "health"; "bzip2" ]
 
-let test_mixed_beats_subheap_on_em3d_memory () =
-  (* the policy goal: array-heavy em3d avoids subheap fragmentation *)
-  let wl = Option.get (Registry.find "em3d") in
-  let prog = Lazy.force wl.Ifp_workloads.Workload.prog in
-  let fp cfg = (Vm.run ~config:cfg prog).Vm.mem_footprint in
-  Alcotest.(check bool) "mixed < subheap" true
-    (fp Vm.ifp_mixed < fp Vm.ifp_subheap)
-
-let test_mixed_keeps_subheap_speed_on_treeadd () =
-  let wl = Option.get (Registry.find "treeadd") in
-  let prog = Lazy.force wl.Ifp_workloads.Workload.prog in
-  let cyc cfg = (Vm.run ~config:cfg prog).Vm.counters.Counters.cycles in
-  Alcotest.(check bool) "mixed << wrapped" true
-    (cyc Vm.ifp_mixed < cyc Vm.ifp_wrapped)
-
 let test_mixed_protection_complete () =
   let _, s = J.run_all ~config:Vm.ifp_mixed (J.all_cases ()) in
   Alcotest.(check int) "mixed detects all" s.J.total s.J.detected;
@@ -122,14 +107,6 @@ let test_infer_alloc_types_pass () =
   Alcotest.(check int) "heap object has layout" 1 r.Vm.counters.heap_objs_layout;
   ignore p'
 
-let test_infer_recovers_wolfcrypt_layouts () =
-  let wl = Option.get (Registry.find "wolfcrypt-dh") in
-  let prog = Lazy.force wl.Ifp_workloads.Workload.prog in
-  let lt cfg = (Vm.run ~config:cfg prog).Vm.counters.Counters.heap_objs_layout in
-  Alcotest.(check int) "no layouts without inference" 0 (lt Vm.ifp_subheap);
-  Alcotest.(check bool) "layouts recovered with inference" true
-    (lt { Vm.ifp_subheap with infer_alloc_types = true } > 0)
-
 let test_infer_preserves_semantics () =
   List.iter
     (fun name ->
@@ -149,18 +126,12 @@ let tests =
   [
     Alcotest.test_case "mixed allocator semantics" `Slow
       test_mixed_allocator_semantics;
-    Alcotest.test_case "mixed fixes em3d memory" `Slow
-      test_mixed_beats_subheap_on_em3d_memory;
-    Alcotest.test_case "mixed keeps treeadd speed" `Slow
-      test_mixed_keeps_subheap_speed_on_treeadd;
     Alcotest.test_case "mixed protection complete" `Slow
       test_mixed_protection_complete;
     Alcotest.test_case "no-narrowing = object granularity" `Slow
       test_no_narrowing_object_granularity;
     Alcotest.test_case "promote narrow flag" `Quick test_promote_narrow_flag;
     Alcotest.test_case "wrapper inference pass" `Quick test_infer_alloc_types_pass;
-    Alcotest.test_case "inference recovers wolfcrypt layouts" `Slow
-      test_infer_recovers_wolfcrypt_layouts;
     Alcotest.test_case "inference preserves semantics" `Slow
       test_infer_preserves_semantics;
   ]

@@ -13,7 +13,6 @@ let () =
       ("vm", Test_vm.tests);
       ("engines", Test_engines.tests);
       ("pipeline", Test_pipeline.tests);
-      ("workloads", Test_workloads.tests);
       ("juliet", Test_juliet.tests);
       ("models", Test_models.tests);
       ("extensions", Test_extensions.tests);

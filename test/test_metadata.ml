@@ -232,6 +232,24 @@ let test_promote_no_layout_falls_back () =
   Alcotest.(check bool) "object bounds" true
     (Bounds.equal r.Promote.bounds (Bounds.make ~lo:0x2100L ~hi:(Int64.add 0x2100L 24L)))
 
+(* the global-table tag holds a 12-bit row index and no subobject index:
+   a published layout table is never walked, and promote returns
+   whole-object bounds *)
+let test_promote_global_table_never_narrows () =
+  let _, meta = mk_ctx () in
+  let lt = Meta.intern_layout meta tenv_s (Ctype.Struct "S") in
+  match Meta.Global_table.register meta ~base:0x6000L ~size:24 ~layout_ptr:lt with
+  | None -> Alcotest.fail "table full"
+  | Some p ->
+    (* the pointer to S.array[1].v4 that narrows under local offset *)
+    let q = Insn.ifpidx (Insn.ifpadd p ~delta:16L ~bounds:Bounds.no_bounds) 4 in
+    let r = Promote.run meta q in
+    Alcotest.(check bool) "retrieved, no subobject" true
+      (r.Promote.outcome = Promote.Retrieved Promote.No_subobject);
+    Alcotest.(check bool) "whole-object bounds" true
+      (Bounds.equal r.Promote.bounds (Bounds.make ~lo:0x6000L ~hi:0x6018L));
+    Alcotest.(check int) "no walk performed" 0 r.Promote.walk_elems
+
 let test_promote_invalid_metadata_poisons () =
   let _, meta = mk_ctx () in
   (* a fabricated local-offset pointer with no metadata behind it *)
@@ -295,6 +313,8 @@ let tests =
       test_promote_local_offset_narrowing;
     Alcotest.test_case "promote without layout" `Quick
       test_promote_no_layout_falls_back;
+    Alcotest.test_case "promote global table never narrows" `Quick
+      test_promote_global_table_never_narrows;
     Alcotest.test_case "promote invalid metadata" `Quick
       test_promote_invalid_metadata_poisons;
     Alcotest.test_case "promote oob recoverable" `Quick

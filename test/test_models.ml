@@ -4,15 +4,15 @@ open Core
 module B = Ifp_baselines.Baselines
 module H = Ifp_hwmodel.Hwmodel
 
-let sample_rows () =
-  let wl = Option.get (Ifp_workloads.Registry.find "treeadd") in
-  let prog = Lazy.force wl.Ifp_workloads.Workload.prog in
-  let baseline = Vm.run ~config:Vm.baseline prog in
-  let ifp = Vm.run ~config:Vm.ifp_subheap prog in
-  (baseline, ifp)
+(* treeadd under baseline and subheap, simulated once for both cases *)
+let sample_rows =
+  lazy
+    (let wl = Option.get (Ifp_workloads.Registry.find "treeadd") in
+     let prog = Lazy.force wl.Ifp_workloads.Workload.prog in
+     (Vm.run ~config:Vm.baseline prog, Vm.run ~config:Vm.ifp_subheap prog))
 
 let test_projection_basics () =
-  let baseline, ifp = sample_rows () in
+  let baseline, ifp = Lazy.force sample_rows in
   List.iter
     (fun model ->
       let p = B.project model ~baseline ~ifp in
@@ -23,7 +23,7 @@ let test_projection_basics () =
     B.all
 
 let test_framer_heavier_than_mte () =
-  let baseline, ifp = sample_rows () in
+  let baseline, ifp = Lazy.force sample_rows in
   let ov m = (B.project m ~baseline ~ifp).B.cycle_overhead in
   Alcotest.(check bool) "FRAMER >> MTE" true (ov B.framer > ov B.mte);
   Alcotest.(check bool) "SoftBound > MTE" true (ov B.softbound > ov B.mte)

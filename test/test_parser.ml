@@ -248,6 +248,25 @@ let test_parse_errors () =
   (* a forward reference by value is not a cycle *)
   ignore (parse ("struct a { b x; };\nstruct b { i64 y; };" ^ use))
 
+(* the one front end every tool loads MiniC through: each kind of error
+   comes back as a message naming the file (and the line, when known) *)
+let test_frontend_errors () =
+  List.iter
+    (fun (src, expected) ->
+      match Frontend.check ~file:"t.minic" src with
+      | Ok _ -> Alcotest.fail ("accepted invalid program: " ^ src)
+      | Error m -> Alcotest.(check string) (String.escaped src) expected m)
+    [
+      ( "i64 main() {\n  return 0 $ 1;\n}",
+        "t.minic:2: lex error: unexpected character $" );
+      ( "i64 main( { return 0; }",
+        "t.minic:1: parse error: expected a type, got '{'" );
+      ( "i64 main() {\n  break;\n  return 0;\n}",
+        "t.minic: type error: main: break/continue outside loop" );
+    ];
+  Alcotest.(check bool) "valid program accepted" true
+    (Result.is_ok (Frontend.check ~file:"t.minic" "i64 main() { return 7; }"))
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i =
@@ -296,5 +315,6 @@ let tests =
     Alcotest.test_case "malloc_bytes + sizeof" `Quick test_malloc_bytes_and_sizeof;
     Alcotest.test_case "comments + hex" `Quick test_comments_and_hex;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "front-end errors located" `Quick test_frontend_errors;
     Alcotest.test_case "pretty-printer" `Quick test_pp_roundtrip;
   ]
