@@ -26,4 +26,5 @@ let () =
       ("fuzz", Test_fuzz.tests);
       ("temporal", Test_temporal.tests);
       ("paper", Test_paper.tests);
+      ("workloads", Test_paper.workload_tests);
     ]

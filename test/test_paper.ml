@@ -57,18 +57,10 @@ let row_of rows wl =
   | Some r -> r
   | None -> Alcotest.failf "no row for %s" wl
 
-(* the status column: [Report.status_string], which flags a variant that
-   trapped, aborted, or returned a value other than baseline's *)
-let check_status what rows =
+(* the rows of a table must be exactly the registered workloads *)
+let check_rows what rows =
   Alcotest.(check (list string))
-    (what ^ ": one row per workload") Registry.names (List.map name rows);
-  List.iter
-    (fun r ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s: %s every variant finishes with baseline's value"
-           what (name r))
-        "ok" (cell r "status"))
-    rows
+    (what ^ ": one row per workload") Registry.names (List.map name rows)
 
 (* groups 1 and 2 of the first line of [lines] that matches [pattern],
    as numbers *)
@@ -91,32 +83,16 @@ let test_fig10 () =
   claim "geo-mean subheap %+.1f%% < wrapped %+.1f%%" subheap wrapped
     (subheap < wrapped);
   let rows = table "== Figure 10" in
+  check_rows "Fig. 10" rows;
   List.iter
     (fun wl ->
-      let r = row_of rows wl in
-      let v = num r "subheap" and w = num r "wrapped" in
-      claim "%s runs faster under subheap (%+.1f%%)" wl v (v < 0.0);
-      claim "%s: subheap %+.1f%% < wrapped %+.1f%%" wl v w (v < w))
+      let v = num (row_of rows wl) "subheap" in
+      claim "%s runs faster under subheap (%+.1f%%)" wl v (v < 0.0))
     [ "perimeter"; "treeadd" ]
-
-(* disabling metadata access is never slower: strict at the printed 0.1%
-   precision, which implies the cycle counts' <= *)
-let test_fig10_no_promote () =
-  let rows = table "== Figure 10" in
-  check_status "Fig. 10" rows;
-  List.iter
-    (fun r ->
-      List.iter
-        (fun alloc ->
-          let full = num r alloc and np = num r (alloc ^ "-np") in
-          claim "%s: %s-np %+.1f%% < %s %+.1f%%" (name r) alloc np alloc full
-            (np < full))
-        [ "subheap"; "wrapped" ])
-    rows
 
 let test_table4 () =
   let rows = table "== Table 4" in
-  check_status "Table 4" rows;
+  check_rows "Table 4" rows;
   List.iter
     (fun r ->
       let subheap = num r "subheap" and wrapped = num r "wrapped" in
@@ -131,34 +107,10 @@ let test_table4 () =
   claim "geo-mean subheap %+.1f%% < wrapped %+.1f%%" subheap wrapped
     (subheap < wrapped)
 
-let test_table4_work () =
-  let rows = table "== Table 4" in
-  List.iter
-    (fun r ->
-      let instrs = num r "baseline instrs" *. num r "subheap" in
-      claim "%s: subheap executes %.3g instructions" (name r) instrs
-        (instrs > 1000.0);
-      claim "%s: allocates or registers objects" (name r)
-        (num r "glob(LT%)" +. num r "local(LT%)" +. num r "heap(LT%)" > 0.0))
-    rows;
-  Alcotest.(check (float 0.0)) "treeadd: heap objects = tree nodes" 32767.0
-    (num (row_of rows "treeadd") "heap(LT%)");
-  let sjeng = row_of rows "sjeng" in
-  claim "sjeng: global object registered" (num sjeng "glob(LT%)" >= 1.0);
-  claim "sjeng: local move arrays registered" (num sjeng "local(LT%)" > 100.0)
-
 let test_fig12 () =
   let subheap, wrapped = geo_mean (section "== Figure 12") "memory" in
   claim "geo-mean subheap %+.1f%% < 0 < wrapped %+.1f%%" subheap wrapped
-    (subheap < 0.0 && 0.0 < wrapped);
-  let rows = table "== Figure 12" in
-  List.iter
-    (fun wl ->
-      let r = row_of rows wl in
-      let subheap = num r "subheap" and wrapped = num r "wrapped" in
-      claim "%s: subheap %+.1f%% < 0 < wrapped %+.1f%%" wl subheap wrapped
-        (subheap < 0.0 && 0.0 < wrapped))
-    [ "treeadd"; "bisort"; "ft" ]
+    (subheap < 0.0 && 0.0 < wrapped)
 
 let test_juliet () =
   let juliet = section "== Functional evaluation" in
@@ -211,36 +163,10 @@ let test_extensions () =
   claim "wolfcrypt-dh: layouts %.0f without inference -> %.0f with" off on
     (off = 0.0 && on > 0.0)
 
-(* the three subheap counters no table prints, one run each *)
-let test_unprinted_counters () =
-  let subheap wl =
-    let wl = Option.get (Registry.find wl) in
-    let r = Ifp_vm.Vm.(run ~config:ifp_subheap) (Lazy.force wl.prog) in
-    r.Ifp_vm.Vm.counters
-  in
-  (* half of treeadd's promotes see NULL children (paper Table 4: 50%) *)
-  let c = subheap "treeadd" in
-  let null_share =
-    float_of_int c.promotes_null
-    /. float_of_int (Ifp_vm.Counters.promotes_total c)
-  in
-  claim "treeadd: NULL share %.2f of promotes about half" null_share
-    (null_share > 0.4 && null_share < 0.6);
-  (* CoreMark allocates through a type-erased arena: subobject narrowing
-     must fail back to object bounds (paper §5.2.1) *)
-  Alcotest.(check int) "coremark: no successful narrowing" 0
-    (subheap "coremark").narrows_ok;
-  claim "anagram: legacy-pointer promotes occur"
-    ((subheap "anagram").promotes_legacy > 0)
-
 let tests =
   [
     Alcotest.test_case "Table 4: subheap executes no more" `Quick test_table4;
-    Alcotest.test_case "Table 4: every workload does work" `Quick
-      test_table4_work;
     Alcotest.test_case "Fig. 10: subheap beats wrapped" `Quick test_fig10;
-    Alcotest.test_case "Fig. 10: no-promote controls cost less" `Quick
-      test_fig10_no_promote;
     Alcotest.test_case "Fig. 12: subheap saves, wrapped costs" `Quick
       test_fig12;
     Alcotest.test_case "Juliet: IFP 72/72, baseline 0/72" `Quick test_juliet;
@@ -248,6 +174,114 @@ let tests =
       test_walker_ablation;
     Alcotest.test_case "extensions: mixed allocator and inference" `Quick
       test_extensions;
-    Alcotest.test_case "subheap counters no table prints" `Slow
-      test_unprinted_counters;
   ]
+
+(* Per-workload properties of the paper matrix, read off the same rows.
+   Only the three subheap counters no table prints cost a run each. *)
+
+let table4 = lazy (table "== Table 4")
+let fig10 = lazy (table "== Figure 10")
+let fig12 = lazy (table "== Figure 12")
+
+(* the status column is [Report.status_string], which flags a variant
+   that trapped, aborted, or returned a value other than baseline's *)
+let test_checksums wl () =
+  List.iter
+    (fun (what, rows) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s every variant finishes with baseline's value"
+           what wl)
+        "ok"
+        (cell (row_of (Lazy.force rows) wl) "status"))
+    [ ("Table 4", table4); ("Fig. 10", fig10) ]
+
+let test_does_work wl () =
+  let r = row_of (Lazy.force table4) wl in
+  let instrs = num r "baseline instrs" *. num r "subheap" in
+  claim "%s: subheap executes %.3g instructions" wl instrs (instrs > 1000.0);
+  claim "%s: allocates or registers objects" wl
+    (num r "glob(LT%)" +. num r "local(LT%)" +. num r "heap(LT%)" > 0.0)
+
+let subheap_counters wl =
+  let wl = Option.get (Registry.find wl) in
+  (Ifp_vm.Vm.(run ~config:ifp_subheap) (Lazy.force wl.prog)).Ifp_vm.Vm.counters
+
+let test_treeadd_profile () =
+  (* half of treeadd's promotes see NULL children (paper Table 4: 50%) *)
+  let c = subheap_counters "treeadd" in
+  let null_share =
+    float_of_int c.promotes_null
+    /. float_of_int (Ifp_vm.Counters.promotes_total c)
+  in
+  claim "treeadd: NULL share %.2f of promotes about half" null_share
+    (null_share > 0.4 && null_share < 0.6);
+  Alcotest.(check (float 0.0)) "treeadd: heap objects = tree nodes" 32767.0
+    (num (row_of (Lazy.force table4) "treeadd") "heap(LT%)")
+
+let test_coremark_narrowing_fails () =
+  (* CoreMark allocates through a type-erased arena: subobject narrowing
+     must fail back to object bounds (paper §5.2.1) *)
+  Alcotest.(check int) "coremark: no successful narrowing" 0
+    (subheap_counters "coremark").narrows_ok
+
+let test_sjeng_global_table () =
+  let sjeng = row_of (Lazy.force table4) "sjeng" in
+  claim "sjeng: global object registered" (num sjeng "glob(LT%)" >= 1.0);
+  claim "sjeng: local move arrays registered" (num sjeng "local(LT%)" > 100.0)
+
+let test_anagram_legacy_promotes () =
+  claim "anagram: legacy-pointer promotes occur"
+    ((subheap_counters "anagram").promotes_legacy > 0)
+
+(* the paper's headline: allocation-heavy tree benchmarks run faster
+   under the subheap allocator than under the wrapped one *)
+let test_subheap_wins_on_alloc_heavy () =
+  List.iter
+    (fun wl ->
+      let r = row_of (Lazy.force fig10) wl in
+      let v = num r "subheap" and w = num r "wrapped" in
+      claim "%s: subheap %+.1f%% < wrapped %+.1f%%" wl v w (v < w))
+    [ "treeadd"; "perimeter" ]
+
+let test_subheap_memory_win () =
+  List.iter
+    (fun wl ->
+      let r = row_of (Lazy.force fig12) wl in
+      let subheap = num r "subheap" and wrapped = num r "wrapped" in
+      claim "%s: subheap %+.1f%% < 0 < wrapped %+.1f%%" wl subheap wrapped
+        (subheap < 0.0 && 0.0 < wrapped))
+    [ "treeadd"; "bisort"; "ft" ]
+
+(* disabling metadata access is never slower: strict at the printed 0.1%
+   precision, which implies the cycle counts' <= *)
+let test_no_promote_cheaper () =
+  List.iter
+    (fun r ->
+      List.iter
+        (fun alloc ->
+          let full = num r alloc and np = num r (alloc ^ "-np") in
+          claim "%s: %s-np %+.1f%% < %s %+.1f%%" (name r) alloc np alloc full
+            (np < full))
+        [ "subheap"; "wrapped" ])
+    (Lazy.force fig10)
+
+let workload_tests =
+  List.concat_map
+    (fun wl ->
+      [
+        Alcotest.test_case (wl ^ " checksums equal") `Quick (test_checksums wl);
+        Alcotest.test_case (wl ^ " does work") `Quick (test_does_work wl);
+      ])
+    Registry.names
+  @ [
+      Alcotest.test_case "treeadd profile" `Slow test_treeadd_profile;
+      Alcotest.test_case "coremark narrowing fails" `Slow
+        test_coremark_narrowing_fails;
+      Alcotest.test_case "sjeng global table" `Quick test_sjeng_global_table;
+      Alcotest.test_case "anagram legacy promotes" `Slow
+        test_anagram_legacy_promotes;
+      Alcotest.test_case "subheap wins on alloc-heavy" `Quick
+        test_subheap_wins_on_alloc_heavy;
+      Alcotest.test_case "subheap memory win" `Quick test_subheap_memory_win;
+      Alcotest.test_case "no-promote cheaper" `Quick test_no_promote_cheaper;
+    ]
