@@ -231,7 +231,7 @@ let repro opts target =
             (fun engine ->
               ( Engines.to_string engine,
                 Oracle.result_sig
-                  (Engines.run ~config:{ cfg with Vm.engine } prog) ))
+                  (Vm.run ~config:{ cfg with Vm.engine } prog) ))
             Engines.all ))
       Oracle.configs
   in

@@ -9,8 +9,8 @@
 
    -c names a configuration of Report.configs (repeatable; default
    baseline, subheap and wrapped). --engine picks the execution engine
-   (vm | vm-ref | closure, default vm); all engines give identical
-   results. -v prints detailed counters; --dump-ir and
+   (vm | vm-ref | closure, default closure — Vm.default_config.engine);
+   all engines give identical results. -v prints detailed counters; --dump-ir and
    --dump-instrumented print the program before and after the IFP
    instrumentation pass; --trace prints the first 64 IFP events of each
    run. *)
@@ -32,9 +32,10 @@ let usage () =
     "usage: ifp_run [TARGET] [-c CONFIG]... [--engine ENGINE] [-v]\n\
     \               [--dump-ir] [--dump-instrumented] [--trace]\n\
      TARGET: a workload name, all (default), or a FILE.minic";
-  Printf.eprintf "CONFIG: %s\nENGINE: %s\n"
+  Printf.eprintf "CONFIG: %s\nENGINE: %s (default %s)\n"
     (String.concat " | " (List.map fst Report.configs))
-    (String.concat " | " Engines.names);
+    (String.concat " | " Engines.names)
+    (Engines.to_string Vm.default_config.engine);
   exit 1
 
 let parse_opts argv =
@@ -147,7 +148,7 @@ let run_one opts name prog cfg_name =
       trace_limit = (if opts.trace then 64 else config.Vm.trace_limit) }
   in
   let t0 = Sys.time () in
-  let r = Engines.run ~config prog in
+  let r = Vm.run ~config prog in
   let dt = Sys.time () -. t0 in
   print_trace r;
   List.iter print_endline r.output;

@@ -28,7 +28,7 @@ type stats = {
    plumbing. Safe for caching because engines are observationally
    identical and [engine] is excluded from config fingerprints. *)
 let default_runner (job : Job.t) =
-  Ifp_vm.Engines.run ~config:job.Job.config job.Job.prog
+  Ifp_vm.Vm.run ~config:job.Job.config job.Job.prog
 
 let outcome_label (r : Vm.result) =
   match r.Vm.outcome with

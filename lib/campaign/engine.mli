@@ -93,7 +93,7 @@ type stats = {
 }
 
 val default_runner : Job.t -> Ifp_vm.Vm.result
-(** [Engines.run ~config:job.config job.prog] — the [runner] default.
+(** [Vm.run ~config:job.config job.prog] — the [runner] default.
     The engine named by [config.engine] executes the job; since engines
     are observationally identical and the field is excluded from
     {!Job.config_fingerprint}, cached results remain valid across

@@ -18,7 +18,7 @@ type t = {
   prog : Ifp_compiler.Ir.program;
   salt : string;
       (** extra digest input (default [""]) distinguishing jobs whose
-          runner computes something other than a plain [Engines.run] of
+          runner computes something other than a plain [Vm.run] of
           [prog × config] — e.g. the fuzz driver's oracle-battery jobs,
           which must never share cache entries with ordinary runs of the
           same program *)

@@ -12,16 +12,18 @@
        {!Buddy} — the runtime-library allocators}
     {- {!Ir}, {!Typecheck}, {!Frontend}, {!Instrument}, {!Resolve} — MiniC
        and the compiler passes}
-    {- {!Vm}, {!Vm_ref}, {!Vm_closure}, {!Engines}, {!Counters},
-       {!Cost}, {!Memmap} — the execution engines (slot-resolved
-       interpreter, reference tree walker, closure-compiled) and their
-       dispatch support}
+    {- {!Vm}, {!Engines}, {!Counters}, {!Cost}, {!Memmap} — the
+       execution engines (closure-compiled by default, the slot-resolved
+       interpreter, the reference tree walker) behind the one entry
+       point {!Vm.run}, and their support}
     {- {!Report} — multi-variant evaluation harness (Table 4 /
        Fig. 10–12 rows)}}
 
     Quickstart: build a MiniC program with the {!Ir} DSL and run it under
     all configurations with {!Report.evaluate}, or run a single variant
-    with {!Vm.run}. *)
+    with {!Vm.run}. Both run on the closure-compiled engine, the default
+    of every named config; set [config.engine] to pick another (the
+    result is the same). *)
 
 module Bits = Ifp_util.Bits
 module Prng = Ifp_util.Prng
@@ -53,8 +55,6 @@ module Frontend = Ifp_compiler.Frontend
 module Instrument = Ifp_compiler.Instrument
 module Resolve = Ifp_compiler.Resolve
 module Vm = Ifp_vm.Vm
-module Vm_ref = Ifp_vm.Vm_ref
-module Vm_closure = Ifp_vm.Vm_closure
 module Engines = Ifp_vm.Engines
 module Counters = Ifp_vm.Counters
 module Cost = Ifp_vm.Cost

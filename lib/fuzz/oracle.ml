@@ -122,7 +122,7 @@ let observed (r : Vm.result) =
 
 (* oracle A: every engine against the reference, the head of Engines.all *)
 let agree cname cfg prog =
-  let run engine = Engines.run ~config:{ cfg with Vm.engine } prog in
+  let run engine = Vm.run ~config:{ cfg with Vm.engine } prog in
   match Engines.all with
   | [] -> invalid_arg "Oracle.agree: no engines"
   | reference :: rest ->
@@ -179,7 +179,7 @@ let silent_plans ~fault_seed classes cfg prog golden =
          let plan =
            Fault.default_plan cls ~seed:(Prng.mix2 fault_seed (Int64.of_int k))
          in
-         let r = Engines.run ~config:{ cfg with Vm.fault_plan = Some plan } prog in
+         let r = Vm.run ~config:{ cfg with Vm.fault_plan = Some plan } prog in
          let fired = r.Vm.fault_injections <> [] in
          match
            Classify.classify ~cls ~fired ~golden:golden_obs ~faulted:(observed r)

@@ -6,7 +6,7 @@
 
     - oracle [engines] ({!agree}) — for each configuration of {!configs},
       every engine of {!Ifp_vm.Engines.all}, run through
-      {!Ifp_vm.Engines.run}, must produce the same observable signature
+      {!Ifp_vm.Vm.run}, must produce the same observable signature
       ({!result_sig}: outcome, every counter, IFP trace, cache
       statistics, footprint, output) as the reference engine, the head
       of that list;

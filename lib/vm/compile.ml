@@ -5,8 +5,8 @@
    program.
 
    Correctness contract: each compiled closure charges costs and bumps
-   counters in {e exactly} the order {!Vm}'s [eval]/[eval_i]/[exec]
-   arms do, so the engine stays bit-identical to [Vm] and [Vm_ref] on
+   counters in {e exactly} the order {!Vm_slot}'s [eval]/[eval_i]/[exec]
+   arms do, so the engine stays bit-identical to [Vm_slot] and [Vm_ref] on
    outcome, every counter, traces and output. Three kinds of static
    specialization are layered on top, none of which may change
    observable behaviour:
@@ -65,7 +65,7 @@ let stage_charge_ifp st k : unit -> unit =
     cc.ifp.(ix) <- cc.ifp.(ix) + 1;
     cc.cycles <- cc.cycles + cyc
 
-(* the closure-engine twin of Vm.call_run *)
+(* the closure-engine twin of Vm_slot.call_run *)
 let run_body st (f : R.func) (body : ucode) callee_frame spills =
   let saved_sp = st.sp in
   let ret =
@@ -748,7 +748,7 @@ let rec compile_expr c (e : R.expr) : vcode =
     fun fr -> eval_promote st (ce fr)
   | R.Bad msg -> fun _ -> abort msg
 
-(* Unboxed integer compilation: the staged twin of [Vm.eval_i], used in
+(* Unboxed integer compilation: the staged twin of [Vm_slot.eval_i], used in
    the same contexts (conditions, integer arithmetic, gep indexes,
    malloc counts, integer stores) so charges and failure order stay
    identical per context. *)
@@ -998,7 +998,7 @@ and compile_cond c (e : R.expr) : frame -> bool =
 (* Fused gep address computation: compiles the hot single-step shapes to
    a closure returning the result pointer word (and writing its bounds
    register to [env.gb]) without boxing a value — replicating
-   [Vm.eval_gep]+[Rt.gep_finish] charge-for-charge. [None] when the
+   [Vm_slot.eval_gep]+[Rt.gep_finish] charge-for-charge. [None] when the
    shape is not fusable or a fault injector is armed. *)
 and compile_gep_addr c gbase steps idx_delta : (frame -> int64) option =
   let st = c.env.st in
@@ -1615,7 +1615,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     let sraw = stage_store_raw st ~instr:c.instr cls in
     fun fr ->
       let v = ce fr in
-      (* reference order ([Vm.exec]): charge first, then demote *)
+      (* reference order ([Vm_slot.exec]): charge first, then demote *)
       charge_store st go.gaddr bytes;
       let raw = sraw v in
       Memory.write_size st.mem go.gaddr ~bytes raw;

@@ -1,7 +1,5 @@
-(* Engine selection: one place that maps the [config.engine] field (and
-   the CLI's [--engine] spelling) to an actual engine entry point. The
-   campaign layer's default runner goes through {!run}, so a job's
-   config picks its engine without any caller plumbing. *)
+(* Engine names and the engine list. Dispatch on [config.engine] is
+   {!Vm.run}'s; [run] is kept as its alias. *)
 
 let of_string = function
   | "vm" -> Some Rt.Eng_vm
@@ -14,14 +12,10 @@ let to_string = function
   | Rt.Eng_ref -> "vm-ref"
   | Rt.Eng_closure -> "closure"
 
-(* every engine, in presentation order (bench matrix columns) *)
+(* every engine, in presentation order (bench matrix columns); the head
+   is the reference of Oracle.agree *)
 let all = [ Rt.Eng_vm; Rt.Eng_ref; Rt.Eng_closure ]
 
 let names = List.map to_string all
 
-let run ?(config = Rt.default_config) (prog : Ifp_compiler.Ir.program) :
-    Vm.result =
-  match config.engine with
-  | Rt.Eng_vm -> Vm.run ~config prog
-  | Rt.Eng_ref -> Vm_ref.run ~config prog
-  | Rt.Eng_closure -> Vm_closure.run ~config prog
+let run = Vm.run

@@ -1,6 +1,6 @@
-(** Engine dispatch: runs a program under the engine named by
-    [config.engine]. All engines are observationally identical; see
-    {!Vm.engine}. *)
+(** Engine names and the engine list. All engines are observationally
+    identical; see {!Vm.engine}. Dispatch on [config.engine] is
+    {!Vm.run}'s. *)
 
 val of_string : string -> Vm.engine option
 (** ["vm"], ["vm-ref"], ["closure"]; [None] for anything else (CLI
@@ -9,12 +9,12 @@ val of_string : string -> Vm.engine option
 val to_string : Vm.engine -> string
 
 val all : Vm.engine list
-(** Every engine, in presentation order: vm, vm-ref, closure. *)
+(** Every engine, in presentation order: vm, vm-ref, closure. The head
+    is the reference engine of agreement checks. *)
 
 val names : string list
 (** [List.map to_string all] — for usage strings. *)
 
 val run : ?config:Vm.config -> Ifp_compiler.Ir.program -> Vm.result
-(** Dispatches to {!Vm.run}, {!Vm_ref.run} or {!Vm_closure.run}
-    according to [config.engine] (default config: the interpreter).
-    Same contract as {!Vm.run}. *)
+(** {!Vm.run} (default config: the closure engine), kept as an alias
+    for the benchmark harness. *)

@@ -2,8 +2,8 @@
 
    Everything here is engine-independent — configuration, the machine
    state record, cost charging, checked memory access, promote, local
-   object registration, program setup and the run scaffolding. {!Vm}
-   (the slot-resolved interpreter) and {!Vm_closure} (the
+   object registration, program setup and the run scaffolding.
+   {!Vm_slot} (the slot-resolved interpreter) and {!Vm_closure} (the
    closure-compiled engine) are thin recursion strategies over these
    primitives; keeping the primitives in one module is what makes the
    engines bit-identical on every counter by construction rather than
@@ -73,7 +73,7 @@ let default_config =
     infer_alloc_types = false;
     trace_limit = 0;
     fault_plan = None;
-    engine = Eng_vm;
+    engine = Eng_closure;
     temporal = false;
   }
 

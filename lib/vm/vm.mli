@@ -1,5 +1,5 @@
-(** The execution engine: interprets MiniC programs on the simulated
-    machine under one of three variants, producing the dynamic event
+(** The execution engines' one entry point: runs MiniC programs on the
+    simulated machine under one of three variants, producing the dynamic event
     counts, cycle estimate and memory footprint the evaluation harness
     consumes.
 
@@ -25,15 +25,15 @@ type alloc_kind = Rt.alloc_kind =
 (** Which execution engine runs the program. All three are
     observationally identical — same outcome, counters, traces, output —
     and differ only in host-side speed:
-    - [Eng_vm]: the slot-resolved interpreter (this module; default)
-    - [Eng_ref]: the frozen tree-walking oracle ({!Vm_ref})
-    - [Eng_closure]: the closure-compiled engine ({!Vm_closure})
+    - [Eng_vm]: the slot-resolved interpreter ([Vm_slot])
+    - [Eng_ref]: the frozen tree-walking oracle ([Vm_ref])
+    - [Eng_closure]: the closure-compiled engine ([Vm_closure]), the
+      production engine and the default
 
-    {!Vm.run} itself always runs the interpreter regardless of this
-    field; engine dispatch happens in {!Engines.run} (which the campaign
-    layer's [Engine.default_runner] uses). The field is deliberately
-    excluded from campaign job fingerprints: a cached result is valid
-    whichever engine produced it. *)
+    {!run} dispatches on this field; the engine modules are private to
+    the library. The field is deliberately excluded from campaign job
+    fingerprints: a cached result is valid whichever engine produced
+    it. *)
 type engine = Rt.engine = Eng_vm | Eng_ref | Eng_closure
 
 type config = Rt.config = {
@@ -58,7 +58,7 @@ type config = Rt.config = {
           [Invalid_metadata]) instead of deferring detection to the
           poisoned dereference. *)
   engine : engine;
-      (** which engine {!Engines.run} dispatches to; [Eng_vm] default *)
+      (** which engine {!run} dispatches to; [Eng_closure] default *)
   temporal : bool;
       (** free-epoch generations (default [false]): metadata records
           carry a generation and freed flag mirrored into the pointer
@@ -125,7 +125,8 @@ type result = Rt.result = {
 }
 
 val run : ?config:config -> Ifp_compiler.Ir.program -> result
-(** Typechecks, instruments (for IFP variants), executes [main]. Raises
+(** Typechecks, instruments (for IFP variants), executes [main] on the
+    engine [config.engine] names — the only way to run a program. Raises
     {!Ifp_compiler.Typecheck.Type_error} on ill-typed programs; all
     runtime failures are reported in [outcome].
 

@@ -1,12 +1,12 @@
-(* The closure-compiled engine: same observable behaviour as {!Vm} and
-   {!Vm_ref}, different execution strategy. The program is compiled once
+(* The closure-compiled engine: same observable behaviour as {!Vm_slot}
+   and {!Vm_ref}, different execution strategy. The program is compiled once
    per run — after globals setup, with the full machine state known — by
    {!Compile}, and execution is a single call into main's compiled body.
    Compilation is host-side work and charges nothing, matching the
    interpreter (whose dispatch is equally uncharged). *)
 
 let run ?(config = Rt.default_config) (raw_prog : Ifp_compiler.Ir.program) :
-    Vm.result =
+    Rt.result =
   Rt.run_with ~config raw_prog ~main_body:(fun st frame mainf ->
       ignore mainf;
       let cp = Compile.program st in

@@ -5,11 +5,14 @@
     served from per-site inline caches — and [run] executes main's
     compiled body. Each IR node has exactly one compiled form.
 
-    Observationally identical to {!Vm.run} and {!Vm_ref.run}: same
-    outcome, every counter, traces and output, bit for bit. Only
+    The production engine: [Rt.default_config] selects it, and
+    {!Vm.run} dispatches here for [Eng_closure]. Observationally
+    identical to the slot interpreter and {!Vm_ref}: same outcome,
+    every counter, traces and output, bit for bit. Only
     host-side wall time differs; [sh perfbench/run.sh --trace 1] times
     each engine ([vm.engine_s.*]). *)
 
-val run : ?config:Vm.config -> Ifp_compiler.Ir.program -> Vm.result
-(** Same contract as {!Vm.run} (typecheck, instrument, execute,
-    per-call state — safe to call concurrently from multiple domains). *)
+val run : ?config:Rt.config -> Ifp_compiler.Ir.program -> Rt.result
+(** The [Eng_closure] arm of {!Vm.run}, which carries the contract
+    (typecheck, instrument, execute, per-call state — safe to call
+    concurrently from multiple domains). *)

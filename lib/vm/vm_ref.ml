@@ -2,8 +2,8 @@
    slot-resolution pass. Every variable access goes through a string
    Hashtbl and every size/offset/layout is recomputed per access.
 
-   Kept verbatim so that (a) test_vm can differentially check that the
-   slot-resolved Vm produces bit-identical counters, traces and output,
+   Kept verbatim so that (a) the engine tests can differentially check
+   that the other engines produce bit-identical counters, traces and output,
    and (b) perfbench can time it beside the faster engines
    ([vm.engine_s.vm-ref]). Do not "improve" this module — its value is
    being the unoptimised executable specification. *)
@@ -25,8 +25,9 @@ module Instrument = Ifp_compiler.Instrument
 module Fault = Ifp_faultinject.Fault
 
 (* The public vocabulary (config, variants, outcomes, trace events,
-   result) is Vm's: Vm_ref.run fulfils the same contract. *)
-open Vm
+   result) is Rt's, which Vm re-exports; the engine state below is this
+   module's own and shadows Rt's. *)
+open Rt
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,12 +1,14 @@
 (** Reference interpreter: the name-keyed tree walker that the
-    slot-resolved {!Vm} replaced.
+    slot-resolved interpreter ([Vm_slot]) replaced.
 
-    Functionally identical to {!Vm.run} — same cost model, counters,
+    Functionally identical to the other engines — same cost model, counters,
     traces, outcomes — but resolves every variable access through
     string-keyed hash tables and recomputes sizes/offsets/layout indices
     per access. It exists as the executable specification the fast
     interpreter is differentially tested against (test_vm,
-    test_engines); it is not used by the experiment drivers. *)
+    test_engines); {!Vm.run} dispatches here only for [Eng_ref], which
+    no named config selects. *)
 
-val run : ?config:Vm.config -> Ifp_compiler.Ir.program -> Vm.result
-(** Same contract as {!Vm.run}, including the concurrency guarantees. *)
+val run : ?config:Rt.config -> Ifp_compiler.Ir.program -> Rt.result
+(** The [Eng_ref] arm of {!Vm.run}, which carries the contract,
+    including the concurrency guarantees. *)

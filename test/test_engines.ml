@@ -120,7 +120,7 @@ let test_failure_paths () =
   let check_stack_overflow name config =
     List.iter
       (fun engine ->
-        let run () = Engines.run ~config:{ config with Vm.engine } recur in
+        let run () = Vm.run ~config:{ config with Vm.engine } recur in
         List.iter
           (fun (where, r) ->
             Alcotest.(check bool)
@@ -145,6 +145,64 @@ let test_failure_paths () =
       check_all_engines_agree ("oob/" ^ cname) config oob;
       check_all_engines_agree ("subobj/" ^ cname) config subobj)
     configs
+
+(* ---- subobject pointer through memory ------------------------------- *)
+
+let test_subobj_through_memory () =
+  (* [&p->a[2]] is parked in a heap cell and reloaded before use: the
+     reload is a promote, which reads the subobject index that the gep's
+     ifpidx wrote into the tag and narrows to the field from it (a
+     register-resident derived pointer keeps its bounds and never takes
+     that path). [ok] stays inside the field; [escape] writes one
+     element past it, into [b]. *)
+  let prog last =
+    let src =
+      Printf.sprintf
+        "struct pair {\n\
+        \  i64 a[4];\n\
+        \  i64 b;\n\
+         };\n\
+         i64 main() {\n\
+        \  let p: pair* = malloc(pair);\n\
+        \  p->b = 1;\n\
+        \  let h: i64** = malloc(i64*, 1);\n\
+        \  h[0] = &p->a[2];\n\
+        \  let r: i64* = h[0];\n\
+        \  r[0] = 5;\n\
+        \  r[%d] = 6;\n\
+        \  return (p->a[2] + p->a[3] + p->b);\n\
+         }\n"
+        last
+    in
+    match Frontend.check ~file:"subobj_mem.minic" src with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let run name prog =
+    List.map
+      (fun (cname, config) ->
+        let failures, r = Oracle.agree (name ^ "/" ^ cname) config prog in
+        Alcotest.(check (list string))
+          (name ^ "/" ^ cname) [] (List.map Oracle.to_line failures);
+        (cname, r))
+      configs
+  in
+  let ok = run "subobj-mem" (prog 1) in
+  Alcotest.(check (list string))
+    "subobj-mem equivalence" []
+    (List.map Oracle.to_line
+       (Oracle.equivalence ~baseline:(List.assoc "baseline" ok) ok));
+  (* the reloaded pointer is narrowed to [a] only where narrowing is on *)
+  List.iter
+    (fun (cname, r) ->
+      let trapped =
+        match r.Vm.outcome with Vm.Trapped _ -> true | _ -> false
+      in
+      Alcotest.(check bool)
+        ("subobj-mem-escape/" ^ cname ^ " traps")
+        (List.mem cname [ "ifp-subheap"; "ifp-wrapped"; "ifp-mixed" ])
+        trapped)
+    (run "subobj-mem-escape" (prog 2))
 
 (* ---- local registration (inline-cache path) ------------------------- *)
 
@@ -204,12 +262,33 @@ let test_engines_dispatch () =
     Engines.all;
   Alcotest.(check bool) "unknown engine" true (Engines.of_string "jit" = None)
 
+(* ---- production engine ---------------------------------------------- *)
+
+let test_production_engine () =
+  (* every engine gives the same result, so no result shows which one
+     ran: pin the choice itself *)
+  let engine name (c : Vm.config) =
+    Alcotest.(check string) name "closure" (Engines.to_string c.engine)
+  in
+  engine "Vm.default_config" Vm.default_config;
+  List.iter
+    (fun (name, c) -> engine ("Report " ^ name) c)
+    (Report.variants @ Report.configs);
+  (* the head is Oracle.agree's reference, so it fixes the site of every
+     engines/... failure key *)
+  Alcotest.(check (list string))
+    "Engines.all order" [ "vm"; "vm-ref"; "closure" ] Engines.names
+
 let tests =
   [
     Alcotest.test_case "three engines agree on workloads" `Quick test_workloads;
     Alcotest.test_case "three engines agree on failure paths" `Quick
       test_failure_paths;
+    Alcotest.test_case "subobject pointer through memory" `Quick
+      test_subobj_through_memory;
     Alcotest.test_case "local registration via inline cache" `Quick
       test_local_registration;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
+    Alcotest.test_case "closure is the production engine" `Quick
+      test_production_engine;
   ]

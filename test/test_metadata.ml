@@ -294,6 +294,216 @@ let prop_promote_contains_addr =
         Int64.compare 0x2000L lo <= 0
         && Int64.compare hi (Int64.add 0x2000L 24L) <= 0)
 
+(* ---- encoding round-trips ---- *)
+
+(* register then lookup returns what was registered, for each scheme,
+   with temporal mode on and off and addresses up to the 44-bit cap *)
+
+let addr_cap = Int64.shift_left 1L Tag.addr_bits
+
+let meta_ctx ~temporal =
+  let mem = Memory.create () in
+  Memory.map mem ~base:0x200000L ~size:(1 lsl 16);
+  Memory.map mem ~base:0x300000L ~size:(16 * Tag.global_table_entries);
+  let meta =
+    Meta.create ~temporal ~memory:mem ~mac_key:0x0DD_BA11L
+      ~layout_region:(0x200000L, 1 lsl 16)
+      ~global_table:(0x300000L, Tag.global_table_entries) ()
+  in
+  (mem, meta)
+
+(* an address in [lo, hi]: uniform, or within 64 KiB of either end *)
+let addr_in lo hi =
+  let open QCheck.Gen in
+  let span = Int64.to_int (Int64.sub hi lo) in
+  let near = min span 0xFFFF in
+  let+ off =
+    oneof [ int_bound span; int_bound near; map (fun d -> span - d) (int_bound near) ]
+  in
+  Int64.add lo (Int64.of_int off)
+
+let layout_ptr_gen =
+  QCheck.Gen.oneof [ QCheck.Gen.return 0L; addr_in 1L (Int64.pred addr_cap) ]
+
+let expect ~base ~size ~layout_ptr ~gen ~freed =
+  Ok { Meta.obj_base = base; obj_size = size; layout_ptr; gen; freed }
+
+(* [frees] free/re-register cycles on one place, as a reused stack slot
+   or a recycled block: in temporal mode each moves the generation *)
+let frees_gen = QCheck.Gen.int_bound (Tag.gen_states + 4)
+
+let prop_local_offset_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    let* temporal = bool and* frees = frees_gen in
+    let* size = int_range 1 Tag.local_offset_max_object in
+    let footprint = Meta.Local_offset.footprint ~size in
+    let* base =
+      addr_in (Int64.of_int Tag.granule)
+        (Int64.sub addr_cap (Int64.of_int footprint))
+    in
+    let+ layout_ptr = layout_ptr_gen in
+    (temporal, frees, Bits.align_down64 base Tag.granule, size, layout_ptr)
+  in
+  let print (temporal, frees, base, size, layout_ptr) =
+    Printf.sprintf "temporal=%b frees=%d base=0x%Lx size=%d layout=0x%Lx"
+      temporal frees base size layout_ptr
+  in
+  QCheck.Test.make ~count:300 ~name:"local-offset register/lookup round-trip"
+    (QCheck.make ~print gen)
+    (fun (temporal, frees, base, size, layout_ptr) ->
+      let mem, meta = meta_ctx ~temporal in
+      Memory.map mem ~base ~size:(Meta.Local_offset.footprint ~size);
+      let register () =
+        Meta.Local_offset.register meta ~base ~size ~layout_ptr
+      in
+      let p = ref (register ()) in
+      for _ = 1 to frees do
+        if temporal then ignore (Meta.Local_offset.deregister_temporal meta !p)
+        else Meta.Local_offset.deregister meta !p;
+        p := register ()
+      done;
+      let gen = if temporal then frees mod Tag.gen_states else 0 in
+      let lookup () = fst (Meta.Local_offset.lookup meta !p) in
+      lookup () = expect ~base ~size ~layout_ptr ~gen ~freed:false
+      && Tag.gen !p = gen
+      && ((not temporal)
+         || Meta.Local_offset.deregister_temporal meta !p = `Freed_ok
+            && lookup ()
+               = expect ~base ~size ~layout_ptr
+                   ~gen:((frees + 1) mod Tag.gen_states)
+                   ~freed:true))
+
+(* one block of one subheap control register, and a pointer into one of
+   its slots *)
+type subheap_case = {
+  temporal : bool;
+  frees : int;
+  creg : int;
+  log2 : int;
+  meta_at_end : bool;  (** metadata at the block's end, else its start *)
+  block_base : int64;
+  slot_size : int;
+  slots : int;
+  size : int;
+  slot : int;
+  off : int;  (** byte offset of the pointer into its slot *)
+  layout_ptr : int64;
+}
+
+let prop_subheap_roundtrip =
+  let record = Meta.Subheap.temporal_metadata_size in
+  let gen =
+    let open QCheck.Gen in
+    let* temporal = bool and* frees = frees_gen in
+    let* creg = int_bound (Meta.Subheap.n_cregs - 1) in
+    let* log2 = int_range 12 16 and* meta_at_end = bool in
+    let block = 1 lsl log2 in
+    let* block_base = addr_in 0L (Int64.sub addr_cap (Int64.of_int block)) in
+    let* slot_size = int_range 16 512 in
+    let slots = min 256 ((block - record) / slot_size) in
+    let+ size = int_range 1 slot_size
+    and+ slot = int_bound (slots - 1)
+    and+ off = int_bound (slot_size - 1)
+    and+ layout_ptr = layout_ptr_gen in
+    let block_base = Bits.align_down64 block_base block in
+    { temporal; frees; creg; log2; meta_at_end; block_base; slot_size; slots;
+      size; slot; off; layout_ptr }
+  in
+  let print c =
+    Printf.sprintf
+      "temporal=%b frees=%d creg=%d log2=%d meta_at_end=%b block=0x%Lx \
+       slot_size=%d slots=%d size=%d slot=%d off=%d layout=0x%Lx"
+      c.temporal c.frees c.creg c.log2 c.meta_at_end c.block_base c.slot_size
+      c.slots c.size c.slot c.off c.layout_ptr
+  in
+  QCheck.Test.make ~count:300 ~name:"subheap register/lookup round-trip"
+    (QCheck.make ~print gen)
+    (fun ({ temporal; frees; creg; block_base; slot_size; size; slot; layout_ptr;
+            _ } as c) ->
+      let mem, meta = meta_ctx ~temporal in
+      let metadata_offset = if c.meta_at_end then (1 lsl c.log2) - record else 0 in
+      let slot_start = if c.meta_at_end then 0 else record in
+      Memory.map mem
+        ~base:(Int64.add block_base (Int64.of_int metadata_offset))
+        ~size:record;
+      Meta.Subheap.set_creg meta creg
+        (Some
+           {
+             Meta.Subheap.block_size_log2 = c.log2;
+             metadata_offset = Int64.of_int metadata_offset;
+           });
+      let write () =
+        Meta.Subheap.write_block_metadata meta ~creg ~block_base ~slot_start
+          ~slot_end:(slot_start + (c.slots * slot_size))
+          ~slot_size ~obj_size:size ~layout_ptr
+      in
+      write ();
+      for _ = 1 to frees do
+        Meta.Subheap.clear_block_metadata meta ~creg ~block_base;
+        write ()
+      done;
+      let base =
+        Int64.add block_base (Int64.of_int (slot_start + (slot * slot_size)))
+      in
+      let p =
+        Meta.Subheap.tag_pointer ~creg ~addr:(Int64.add base (Int64.of_int c.off))
+      in
+      let gen = if temporal then frees mod Tag.gen_states else 0 in
+      let lookup () =
+        let r, _, _ = Meta.Subheap.lookup meta p in
+        r
+      in
+      lookup () = expect ~base ~size ~layout_ptr ~gen ~freed:false
+      && Meta.Subheap.block_gen meta ~creg ~block_base = gen
+      && ((not temporal)
+         || Meta.Subheap.slot_mark_freed meta ~creg ~block_base ~slot = `Freed_ok
+            && lookup () = expect ~base ~size ~layout_ptr ~gen ~freed:true))
+
+let prop_global_table_roundtrip =
+  let obj =
+    let open QCheck.Gen in
+    let* base = addr_in 1L (Int64.pred addr_cap) in
+    let* size = int_range 1 ((1 lsl 32) - 1) in
+    let+ layout_ptr = layout_ptr_gen in
+    (base, size, layout_ptr)
+  in
+  let print (temporal, objs) =
+    Printf.sprintf "temporal=%b [%s]" temporal
+      (String.concat "; "
+         (List.map
+            (fun (b, s, l) -> Printf.sprintf "0x%Lx/%d/0x%Lx" b s l)
+            objs))
+  in
+  QCheck.Test.make ~count:300 ~name:"global-table register/lookup round-trip"
+    QCheck.(make ~print Gen.(pair bool (list_size (int_range 1 8) obj)))
+    (fun (temporal, objs) ->
+      let _, meta = meta_ctx ~temporal in
+      let rows =
+        List.map
+          (fun (base, size, layout_ptr) ->
+            (Meta.Global_table.register meta ~base ~size ~layout_ptr, base, size, layout_ptr))
+          objs
+      in
+      let lookup p = fst (Meta.Global_table.lookup meta p) in
+      List.for_all
+        (fun (p, base, size, layout_ptr) ->
+          match p with
+          | None -> false
+          | Some p -> (
+            lookup p = expect ~base ~size ~layout_ptr ~gen:0 ~freed:false
+            &&
+            (* the freed row: quarantined with the next generation in
+               temporal mode, gone otherwise *)
+            if temporal then
+              Meta.Global_table.deregister_temporal meta p = `Freed_ok
+              && lookup p = expect ~base ~size ~layout_ptr ~gen:1 ~freed:true
+            else begin
+              Meta.Global_table.deregister meta p;
+              match lookup p with Error _ -> true | Ok _ -> false
+            end))
+        rows)
+
 let tests =
   [
     Alcotest.test_case "mac" `Quick test_mac;
@@ -320,4 +530,7 @@ let tests =
     Alcotest.test_case "promote oob recoverable" `Quick
       test_promote_oob_pointer_recovers;
     QCheck_alcotest.to_alcotest prop_promote_contains_addr;
+    QCheck_alcotest.to_alcotest prop_local_offset_roundtrip;
+    QCheck_alcotest.to_alcotest prop_subheap_roundtrip;
+    QCheck_alcotest.to_alcotest prop_global_table_roundtrip;
   ]
