@@ -11,15 +11,14 @@
 
    Everything inherits the campaign engine's machinery: -j workers,
    result cache (battery verdicts are digest-addressed, salted so they
-   never collide with plain runs), per-job watchdog, SIGINT/SIGTERM
-   graceful drain (exit 130). A killed campaign re-run with the same
-   --cache-dir resumes from the cache and reaches the same final
-   report.
+   never collide with plain runs), SIGINT/SIGTERM graceful drain (exit
+   130). A killed campaign re-run with the same --cache-dir resumes from
+   the cache and reaches the same final report.
 
    Usage:
      ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]
               [-j N] [--cache-dir DIR] [--no-cache]
-              [--log FILE] [--no-log] [--timeout SECS] [--corpus DIR]
+              [--log FILE] [--no-log] [--corpus DIR]
               [--shrink-budget N] [--out FILE]
      ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]
      ifp_fuzz [--fault-seed S] [--shrink-budget N] --shrink FILE
@@ -47,7 +46,6 @@ type opts = {
   workers : int;
   cache_dir : string option;
   log_path : string option;
-  timeout : float option;
   corpus : string;
   shrink_budget : int;
   out : string;
@@ -65,7 +63,6 @@ let default_opts =
     workers = 1;
     cache_dir = None;
     log_path = Some "fuzz.jsonl";
-    timeout = Some 120.0;
     corpus = "test/golden/fuzz";
     shrink_budget = 1200;
     out = "BENCH_fuzz.json";
@@ -77,7 +74,7 @@ let usage () =
   prerr_endline
     "usage: ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]\n\
     \                [-j N] [--cache-dir DIR] [--no-cache]\n\
-    \                [--log FILE] [--no-log] [--timeout SECS] [--corpus DIR]\n\
+    \                [--log FILE] [--no-log] [--corpus DIR]\n\
     \                [--shrink-budget N] [--out FILE]\n\
     \       ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]\n\
     \       ifp_fuzz [--fault-seed S] [--shrink-budget N] --shrink FILE\n\
@@ -131,14 +128,6 @@ let parse_opts argv =
     | "--no-cache" -> o := { !o with cache_dir = None }
     | "--log" -> o := { !o with log_path = Some (next "--log") }
     | "--no-log" -> o := { !o with log_path = None }
-    | "--timeout" -> (
-      let s = next "--timeout" in
-      match float_of_string_opt s with
-      | Some t when t > 0.0 -> o := { !o with timeout = Some t }
-      | Some _ -> o := { !o with timeout = None }
-      | None ->
-        Printf.eprintf "bad --timeout argument %S\n" s;
-        usage ())
     | "--corpus" -> o := { !o with corpus = next "--corpus" }
     | "--shrink-budget" ->
       o := { !o with shrink_budget = int_arg "--shrink-budget" }
@@ -322,8 +311,8 @@ let () =
           Fuzz.job ~knobs ~campaign_seed:opts.seed ~round:r ~idx)
     in
     let outcomes, stats =
-      Engine.run ~workers:opts.workers ?cache ~log ~stop
-        ?job_timeout:opts.timeout ~runner:Fuzz.runner jobs
+      Engine.run ~workers:opts.workers ?cache ~log ~stop ~runner:Fuzz.runner
+        jobs
     in
     agg := stats :: !agg;
     total_cases := !total_cases + stats.Engine.completed;
@@ -404,7 +393,6 @@ let () =
                ("jobs", Int (stats_sum (fun s -> s.Engine.jobs)));
                ("completed", Int (stats_sum (fun s -> s.Engine.completed)));
                ("failed", Int (stats_sum (fun s -> s.Engine.failed)));
-               ("timed_out", Int (stats_sum (fun s -> s.Engine.timed_out)));
                ("cache_hits", Int (stats_sum (fun s -> s.Engine.cache_hits)));
                ( "wall_seconds",
                  Float

@@ -1,5 +1,5 @@
 (* Shared plumbing for the campaign binaries: signal-driven stop flags,
-   the event log, and the process-exit contract. *)
+   the event log, and the exit path. *)
 
 let install_interrupt () =
   let flag = Atomic.make false in
@@ -26,9 +26,4 @@ let finish ?hint ~log ~interrupted () =
     (* 130 = 128 + SIGINT, the conventional "killed by Ctrl-C" status;
        we use it for SIGTERM drains too — callers only need nonzero *)
     Stdlib.exit 130)
-  else
-    (* explicit exit, not a return from main: abandoned watchdog domains
-       (Timed_out jobs) may still be running and must not be waited on
-       once every output is flushed — see the Engine process-exit
-       contract *)
-    Stdlib.exit 0
+  else Stdlib.exit 0

@@ -22,9 +22,6 @@ val resume_hint : Cache.t option -> string
     nothing was kept. *)
 
 val finish : ?hint:string -> log:Events.t -> interrupted:bool -> unit -> unit
-(** The single exit point for a campaign driver, enforcing the
-    process-exit contract of {!Engine}: close the log, then
+(** The single exit point for a campaign driver: close the log, then
     [Stdlib.exit] — [130] when [interrupted] (printing [hint] to stderr,
-    if any), [0] otherwise — rather than returning from [main] and
-    waiting on abandoned watchdog domains that cannot be cancelled.
-    Never returns. *)
+    if any), [0] otherwise. Never returns. *)

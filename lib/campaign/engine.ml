@@ -1,6 +1,6 @@
 module Vm = Ifp_vm.Vm
 
-type status = Done | Failed of string | Timed_out | Skipped
+type status = Done | Failed of string | Skipped
 
 type outcome = {
   job : Job.t;
@@ -15,7 +15,6 @@ type stats = {
   jobs : int;
   completed : int;
   failed : int;
-  timed_out : int;
   skipped : int;
   cache_hits : int;
   workers : int;
@@ -36,47 +35,12 @@ let outcome_label (r : Vm.result) =
   | Vm.Trapped t -> "trapped: " ^ Ifp_isa.Trap.to_string t
   | Vm.Aborted m -> "aborted: " ^ Vm.abort_reason_string m
 
-(* One runner invocation, optionally under a wall-clock watchdog. The
-   stdlib has no timed condition wait, so the watchdog spawns the run on
-   its own domain and polls an atomic result slot against the deadline.
-   On timeout the domain is abandoned (OCaml domains cannot be killed):
-   it keeps burning a core until its VM budget trips, but the campaign
-   itself moves on. If the domain limit is hit, the run falls back to
-   inline (no watchdog, but the job still runs). A runner exception is
-   re-raised on the calling domain. *)
-let run_watched ~job_timeout ~runner job =
-  match job_timeout with
-  | None -> `Ok (runner job)
-  | Some limit -> (
-    let slot = Atomic.make None in
-    let attempt () =
-      Atomic.set slot
-        (Some (match runner job with r -> Ok r | exception e -> Error e))
-    in
-    match Domain.spawn attempt with
-    | exception _ -> `Ok (runner job)
-    | d ->
-      let deadline = Unix.gettimeofday () +. limit in
-      let rec wait () =
-        match Atomic.get slot with
-        | Some r ->
-          Domain.join d;
-          (match r with Ok r -> `Ok r | Error e -> raise e)
-        | None ->
-          if Unix.gettimeofday () >= deadline then `Timeout
-          else (
-            Unix.sleepf 0.005;
-            wait ())
-      in
-      wait ())
-
-(* One job: cache probe (with quarantine), run under the watchdog, cache
-   store, events. The result is renamed into the cache before
-   [on_job_done] fires, so a crash right after the n-th completion
-   leaves at least n entries for the re-run to hit. Exceptions escape to
-   [run]'s task wrapper, which owns the [Failed] path. *)
-let run_job ~cache ~on_job_done ~log ~job_timeout ~runner ~digest ~started
-    (job : Job.t) =
+(* One job: cache probe (with quarantine), run, cache store, events.
+   The result is renamed into the cache before [on_job_done] fires, so a
+   crash right after the n-th completion leaves at least n entries for
+   the re-run to hit. Exceptions escape to [run]'s task wrapper, which
+   owns the [Failed] path. *)
+let run_job ~cache ~on_job_done ~log ~runner ~digest ~started (job : Job.t) =
   let open Events in
   let base_fields = [ ("job", String job.Job.name); ("digest", String digest) ] in
   let finish ?(from_cache = false) event fields status result =
@@ -99,23 +63,18 @@ let run_job ~cache ~on_job_done ~log ~job_timeout ~runner ~digest ~started
         (base_fields @ [ ("path", String path); ("reason", String reason) ])
     | _ -> ());
     emit log "job_start" base_fields;
-    match run_watched ~job_timeout ~runner job with
-    | `Ok result ->
-      Option.iter
-        (fun c -> Cache.store c ~digest ~job_name:job.Job.name result)
-        cache;
-      finish "job_finish"
-        [
-          ("outcome", String (outcome_label result));
-          ("cycles", Int result.Vm.counters.Ifp_vm.Counters.cycles);
-          ("instrs", Int (Ifp_vm.Counters.total_instrs result.Vm.counters));
-          ("mem_footprint", Int result.Vm.mem_footprint);
-        ]
-        Done (Some result)
-    | `Timeout ->
-      finish "job_timeout"
-        [ ("limit", match job_timeout with Some l -> Float l | None -> Null) ]
-        Timed_out None)
+    let result = runner job in
+    Option.iter
+      (fun c -> Cache.store c ~digest ~job_name:job.Job.name result)
+      cache;
+    finish "job_finish"
+      [
+        ("outcome", String (outcome_label result));
+        ("cycles", Int result.Vm.counters.Ifp_vm.Counters.cycles);
+        ("instrs", Int (Ifp_vm.Counters.total_instrs result.Vm.counters));
+        ("mem_footprint", Int result.Vm.mem_footprint);
+      ]
+      Done (Some result))
 
 let stats_json s =
   let open Events in
@@ -123,7 +82,6 @@ let stats_json s =
     ("jobs", Int s.jobs);
     ("completed", Int s.completed);
     ("failed", Int s.failed);
-    ("timed_out", Int s.timed_out);
     ("skipped", Int s.skipped);
     ("cache_hits", Int s.cache_hits);
     ("workers", Int s.workers);
@@ -134,9 +92,8 @@ let stats_json s =
       else Float (float_of_int s.cache_hits /. float_of_int s.jobs) );
   ]
 
-let run ?(workers = 1) ?cache ?(log = Events.null) ?job_timeout
-    ?(stop = fun () -> false) ?(on_job_done = fun _ -> ())
-    ?(runner = default_runner) jobs =
+let run ?(workers = 1) ?cache ?(log = Events.null) ?(stop = fun () -> false)
+    ?(on_job_done = fun _ -> ()) ?(runner = default_runner) jobs =
   let open Events in
   let t0 = Unix.gettimeofday () in
   let jobs_arr = Array.of_list jobs in
@@ -145,7 +102,6 @@ let run ?(workers = 1) ?cache ?(log = Events.null) ?job_timeout
     [
       ("jobs", Int n);
       ("workers", Int workers);
-      ("job_timeout", match job_timeout with Some l -> Float l | None -> Null);
       ("cache", match cache with
         | Some c -> String (Cache.dir c)
         | None -> Null);
@@ -166,8 +122,7 @@ let run ?(workers = 1) ?cache ?(log = Events.null) ?job_timeout
     if stop () then ended Skipped
     else
       try
-        run_job ~cache ~on_job_done ~log ~job_timeout ~runner ~digest ~started
-          job
+        run_job ~cache ~on_job_done ~log ~runner ~digest ~started job
       with exn ->
         (* fault isolation: whatever escaped — the runner, the cache,
            the hook — fails this job only. Pool tasks must not raise. *)
@@ -189,7 +144,6 @@ let run ?(workers = 1) ?cache ?(log = Events.null) ?job_timeout
       jobs = n;
       completed = count (is Done);
       failed = count (fun o -> match o.status with Failed _ -> true | _ -> false);
-      timed_out = count (is Timed_out);
       skipped;
       cache_hits = count (fun o -> o.from_cache);
       workers;

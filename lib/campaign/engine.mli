@@ -1,7 +1,7 @@
 (** The campaign engine: runs a batch of {!Job.t}s across a
     {!Pool.run} of worker domains, with per-job result caching
-    ({!Cache}), a per-job wall-clock watchdog, graceful shutdown, fault
-    isolation and {!Events} JSONL observability.
+    ({!Cache}), graceful shutdown, fault isolation and {!Events} JSONL
+    observability.
 
     {2 Fault model}
 
@@ -16,14 +16,12 @@
     with the exception's text and a [job_failed] event, leaving every
     other job of the campaign unaffected. Jobs are deterministic, so a
     failed job is not retried in-process; it is not cached either, so
-    re-running the campaign runs it again. A job that exceeds
-    [job_timeout] wall-clock seconds is marked {!Timed_out}; its worker
-    domain is abandoned, not killed — OCaml domains cannot be cancelled
-    — so it keeps a core busy until the VM cycle budget trips, but the
-    campaign itself proceeds. Corrupted cache entries are quarantined
-    ({!Cache.find}) and surfaced as [cache_corrupt] (or
-    [cache_crc_mismatch] when the CRC framing caught a torn write)
-    events; the job then runs as a normal miss.
+    re-running the campaign runs it again. The engine has no runaway
+    guard of its own: the [max_cycles] budget is the one bound on a
+    job, and a budget abort is cached like any other result. Corrupted
+    cache entries are quarantined ({!Cache.find}) and surfaced as
+    [cache_corrupt] (or [cache_crc_mismatch] when the CRC framing caught
+    a torn write) events; the job then runs as a normal miss.
 
     {2 Resume}
 
@@ -38,18 +36,6 @@
     to completion and are cached; jobs not yet started complete as
     {!Skipped}, and the final event is [campaign_interrupted] instead of
     [campaign_end].
-
-    {2 Process-exit contract}
-
-    After a campaign with {!Timed_out} jobs, the abandoned watchdog
-    domains are still running (they cannot be cancelled) and may keep
-    running until their VM cycle budget trips. A caller that has flushed
-    its outputs (event log, aggregate files) must therefore terminate
-    via [Stdlib.exit] — which runs [at_exit] and then ends the process
-    immediately — rather than returning from the program and leaving
-    the runtime (or any landing pad that joins domains) to wait on work
-    that may take arbitrarily long. The campaign binaries all end with
-    an explicit [Stdlib.exit] ({!Cli.finish}).
 
     {2 Determinism}
 
@@ -67,7 +53,6 @@
 type status =
   | Done
   | Failed of string  (** the text of the exception that escaped *)
-  | Timed_out
   | Skipped
       (** not run: the campaign was interrupted before the job started *)
 
@@ -84,7 +69,6 @@ type stats = {
   jobs : int;
   completed : int;
   failed : int;
-  timed_out : int;
   skipped : int;  (** jobs not started due to graceful shutdown *)
   cache_hits : int;
   workers : int;
@@ -103,18 +87,16 @@ val run :
   ?workers:int ->
   ?cache:Cache.t ->
   ?log:Events.t ->
-  ?job_timeout:float ->
   ?stop:(unit -> bool) ->
   ?on_job_done:(outcome -> unit) ->
   ?runner:(Job.t -> Ifp_vm.Vm.result) ->
   Job.t list ->
   outcome array * stats
-(** Runs the batch. Defaults: [workers = 1], no cache, no log, no
-    [job_timeout] (jobs may run forever), [stop] never fires,
-    [on_job_done] is a no-op, [runner] = {!default_runner}.
+(** Runs the batch. Defaults: [workers = 1], no cache, no log, [stop]
+    never fires, [on_job_done] is a no-op, [runner] = {!default_runner}.
 
     [on_job_done] fires once per job that completes (run or cache hit)
-    or times out — not for failures or skips — after a fresh result has
+    — not for failures or skips — after a fresh result has
     been renamed into place in the cache; it runs on the worker domain
     that finished the job. The chaos harness ({!Chaos.arm_kill}) uses it
     to crash the process at a seeded point. An exception it raises fails
@@ -122,7 +104,7 @@ val run :
 
     Outcomes are in submission order. Events emitted: [campaign_start],
     [job_start], [job_finish], [cache_hit], [cache_corrupt],
-    [cache_crc_mismatch], [job_timeout], [job_failed], and finally
+    [cache_crc_mismatch], [job_failed], and finally
     [campaign_end] — or [campaign_interrupted] when [stop] fired. *)
 
 val stats_json : stats -> (string * Events.json) list

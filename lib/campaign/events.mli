@@ -1,7 +1,7 @@
 (** JSONL observability for campaign runs.
 
     Every significant engine event (job start/finish, cache hit,
-    failure, timeout, campaign begin/end) is appended as one JSON object
+    failure, campaign begin/end) is appended as one JSON object
     per line to the event log, so a run can be tailed live and
     post-processed with standard line-oriented tooling. The writer is
     mutex-protected: worker domains emit concurrently and lines never

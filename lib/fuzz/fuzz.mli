@@ -11,7 +11,7 @@
     same program. The runner returns a synthesized result whose outcome
     is [Finished 0] (all oracles agree) or [Finished 1] (divergence),
     with one {!Oracle.to_line} per failure in [output] — so the engine's
-    cache and watchdog machinery applies to fuzz batteries unchanged,
+    cache machinery applies to fuzz batteries unchanged,
     and a killed campaign re-run against the same cache reaches the same
     report from cache hits alone. *)
 

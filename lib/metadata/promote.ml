@@ -56,15 +56,18 @@ let narrow_via_table t ~table_ptr ~index ~addr ~obj_base ~obj_size =
     if Int64.compare addr obj_base < 0 || Int64.compare addr obj_hi >= 0 then
       (None, [ header_fetch ], 0, 1, Narrow_failed "address outside object")
     else begin
-      (* collect the parent chain (target .. child-of-root) *)
-      let rec chain i acc steps =
+      (* collect the parent chain (target .. child-of-root). A valid
+         table numbers every parent before its children, so a parent at
+         or after its child is a corrupt table (a cycle, if followed);
+         the walk is thus at most [index] steps, whatever [count] says. *)
+      let rec chain i acc =
         if i = 0 then Some acc
-        else if steps > count then None (* corrupt table: parent cycle *)
         else
           let e = Meta.read_element t table_ptr i in
-          chain e.Ifp_types.Layout.parent ((i, e) :: acc) (steps + 1)
+          let parent = e.Ifp_types.Layout.parent in
+          if parent >= i then None else chain parent ((i, e) :: acc)
       in
-      match chain index [] 0 with
+      match chain index [] with
       | None -> (None, [ header_fetch ], 0, 1, Narrow_failed "parent cycle")
       | Some chain_elems ->
         let elem0 = Meta.read_element t table_ptr 0 in

@@ -1437,7 +1437,7 @@ and compile_call c target args n_args : vcode =
         let argv = List.map (fun ce -> ce fr) cargs in
         base st 3;
         (match argv with
-        | [ v ] -> st.out <- Int64.to_string (as_int v) :: st.out
+        | [ v ] -> print st (Int64.to_string (as_int v))
         | _ -> ());
         VI 0L
     | R.C_print_f64 ->
@@ -1445,7 +1445,7 @@ and compile_call c target args n_args : vcode =
         let argv = List.map (fun ce -> ce fr) cargs in
         base st 3;
         (match argv with
-        | [ v ] -> st.out <- Printf.sprintf "%.6g" (as_float v) :: st.out
+        | [ v ] -> print st (Printf.sprintf "%.6g" (as_float v))
         | _ -> ());
         VI 0L
     | R.C_abort ->

@@ -188,11 +188,25 @@ type state = {
   stack_limit : int64;
   mutable depth : int;  (* guest calls active below main *)
   mutable out : string list;
+  mutable out_lines : int;
   mutable trace : trace_event list; (* reversed *)
   mutable trace_left : int;
 }
 
 let ifp_mode st = st.cfg.variant <> Baseline
+
+(* Guest output lives in host memory, and a printing loop fills it long
+   before any cycle budget trips: past this many lines the run aborts. *)
+let max_output_lines = 65_536
+
+let output_overflow =
+  Out_of_memory
+    (Printf.sprintf "guest output exceeds %d lines" max_output_lines)
+
+let print st line =
+  if st.out_lines >= max_output_lines then raise (Abort output_overflow);
+  st.out_lines <- st.out_lines + 1;
+  st.out <- line :: st.out
 
 (* Call sites guard on [trace_left] before building the event so the
    common tracing-off run allocates nothing. *)
@@ -856,6 +870,7 @@ let run_with ~(config : config) (raw_prog : Ir.program)
       stack_limit = Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size);
       depth = 0;
       out = [];
+      out_lines = 0;
       trace = [];
       trace_left = config.trace_limit;
     }

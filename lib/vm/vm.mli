@@ -91,13 +91,18 @@ val ifp_mixed : config
 type abort_reason = Rt.abort_reason =
   | Budget_exhausted  (** [max_cycles] exceeded (runaway program) *)
   | Stack_overflow
-  | Out_of_memory of string  (** allocator exhausted *)
+  | Out_of_memory of string
+      (** allocator exhausted, or guest output past {!max_output_lines} *)
   | Program_error of string  (** ill-formed IR / guest misuse at runtime *)
   | Host_failure of string
       (** harness-level failure attached by campaign plumbing (never
           produced by {!run} itself) *)
 
 val abort_reason_string : abort_reason -> string
+
+val max_output_lines : int
+(** Guest [__print_*] lines one run may produce; the next one aborts the
+    run with [Out_of_memory], so output cannot exhaust host memory. *)
 
 type outcome = Rt.outcome =
   | Finished of int64  (** [main]'s return value *)

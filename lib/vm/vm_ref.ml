@@ -75,9 +75,16 @@ type state = {
   stack_limit : int64;
   mutable depth : int;  (* guest calls active below main *)
   mutable out : string list;
+  mutable out_lines : int;
   mutable trace : trace_event list; (* reversed *)
   mutable trace_left : int;
 }
+
+(* Rt's output cap, on this module's state *)
+let print st line =
+  if st.out_lines >= max_output_lines then raise (Abort output_overflow);
+  st.out_lines <- st.out_lines + 1;
+  st.out <- line :: st.out
 
 let ifp_mode st = st.cfg.variant <> Baseline
 
@@ -611,13 +618,13 @@ and eval_call st frame fn args =
   | "__print_i64" ->
     base st 3;
     (match argv with
-    | [ v ] -> st.out <- Int64.to_string (as_int v) :: st.out
+    | [ v ] -> print st (Int64.to_string (as_int v))
     | _ -> ());
     VI 0L
   | "__print_f64" ->
     base st 3;
     (match argv with
-    | [ v ] -> st.out <- Printf.sprintf "%.6g" (as_float v) :: st.out
+    | [ v ] -> print st (Printf.sprintf "%.6g" (as_float v))
     | _ -> ());
     VI 0L
   | "__abort" -> abort "program called __abort"
@@ -952,6 +959,7 @@ let run ?(config = default_config) (raw_prog : Ir.program) =
       stack_limit = Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size);
       depth = 0;
       out = [];
+      out_lines = 0;
       trace = [];
       trace_left = config.trace_limit;
     }

@@ -266,13 +266,13 @@ and eval_call st frame target args n_args =
     | R.C_print_i64 ->
       base st 3;
       (match argv with
-      | [ v ] -> st.out <- Int64.to_string (as_int v) :: st.out
+      | [ v ] -> print st (Int64.to_string (as_int v))
       | _ -> ());
       VI 0L
     | R.C_print_f64 ->
       base st 3;
       (match argv with
-      | [ v ] -> st.out <- Printf.sprintf "%.6g" (as_float v) :: st.out
+      | [ v ] -> print st (Printf.sprintf "%.6g" (as_float v))
       | _ -> ());
       VI 0L
     | R.C_abort -> abort "program called __abort"

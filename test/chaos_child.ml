@@ -84,7 +84,6 @@ let () =
         r.Vm.counters.Counters.cycles
     | Engine.Done, None -> o.Engine.job.Job.name ^ " done <no result>"
     | Engine.Failed why, _ -> o.Engine.job.Job.name ^ " failed: " ^ why
-    | Engine.Timed_out, _ -> o.Engine.job.Job.name ^ " timed_out"
     | Engine.Skipped, _ -> o.Engine.job.Job.name ^ " skipped"
   in
   let table =

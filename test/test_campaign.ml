@@ -243,22 +243,43 @@ let test_hook_exception_fails_job () =
       Alcotest.(check bool) "each event names the hook" true
         (List.for_all (fun (_, l) -> names_hook l) failed))
 
-let test_watchdog_times_out () =
-  let ok = tiny_job "tiny/ok" in
-  let stuck = tiny_job ~seed:2L "tiny/stuck" in
-  let runner (job : Job.t) =
-    if job.Job.name = "tiny/stuck" then Unix.sleepf 2.0;
-    Vm.run ~config:job.Job.config job.Job.prog
+let test_budget_bounds_runaway () =
+  (* a runaway guest needs no wall-clock guard: its [max_cycles] budget
+     ends it as a deterministic budget abort, a [Done] result that is
+     stored and served from the cache like any other *)
+  let spin =
+    Ir.program ~tenv:Ctype.empty_tenv ~globals:[]
+      [
+        Ir.func "main" [] Ctype.I64
+          [ Ir.While (Ir.i 1, []); Ir.Return (Some (Ir.i 0)) ];
+      ]
   in
-  let outcomes, stats = Engine.run ~job_timeout:0.2 ~runner [ ok; stuck ] in
-  Alcotest.(check bool) "stuck job timed out" true
-    (outcomes.(1).Engine.status = Engine.Timed_out);
-  Alcotest.(check bool) "no result for a timed-out job" true
-    (outcomes.(1).Engine.result = None);
-  Alcotest.(check bool) "rest of the campaign unaffected" true
-    (outcomes.(0).Engine.status = Engine.Done);
-  Alcotest.(check int) "stats count the timeout" 1 stats.Engine.timed_out;
-  Alcotest.(check int) "a timeout is not a failure" 0 stats.Engine.failed
+  let job =
+    Job.make ~name:"tiny/spin" ~group:"tiny" ~variant:"subheap"
+      ~config:{ Vm.ifp_subheap with max_cycles = 10_000 }
+      spin
+  in
+  let budget_abort (o : Engine.outcome) =
+    o.Engine.status = Engine.Done
+    && match o.Engine.result with
+       | Some r -> r.Vm.outcome = Vm.Aborted Vm.Budget_exhausted
+       | None -> false
+  in
+  let dir = temp_dir "ifp-cache-budget" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cache = Rcache.create ~dir () in
+      let cold, _ = Engine.run ~cache [ job ] in
+      Alcotest.(check bool) "runaway ends in a budget abort" true
+        (budget_abort cold.(0));
+      Alcotest.(check bool) "cold run misses" false cold.(0).Engine.from_cache;
+      let warm, stats = Engine.run ~cache [ job ] in
+      Alcotest.(check bool) "re-run is a cache hit" true
+        warm.(0).Engine.from_cache;
+      Alcotest.(check int) "one hit" 1 stats.Engine.cache_hits;
+      Alcotest.(check bool) "cached result identical" true
+        (budget_abort warm.(0) && warm.(0).Engine.result = cold.(0).Engine.result))
 
 let find_results dir =
   let rec go path =
@@ -454,8 +475,8 @@ let tests =
       test_retry_then_fail;
     Alcotest.test_case "a raising hook fails each job, none dropped" `Quick
       test_hook_exception_fails_job;
-    Alcotest.test_case "watchdog cuts off a runaway job" `Quick
-      test_watchdog_times_out;
+    Alcotest.test_case "cycle budget bounds a runaway job" `Quick
+      test_budget_bounds_runaway;
     Alcotest.test_case "cache CRC catches torn writes and bit rot" `Quick
       test_cache_crc_catches_damage;
     Alcotest.test_case "cache quarantines hostile headers" `Quick

@@ -204,6 +204,39 @@ let test_subobj_through_memory () =
         trapped)
     (run "subobj-mem-escape" (prog 2))
 
+(* ---- guest output cap ----------------------------------------------- *)
+
+let test_output_cap () =
+  (* a printing loop would fill host memory long before the default
+     cycle budget trips: every engine aborts it at the same line *)
+  let src =
+    "i64 main() {\n\
+    \  let i: i64 = 0;\n\
+    \  while (1) {\n\
+    \    __print_i64(i);\n\
+    \    i = i + 1;\n\
+    \  }\n\
+    \  return 0;\n\
+     }\n"
+  in
+  let prog =
+    match Frontend.check ~file:"print_flood.minic" src with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun cname ->
+      let name = "print-flood/" ^ cname in
+      let failures, r = Oracle.agree name (List.assoc cname configs) prog in
+      Alcotest.(check (list string)) name [] (List.map Oracle.to_line failures);
+      Alcotest.(check bool) (name ^ " aborts") true
+        (match r.Vm.outcome with
+        | Vm.Aborted (Vm.Out_of_memory _) -> true
+        | _ -> false);
+      Alcotest.(check int) (name ^ " keeps the capped output")
+        Vm.max_output_lines (List.length r.Vm.output))
+    [ "baseline"; "ifp-subheap"; "ifp-wrapped" ]
+
 (* ---- local registration (inline-cache path) ------------------------- *)
 
 let test_local_registration () =
@@ -286,6 +319,7 @@ let tests =
       test_failure_paths;
     Alcotest.test_case "subobject pointer through memory" `Quick
       test_subobj_through_memory;
+    Alcotest.test_case "guest output is capped" `Quick test_output_cap;
     Alcotest.test_case "local registration via inline cache" `Quick
       test_local_registration;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;

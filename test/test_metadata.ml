@@ -232,6 +232,25 @@ let test_promote_no_layout_falls_back () =
   Alcotest.(check bool) "object bounds" true
     (Bounds.equal r.Promote.bounds (Bounds.make ~lo:0x2100L ~hi:(Int64.add 0x2100L 24L)))
 
+(* a table forged in simulated memory: a huge [count] and a parent
+   cycle (v4 -> array -> v4). The walker must reject the cycle at its
+   first backward edge, not follow it [count] times. *)
+let test_promote_forged_table_bounded () =
+  let mem, meta = mk_ctx () in
+  let lt = Meta.intern_layout meta tenv_s (Ctype.Struct "S") in
+  Memory.write_u32 mem (Int64.add lt 4L) 0x7FFF_FFFFL;
+  (* element 2 is [array], the parent of element 4 ([array[i].v4]) *)
+  Memory.write_u16 mem (Int64.add lt (Int64.of_int (16 + (2 * 16)))) 4;
+  let p = Meta.Local_offset.register meta ~base:0x2000L ~size:24 ~layout_ptr:lt in
+  let q = Insn.ifpidx (Insn.ifpadd p ~delta:16L ~bounds:Bounds.no_bounds) 4 in
+  let r = Promote.run meta q in
+  (match r.Promote.outcome with
+  | Promote.Retrieved (Promote.Narrow_failed "parent cycle") -> ()
+  | _ -> Alcotest.fail "expected a parent-cycle narrow failure");
+  Alcotest.(check bool) "object bounds" true
+    (Bounds.equal r.Promote.bounds (Bounds.make ~lo:0x2000L ~hi:(Int64.add 0x2000L 24L)));
+  Alcotest.(check bool) "walk bounded" true (r.Promote.walk_elems <= 1)
+
 (* the global-table tag holds a 12-bit row index and no subobject index:
    a published layout table is never walked, and promote returns
    whole-object bounds *)
@@ -523,6 +542,8 @@ let tests =
       test_promote_local_offset_narrowing;
     Alcotest.test_case "promote without layout" `Quick
       test_promote_no_layout_falls_back;
+    Alcotest.test_case "promote forged table bounded" `Quick
+      test_promote_forged_table_bounded;
     Alcotest.test_case "promote global table never narrows" `Quick
       test_promote_global_table_never_narrows;
     Alcotest.test_case "promote invalid metadata" `Quick
