@@ -8,24 +8,8 @@ type token =
 
 exception Lex_error of string * int
 
-let keywords =
-  [ "struct"; "global"; "legacy"; "let"; "var"; "if"; "else"; "while";
-    "return"; "break"; "continue"; "free"; "malloc"; "malloc_bytes"; "null";
-    "sizeof"; "i8"; "i16"; "i32"; "i64"; "f64"; "void"; "cast" ]
-
-(* multi-character operators first (longest match) *)
-let puncts =
-  [ "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||"; "->"; "+"; "-"; "*"; "/";
-    "%"; "&"; "|"; "^"; "!"; "~"; "<"; ">"; "="; "("; ")"; "{"; "}"; "[";
-    "]"; ";"; ","; "."; ":" ]
-
-type t = {
-  src : string;
-  mutable pos : int;
-  mutable line_no : int;
-  mutable tok : token;
-  mutable tok2 : token option;
-}
+(* scanning state over the source text *)
+type scanner = { src : string; mutable pos : int; mutable line_no : int }
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || (c >= '0' && c <= '9')
@@ -67,6 +51,49 @@ let int_lit t s =
   match Int64.of_string_opt s with
   | Some n -> INT n
   | None -> raise (Lex_error ("integer literal out of range", t.line_no))
+
+(* longest match on the current and next character *)
+let punct t c =
+  let c2 = if t.pos + 1 < String.length t.src then t.src.[t.pos + 1] else ' ' in
+  let tok, n =
+    match (c, c2) with
+    | '<', '<' -> (PUNCT "<<", 2)
+    | '<', '=' -> (PUNCT "<=", 2)
+    | '<', _ -> (PUNCT "<", 1)
+    | '>', '>' -> (PUNCT ">>", 2)
+    | '>', '=' -> (PUNCT ">=", 2)
+    | '>', _ -> (PUNCT ">", 1)
+    | '=', '=' -> (PUNCT "==", 2)
+    | '=', _ -> (PUNCT "=", 1)
+    | '!', '=' -> (PUNCT "!=", 2)
+    | '!', _ -> (PUNCT "!", 1)
+    | '&', '&' -> (PUNCT "&&", 2)
+    | '&', _ -> (PUNCT "&", 1)
+    | '|', '|' -> (PUNCT "||", 2)
+    | '|', _ -> (PUNCT "|", 1)
+    | '-', '>' -> (PUNCT "->", 2)
+    | '-', _ -> (PUNCT "-", 1)
+    | '+', _ -> (PUNCT "+", 1)
+    | '*', _ -> (PUNCT "*", 1)
+    | '/', _ -> (PUNCT "/", 1)
+    | '%', _ -> (PUNCT "%", 1)
+    | '^', _ -> (PUNCT "^", 1)
+    | '~', _ -> (PUNCT "~", 1)
+    | '(', _ -> (PUNCT "(", 1)
+    | ')', _ -> (PUNCT ")", 1)
+    | '{', _ -> (PUNCT "{", 1)
+    | '}', _ -> (PUNCT "}", 1)
+    | '[', _ -> (PUNCT "[", 1)
+    | ']', _ -> (PUNCT "]", 1)
+    | ';', _ -> (PUNCT ";", 1)
+    | ',', _ -> (PUNCT ",", 1)
+    | '.', _ -> (PUNCT ".", 1)
+    | ':', _ -> (PUNCT ":", 1)
+    | _ ->
+      raise (Lex_error (Printf.sprintf "unexpected character %c" c, t.line_no))
+  in
+  t.pos <- t.pos + n;
+  tok
 
 let scan t =
   skip_ws t;
@@ -113,50 +140,85 @@ let scan t =
         t.pos <- t.pos + 1
       done;
       let s = String.sub t.src start (t.pos - start) in
-      if List.mem s keywords then KW s else IDENT s
+      (* a static match: no table is built when the module loads *)
+      match s with
+      | "struct" | "global" | "legacy" | "let" | "var" | "if" | "else" | "while"
+      | "return" | "break" | "continue" | "free" | "malloc" | "malloc_bytes"
+      | "null" | "sizeof" | "i8" | "i16" | "i32" | "i64" | "f64" | "void"
+      | "cast" ->
+        KW s
+      | _ -> IDENT s
     end
-    else
-      let rec try_puncts = function
-        | [] ->
-          raise (Lex_error (Printf.sprintf "unexpected character %c" c, t.line_no))
-        | p :: rest ->
-          let n = String.length p in
-          if
-            t.pos + n <= String.length t.src
-            && String.equal (String.sub t.src t.pos n) p
-          then begin
-            t.pos <- t.pos + n;
-            PUNCT p
-          end
-          else try_puncts rest
-      in
-      try_puncts puncts
+    else punct t c
+
+(* The tokens are kept in chunks of [chunk] entries, each small enough
+   for the minor heap. One array of a whole program's tokens would be
+   allocated in the major heap; at this size that costs more than the
+   scan itself. *)
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
+
+(* the token at [last] is [EOF], or, when lexing failed, a placeholder at
+   which [error] is raised *)
+type t = {
+  toks : token array array;
+  lines : int array array;
+  last : int;
+  error : exn option;
+  mutable cur : int;
+}
+
+let arrive t = if t.cur = t.last then Option.iter raise t.error
 
 let create src =
-  let t = { src; pos = 0; line_no = 1; tok = EOF; tok2 = None } in
-  t.tok <- scan t;
+  let sc = { src; pos = 0; line_no = 1 } in
+  let toks = ref [] and lines = ref [] in
+  let tchunk = ref [||] and lchunk = ref [||] in
+  let n = ref 0 in
+  let push tok =
+    let i = !n land (chunk - 1) in
+    if i = 0 then begin
+      tchunk := Array.make chunk EOF;
+      lchunk := Array.make chunk 0;
+      toks := !tchunk :: !toks;
+      lines := !lchunk :: !lines
+    end;
+    !tchunk.(i) <- tok;
+    !lchunk.(i) <- sc.line_no;
+    incr n
+  in
+  let rec fill () =
+    match scan sc with
+    | EOF ->
+      push EOF;
+      None
+    | tok ->
+      push tok;
+      fill ()
+    | exception (Lex_error _ as e) ->
+      push EOF;
+      Some e
+  in
+  let error = fill () in
+  let t =
+    { toks = Array.of_list (List.rev !toks); lines = Array.of_list (List.rev !lines);
+      last = !n - 1; error; cur = 0 }
+  in
+  arrive t;
   t
 
-let peek t = t.tok
-
-let peek2 t =
-  match t.tok2 with
-  | Some tok -> tok
-  | None ->
-    let tok = scan t in
-    t.tok2 <- Some tok;
-    tok
+let peek t = t.toks.(t.cur lsr chunk_bits).(t.cur land (chunk - 1))
 
 let next t =
-  let cur = t.tok in
-  (match t.tok2 with
-  | Some tok ->
-    t.tok <- tok;
-    t.tok2 <- None
-  | None -> t.tok <- scan t);
-  cur
+  let tok = peek t in
+  if t.cur < t.last then begin
+    t.cur <- t.cur + 1;
+    arrive t
+  end;
+  tok
 
-let line t = t.line_no
+let line t = t.lines.(t.cur lsr chunk_bits).(t.cur land (chunk - 1))
+let rewind t = t.cur <- 0
 
 let token_to_string = function
   | INT x -> Int64.to_string x

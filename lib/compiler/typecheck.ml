@@ -37,8 +37,8 @@ let type_of_gep tenv pointee steps =
     | Ir.S_field f :: rest -> (
       match ty with
       | Ctype.Struct s -> (
-        match Ctype.field_offset tenv s f with
-        | _, fty -> go fty rest ~leading:false
+        match Ctype.field_type tenv s f with
+        | fty -> go fty rest ~leading:false
         | exception Not_found -> err "Gep: struct %s has no field %s" s f)
       | _ -> err "Gep: field %s selected on non-struct %s" f (Ctype.to_string tenv ty))
     | Ir.S_index _ :: rest -> (
@@ -56,7 +56,7 @@ let layout_path tenv pointee steps =
     | Ir.S_field f :: rest -> (
       match ty with
       | Ctype.Struct s ->
-        let _, fty = Ctype.field_offset tenv s f in
+        let fty = Ctype.field_type tenv s f in
         go fty rest ~leading:false (Layout.Field f :: acc)
       | _ -> err "layout_path: non-struct")
     | Ir.S_index _ :: rest -> (
@@ -66,6 +66,65 @@ let layout_path tenv pointee steps =
       | _ -> err "layout_path: non-array")
   in
   go pointee steps ~leading:true []
+
+(* the heap arena: the largest region of the VM's memory map, so no
+   object larger than this can be placed *)
+let max_object_size = 1 lsl 28
+
+exception Too_large
+
+(* [Ctype.sizeof] with every step checked: raises [Too_large] instead of
+   wrapping, or of going negative on a dimension past [max_int] *)
+let checked_sizeof tenv ty =
+  let rec layout seen = function
+    | Ctype.Void -> (0, 1)
+    | I8 -> (1, 1)
+    | I16 -> (2, 2)
+    | I32 -> (4, 4)
+    | I64 | F64 | Ptr _ -> (8, 8)
+    | Array (elt, n) ->
+      let size, align = layout seen elt in
+      if n < 0 || (size > 0 && n > max_object_size / size) then raise Too_large;
+      (n * size, align)
+    | Struct name ->
+      if List.mem name seen then err "struct %s contains itself by value" name;
+      let def =
+        match Ctype.lookup tenv name with
+        | def -> def
+        | exception Not_found -> err "struct %s used by value is not declared" name
+      in
+      let off, align =
+        List.fold_left
+          (fun (off, align) f ->
+            let size, a = layout (name :: seen) f.Ctype.fty in
+            let off = Ifp_util.Bits.align_up off a + size in
+            if off > max_object_size then raise Too_large;
+            (off, max align a))
+          (0, 1) def.fields
+      in
+      (Ifp_util.Bits.align_up off align, align)
+  in
+  let size, _ = layout [] ty in
+  if size > max_object_size then raise Too_large;
+  size
+
+(* the checked size of a declared type; [what ()] names the declaration
+   in the error *)
+let object_size tenv ty what =
+  match checked_sizeof tenv ty with
+  | size -> size
+  | exception Too_large ->
+    err "%s: size of %s out of range (max %d bytes)" (what ())
+      (Ctype.to_string tenv ty) max_object_size
+
+let check_struct tenv (name, (def : Ctype.struct_def)) =
+  List.iter
+    (fun (f : Ctype.field) ->
+      ignore
+        (object_size tenv f.fty (fun () ->
+             Printf.sprintf "struct %s field %s" name f.fname)))
+    def.fields;
+  ignore (object_size tenv (Ctype.Struct name) (fun () -> "struct " ^ name))
 
 type ctx = {
   tenv : Ctype.tenv;
@@ -154,6 +213,7 @@ let rec type_of ctx (e : Ir.expr) : Ctype.t =
         args f.params;
       f.ret)
   | Malloc (ty, n) ->
+    ignore (object_size ctx.tenv ty (fun () -> ctx.fn.fname ^ ": malloc"));
     if not (is_int (type_of ctx n)) then
       err "%s: malloc count not an integer" ctx.fn.fname;
     Ctype.Ptr ty
@@ -162,6 +222,7 @@ let rec type_of ctx (e : Ir.expr) : Ctype.t =
       err "%s: malloc_bytes size not an integer" ctx.fn.fname;
     Ctype.Ptr Ctype.I8
   | Malloc_sized (ty, n) ->
+    ignore (object_size ctx.tenv ty (fun () -> ctx.fn.fname ^ ": malloc_sized"));
     if not (is_int (type_of ctx n)) then
       err "%s: malloc_sized size not an integer" ctx.fn.fname;
     Ctype.Ptr ty
@@ -256,7 +317,8 @@ let rec check_stmt ctx ~in_loop (s : Ir.stmt) =
   | Decl_local (name, ty) ->
     if Hashtbl.mem ctx.vars name then
       err "%s: duplicate variable %s" ctx.fn.fname name;
-    if Ctype.sizeof ctx.tenv ty <= 0 then
+    let local () = Printf.sprintf "%s: local %s" ctx.fn.fname name in
+    if object_size ctx.tenv ty local <= 0 then
       err "%s: zero-sized local %s" ctx.fn.fname name;
     Hashtbl.replace ctx.vars name (`Stack ty)
   | Store (ty, addr, value) ->
@@ -334,5 +396,10 @@ let check_program prog =
     (fun (g : Ir.global) ->
       if Hashtbl.mem gseen g.gname then err "duplicate global %s" g.gname;
       Hashtbl.replace gseen g.gname ())
+    prog.Ir.globals;
+  List.iter (check_struct prog.Ir.tenv) (Ctype.bindings prog.Ir.tenv);
+  List.iter
+    (fun (g : Ir.global) ->
+      ignore (object_size prog.Ir.tenv g.gty (fun () -> "global " ^ g.gname)))
     prog.Ir.globals;
   List.iter (check_func prog) prog.Ir.funcs

@@ -77,6 +77,11 @@ let field_offset env sname fname =
   in
   go (fields_with_offsets env sname)
 
+let field_type env sname fname =
+  match List.find_opt (fun f -> String.equal f.fname fname) (lookup env sname).fields with
+  | Some f -> f.fty
+  | None -> raise Not_found
+
 let is_scalar = function
   | I8 | I16 | I32 | I64 | F64 | Ptr _ -> true
   | Void | Struct _ | Array _ -> false

@@ -42,6 +42,11 @@ val field_offset : tenv -> string -> string -> int * t
 (** [field_offset env sname fname] is the byte offset and type of a
     field. @raise Not_found for unknown struct or field. *)
 
+val field_type : tenv -> string -> string -> t
+(** [field_type env sname fname] is the type of a field, without
+    computing the struct's layout. @raise Not_found for unknown struct
+    or field. *)
+
 val fields_with_offsets : tenv -> string -> (field * int) list
 (** All fields of a struct with their byte offsets, in declaration
     order. *)

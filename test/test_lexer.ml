@@ -37,12 +37,24 @@ let test_line_tracking () =
   ignore (L.next lx);
   Alcotest.(check int) "line 4 after c" 4 (L.line lx)
 
-let test_peek2 () =
-  let lx = L.create "a b c" in
-  Alcotest.(check tok) "peek" (L.IDENT "a") (L.peek lx);
-  Alcotest.(check tok) "peek2" (L.IDENT "b") (L.peek2 lx);
-  Alcotest.(check tok) "next still a" (L.IDENT "a") (L.next lx);
-  Alcotest.(check tok) "then b" (L.IDENT "b") (L.next lx)
+(* the parser's passes walk one token array: after a rewind the cursor
+   yields the same tokens and lines again *)
+let test_rewind () =
+  let lx = L.create "a\nb c" in
+  let walk () =
+    let rec go acc =
+      let tl = (L.peek lx, L.line lx) in
+      if L.next lx = L.EOF then List.rev (tl :: acc) else go (tl :: acc)
+    in
+    go []
+  in
+  let first = walk () in
+  L.rewind lx;
+  Alcotest.(check (list (pair tok int)))
+    "same walk"
+    [ (L.IDENT "a", 1); (L.IDENT "b", 2); (L.IDENT "c", 2); (L.EOF, 2) ]
+    first;
+  Alcotest.(check (list (pair tok int))) "after rewind" first (walk ())
 
 let test_errors () =
   (match toks "@" with
@@ -77,7 +89,7 @@ let tests =
     Alcotest.test_case "longest match" `Quick test_longest_match;
     Alcotest.test_case "comments" `Quick test_comments;
     Alcotest.test_case "line tracking" `Quick test_line_tracking;
-    Alcotest.test_case "peek2" `Quick test_peek2;
+    Alcotest.test_case "rewind" `Quick test_rewind;
     Alcotest.test_case "lex errors" `Quick test_errors;
     Alcotest.test_case "keywords vs idents" `Quick test_keywords_vs_idents;
   ]

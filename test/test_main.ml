@@ -18,6 +18,7 @@ let () =
       ("extensions", Test_extensions.tests);
       ("lexer", Test_lexer.tests);
       ("parser", Test_parser.tests);
+      ("frontend-spec", Test_frontend_spec.tests);
       ("trace-report", Test_trace_report.tests);
       ("campaign", Test_campaign.tests);
       ("chaos", Test_chaos.tests);

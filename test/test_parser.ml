@@ -267,6 +267,102 @@ let test_frontend_errors () =
   Alcotest.(check bool) "valid program accepted" true
     (Result.is_ok (Frontend.check ~file:"t.minic" "i64 main() { return 7; }"))
 
+(* the reported line is that of the lookahead token when the error is
+   raised: after the offending token is consumed, and at EOF the line
+   after all trailing whitespace; a lex error surfaces only when lexing
+   reaches it *)
+let test_error_lines () =
+  List.iter
+    (fun (src, expected) ->
+      match Frontend.check ~file:"f" src with
+      | Ok _ -> Alcotest.fail ("accepted invalid program: " ^ src)
+      | Error m -> Alcotest.(check string) (String.escaped src) expected m)
+    [
+      ( "i64 main() {\n return 1\n}\n\n\n",
+        "f:6: parse error: expected ';', got '}'" );
+      ( "i64 main() {\n  return 0;\n}\n/* open\n comment\n",
+        "f:5: lex error: unterminated comment" );
+      ("struct 5 { };\n@", "f:1: parse error: expected struct name, got 5");
+      ( "i64 main() {\n  return (1 +\n    2) @ 3;\n}\n",
+        "f:3: lex error: unexpected character @" );
+      ( "i64 main() {\n  return 1 +\n    2 *\n    ;\n}\n",
+        "f:5: parse error: unexpected ';' in expression" );
+      ( "i64 main() {\n  let x: i64 = 1 +\n    y;\n  return x;\n}\n",
+        "f:3: parse error: unknown identifier y" );
+    ]
+
+(* one nesting limit bounds the parser's recursion: 10^5 nested
+   parentheses are a located error, returned at once *)
+let test_deep_nesting () =
+  let repeat k s = String.concat "" (List.init k (fun _ -> s)) in
+  let deep k o c = "i64 main() {\n  return " ^ repeat k o ^ "1" ^ repeat k c ^ ";\n}\n" in
+  let blocks k =
+    "i64 main() {\n  " ^ repeat k "if (1) { " ^ "return 1;" ^ repeat k " }"
+    ^ "\n  return 0;\n}\n"
+  in
+  let too_deep = "t.minic:2: parse error: nesting deeper than 256" in
+  List.iter
+    (fun (what, src) ->
+      match Frontend.check ~file:"t.minic" src with
+      | Error m -> Alcotest.(check string) what too_deep m
+      | Ok _ -> Alcotest.fail (what ^ " accepted"))
+    [
+      ("10^5 parentheses", deep 100_000 "(" ")");
+      ("300 negations", deep 300 "-" "");
+      ("300 blocks", blocks 300);
+    ];
+  (* the limit counts every open block (the function body too), the
+     statement's expression and each parenthesis *)
+  Alcotest.(check int64) "254 parentheses" 1L (ret (deep 254 "(" ")"));
+  Alcotest.(check int64) "254 blocks" 1L (ret (blocks 254));
+  match Frontend.check ~file:"t.minic" (deep 255 "(" ")") with
+  | Error m -> Alcotest.(check string) "255 parentheses" too_deep m
+  | Ok _ -> Alcotest.fail "255 parentheses accepted"
+
+(* a declared type whose size overflows, or exceeds the heap arena, is a
+   type error naming the declaration, not a wrapped size *)
+let test_oversized_types () =
+  List.iter
+    (fun (src, expected) ->
+      match Frontend.check ~file:"t.minic" src with
+      | Ok _ -> Alcotest.fail ("accepted oversized type: " ^ src)
+      | Error m -> Alcotest.(check string) src expected m)
+    [
+      ( "struct S { i64 a[4611686018427387903]; };\ni64 main() { return sizeof(S); }",
+        "t.minic: type error: struct S field a: size of i64[4611686018427387903] out \
+         of range (max 268435456 bytes)" );
+      (* 2^60 + 1 elements of 8 bytes wrap to 8 bytes *)
+      ( "i64 main() {\n  var a: i64[1152921504606846977];\n  return 0;\n}",
+        "t.minic: type error: main: local a: size of i64[1152921504606846977] out \
+         of range (max 268435456 bytes)" );
+      (* a dimension past max_int wraps negative *)
+      ( "global i64 g[0xffffffffffffffff];\ni64 main() { return 0; }",
+        "t.minic: type error: global g: size of i64[-1] out of range (max \
+         268435456 bytes)" );
+      ( "struct B { i8 a[268435456]; i8 b; };\n\
+         i64 main() { let p: B* = malloc(B); return 0; }",
+        "t.minic: type error: struct B: size of struct B out of range (max \
+         268435456 bytes)" );
+    ];
+  (* MiniC's malloc takes no array type: the check on the allocated type
+     itself is reached through the IR *)
+  let huge = Ctype.Array (Ctype.I64, (1 lsl 60) + 1) in
+  let prog =
+    Ir.program ~tenv:Ctype.empty_tenv ~globals:[]
+      [ Ir.func "main" [] Ctype.I64
+          [ Ir.Expr (Ir.Malloc (huge, Ir.Int 1L)); Ir.Return (Some (Ir.Int 0L)) ] ]
+  in
+  (match Typecheck.check_program prog with
+  | () -> Alcotest.fail "accepted oversized malloc"
+  | exception Typecheck.Type_error m ->
+    Alcotest.(check string) "malloc"
+      "main: malloc: size of i64[1152921504606846977] out of range (max 268435456 bytes)" m);
+  Alcotest.(check int) "the limit is the heap arena" (1 lsl Ifp_vm.Memmap.heap_size_log2)
+    Typecheck.max_object_size;
+  (* the largest object still fits *)
+  ignore (parse "struct B { i8 a[268435456]; };\ni64 main() { return sizeof(B); }"
+          |> Typecheck.check_program)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i =
@@ -316,5 +412,8 @@ let tests =
     Alcotest.test_case "comments + hex" `Quick test_comments_and_hex;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "front-end errors located" `Quick test_frontend_errors;
+    Alcotest.test_case "error lines" `Quick test_error_lines;
+    Alcotest.test_case "nesting limit" `Quick test_deep_nesting;
+    Alcotest.test_case "oversized types" `Quick test_oversized_types;
     Alcotest.test_case "pretty-printer" `Quick test_pp_roundtrip;
   ]
