@@ -35,7 +35,7 @@ let write_header st ~hdr ~cls ~requested =
   Memory.write_u64 st.mem (Int64.add hdr 8L) 0xC0FFEEL
 
 let malloc st ~size ~cty:_ =
-  let size = max size 1 in
+  let size = Ifp_util.Bits.imax size 1 in
   let cls = Ifp_util.Bits.align_up size 16 in
   let bin = bin_for st cls in
   let payload, instrs =

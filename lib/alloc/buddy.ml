@@ -44,7 +44,7 @@ let rec take t l =
         Some b)
 
 let alloc t log2 =
-  let l = max log2 t.min_log2 in
+  let l = Ifp_util.Bits.imax log2 t.min_log2 in
   match take t l with
   | None -> None
   | Some b ->
@@ -73,7 +73,7 @@ let rec insert t addr l =
     else lst := addr :: !lst
 
 let free t addr log2 =
-  let l = max log2 t.min_log2 in
+  let l = Ifp_util.Bits.imax log2 t.min_log2 in
   t.in_use <- t.in_use - (1 lsl l);
   insert t addr l
 

@@ -77,7 +77,7 @@ let new_block st pool =
     let capacity = (1 lsl pool.block_log2) - st.slot_start in
     let nslots = capacity / pool.slot_size in
     (* the temporal freed-slot bitmap is 256 bits wide *)
-    let nslots = if st.temporal then min nslots 256 else nslots in
+    let nslots = if st.temporal then Ifp_util.Bits.imin nslots 256 else nslots in
     Meta.Subheap.write_block_metadata st.meta ~creg:pool.creg ~block_base:bbase
       ~slot_start:st.slot_start
       ~slot_end:(st.slot_start + (nslots * pool.slot_size))
@@ -90,7 +90,7 @@ let new_block st pool =
     b
 
 let pool_for st ~size ~layout_ptr =
-  let slot_size = Ifp_util.Bits.align_up (max size 16) 16 in
+  let slot_size = Ifp_util.Bits.align_up (Ifp_util.Bits.imax size 16) 16 in
   if slot_size > max_pooled_slot then None
   else
   match Hashtbl.find_opt st.pools (size, layout_ptr) with
@@ -117,7 +117,7 @@ let pool_for st ~size ~layout_ptr =
         Some p))
 
 let malloc st ~size ~cty =
-  let size = max size 1 in
+  let size = Ifp_util.Bits.imax size 1 in
   let layout_ptr =
     match cty with
     | None -> 0L
@@ -164,7 +164,7 @@ let malloc st ~size ~cty =
     (ptr, add_cost block_cost (cost 25 ~ifp_instrs:[ (Ifp_isa.Insn.Ifpmd, 1) ]))
   | None -> begin
     (* oversized allocation: raw buddy block + global-table registration *)
-    let log2 = max min_block_log2 (Ifp_util.Bits.ceil_log2 size) in
+    let log2 = Ifp_util.Bits.imax min_block_log2 (Ifp_util.Bits.ceil_log2 size) in
     match Buddy.alloc st.buddy log2 with
     | None -> raise (Out_of_memory "subheap arena exhausted (huge)")
     | Some base ->
@@ -261,7 +261,7 @@ let create ~meta ~tenv ~memory ~base ~size_log2 =
       buddy = Buddy.create ~base ~size_log2 ~min_log2:min_block_log2;
       base;
       limit = Int64.add base (Int64.of_int (1 lsl size_log2));
-      max_block_log2 = min 22 size_log2;
+      max_block_log2 = Ifp_util.Bits.imin 22 size_log2;
       slot_start = Meta.Subheap.record_size meta;
       temporal = Meta.temporal meta;
       quarantined = 0;

@@ -13,7 +13,7 @@ let create ~meta ~tenv ~base_alloc =
     | Some ty -> Meta.intern_layout meta tenv ty
   in
   let malloc ~size ~cty =
-    let size = max size 1 in
+    let size = Ifp_util.Bits.imax size 1 in
     let layout_ptr = layout_of cty in
     if Meta.Local_offset.fits ~size then begin
       let footprint = Meta.Local_offset.footprint ~size in

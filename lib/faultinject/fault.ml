@@ -294,10 +294,11 @@ let on_access t ~addr ~size ~bounds =
         let b' =
           if Prng.bool t.rng then
             (* raise the lower bound above the access *)
-            Bounds.make ~lo:(Int64.add addr 1L) ~hi
+            Bounds.make ~lo:(Int64.add addr 1L) ~hi:(Int64.of_int hi)
           else
             (* drop the upper bound below the access end *)
-            Bounds.make ~lo ~hi:(Int64.add addr (Int64.of_int (size - 1)))
+            Bounds.make ~lo:(Int64.of_int lo)
+              ~hi:(Int64.add addr (Int64.of_int (size - 1)))
         in
         note t "access"
           (Format.asprintf "bounds-corrupt %a -> %a" Bounds.pp bounds Bounds.pp

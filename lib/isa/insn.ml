@@ -29,12 +29,12 @@ let poison_from_bounds p bounds =
   match bounds with
   | Bounds.No_bounds -> p
   | Bounds.Bounds { lo; hi } ->
-    let a = Tag.addr p in
-    if Int64.compare lo a <= 0 && Int64.compare a hi <= 0 then
+    let a = Int64.to_int (Tag.addr p) in
+    if lo <= a && a <= hi then
       (* pointing one past the end is legal (C off-by-one) but still Valid
          for tag purposes only when strictly inside; exactly [hi] is the
          recoverable state *)
-      if Int64.compare a hi < 0 then Tag.with_poison p Tag.Valid
+      if a < hi then Tag.with_poison p Tag.Valid
       else Tag.with_poison p Tag.Oob
     else Tag.with_poison p Tag.Oob
 
@@ -73,7 +73,9 @@ let ifpchk p ~bounds ~size =
   | Bounds.No_bounds -> ()
   | Bounds.Bounds { lo; hi } ->
     if not (check_result p ~bounds ~size) then
-      Trap.raise_trap (Trap.Bounds_violation { ptr = p; lo; hi; size })
+      Trap.raise_trap
+        (Trap.Bounds_violation
+           { ptr = p; lo = Int64.of_int lo; hi = Int64.of_int hi; size })
 
 let ifpextract p ~bounds = poison_from_bounds p bounds
 

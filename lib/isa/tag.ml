@@ -55,10 +55,17 @@ let subobj_index p =
   | Subheap -> Some (Int64.to_int (Int64.shift_right_logical p 48) land 0xFF)
   | Legacy | Global_table -> None
 
+let subobj p =
+  let f = Int64.to_int (Int64.shift_right_logical p 48) in
+  match (f lsr 12) land 3 with
+  | 1 -> f land 0x3F
+  | 2 -> f land 0xFF
+  | _ -> 0
+
 let with_subobj_index p i =
   match scheme p with
-  | Local_offset -> Bits.insert_int p ~lo:48 ~width:6 (min i 63)
-  | Subheap -> Bits.insert_int p ~lo:48 ~width:8 (min i 255)
+  | Local_offset -> Bits.insert_int p ~lo:48 ~width:6 (Bits.imin i 63)
+  | Subheap -> Bits.insert_int p ~lo:48 ~width:8 (Bits.imin i 255)
   | Legacy | Global_table -> p
 
 let granule_offset p = Int64.to_int (Int64.shift_right_logical p 54) land 0x3F

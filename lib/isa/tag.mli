@@ -81,6 +81,10 @@ val subobj_index : int64 -> int option
 (** Subobject index for schemes that have one; [None] for legacy and
     global-table pointers. *)
 
+val subobj : int64 -> int
+(** {!subobj_index} with [None] read as 0, which promote treats the same
+    way (no subobject to narrow to); no option is allocated. *)
+
 val with_subobj_index : int64 -> int -> int64
 (** Saturating write of the subobject-index field; no-op for legacy and
     global-table pointers. *)

@@ -46,7 +46,7 @@ let rec iv_add lo hi = function
   | [] -> [ (lo, hi) ]
   | (l, h) :: rest when h + 1 < lo -> (l, h) :: iv_add lo hi rest
   | (l, h) :: rest when hi + 1 < l -> (lo, hi) :: (l, h) :: rest
-  | (l, h) :: rest -> iv_add (min l lo) (max h hi) rest
+  | (l, h) :: rest -> iv_add (Ifp_util.Bits.imin l lo) (Ifp_util.Bits.imax h hi) rest
 
 (* remove [lo,hi], splitting intervals that straddle an endpoint *)
 let rec iv_remove lo hi = function

@@ -18,3 +18,11 @@ val compute : key:key -> int64 list -> int64
 (** 48-bit MAC over a field list (order-sensitive). *)
 
 val verify : key:key -> int64 list -> mac:int64 -> bool
+
+val verify3 : key:key -> int64 -> int64 -> int64 -> mac:int -> bool
+(** [verify3 ~key a b c ~mac] is [verify ~key [a; b; c] ~mac] with a
+    48-bit [mac] as an [int]; nothing is allocated for the field list. *)
+
+val verify6 :
+  key:key -> int64 -> int64 -> int64 -> int64 -> int64 -> int64 -> mac:int -> bool
+(** The six-field twin of {!verify3}. *)

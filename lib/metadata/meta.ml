@@ -25,6 +25,17 @@ type live_entry = {
   mac_off : int option;
 }
 
+(* What the last lookup found, written in place so that a lookup
+   allocates nothing: the promote core reads it straight after the call. *)
+type found = {
+  mutable f_base : int;
+  mutable f_size : int;
+  mutable f_layout : int64;
+  mutable f_gen : int;
+  mutable f_freed : bool;
+  mutable f_reason : string;
+}
+
 type t = {
   mem : Memory.t;
   key : Mac.key;
@@ -43,6 +54,7 @@ type t = {
   live : (int64, live_entry) Hashtbl.t;
       (* every metadata record currently in memory, keyed by address —
          the fault injector's target registry *)
+  found : found;
 }
 
 let layout_magic = 0x4C544231L (* "LTB1" *)
@@ -66,11 +78,16 @@ let create ?(temporal = false) ~memory ~mac_key ~layout_region:(lbase, lsize)
     gt_used = 0;
     cregs = Array.make 16 None;
     live = Hashtbl.create 64;
+    found =
+      { f_base = 0; f_size = 0; f_layout = 0L; f_gen = 0; f_freed = false;
+        f_reason = "" };
   }
 
 let memory t = t.mem
 let mac_key t = t.key
 let temporal t = t.temporal
+let found t = t.found
+let global_table t = (t.gt_base, t.gt_entries)
 
 let live_add t e = Hashtbl.replace t.live e.meta_addr e
 let live_remove t meta_addr = Hashtbl.remove t.live meta_addr
@@ -114,14 +131,20 @@ let layout_count t table_ptr =
     if not (Int64.equal magic layout_magic) then 0
     else Int64.to_int (Memory.read_u32 t.mem (Int64.add table_ptr 4L))
 
+(* Every typed wrapped or subheap malloc lands here, so the type is
+   looked up before its layout is built, and a type with no table is
+   remembered as [0L] too. *)
 let intern_layout t env ty =
-  let layout = Ifp_types.Layout.build env ty in
-  if Ifp_types.Layout.length layout <= 1 then 0L
-  else
-    match Hashtbl.find_opt t.layouts ty with
-    | Some addr -> addr
-    | None ->
-      let n = Ifp_types.Layout.length layout in
+  match Hashtbl.find t.layouts ty with
+  | addr -> addr
+  | exception Not_found ->
+    let layout = Ifp_types.Layout.build env ty in
+    let n = Ifp_types.Layout.length layout in
+    if n <= 1 then begin
+      Hashtbl.replace t.layouts ty 0L;
+      0L
+    end
+    else begin
       let bytes = header_bytes + (n * element_bytes) in
       let addr = t.layout_next in
       if
@@ -142,8 +165,38 @@ let intern_layout t env ty =
         (Ifp_types.Layout.elements layout);
       Hashtbl.replace t.layouts ty addr;
       addr
+    end
 
 let layout_bytes_used t = Int64.to_int (Int64.sub t.layout_next t.layout_base)
+
+(* ------------------------------------------------------------------ *)
+(* Lookup plumbing                                                     *)
+
+let fault_reason a = Printf.sprintf "metadata page fault at 0x%Lx" a
+
+let fail f reason =
+  f.f_reason <- reason;
+  false
+
+(* the list-building face of a [probe]: its fetches, in order, and what
+   it found *)
+let collect probe t =
+  let fetches = ref [] in
+  let ok = probe ~fetch:(fun addr bytes -> fetches := { addr; bytes } :: !fetches) in
+  let f = t.found in
+  let r =
+    if ok then
+      Ok
+        {
+          obj_base = Int64.of_int f.f_base;
+          obj_size = f.f_size;
+          layout_ptr = f.f_layout;
+          gen = f.f_gen;
+          freed = f.f_freed;
+        }
+    else Error f.f_reason
+  in
+  (r, List.rev !fetches)
 
 (* ------------------------------------------------------------------ *)
 (* Local-offset scheme                                                 *)
@@ -250,27 +303,42 @@ module Local_offset = struct
   let deregister_temporal t ptr =
     mark_freed_at t (Tag.metadata_addr_local_offset ptr)
 
-  let lookup t ptr =
+  let probe t ptr ~fetch =
     let meta_addr = Tag.metadata_addr_local_offset ptr in
-    let fetches =
-      [ { addr = meta_addr; bytes = 8 }; { addr = Int64.add meta_addr 8L; bytes = 8 } ]
-    in
-    match read_meta t meta_addr with
-    | exception Memory.Fault (_, a) ->
-      (Error (Printf.sprintf "metadata page fault at 0x%Lx" a), fetches)
-    | size, mac, layout_word ->
-      if not (fits ~size) then (Error "bad object size", fetches)
+    fetch meta_addr 8;
+    fetch (Int64.add meta_addr 8L) 8;
+    let f = t.found and m = t.mem in
+    match
+      f.f_size <- Memory.read_u16 m meta_addr;
+      let mac_lo = Memory.read_u16 m (Int64.add meta_addr 2L) in
+      let mac_hi = Memory.read_u32 m (Int64.add meta_addr 4L) in
+      f.f_layout <- Memory.read_u64 m (Int64.add meta_addr 8L);
+      mac_lo lor (Int64.to_int mac_hi lsl 16)
+    with
+    | exception Memory.Fault (_, a) -> fail f (fault_reason a)
+    | mac ->
+      let size = f.f_size and layout_word = f.f_layout in
+      if not (fits ~size) then fail f "bad object size"
       else if
-        not (Mac.verify ~key:t.key (mac_fields ~meta_addr ~size ~layout_word) ~mac)
-      then (Error "MAC mismatch", fetches)
-      else
-        let obj_base =
-          Int64.sub meta_addr (Int64.of_int (Bits.align_up size Tag.granule))
-        in
-        let layout_ptr = if t.temporal then lw_layout layout_word else layout_word in
-        let gen = if t.temporal then lw_gen layout_word else 0 in
-        let freed = t.temporal && lw_freed layout_word in
-        (Ok { obj_base; obj_size = size; layout_ptr; gen; freed }, fetches)
+        not
+          (Mac.verify3 ~key:t.key meta_addr (Int64.of_int size) layout_word
+             ~mac)
+      then fail f "MAC mismatch"
+      else begin
+        f.f_base <- Int64.to_int meta_addr - Bits.align_up size Tag.granule;
+        if t.temporal then begin
+          f.f_layout <- lw_layout layout_word;
+          f.f_gen <- lw_gen layout_word;
+          f.f_freed <- lw_freed layout_word
+        end
+        else begin
+          f.f_gen <- 0;
+          f.f_freed <- false
+        end;
+        true
+      end
+
+  let lookup t ptr = collect (fun ~fetch -> probe t ptr ~fetch) t
 end
 
 (* ------------------------------------------------------------------ *)
@@ -411,77 +479,69 @@ module Subheap = struct
       Memory.write_u8 t.mem (Int64.add meta_addr (Int64.of_int i)) 0xFF
     done
 
-  let lookup t ptr =
-    let creg_idx = Tag.creg_index ptr in
-    match t.cregs.(creg_idx) with
-    | None -> (Error "control register not configured", [], 0)
-    | Some creg ->
+  let probe t ptr ~fetch =
+    let f = t.found in
+    match t.cregs.(Tag.creg_index ptr) with
+    | None -> fail f "control register not configured"
+    | Some creg -> (
       let addr = Tag.addr ptr in
       let block_base = Bits.align_down64 addr (1 lsl creg.block_size_log2) in
       let meta_addr = meta_addr_of ~creg ~block_base in
-      let fetches =
-        [
-          { addr = meta_addr; bytes = 8 };
-          { addr = Int64.add meta_addr 8L; bytes = 8 };
-          { addr = Int64.add meta_addr 16L; bytes = 8 };
-          { addr = Int64.add meta_addr 24L; bytes = 8 };
-        ]
-      in
-      let read () =
-        let slot_start = Int64.to_int (Memory.read_u32 t.mem meta_addr) in
-        let slot_end =
-          Int64.to_int (Memory.read_u32 t.mem (Int64.add meta_addr 4L))
-        in
-        let slot_size =
-          Int64.to_int (Memory.read_u32 t.mem (Int64.add meta_addr 8L))
-        in
-        let obj_size =
-          Int64.to_int (Memory.read_u32 t.mem (Int64.add meta_addr 12L))
-        in
-        let layout_ptr = Memory.read_u64 t.mem (Int64.add meta_addr 16L) in
-        let mac_lo = Memory.read_u16 t.mem (Int64.add meta_addr 24L) in
-        let mac_hi = Memory.read_u32 t.mem (Int64.add meta_addr 26L) in
-        let mac =
-          Int64.logor (Int64.of_int mac_lo) (Int64.shift_left mac_hi 16)
-        in
-        (slot_start, slot_end, slot_size, obj_size, layout_ptr, mac)
-      in
-      (match read () with
-      | exception Memory.Fault (_, a) ->
-        (Error (Printf.sprintf "metadata page fault at 0x%Lx" a), fetches, 0)
-      | slot_start, slot_end, slot_size, obj_size, layout_ptr, mac ->
+      fetch meta_addr 8;
+      fetch (Int64.add meta_addr 8L) 8;
+      fetch (Int64.add meta_addr 16L) 8;
+      fetch (Int64.add meta_addr 24L) 8;
+      let m = t.mem in
+      let slot_start = ref 0 and slot_end = ref 0 and slot_size = ref 0 in
+      (* only the header reads fault into an invalid-metadata outcome;
+         the temporal generation and bitmap reads below do not *)
+      match
+        slot_start := Int64.to_int (Memory.read_u32 m meta_addr);
+        slot_end := Int64.to_int (Memory.read_u32 m (Int64.add meta_addr 4L));
+        slot_size := Int64.to_int (Memory.read_u32 m (Int64.add meta_addr 8L));
+        f.f_size <- Int64.to_int (Memory.read_u32 m (Int64.add meta_addr 12L));
+        f.f_layout <- Memory.read_u64 m (Int64.add meta_addr 16L);
+        let mac_lo = Memory.read_u16 m (Int64.add meta_addr 24L) in
+        let mac_hi = Memory.read_u32 m (Int64.add meta_addr 26L) in
+        mac_lo lor (Int64.to_int mac_hi lsl 16)
+      with
+      | exception Memory.Fault (_, a) -> fail f (fault_reason a)
+      | mac ->
+        let slot_start = !slot_start and slot_end = !slot_end in
+        let slot_size = !slot_size and obj_size = f.f_size in
         if slot_size <= 0 || obj_size <= 0 || obj_size > slot_size then
-          (Error "bad slot geometry", fetches, 0)
+          fail f "bad slot geometry"
         else if
           not
-            (Mac.verify ~key:t.key
-               (mac_fields ~block_base ~slot_start ~slot_end ~slot_size
-                  ~obj_size ~layout_ptr)
-               ~mac)
-        then (Error "MAC mismatch", fetches, 0)
+            (Mac.verify6 ~key:t.key block_base (Int64.of_int slot_start)
+               (Int64.of_int slot_end) (Int64.of_int slot_size)
+               (Int64.of_int obj_size) f.f_layout ~mac)
+        then fail f "MAC mismatch"
         else
           let off = Int64.to_int (Int64.sub addr block_base) in
           if off < slot_start || off >= slot_end then
-            (Error "address outside slot array", fetches, 0)
-          else
-            let slot = (off - slot_start) / slot_size in
-            let obj_base =
-              Int64.add block_base (Int64.of_int (slot_start + (slot * slot_size)))
-            in
-            let gen =
-              if t.temporal then
-                Memory.read_u16 t.mem (Int64.add meta_addr 30L) land 0xF
-              else 0
-            in
-            let freed = slot_freed t ~meta_addr ~slot in
-            let fetches =
-              if t.temporal then
-                fetches @ [ { addr = bitmap_byte_addr meta_addr slot; bytes = 1 } ]
-              else fetches
-            in
+            fail f "address outside slot array"
+          else begin
             (* the slot-size constraint (§3.3.2) makes this division a
                shift, so it is not charged as a multi-cycle divide *)
-            (Ok { obj_base; obj_size; layout_ptr; gen; freed }, fetches, 0))
+            let slot = (off - slot_start) / slot_size in
+            f.f_base <-
+              Int64.to_int block_base + slot_start + (slot * slot_size);
+            if t.temporal then begin
+              f.f_gen <- Memory.read_u16 m (Int64.add meta_addr 30L) land 0xF;
+              f.f_freed <- slot_freed t ~meta_addr ~slot;
+              fetch (bitmap_byte_addr meta_addr slot) 1
+            end
+            else begin
+              f.f_gen <- 0;
+              f.f_freed <- false
+            end;
+            true
+          end)
+
+  let lookup t ptr =
+    let r, fetches = collect (fun ~fetch -> probe t ptr ~fetch) t in
+    (r, fetches, 0)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -560,27 +620,39 @@ module Global_table = struct
 
   let rows_in_use t = t.gt_used
 
-  let lookup t ptr =
+  let probe t ptr ~fetch =
+    let f = t.found in
     let i = Tag.table_index ptr in
-    if i <= 0 || i >= t.gt_entries then (Error "table index out of range", [])
-    else
+    if i <= 0 || i >= t.gt_entries then fail f "table index out of range"
+    else begin
       let addr = row_addr t i in
-      let fetches =
-        [ { addr; bytes = 8 }; { addr = Int64.add addr 8L; bytes = 8 } ]
-      in
+      fetch addr 8;
+      fetch (Int64.add addr 8L) 8;
       let w0 = Memory.read_u64 t.mem addr in
       let w1 = Memory.read_u64 t.mem (Int64.add addr 8L) in
-      let base = if t.temporal then Int64.logand w0 Tag.addr_mask else Bits.u48 w0 in
+      let mask = if t.temporal then Tag.addr_mask else 0xFFFF_FFFF_FFFFL in
+      let base = Int64.to_int (Int64.logand w0 mask) in
       let size_lo = Int64.to_int (Int64.shift_right_logical w0 48) in
       let size_hi = Int64.to_int (Int64.shift_right_logical w1 48) in
       let size = size_lo lor (size_hi lsl 16) in
-      let layout_ptr =
-        if t.temporal then Int64.logand w1 Tag.addr_mask else Bits.u48 w1
-      in
-      let gen = if t.temporal then gt_gen w1 else 0 in
-      let freed = t.temporal && Int64.logand w0 gt_freed_bit <> 0L in
-      if Int64.equal base 0L || size = 0 then (Error "row not in use", fetches)
-      else (Ok { obj_base = base; obj_size = size; layout_ptr; gen; freed }, fetches)
+      if base = 0 || size = 0 then fail f "row not in use"
+      else begin
+        f.f_base <- base;
+        f.f_size <- size;
+        f.f_layout <- Int64.logand w1 mask;
+        if t.temporal then begin
+          f.f_gen <- gt_gen w1;
+          f.f_freed <- Int64.logand w0 gt_freed_bit <> 0L
+        end
+        else begin
+          f.f_gen <- 0;
+          f.f_freed <- false
+        end;
+        true
+      end
+    end
+
+  let lookup t ptr = collect (fun ~fetch -> probe t ptr ~fetch) t
 end
 
 (* ------------------------------------------------------------------ *)

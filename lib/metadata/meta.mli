@@ -37,6 +37,20 @@ type obj_meta = {
   freed : bool;  (** temporal mode: the allocation has been freed *)
 }
 
+type found = private {
+  mutable f_base : int;  (** [obj_base] *)
+  mutable f_size : int;
+  mutable f_layout : int64;  (** [layout_ptr] *)
+  mutable f_gen : int;
+  mutable f_freed : bool;
+  mutable f_reason : string;  (** why the last failed probe failed *)
+}
+(** The allocation-free result of a [probe]: one record per context,
+    overwritten by every probe. After a probe that returned [true] the
+    first five fields describe the object as {!obj_meta} would (with
+    [f_base] the object base as an [int]); after [false], [f_reason]
+    holds the [Error] string of the matching [lookup]. *)
+
 type free_status = [ `Freed_ok | `Already_freed | `Invalid ]
 (** Result of a temporal free-epoch transition: [`Already_freed] is the
     double-free witness; [`Invalid] means the record failed validation
@@ -62,6 +76,12 @@ val memory : t -> Ifp_machine.Memory.t
 val mac_key : t -> Mac.key
 
 val temporal : t -> bool
+
+val found : t -> found
+(** The context's probe result record. *)
+
+val global_table : t -> int64 * int
+(** The global table's [(base, entries)], as given to {!create}. *)
 
 (** {1 Live-entry registry}
 
@@ -106,6 +126,13 @@ val intern_layout : t -> Ifp_types.Ctype.tenv -> Ifp_types.Ctype.t -> int64
     address; returns [0L] for types with no subobjects (single-element
     tables), for which no narrowing is ever needed. *)
 
+val header_bytes : int
+(** 16: the layout-table header; element [i] is at
+    [table + header_bytes + i * element_bytes]. *)
+
+val element_bytes : int
+(** 16. *)
+
 val layout_count : t -> int64 -> int
 (** Element count read from a table header; 0 if the header is invalid. *)
 
@@ -144,7 +171,13 @@ module Local_offset : sig
       freed flag, re-MAC. The record stays in memory as the free-epoch
       witness. [`Already_freed] is the caller's double-free trap cue. *)
 
+  val probe : t -> int64 -> fetch:(int64 -> int -> unit) -> bool
+  (** The lookup the promote hardware performs: reports each metadata
+      fetch [(addr, bytes)] through [fetch], in order, and leaves its
+      result in {!found}. Allocates no list, tuple or option. *)
+
   val lookup : t -> int64 -> (obj_meta, string) result * fetch list
+  (** {!probe} with its fetches collected and its result copied out. *)
 end
 
 (** {1 Subheap scheme} *)
@@ -196,9 +229,15 @@ module Subheap : sig
   (** Temporal free of one slot: set its bit in the freed-slot bitmap.
       [`Already_freed] is the caller's double-free trap cue. *)
 
+  val probe : t -> int64 -> fetch:(int64 -> int -> unit) -> bool
+  (** As {!Local_offset.probe}. A fault in the 32-byte header reads is an
+      invalid-metadata result; in temporal mode the generation and
+      bitmap reads that follow raise [Memory.Fault] instead. *)
+
   val lookup : t -> int64 -> (obj_meta, string) result * fetch list * int
-  (** Returns the extra division count (slot-index computation) as the
-      third component. *)
+  (** {!probe} with its fetches collected. The third component, the
+      extra division count, is always 0: the slot-size constraint makes
+      the slot-index division a shift. *)
 end
 
 (** {1 Global-table scheme} *)
@@ -217,6 +256,9 @@ module Global_table : sig
       generation, and never returns to the free list. *)
 
   val rows_in_use : t -> int
+
+  val probe : t -> int64 -> fetch:(int64 -> int -> unit) -> bool
+  (** As {!Local_offset.probe}. *)
 
   val lookup : t -> int64 -> (obj_meta, string) result * fetch list
 end

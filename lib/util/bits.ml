@@ -55,3 +55,8 @@ let align_down64 x a =
   Int64.logand x (Int64.lognot (Int64.sub (Int64.of_int a) 1L))
 
 let u48 x = Int64.logand x 0xFFFF_FFFF_FFFFL
+
+(* int-typed so the compiler emits an immediate compare: [Stdlib.min] /
+   [max] are polymorphic and go through [compare_val] on every call *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b

@@ -40,3 +40,9 @@ val align_down64 : int64 -> int -> int64
 
 val u48 : int64 -> int64
 (** Truncate to the low 48 bits (canonical address part of a pointer). *)
+
+val imin : int -> int -> int
+(** [Stdlib.min] on [int]: an immediate compare instead of the
+    polymorphic [compare_val] that [min] costs at every call. *)
+
+val imax : int -> int -> int

@@ -18,10 +18,16 @@
      gep→check→load, gep→check→store and promote→check→load compile to
      single fused closures that keep the address word unboxed instead
      of materialising the intermediate pointer value, replicating the
-     exact charge order of the unfused pair. Fused paths are only
-     emitted when no fault injector is armed ([st.inj = None]) — armed
-     runs keep the generic path whose [injected_bounds] hook they
-     need;
+     exact charge order of the unfused pair. Every gep of field and
+     index steps fuses, whatever its length ([a[i].f], [a[i].arr[j]]),
+     and a boxed gep value is the same address closure plus one [VP].
+     Fused paths are only emitted when no fault injector is armed
+     ([st.inj = None]) — armed runs keep the generic path whose
+     [injected_bounds] hook they need;
+   - {b streamed promote charges}: promote runs the list-free core
+     ([Promote.promote]), whose fetches stream into a per-run buffer
+     and are charged through the staged cache-line probe once it
+     returns;
    - {b inline caches}: each [Ifp_register_local] site memoizes its
      last (tyid → layout pointer) resolution, falling back to the
      per-run {!Rt.layout_ptr_of} table walk on miss (transparent:
@@ -46,6 +52,7 @@ type env = {
       (* scratch: bounds produced by a fused gep address computation;
          consumed immediately by the fused access tail, before any
          other fused site can run *)
+  pcharge : state -> unit;  (* staged charge of a promote's fetches *)
 }
 
 (* per-function compile context *)
@@ -95,6 +102,7 @@ let run_body st (f : R.func) (body : ucode) callee_frame spills =
    goes through [lib/isa]. *)
 
 let addr_mask = Tag.addr_mask (* 44-bit virtual address *)
+let addr_mask_i = Int64.to_int addr_mask
 
 (* Returns the 44-bit address so the access tail does not re-mask: the
    check is the only consumer of the tagged word, every caller feeds the
@@ -111,11 +119,11 @@ let[@inline] check_instr st w' ob ~is_store ~size : int64 =
   (match ob with
   | Bounds.No_bounds -> ()
   | Bounds.Bounds { lo; hi } ->
-    if
-      not
-        (Int64.compare lo a <= 0
-        && Int64.compare (Int64.add a (Int64.of_int size)) hi <= 0)
-    then Trap.raise_trap (Trap.Bounds_violation { ptr = w'; lo; hi; size }));
+    let ai = Int64.to_int a in
+    if not (lo <= ai && ai + size <= hi) then
+      Trap.raise_trap
+        (Trap.Bounds_violation
+           { ptr = w'; lo = Int64.of_int lo; hi = Int64.of_int hi; size }));
   a
 
 (* Staged sim-cache probe: [Cache.access_line] over the exposed
@@ -152,6 +160,29 @@ let stage_cache_line (cache : Cache.t) : int -> bool =
       Array.unsafe_set lru (base + !victim) cache.Cache.clock;
       false
     end
+
+(* Staged twin of [Rt.charge_fetches]: a buffered promote fetch that
+   stays within one line goes through the staged line probe; one that
+   crosses a line falls back to [Cache.access_range]. The buffer holds
+   the addresses' low 63 bits, of which the line number reads 48. *)
+let stage_fetch_charge st : state -> unit =
+  let cc = st.c and cache = st.cache and b = st.pbuf in
+  let probe = stage_cache_line cache in
+  let lsh = cache.Cache.line_shift in
+  let lbytes = 1 lsl lsh in
+  let lmask = lbytes - 1 in
+  let cyc = Cost.mem and pen = Cost.miss_penalty in
+  fun _ ->
+    for i = 0 to b.fb_n - 1 do
+      let a = Array.unsafe_get b.fb_addr i in
+      let bytes = Array.unsafe_get b.fb_bytes i in
+      let misses =
+        if bytes > 0 && (a land lmask) + bytes <= lbytes then
+          if probe ((a land Bounds.mask48) lsr lsh) then 0 else 1
+        else Cache.access_range cache (Int64.of_int a) ~bytes Cache.Load
+      in
+      cc.cycles <- cc.cycles + cyc + (misses * pen)
+    done
 
 let page_shift = Memory.page_shift
 let page_off_mask = Memory.page_size - 1
@@ -450,7 +481,7 @@ let poison_clear = Int64.lognot (Int64.shift_left 3L 62)
 let poison_oob = Int64.shift_left 1L 62
 let poison_invalid = Int64.shift_left 2L 62
 let gro_clear = Int64.lognot (Int64.shift_left 0x3FL 54)
-let gran_mask = Int64.lognot (Int64.of_int (Tag.granule - 1))
+let gran_mask_i = lnot (Tag.granule - 1)
 let sub6_clear = Int64.lognot (Int64.shift_left 0x3FL 48)
 let sub8_clear = Int64.lognot (Int64.shift_left 0xFFL 48)
 
@@ -458,15 +489,17 @@ let[@inline] s_poison_from_bounds p bounds =
   match bounds with
   | Bounds.No_bounds -> p
   | Bounds.Bounds { lo; hi } ->
-    let a = Int64.logand p addr_mask in
-    if Int64.compare lo a <= 0 && Int64.compare a hi < 0 then
+    let a = Int64.to_int p land addr_mask_i in
+    if lo <= a && a < hi then
       Int64.logand p poison_clear
     else Int64.logor (Int64.logand p poison_clear) poison_oob
 
+(* [delta] is an immediate [int]: only its low 44 bits reach the
+   address, and a sum of index products taken modulo 2^63 keeps them *)
 let s_ifpadd p ~delta ~bounds =
-  let old_addr = Int64.logand p addr_mask in
-  let new_addr = Int64.logand (Int64.add old_addr delta) addr_mask in
-  let p0 = Int64.logor (Int64.logand p high_bits_mask) new_addr in
+  let old_addr = Int64.to_int p land addr_mask_i in
+  let new_addr = (old_addr + delta) land addr_mask_i in
+  let p0 = Int64.logor (Int64.logand p high_bits_mask) (Int64.of_int new_addr) in
   let p' =
     match Int64.to_int (Int64.shift_right_logical p 60) land 3 with
     | 0 -> p0 (* Legacy *)
@@ -474,13 +507,8 @@ let s_ifpadd p ~delta ~bounds =
       (* Local_offset: keep the metadata address invariant across the
          move, poisoning the pointer when it leaves reach *)
       let gro = Int64.to_int (Int64.shift_right_logical p 54) land 0x3F in
-      let meta =
-        Int64.add
-          (Int64.logand old_addr gran_mask)
-          (Int64.of_int (gro * Tag.granule))
-      in
-      let base = Int64.logand new_addr gran_mask in
-      let diff = Int64.to_int (Int64.sub meta base) in
+      let meta = (old_addr land gran_mask_i) + (gro * Tag.granule) in
+      let diff = meta - (new_addr land gran_mask_i) in
       if diff < 0 || diff mod Tag.granule <> 0 || diff / Tag.granule > 63 then
         Int64.logor (Int64.logand p0 poison_clear) poison_invalid
       else
@@ -499,13 +527,13 @@ let s_ifpidx p delta =
     let old = Int64.to_int (Int64.shift_right_logical p 48) land 0x3F in
     Int64.logor
       (Int64.logand p sub6_clear)
-      (Int64.shift_left (Int64.of_int (min (old + delta) 63)) 48)
+      (Int64.shift_left (Int64.of_int (Ifp_util.Bits.imin (old + delta) 63)) 48)
   | 2 ->
     (* Subheap: 8-bit saturating subobject index *)
     let old = Int64.to_int (Int64.shift_right_logical p 48) land 0xFF in
     Int64.logor
       (Int64.logand p sub8_clear)
-      (Int64.shift_left (Int64.of_int (min (old + delta) 255)) 48)
+      (Int64.shift_left (Int64.of_int (Ifp_util.Bits.imin (old + delta) 255)) 48)
   | _ -> p
 
 (* value-wrapping load tail for a scalar class, sign extension staged *)
@@ -720,7 +748,7 @@ let rec compile_expr c (e : R.expr) : vcode =
     let cc = compile_expr_i c count in
     fun fr ->
       let n = Int64.to_int (cc fr) in
-      do_malloc st fr ~size:(max 1 n * scale) ~cty ~layout_multi
+      do_malloc st fr ~size:(Ifp_util.Bits.imax 1 n * scale) ~cty ~layout_multi
   | R.Cast { kind; e } -> (
     let ce = compile_expr c e in
     match kind with
@@ -745,7 +773,8 @@ let rec compile_expr c (e : R.expr) : vcode =
         | v -> VI (sext (as_int v) n)))
   | R.Ifp_promote { e; site = _ } ->
     let ce = compile_expr c e in
-    fun fr -> eval_promote st (ce fr)
+    let charge = c.env.pcharge in
+    fun fr -> eval_promote_with st ~charge (ce fr)
   | R.Bad msg -> fun _ -> abort msg
 
 (* Unboxed integer compilation: the staged twin of [Vm_slot.eval_i], used in
@@ -995,178 +1024,191 @@ and compile_cond c (e : R.expr) : frame -> bool =
 
 (* ---- gep ------------------------------------------------------------ *)
 
-(* Fused gep address computation: compiles the hot single-step shapes to
-   a closure returning the result pointer word (and writing its bounds
-   register to [env.gb]) without boxing a value — replicating
-   [Vm_slot.eval_gep]+[Rt.gep_finish] charge-for-charge. [None] when the
-   shape is not fusable or a fault injector is armed. *)
+(* Fused gep address computation: compiles every gep whose steps are all
+   fields and indexes to a closure returning the result pointer word
+   (and writing its bounds register to [env.gb]) without boxing a value
+   — replicating [Vm_slot.eval_gep]+[Rt.gep_finish] charge-for-charge.
+   Field offsets fold into constants; the index expressions run in step
+   order; the narrowed bounds are those of the last field step, and the
+   dynamic-index count is the number of index steps. [None] when a step
+   is [Rs_bad] or a fault injector is armed.
+
+   On the instrumented path the offsets, index products and bounds are
+   immediate ints: [ifpadd] reads the low 44 bits of the delta and a
+   bounds register the low 48 bits of its addresses, and both survive
+   arithmetic modulo 2^63. The uninstrumented result is the full 64-bit
+   [w + delta], so that path stays on int64. *)
 and compile_gep_addr c gbase steps idx_delta : (frame -> int64) option =
   let st = c.env.st in
   let env = c.env in
-  if st.inj <> None then None
+  let static =
+    List.for_all (function R.Rs_bad _ -> false | R.Rs_field _ | R.Rs_index _ -> true) steps
+  in
+  if st.inj <> None || not static then None
   else
     let cb = compile_expr c gbase in
-    (* charge_ifp with the kind static: the counter slot and cycle cost
-       are compile-time constants, so each charge is two array/field adds
-       instead of a kind_index dispatch per executed gep. *)
-    let ix_add = Counters.kind_index Insn.Ifpadd
-    and cyc_add = Cost.ifp_cycles Insn.Ifpadd
-    and ix_idx = Counters.kind_index Insn.Ifpidx
-    and cyc_idx = Cost.ifp_cycles Insn.Ifpidx
-    and ix_bnd = Counters.kind_index Insn.Ifpbnd
-    and cyc_bnd = Cost.ifp_cycles Insn.Ifpbnd in
+    (* the static shape: [coff] sums the field offsets, [fsz] is the
+       size of the last field, and the first [npre] index steps come
+       before that field, so they move its bounds as well as the
+       address *)
+    let coff = ref 0 and fsz = ref (-1) and npre = ref 0 and idxs = ref [] in
+    List.iter
+      (function
+        | R.Rs_field { off; fsize } ->
+          coff := !coff + off;
+          fsz := fsize;
+          npre := List.length !idxs
+        | R.Rs_index { esize; idx } -> idxs := (compile_expr_i c idx, esize) :: !idxs
+        | R.Rs_bad _ -> assert false)
+      steps;
+    let coff = !coff and fsz = !fsz and npre = !npre in
+    let have_nb = fsz >= 0 in
+    let idxs = Array.of_list (List.rev !idxs) in
+    let n = Array.length idxs in
     let cc = st.c in
-    let finish_instr w b ~delta ~nb_lo ~nb_hi ~have_nb =
-      let out_bounds =
-        match b with
-        | Bounds.No_bounds -> Bounds.no_bounds
-        | _ -> if have_nb then Bounds.make ~lo:nb_lo ~hi:nb_hi else b
+    let float_ptr () = abort "float used as pointer" in
+    if c.instr then begin
+      let ix_add = Counters.kind_index Insn.Ifpadd
+      and cyc_add = Cost.ifp_cycles Insn.Ifpadd
+      and ix_idx = Counters.kind_index Insn.Ifpidx
+      and cyc_idx = Cost.ifp_cycles Insn.Ifpidx
+      and ix_bnd = Counters.kind_index Insn.Ifpbnd
+      and cyc_bnd = Cost.ifp_cycles Insn.Ifpbnd in
+      let dyn_cyc = n * Cost.mul in
+      (* [Rt.gep_finish] on the instrumented path; [nb_lo] is the last
+         field's start, unmasked, and is read only when [have_nb] *)
+      let finish w b ~delta ~nb_lo =
+        if n > 0 then begin
+          cc.base_instrs <- cc.base_instrs + n;
+          cc.cycles <- cc.cycles + dyn_cyc
+        end;
+        let out_bounds =
+          match b with
+          | Bounds.Bounds { lo; hi } when have_nb ->
+            let lo' = nb_lo land Bounds.mask48 in
+            let hi' = (nb_lo + fsz) land Bounds.mask48 in
+            if lo' = lo && hi' = hi then b else Bounds.Bounds { lo = lo'; hi = hi' }
+          | Bounds.Bounds _ | Bounds.No_bounds -> b
+        in
+        cc.ifp.(ix_add) <- cc.ifp.(ix_add) + 1;
+        cc.cycles <- cc.cycles + cyc_add;
+        let w' = s_ifpadd w ~delta ~bounds:out_bounds in
+        let w' =
+          if idx_delta > 0 then begin
+            cc.ifp.(ix_idx) <- cc.ifp.(ix_idx) + 1;
+            cc.cycles <- cc.cycles + cyc_idx;
+            s_ifpidx w' idx_delta
+          end
+          else w'
+        in
+        (* [out_bounds] is [b] itself exactly when the two are equal *)
+        if out_bounds != b then begin
+          cc.ifp.(ix_bnd) <- cc.ifp.(ix_bnd) + 1;
+          cc.cycles <- cc.cycles + cyc_bnd
+        end;
+        env.gb <- out_bounds;
+        w'
       in
-      cc.ifp.(ix_add) <- cc.ifp.(ix_add) + 1;
-      cc.cycles <- cc.cycles + cyc_add;
-      let w' = s_ifpadd w ~delta ~bounds:out_bounds in
-      let w' =
-        if idx_delta > 0 then begin
-          cc.ifp.(ix_idx) <- cc.ifp.(ix_idx) + 1;
-          cc.cycles <- cc.cycles + cyc_idx;
-          s_ifpidx w' idx_delta
-        end
-        else w'
-      in
-      if not (Bounds.equal out_bounds b) then begin
-        cc.ifp.(ix_bnd) <- cc.ifp.(ix_bnd) + 1;
-        cc.cycles <- cc.cycles + cyc_bnd
-      end;
-      env.gb <- out_bounds;
-      w'
-    in
-    match steps with
-    | [] ->
-      if c.instr then
+      let[@inline] nb_lo w pre = (Int64.to_int w land addr_mask_i) + coff + pre in
+      match idxs with
+      | [||] ->
         Some
           (fun fr ->
             match cb fr with
+            | VP (w, b) -> finish w b ~delta:coff ~nb_lo:(nb_lo w 0)
+            | VI w -> finish w Bounds.No_bounds ~delta:coff ~nb_lo:0
+            | VF _ -> float_ptr ())
+      | [| (ci, es) |] ->
+        let pre = npre = 1 in
+        Some
+          (fun fr ->
+            let v = cb fr in
+            (match v with VF _ -> float_ptr () | VP _ | VI _ -> ());
+            let k = Int64.to_int (ci fr) * es in
+            match v with
             | VP (w, b) ->
-              finish_instr w b ~delta:0L ~nb_lo:0L ~nb_hi:0L ~have_nb:false
-            | VI w ->
-              finish_instr w Bounds.no_bounds ~delta:0L ~nb_lo:0L ~nb_hi:0L
-                ~have_nb:false
-            | VF _ -> abort "float used as pointer")
-      else
-        Some
-          (fun fr ->
-            let w =
-              match cb fr with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            env.gb <- Bounds.no_bounds;
-            w)
-    | [ R.Rs_field { off; fsize } ] ->
-      let offL = Int64.of_int off and fsizeL = Int64.of_int fsize in
-      if c.instr then
+              finish w b ~delta:(coff + k) ~nb_lo:(nb_lo w (if pre then k else 0))
+            | VI w -> finish w Bounds.No_bounds ~delta:(coff + k) ~nb_lo:0
+            | VF _ -> float_ptr ())
+      | _ ->
         Some
           (fun fr ->
             let v = cb fr in
-            let w =
-              match v with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-            let lo = Int64.add (Tag.addr w) offL in
-            finish_instr w b ~delta:offL ~nb_lo:lo ~nb_hi:(Int64.add lo fsizeL)
-              ~have_nb:true)
-      else
+            (match v with VF _ -> float_ptr () | VP _ | VI _ -> ());
+            let tot = ref coff and pre = ref 0 in
+            for i = 0 to n - 1 do
+              let ci, es = Array.unsafe_get idxs i in
+              let k = Int64.to_int (ci fr) * es in
+              tot := !tot + k;
+              if i < npre then pre := !pre + k
+            done;
+            match v with
+            | VP (w, b) -> finish w b ~delta:!tot ~nb_lo:(nb_lo w !pre)
+            | VI w -> finish w Bounds.No_bounds ~delta:!tot ~nb_lo:0
+            | VF _ -> float_ptr ())
+    end
+    else begin
+      let coffL = Int64.of_int coff in
+      let dyn_instrs = 2 * n and dyn_cyc = n * (Cost.mul + Cost.alu) in
+      let word fr =
+        match cb fr with VP (w, _) | VI w -> w | VF _ -> float_ptr ()
+      in
+      let charge_dyn () =
+        cc.base_instrs <- cc.base_instrs + dyn_instrs;
+        cc.cycles <- cc.cycles + dyn_cyc;
+        env.gb <- Bounds.no_bounds
+      in
+      match idxs with
+      | [||] ->
         Some
           (fun fr ->
-            let w =
-              match cb fr with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
+            let w = word fr in
             env.gb <- Bounds.no_bounds;
-            Int64.add w offL)
-    | [ R.Rs_index { esize; idx } ] ->
-      let ci = compile_expr_i c idx in
-      let esizeL = Int64.of_int esize in
-      if c.instr then
+            Int64.add w coffL)
+      | [| (ci, es) |] ->
+        let esL = Int64.of_int es in
         Some
           (fun fr ->
-            let v = cb fr in
-            let w =
-              match v with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+            let w = word fr in
             let k = ci fr in
-            (* dyn = 1: the index mul stays ordinary ALU work *)
-            st.c.base_instrs <- st.c.base_instrs + 1;
-            cycles st Cost.mul;
-            finish_instr w b
-              ~delta:(Int64.mul k esizeL)
-              ~nb_lo:0L ~nb_hi:0L ~have_nb:false)
-      else
+            charge_dyn ();
+            Int64.add w (Int64.add coffL (Int64.mul k esL)))
+      | [| (ci1, es1); (ci2, es2) |] ->
+        let esL1 = Int64.of_int es1 and esL2 = Int64.of_int es2 in
         Some
           (fun fr ->
-            let w =
-              match cb fr with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
+            let w = word fr in
+            let k1 = ci1 fr in
+            let k2 = ci2 fr in
+            charge_dyn ();
+            Int64.add w
+              (Int64.add coffL (Int64.add (Int64.mul k1 esL1) (Int64.mul k2 esL2))))
+      | _ ->
+        Some
+          (fun fr ->
+            let w = word fr in
+            let d =
+              Array.fold_left
+                (fun d (ci, es) -> Int64.add d (Int64.mul (ci fr) (Int64.of_int es)))
+                coffL idxs
             in
-            let k = ci fr in
-            st.c.base_instrs <- st.c.base_instrs + 2;
-            cycles st (Cost.mul + Cost.alu);
-            Int64.add w (Int64.mul k esizeL))
-    | _ -> None
+            charge_dyn ();
+            Int64.add w d)
+    end
 
-(* generic gep producing a boxed pointer value (the non-fused path and
-   any multi-step walk) *)
+(* gep producing a boxed pointer value: the fused address closure, or —
+   with an injector armed or an [Rs_bad] step — the generic walk, whose
+   [Rt.gep_finish] charges every shape the same way *)
 and compile_gep c gbase steps idx_delta : vcode =
-  let st = c.env.st in
-  let cb = compile_expr c gbase in
-  match steps with
-  | [] ->
+  match compile_gep_addr c gbase steps idx_delta with
+  | Some ga ->
+    let env = c.env in
     fun fr ->
-      let v = cb fr in
-      let w =
-        match v with
-        | VP (w, _) | VI w -> w
-        | VF _ -> abort "float used as pointer"
-      in
-      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-      gep_finish st fr w b idx_delta ~delta:0L ~dyn:0 ~nb_lo:0L ~nb_hi:0L
-        ~have_nb:false
-  | [ R.Rs_field { off; fsize } ] ->
-    let offL = Int64.of_int off and fsizeL = Int64.of_int fsize in
-    fun fr ->
-      let v = cb fr in
-      let w =
-        match v with
-        | VP (w, _) | VI w -> w
-        | VF _ -> abort "float used as pointer"
-      in
-      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-      let lo = Int64.add (Tag.addr w) offL in
-      gep_finish st fr w b idx_delta ~delta:offL ~dyn:0 ~nb_lo:lo
-        ~nb_hi:(Int64.add lo fsizeL) ~have_nb:true
-  | [ R.Rs_index { esize; idx } ] ->
-    let ci = compile_expr_i c idx in
-    let esizeL = Int64.of_int esize in
-    fun fr ->
-      let v = cb fr in
-      let w =
-        match v with
-        | VP (w, _) | VI w -> w
-        | VF _ -> abort "float used as pointer"
-      in
-      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-      let k = ci fr in
-      gep_finish st fr w b idx_delta
-        ~delta:(Int64.mul k esizeL)
-        ~dyn:1 ~nb_lo:0L ~nb_hi:0L ~have_nb:false
-  | steps ->
+      let w' = ga fr in
+      VP (w', env.gb)
+  | None ->
+    let st = c.env.st in
+    let cb = compile_expr c gbase in
     let csteps =
       List.map
         (function
@@ -1226,19 +1268,17 @@ and compile_load c cls bytes addr : vcode =
     (* promote→check→load superinstruction *)
     let ce = compile_expr c e in
     let tail = load_tail (stage_load st bytes) cls bytes in
+    let charge = env.pcharge in
     if c.instr then
       fun fr ->
-        let w, b =
-          match eval_promote st (ce fr) with
-          | VP (w, b) -> (w, b)
-          | VI w -> (w, Bounds.no_bounds)
-          | VF _ -> abort "float used as pointer"
-        in
-        tail (check_instr st w b ~is_store:false ~size:bytes)
+        match eval_promote_with st ~charge (ce fr) with
+        | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
+        | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
+        | VF _ -> abort "float used as pointer"
     else
       fun fr ->
         let w =
-          match eval_promote st (ce fr) with
+          match eval_promote_with st ~charge (ce fr) with
           | VP (w, _) | VI w -> w
           | VF _ -> abort "float used as pointer"
         in
@@ -1708,9 +1748,10 @@ let program (st : state) : env =
     {
       st;
       fbodies = Array.make n nop_u;
-      ic_tyid = Array.make (max 1 st.rp.n_sites) (-1);
-      ic_ptr = Array.make (max 1 st.rp.n_sites) 0L;
+      ic_tyid = Array.make (Ifp_util.Bits.imax 1 st.rp.n_sites) (-1);
+      ic_ptr = Array.make (Ifp_util.Bits.imax 1 st.rp.n_sites) 0L;
       gb = Bounds.no_bounds;
+      pcharge = stage_fetch_charge st;
     }
   in
   Array.iteri (fun i f -> env.fbodies.(i) <- compile_func env f) st.rp.funcs;

@@ -169,6 +169,28 @@ type frame = {
   rf : R.func;  (* slot -> name tables for diagnostics *)
 }
 
+(* Metadata fetches of the promote in flight, as the promote core
+   reports them: address (its low 63 bits; a charge reads only the low
+   48) and size. They are charged once the promote returns, so a
+   [Memory.Fault] escaping the layout walk leaves no metadata charge —
+   as when [Promote.run]'s fetch list was charged after the call. *)
+type fetch_buf = {
+  mutable fb_addr : int array;
+  mutable fb_bytes : int array;
+  mutable fb_n : int;
+}
+
+let fetch_buf_push b addr bytes =
+  let n = b.fb_n in
+  if n >= Array.length b.fb_addr then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    b.fb_addr <- grow b.fb_addr;
+    b.fb_bytes <- grow b.fb_bytes
+  end;
+  Array.unsafe_set b.fb_addr n (Int64.to_int addr);
+  Array.unsafe_set b.fb_bytes n bytes;
+  b.fb_n <- n + 1
+
 type state = {
   cfg : config;
   rp : R.program;
@@ -191,6 +213,9 @@ type state = {
   mutable out_lines : int;
   mutable trace : trace_event list; (* reversed *)
   mutable trace_left : int;
+  pout : Promote.out;  (* result cell of every promote in the run *)
+  pbuf : fetch_buf;
+  pfetch : int64 -> int -> unit;  (* the core's fetch callback: into [pbuf] *)
 }
 
 let ifp_mode st = st.cfg.variant <> Baseline
@@ -299,7 +324,9 @@ let checked_access st frame ptr bounds ~size ~is_store =
     | Bounds.No_bounds -> ()
     | Bounds.Bounds { lo; hi } ->
       if not (Bounds.contains bounds ~addr:(Tag.addr ptr) ~size) then
-        Trap.raise_trap (Trap.Bounds_violation { ptr; lo; hi; size })
+        Trap.raise_trap
+          (Trap.Bounds_violation
+             { ptr; lo = Int64.of_int lo; hi = Int64.of_int hi; size })
   end
 
 (* fault-injection hook: [None] in every ordinary run, so the only cost
@@ -329,12 +356,10 @@ let do_load st frame cls bytes addrv =
 let store_raw st frame cls v =
   match (cls, v) with
   | R.Cls_f64, _ -> Int64.bits_of_float (as_float v)
-  | R.Cls_ptr, VP (pw, pb) ->
-    if ifp_mode st && frame.instrumented && pb <> Bounds.No_bounds then begin
-      charge_ifp st Insn.Ifpextract 1;
-      Insn.ifpextract pw ~bounds:pb
-    end
-    else pw
+  | R.Cls_ptr, VP (pw, (Bounds.Bounds _ as pb)) when ifp_mode st && frame.instrumented ->
+    charge_ifp st Insn.Ifpextract 1;
+    Insn.ifpextract pw ~bounds:pb
+  | R.Cls_ptr, VP (pw, _) -> pw
   | _, v -> as_int v
 
 let do_store st frame cls bytes addrv v =
@@ -383,8 +408,24 @@ let do_store_int st frame bytes addrv raw =
 
 (* ---- promote -------------------------------------------------------- *)
 
-let eval_promote st v =
-  let w, b = as_ptr v in
+(* Charge the buffered promote fetches through the library cache model;
+   the closure engine passes a staged twin. *)
+let charge_fetches st =
+  let b = st.pbuf in
+  for i = 0 to b.fb_n - 1 do
+    mem_cycles st
+      (Int64.of_int (Array.unsafe_get b.fb_addr i))
+      (Array.unsafe_get b.fb_bytes i) Cache.Load
+  done
+
+(* The promote core writes into [st.pout] and reports its fetches into
+   [st.pbuf]; [charge] bills them once it returns. *)
+let eval_promote_with st ~charge v =
+  let w =
+    match v with
+    | VP (w, _) | VI w -> w
+    | VF _ -> abort "float used as pointer"
+  in
   let w = match st.inj with Some inj -> Fault.on_promote inj w | None -> w in
   match st.cfg.variant with
   | Baseline -> v
@@ -393,26 +434,24 @@ let eval_promote st v =
     VP (w, Bounds.no_bounds)
   | Ifp ->
     charge_ifp st Insn.Promote 1;
-    ignore b;
-    (match Tag.subobj_index w with
-    | Some i when i > 0 -> st.c.promotes_subobj <- st.c.promotes_subobj + 1
-    | Some _ | None -> ());
+    if Tag.subobj w > 0 then st.c.promotes_subobj <- st.c.promotes_subobj + 1;
     let meta = match st.meta with Some m -> m | None -> assert false in
-    let r = Promote.run ~narrow:st.cfg.narrowing meta w in
-    List.iter
-      (fun { Meta.addr; bytes } -> mem_cycles st addr bytes Cache.Load)
-      r.fetches;
+    let o = st.pout in
+    st.pbuf.fb_n <- 0;
+    Promote.promote ~narrow:st.cfg.narrowing meta o ~fetch:st.pfetch w;
+    charge st;
     cycles st
-      ((r.walk_elems * Cost.walk_per_elem)
-      + (r.divisions * Cost.div)
-      + (r.mac_checks * Cost.mac_check));
+      ((o.o_walk_elems * Cost.walk_per_elem)
+      + (o.o_divisions * Cost.div)
+      + (o.o_mac_checks * Cost.mac_check));
+    let outcome = o.o_outcome in
     if st.trace_left > 0 then
       trace_add st
         (T_promote
           {
             ptr = w;
             outcome =
-              (match r.Promote.outcome with
+              (match outcome with
               | Promote.Bypass_poisoned -> "bypass:poisoned"
               | Promote.Bypass_null -> "bypass:null"
               | Promote.Bypass_legacy -> "bypass:legacy"
@@ -425,14 +464,14 @@ let eval_promote st v =
               | Promote.Retrieved Promote.Narrowed -> "retrieved:narrowed"
               | Promote.Retrieved (Promote.Narrow_failed m) ->
                 "retrieved:narrow-failed:" ^ m);
-            bounds = Format.asprintf "%a" Bounds.pp r.Promote.bounds;
+            bounds = Format.asprintf "%a" Bounds.pp o.o_bounds;
           });
     (* Adversarial mode: with a fault injector armed, an invalid-metadata
        promote traps architecturally (the paper's §3.3 MAC-mismatch trap)
        instead of deferring detection to the poisoned dereference — this
        is the configuration whose trap paths the fault campaign measures.
        Ordinary runs keep the deferred-poison semantics unchanged. *)
-    (match (r.outcome, st.inj) with
+    (match (outcome, st.inj) with
     | Promote.Metadata_invalid reason, Some _ ->
       st.c.promotes_invalid_meta <- st.c.promotes_invalid_meta + 1;
       if String.equal reason "MAC mismatch" then
@@ -444,7 +483,7 @@ let eval_promote st v =
       st.c.promotes_invalid_meta <- st.c.promotes_invalid_meta + 1;
       Trap.raise_trap (Trap.Use_after_free { ptr = w })
     | _ -> ());
-    (match r.outcome with
+    (match outcome with
     | Promote.Bypass_poisoned -> st.c.promotes_poisoned <- st.c.promotes_poisoned + 1
     | Promote.Bypass_null -> st.c.promotes_null <- st.c.promotes_null + 1
     | Promote.Bypass_legacy -> st.c.promotes_legacy <- st.c.promotes_legacy + 1
@@ -456,7 +495,9 @@ let eval_promote st v =
       | Promote.Narrowed -> st.c.narrows_ok <- st.c.narrows_ok + 1
       | Promote.Narrow_failed _ -> st.c.narrows_failed <- st.c.narrows_failed + 1
       | Promote.No_subobject -> ()));
-    VP (r.ptr, r.bounds)
+    VP (o.o_ptr, o.o_bounds)
+
+let eval_promote st v = eval_promote_with st ~charge:charge_fetches v
 
 (* ---- local object registration -------------------------------------- *)
 
@@ -697,7 +738,7 @@ let call_prelude st (f : R.func) n_args =
   base st (6 + n_args);
   cycles st (Cost.call - 1);
   let spills =
-    if ifp_mode st && f.instrumented && f.has_calls then min 4 f.ptr_regs
+    if ifp_mode st && f.instrumented && f.has_calls then Ifp_util.Bits.imin 4 f.ptr_regs
     else 0
   in
   if spills > 0 then charge_ifp st Insn.Stbnd spills;
@@ -724,7 +765,7 @@ let setup_globals st =
   let bump = ref Memmap.globals_base in
   Array.iteri
     (fun i (g : R.rglobal) ->
-      let size = max 1 g.gsize in
+      let size = Ifp_util.Bits.imax 1 g.gsize in
       let footprint =
         if ifp_mode st then Meta.Local_offset.footprint ~size
         else Ifp_util.Bits.align_up size 16
@@ -853,6 +894,9 @@ let run_with ~(config : config) (raw_prog : Ir.program)
   let dummy_gobj =
     { gaddr = 0L; gsize = 0; gtagged = 0L; gbounds = Bounds.no_bounds }
   in
+  let pbuf =
+    { fb_addr = Array.make 16 0; fb_bytes = Array.make 16 0; fb_n = 0 }
+  in
   let st =
     {
       cfg = config;
@@ -873,6 +917,9 @@ let run_with ~(config : config) (raw_prog : Ir.program)
       out_lines = 0;
       trace = [];
       trace_left = config.trace_limit;
+      pout = Promote.create_out ();
+      pbuf;
+      pfetch = fetch_buf_push pbuf;
     }
   in
   let outcome =
@@ -886,7 +933,7 @@ let run_with ~(config : config) (raw_prog : Ir.program)
         | () -> Finished 0L
         | exception Return_exc v -> Finished (as_int v)
         | exception Trap.Trap t ->
-          st.trace_left <- max st.trace_left 1;
+          st.trace_left <- Ifp_util.Bits.imax st.trace_left 1;
           trace st (fun _ -> T_trap (Trap.to_string t));
           Trapped t
         | exception Abort msg -> Aborted msg

@@ -173,7 +173,9 @@ let checked_access st frame ptr bounds ~size ~is_store =
     | Bounds.No_bounds -> ()
     | Bounds.Bounds { lo; hi } ->
       if not (Bounds.contains bounds ~addr:(Tag.addr ptr) ~size) then
-        Trap.raise_trap (Trap.Bounds_violation { ptr; lo; hi; size })
+        Trap.raise_trap
+          (Trap.Bounds_violation
+             { ptr; lo = Int64.of_int lo; hi = Int64.of_int hi; size })
   end
 
 (* fault-injection hook: [None] in every ordinary run, so the only cost
@@ -499,13 +501,13 @@ let rec eval st frame (e : Ir.expr) : value =
   | Call (fn, args) -> eval_call st frame fn args
   | Malloc (ty, n) ->
     let count = Int64.to_int (as_int (eval st frame n)) in
-    do_malloc st frame ~size:(max 1 count * Ctype.sizeof st.tenv ty) ~cty:(Some ty)
+    do_malloc st frame ~size:(Ifp_util.Bits.imax 1 count * Ctype.sizeof st.tenv ty) ~cty:(Some ty)
   | Malloc_bytes n ->
     let bytes = Int64.to_int (as_int (eval st frame n)) in
-    do_malloc st frame ~size:(max 1 bytes) ~cty:None
+    do_malloc st frame ~size:(Ifp_util.Bits.imax 1 bytes) ~cty:None
   | Malloc_sized (ty, n) ->
     let bytes = Int64.to_int (as_int (eval st frame n)) in
-    do_malloc st frame ~size:(max 1 bytes) ~cty:(Some ty)
+    do_malloc st frame ~size:(Ifp_util.Bits.imax 1 bytes) ~cty:(Some ty)
   | Cast (ty, a) -> (
     let v = eval st frame a in
     match (ty, v) with
@@ -518,7 +520,7 @@ let rec eval st frame (e : Ir.expr) : value =
     | _, VF f ->
       base st 1;
       VI (Int64.of_float f)
-    | _, v -> VI (sext (as_int v) (max 1 (Ctype.sizeof st.tenv ty))))
+    | _, v -> VI (sext (as_int v) (Ifp_util.Bits.imax 1 (Ctype.sizeof st.tenv ty))))
   | Ifp_promote e -> eval_promote st (eval st frame e)
 
 and eval_binop st op a b =
@@ -640,7 +642,7 @@ and eval_call st frame fn args =
       cycles st (Cost.call - 1);
       let fm = Hashtbl.find st.fmeta fn in
       let spills =
-        if ifp_mode st && f.instrumented && fm.has_calls then min 4 fm.ptr_regs
+        if ifp_mode st && f.instrumented && fm.has_calls then Ifp_util.Bits.imin 4 fm.ptr_regs
         else 0
       in
       if spills > 0 then charge_ifp st Insn.Stbnd spills;
@@ -824,7 +826,7 @@ let setup_globals st =
   let bump = ref Memmap.globals_base in
   List.iter
     (fun (g : Ir.global) ->
-      let size = max 1 (Ctype.sizeof st.tenv g.gty) in
+      let size = Ifp_util.Bits.imax 1 (Ctype.sizeof st.tenv g.gty) in
       let footprint =
         if ifp_mode st then Meta.Local_offset.footprint ~size
         else Ifp_util.Bits.align_up size 16
@@ -986,7 +988,7 @@ let run ?(config = default_config) (raw_prog : Ir.program) =
         | () -> Finished 0L
         | exception Return_exc v -> Finished (as_int v)
         | exception Trap.Trap t ->
-          st.trace_left <- max st.trace_left 1;
+          st.trace_left <- Ifp_util.Bits.imax st.trace_left 1;
           trace st (fun _ -> T_trap (Trap.to_string t));
           Trapped t
         | exception Abort msg -> Aborted msg

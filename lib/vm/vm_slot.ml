@@ -63,7 +63,7 @@ let rec eval st frame (e : R.expr) : value =
   | R.Call { target; args; n_args } -> eval_call st frame target args n_args
   | R.Malloc { scale; count; cty; layout_multi } ->
     let n = Int64.to_int (eval_i st frame count) in
-    do_malloc st frame ~size:(max 1 n * scale) ~cty ~layout_multi
+    do_malloc st frame ~size:(Ifp_util.Bits.imax 1 n * scale) ~cty ~layout_multi
   | R.Cast { kind; e } -> (
     let v = eval st frame e in
     match kind with
@@ -163,7 +163,7 @@ and eval_i st frame (e : R.expr) : int64 =
   | R.Load { cls = R.Cls_int; bytes; addr } ->
     do_load_int st frame bytes (eval st frame addr)
   | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b) ->
-    (* operands may be pointers; evaluate generically, compare unboxed *)
+    (* operands may be pointers; evaluate generically, then an unboxed compare *)
     let vb = eval st frame b in
     let va = eval st frame a in
     base st 1;

@@ -204,6 +204,127 @@ let test_subobj_through_memory () =
         trapped)
     (run "subobj-mem-escape" (prog 2))
 
+(* ---- multi-step geps ------------------------------------------------ *)
+
+(* The closure engine fuses every gep made of fields and indexes into one
+   address closure: [a[i].f], [s->arr[i]], [a[i].arr[j]], chains of
+   by-value structs, steps with a nonzero subobject-index delta, loads
+   and stores, in instrumented and legacy (uninstrumented) functions. *)
+let gep_src =
+  {|struct Pair { i64 a; i64 b; };
+struct Row { i64 id; Pair cells[4]; i64 vals[4]; i32 tag; };
+struct Grid { i64 n; Row rows[3]; Pair last; };
+struct Inner { i64 k; Pair p; };
+struct Outer { i64 h; Inner mid; Inner inner[2]; };
+
+legacy i64 legacy_sum(Grid* g) {
+  let s: i64 = 0;
+  let i: i64 = 0;
+  while (i < 3) {
+    let j: i64 = 0;
+    while (j < 4) {
+      g->rows[i].cells[j].b = g->rows[i].cells[j].a + i;
+      s = s + g->rows[i].cells[j].b + g->rows[i].vals[j];
+      j = j + 1;
+    }
+    g->rows[i].tag = cast(i32, s);
+    i = i + 1;
+  }
+  return s + g->last.b;
+}
+
+i64 fill(Grid* g, i64 seed) {
+  let i: i64 = 0;
+  while (i < 3) {
+    g->rows[i].id = seed + i;
+    let j: i64 = 0;
+    while (j < 4) {
+      g->rows[i].cells[j].a = i * 10 + j;
+      g->rows[i].vals[j] = g->rows[i].cells[j].a * 2;
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+  g->last.b = g->rows[2].cells[3].a;
+  return g->rows[1].id + g->rows[2].vals[3];
+}
+
+i64 main() {
+  let ps: Pair* = malloc(Pair, 8);
+  let k: i64 = 0;
+  while (k < 8) {
+    ps[k].a = k;
+    ps[k].b = ps[k].a * 3;
+    k = k + 1;
+  }
+  let g: Grid* = malloc(Grid);
+  let r: i64 = fill(g, 100) + legacy_sum(g);
+  let o: Outer* = malloc(Outer);
+  o->mid.p.b = 7;
+  o->mid.k = 3;
+  o->inner[1].p.a = o->mid.p.b + o->mid.k;
+  var loc: Grid;
+  let lp: Grid* = &loc;
+  lp->rows[1].cells[2].a = ps[5].b;
+  lp->rows[0].vals[3] = lp->rows[1].cells[2].a + o->inner[1].p.a;
+  let x: i64 = g->rows[1].cells[k - 6].a;
+  return r + ps[7].b + lp->rows[0].vals[3] + g->rows[0].tag + x;
+}
+|}
+
+(* a subobject overflow: the two-step gep [&row->buf[j]] narrows to the
+   12-byte field [buf], and an 8-byte store at [buf + 8] runs 4 bytes
+   past it into [after]. The pointer stays inside the field, so this is
+   the access-size check, not a poisoned dereference *)
+let gep_escape_src =
+  {|struct Row { i64 id; i8 buf[12]; i32 after; };
+
+i64 main() {
+  let row: Row* = malloc(Row);
+  row->after = 1;
+  let j: i64 = 0;
+  while (j < 12) {
+    row->buf[j] = cast(i8, j);
+    j = j + 4;
+  }
+  let q: i64* = cast(i64*, &row->buf[j - 4]);
+  q[0] = 5;
+  return cast(i64, row->after);
+}
+|}
+
+let test_multi_step_geps () =
+  let parse name src =
+    match Frontend.check ~file:name src with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  let run name prog =
+    List.map
+      (fun (cname, config) ->
+        let failures, r = Oracle.agree (name ^ "/" ^ cname) config prog in
+        Alcotest.(check (list string)) (name ^ "/" ^ cname) [] (List.map Oracle.to_line failures);
+        (cname, r))
+      configs
+  in
+  let ok = run "multi-gep" (parse "multi_gep.minic" gep_src) in
+  Alcotest.(check (list string)) "multi-gep equivalence" []
+    (List.map Oracle.to_line (Oracle.equivalence ~baseline:(List.assoc "baseline" ok) ok));
+  List.iter
+    (fun (cname, r) ->
+      match (cname, r.Vm.outcome) with
+      | "baseline", Vm.Finished _ -> ()
+      | "baseline", _ -> Alcotest.fail "multi-gep-escape: baseline must finish"
+      | _, Vm.Trapped (Trap.Bounds_violation { lo; hi; size; ptr = _ }) ->
+        Alcotest.(check int64) (cname ^ ": the field's 12 bytes") 12L (Int64.sub hi lo);
+        Alcotest.(check int) (cname ^ ": access size") 8 size
+      | _, o ->
+        Alcotest.fail
+          (Printf.sprintf "multi-gep-escape/%s: %s, not a bounds violation" cname
+             (match o with
+             | Vm.Trapped t -> Trap.to_string t
+             | Vm.Finished v -> Printf.sprintf "finished %Ld" v
+             | Vm.Aborted a -> Vm.abort_reason_string a)))
+    (run "multi-gep-escape" (parse "multi_gep_escape.minic" gep_escape_src))
+
 (* ---- guest output cap ----------------------------------------------- *)
 
 let test_output_cap () =
@@ -319,6 +440,7 @@ let tests =
       test_failure_paths;
     Alcotest.test_case "subobject pointer through memory" `Quick
       test_subobj_through_memory;
+    Alcotest.test_case "multi-step geps" `Quick test_multi_step_geps;
     Alcotest.test_case "guest output is capped" `Quick test_output_cap;
     Alcotest.test_case "local registration via inline cache" `Quick
       test_local_registration;

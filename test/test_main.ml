@@ -7,6 +7,7 @@ let () =
       ("layout-random", Test_layout_random.tests);
       ("isa", Test_isa.tests);
       ("metadata", Test_metadata.tests);
+      ("promote-spec", Test_promote_spec.tests);
       ("alloc", Test_alloc.tests);
       ("compiler", Test_compiler.tests);
       ("resolve", Test_resolve.tests);

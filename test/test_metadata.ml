@@ -310,8 +310,7 @@ let prop_promote_contains_addr =
       | Bounds.No_bounds -> false
       | Bounds.Bounds { lo; hi } ->
         (* bounds always stay within the object *)
-        Int64.compare 0x2000L lo <= 0
-        && Int64.compare hi (Int64.add 0x2000L 24L) <= 0)
+        0x2000 <= lo && hi <= 0x2000 + 24)
 
 (* ---- encoding round-trips ---- *)
 

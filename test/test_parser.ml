@@ -335,10 +335,6 @@ let test_oversized_types () =
       ( "i64 main() {\n  var a: i64[1152921504606846977];\n  return 0;\n}",
         "t.minic: type error: main: local a: size of i64[1152921504606846977] out \
          of range (max 268435456 bytes)" );
-      (* a dimension past max_int wraps negative *)
-      ( "global i64 g[0xffffffffffffffff];\ni64 main() { return 0; }",
-        "t.minic: type error: global g: size of i64[-1] out of range (max \
-         268435456 bytes)" );
       ( "struct B { i8 a[268435456]; i8 b; };\n\
          i64 main() { let p: B* = malloc(B); return 0; }",
         "t.minic: type error: struct B: size of struct B out of range (max \
@@ -362,6 +358,27 @@ let test_oversized_types () =
   (* the largest object still fits *)
   ignore (parse "struct B { i8 a[268435456]; };\ni64 main() { return sizeof(B); }"
           |> Typecheck.check_program)
+
+(* a dimension literal outside [0, max_int] is a located parse error, not
+   a size wrapped by [Int64.to_int] (to 4, or to -1) *)
+let test_array_dimension_range () =
+  List.iter
+    (fun (src, expected) ->
+      match Frontend.check ~file:"t.minic" src with
+      | Ok _ -> Alcotest.fail ("accepted wrapping dimension: " ^ src)
+      | Error m -> Alcotest.(check string) src expected m)
+    [
+      ( "struct S { i64 a[0x8000000000000004]; };\ni64 main() { return sizeof(S); }",
+        "t.minic:1: parse error: array dimension 9223372036854775812 out of range" );
+      ( "global i64 g[0xffffffffffffffff];\ni64 main() { return 0; }",
+        "t.minic:1: parse error: array dimension 18446744073709551615 out of range" );
+      ( "i64 main() {\n  var a: i64[2][0x4000000000000000];\n  return 0;\n}",
+        "t.minic:2: parse error: array dimension 4611686018427387904 out of range" );
+      (* max_int itself parses; the type checker bounds the size *)
+      ( "struct S { i8 a[0x3fffffffffffffff]; };\ni64 main() { return sizeof(S); }",
+        "t.minic: type error: struct S field a: size of i8[4611686018427387903] out \
+         of range (max 268435456 bytes)" );
+    ]
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -415,5 +432,6 @@ let tests =
     Alcotest.test_case "error lines" `Quick test_error_lines;
     Alcotest.test_case "nesting limit" `Quick test_deep_nesting;
     Alcotest.test_case "oversized types" `Quick test_oversized_types;
+    Alcotest.test_case "array dimension range" `Quick test_array_dimension_range;
     Alcotest.test_case "pretty-printer" `Quick test_pp_roundtrip;
   ]
