@@ -127,13 +127,12 @@ type renv = {
   mutable n_sites : int;  (* next site id *)
 }
 
-(* Site ids name the static program points the closure engine keys its
-   per-site state on (inline caches, fused superinstructions). They are
-   assigned by a single program-order counter during the one
-   deterministic resolution walk — never from hash-table iteration — so
-   re-resolving the same program yields the same ids at the same nodes
-   (required for inline-cache keying and for plan digests built over
-   resolved programs to stay deterministic). *)
+(* Site ids name static program points (geps, promotes, local
+   registrations). They are assigned by a single program-order counter
+   during the one deterministic resolution walk — never from hash-table
+   iteration — so re-resolving the same program yields the same ids at
+   the same nodes (required for plan digests built over resolved
+   programs to stay deterministic). *)
 let new_site r =
   let s = r.n_sites in
   r.n_sites <- s + 1;

@@ -115,9 +115,8 @@ type program = {
           a distinct [site] in [\[0, n_sites)]. Sites are assigned by a
           single program-order counter during the deterministic
           resolution walk, so re-resolving the same program yields the
-          same ids at the same nodes — the closure engine keys its
-          per-site inline caches and fused superinstructions on them,
-          and digests of resolved programs stay reproducible. *)
+          same ids at the same nodes, and digests of resolved programs
+          stay reproducible. *)
 }
 
 val run : Ir.program -> program

@@ -78,6 +78,7 @@ let result_sig (r : Vm.result) =
     r.Vm.mem_footprint;
   f "output=%s\n" (String.concat "|" r.Vm.output);
   f "trace=%s\n" (String.concat ";" (List.map trace_str r.Vm.trace));
+  f "fault_injections=%s\n" (String.concat ";" r.Vm.fault_injections);
   Buffer.contents b
 
 (* the first line where two signatures disagree, unified-diff style *)

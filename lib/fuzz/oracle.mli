@@ -8,7 +8,7 @@
       every engine of {!Ifp_vm.Engines.all}, run through
       {!Ifp_vm.Vm.run}, must produce the same observable signature
       ({!result_sig}: outcome, every counter, IFP trace, cache
-      statistics, footprint, output) as the reference engine, the head
+      statistics, footprint, output, fault injections) as the reference engine, the head
       of that list;
     - oracle [equivalence] ({!equivalence}) — on a well-defined program
       (baseline run finishes), every IFP configuration must finish with
@@ -53,8 +53,9 @@ val temporal_configs : (string * Ifp_vm.Vm.config) list
     (ifp-subheap-t, ifp-wrapped-t). *)
 
 val result_sig : Ifp_vm.Vm.result -> string
-(** Every observable field of a run folded into a line-oriented string;
-    two runs are equivalent iff their signatures are equal. *)
+(** Every observable field of a run — including the corruptions an armed
+    fault injector performed — folded into a line-oriented string; two
+    runs are equivalent iff their signatures are equal. *)
 
 val agree :
   string ->

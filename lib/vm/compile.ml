@@ -14,24 +14,22 @@
    - {b mode splitting}: [ifp_mode && instrumented] is constant per
      (config, function), so checked access, gep finish, address-of and
      declaration paths compile to their taken branch only;
-   - {b superinstruction fusion}: the paper-hot sequences
-     gep→check→load, gep→check→store and promote→check→load compile to
-     single fused closures that keep the address word unboxed instead
-     of materialising the intermediate pointer value, replicating the
-     exact charge order of the unfused pair. Every gep of field and
-     index steps fuses, whatever its length ([a[i].f], [a[i].arr[j]]),
-     and a boxed gep value is the same address closure plus one [VP].
-     Fused paths are only emitted when no fault injector is armed
-     ([st.inj = None]) — armed runs keep the generic path whose
-     [injected_bounds] hook they need;
+   - {b one staged access path}: every load and store site compiles
+     through [compile_access], which joins an address producer (a fused
+     gep word, or any boxed value), the check chosen per function at
+     compile time (unchecked, the open-coded IFP check, or — with a
+     fault injector armed — the out-of-line check that runs the
+     injector's access hook first) and a staged load or store tail.
+     Armed runs execute the same fused closures as every other run and
+     differ only in that check. Every gep of field and index steps
+     fuses, whatever its length ([a[i].f], [a[i].arr[j]]), into a
+     closure that keeps the address word unboxed, replicating the exact
+     charge order of the unfused pair; a boxed gep value is the same
+     address closure plus one [VP];
    - {b streamed promote charges}: promote runs the list-free core
      ([Promote.promote]), whose fetches stream into a per-run buffer
      and are charged through the staged cache-line probe once it
-     returns;
-   - {b inline caches}: each [Ifp_register_local] site memoizes its
-     last (tyid → layout pointer) resolution, falling back to the
-     per-run {!Rt.layout_ptr_of} table walk on miss (transparent:
-     layout interning is idempotent host-side work with no charges).
+     returns.
 
    Compilation happens per run (inside [run_with]'s [main_body]), after
    globals setup, with the state — config, fault injector, globals —
@@ -46,8 +44,6 @@ type ucode = frame -> unit
 type env = {
   st : state;
   fbodies : ucode array;  (* compiled bodies, parallel to rp.funcs *)
-  ic_tyid : int array;  (* per-site IC key: last tyid seen, -1 = empty *)
-  ic_ptr : int64 array;  (* per-site IC value: resolved layout pointer *)
   mutable gb : Bounds.t;
       (* scratch: bounds produced by a fused gep address computation;
          consumed immediately by the fused access tail, before any
@@ -55,8 +51,16 @@ type env = {
   pcharge : state -> unit;  (* staged charge of a promote's fetches *)
 }
 
+(* What every load and store of a function does to its address word
+   before the access, fixed when the function compiles. *)
+type check =
+  | Unchecked  (* baseline, or an uninstrumented function: strip the tag *)
+  | Checked  (* instrumented: the open-coded [check_instr] *)
+  | Armed of (is_store:bool -> size:int -> int64 -> Bounds.t -> int64)
+      (* a fault injector is armed: [armed_check], out of line *)
+
 (* per-function compile context *)
-type ctx = { env : env; instr : bool }
+type ctx = { env : env; instr : bool; check : check }
 
 let nop_u : ucode = fun _ -> ()
 
@@ -87,12 +91,9 @@ let run_body st (f : R.func) (body : ucode) callee_frame spills =
 
 (* ---- fused access tails --------------------------------------------- *)
 
-(* These replicate, inline and specialized, the tails of [Rt.do_load] /
-   [Rt.do_store_int] / [Rt.do_store] on an address that never became a
-   boxed value: [w'] is the (possibly tagged) pointer word, [ob] its
-   bounds register. Only reachable from sites compiled when
-   [st.inj = None], so the [injected_bounds] hook is a static no-op
-   here.
+(* These replicate, inline and specialized, the interpreter's checked
+   load and store on an address that need not be a boxed value: [w'] is
+   the (possibly tagged) pointer word, [ob] its bounds register.
 
    The bit-level pieces — the 44-bit address mask of [Tag.addr], the
    poison-bit test of [Insn.load_store_poison_check], the range test of
@@ -125,6 +126,14 @@ let[@inline] check_instr st w' ob ~is_store ~size : int64 =
         (Trap.Bounds_violation
            { ptr = w'; lo = Int64.of_int lo; hi = Int64.of_int hi; size }));
   a
+
+(* The check of a run with a fault injector armed: the injector's access
+   hook sees the address and may corrupt the bounds register (or smash
+   memory) before the access is checked, in uninstrumented code too.
+   Out of line, so only armed runs pay for it. *)
+let armed_check st inj ~instr ~is_store ~size w' ob =
+  let ob = Fault.on_access inj ~addr:(Int64.logand w' addr_mask) ~size ~bounds:ob in
+  if instr then check_instr st w' ob ~is_store ~size else Int64.logand w' addr_mask
 
 (* Staged sim-cache probe: [Cache.access_line] over the exposed
    representation, with the (immutable) geometry and arrays captured at
@@ -554,23 +563,27 @@ let load_tail_i (ld : int64 -> int64) bytes : int64 -> int64 =
     let sh = 64 - (bytes * 8) in
     fun w' -> Int64.shift_right (Int64.shift_left (ld w') sh) sh
 
-(* staged twin of [Rt.store_raw]: the class dispatch and the
-   [ifp_mode && instrumented] test are resolved now; only the
-   per-value [VP]-with-bounds demote test remains at run time *)
-let stage_store_raw st ~instr cls : value -> int64 =
+(* Staged store of a boxed value: the raw bits of [Rt.store_raw], with
+   the class dispatch and the [ifp_mode && instrumented] test resolved
+   now (only the per-value [VP]-with-bounds demote test remains at run
+   time), then the staged store tail. The demote's [ifpextract] charge
+   lands before the store's charges; nothing between them can raise. *)
+let stage_store_value st ~instr cls bytes : int64 -> value -> unit =
+  let stw = stage_store st bytes in
   match cls with
-  | R.Cls_f64 -> fun v -> Int64.bits_of_float (as_float v)
-  | R.Cls_ptr ->
-    if instr then
-      let chg_ext = stage_charge_ifp st Insn.Ifpextract in
-      function
-      | VP (pw, Bounds.No_bounds) -> pw
-      | VP (pw, pb) ->
-        chg_ext ();
-        s_poison_from_bounds pw pb
-      | v -> as_int v
-    else ( function VP (pw, _) -> pw | v -> as_int v)
-  | R.Cls_int -> fun v -> as_int v
+  | R.Cls_f64 -> fun a v -> stw a (Int64.bits_of_float (as_float v))
+  | R.Cls_ptr when instr ->
+    let chg_ext = stage_charge_ifp st Insn.Ifpextract in
+    fun a v ->
+      stw a
+        (match v with
+        | VP (pw, Bounds.No_bounds) -> pw
+        | VP (pw, pb) ->
+          chg_ext ();
+          s_poison_from_bounds pw pb
+        | v -> as_int v)
+  | R.Cls_ptr -> fun a v -> stw a (match v with VP (pw, _) -> pw | v -> as_int v)
+  | R.Cls_int -> fun a v -> stw a (as_int v)
 
 (* ---- static value-class analysis ------------------------------------ *)
 
@@ -596,6 +609,25 @@ let never_ptr (e : R.expr) =
   | R.Load_global { cls = R.Cls_int | R.Cls_f64; _ } -> true
   | R.Cast { kind = R.Cast_int _ | R.Cast_f64; _ } -> true
   | _ -> false
+
+(* ---- access sites ---------------------------------------------------- *)
+
+(* a gep of fields and indexes only: it fuses to an address word *)
+let fusable steps =
+  List.for_all
+    (function R.Rs_field _ | R.Rs_index _ -> true | R.Rs_bad _ -> false)
+    steps
+
+(* Where a load or store site gets its address: a fused gep's word, which
+   leaves its bounds register in [env.gb], or a boxed value. *)
+type src = Word of (frame -> int64) | Boxed of vcode
+
+(* What a site does once its address is checked: a load, whose staged
+   tail makes the result, or a store of a value produced by [frame -> 'v]
+   through a staged writer, followed by the successor statement. *)
+type _ tail =
+  | Load : (int64 -> 'r) -> 'r tail
+  | Store : (frame -> 'v) * (int64 -> 'v -> unit) * ucode -> unit tail
 
 (* ---- the compiler --------------------------------------------------- *)
 
@@ -699,7 +731,9 @@ let rec compile_expr c (e : R.expr) : vcode =
   | R.Unop (op, a) ->
     let ca = compile_expr c a in
     fun fr -> eval_unop st op (ca fr)
-  | R.Load { cls; bytes; addr } -> compile_load c cls bytes addr
+  | R.Load { cls; bytes; addr } ->
+    compile_access c addr ~size:bytes
+      (Load (load_tail (stage_load st bytes) cls bytes))
   | R.Addr_local slot ->
     if c.instr then
       let chg_bnd = stage_charge_ifp st Insn.Ifpbnd in
@@ -897,7 +931,8 @@ and compile_expr_i c (e : R.expr) : icode =
         base st 1;
         if Int64.equal x 0L then 1L else 0L
     | _ -> assert false)
-  | R.Load { cls = R.Cls_int; bytes; addr } -> compile_load_int c bytes addr
+  | R.Load { cls = R.Cls_int; bytes; addr } ->
+    compile_access c addr ~size:bytes (Load (load_tail_i (stage_load st bytes) bytes))
   | R.Load_global { g; cls = R.Cls_int; bytes } ->
     (* unboxed twin of the staged global load *)
     let go = st.globals.(g) in
@@ -1024,391 +1059,288 @@ and compile_cond c (e : R.expr) : frame -> bool =
 
 (* ---- gep ------------------------------------------------------------ *)
 
-(* Fused gep address computation: compiles every gep whose steps are all
-   fields and indexes to a closure returning the result pointer word
-   (and writing its bounds register to [env.gb]) without boxing a value
-   — replicating [Vm_slot.eval_gep]+[Rt.gep_finish] charge-for-charge.
+(* Fused gep address computation: compiles a gep whose steps are all
+   fields and indexes ([fusable]) to a closure returning the result
+   pointer word (and writing its bounds register to [env.gb]) without
+   boxing a value — replicating [Vm_slot.eval_gep] charge-for-charge.
    Field offsets fold into constants; the index expressions run in step
-   order; the narrowed bounds are those of the last field step, and the
-   dynamic-index count is the number of index steps. [None] when a step
-   is [Rs_bad] or a fault injector is armed.
+   order; the narrowed bounds are those of the last field step when it
+   lies inside the incoming bounds, and the dynamic-index count is the
+   number of index steps.
 
    On the instrumented path the offsets, index products and bounds are
    immediate ints: [ifpadd] reads the low 44 bits of the delta and a
    bounds register the low 48 bits of its addresses, and both survive
    arithmetic modulo 2^63. The uninstrumented result is the full 64-bit
    [w + delta], so that path stays on int64. *)
-and compile_gep_addr c gbase steps idx_delta : (frame -> int64) option =
+and compile_gep_addr c gbase steps idx_delta : frame -> int64 =
   let st = c.env.st in
   let env = c.env in
-  let static =
-    List.for_all (function R.Rs_bad _ -> false | R.Rs_field _ | R.Rs_index _ -> true) steps
-  in
-  if st.inj <> None || not static then None
-  else
-    let cb = compile_expr c gbase in
-    (* the static shape: [coff] sums the field offsets, [fsz] is the
-       size of the last field, and the first [npre] index steps come
-       before that field, so they move its bounds as well as the
-       address *)
-    let coff = ref 0 and fsz = ref (-1) and npre = ref 0 and idxs = ref [] in
-    List.iter
-      (function
-        | R.Rs_field { off; fsize } ->
-          coff := !coff + off;
-          fsz := fsize;
-          npre := List.length !idxs
-        | R.Rs_index { esize; idx } -> idxs := (compile_expr_i c idx, esize) :: !idxs
-        | R.Rs_bad _ -> assert false)
-      steps;
-    let coff = !coff and fsz = !fsz and npre = !npre in
-    let have_nb = fsz >= 0 in
-    let idxs = Array.of_list (List.rev !idxs) in
-    let n = Array.length idxs in
-    let cc = st.c in
-    let float_ptr () = abort "float used as pointer" in
-    if c.instr then begin
-      let ix_add = Counters.kind_index Insn.Ifpadd
-      and cyc_add = Cost.ifp_cycles Insn.Ifpadd
-      and ix_idx = Counters.kind_index Insn.Ifpidx
-      and cyc_idx = Cost.ifp_cycles Insn.Ifpidx
-      and ix_bnd = Counters.kind_index Insn.Ifpbnd
-      and cyc_bnd = Cost.ifp_cycles Insn.Ifpbnd in
-      let dyn_cyc = n * Cost.mul in
-      (* [Rt.gep_finish] on the instrumented path; [nb_lo] is the last
-         field's start, unmasked, and is read only when [have_nb] *)
-      let finish w b ~delta ~nb_lo =
-        if n > 0 then begin
-          cc.base_instrs <- cc.base_instrs + n;
-          cc.cycles <- cc.cycles + dyn_cyc
-        end;
-        let out_bounds =
-          match b with
-          | Bounds.Bounds { lo; hi } when have_nb ->
-            let lo' = nb_lo land Bounds.mask48 in
-            let hi' = (nb_lo + fsz) land Bounds.mask48 in
-            if lo' = lo && hi' = hi then b else Bounds.Bounds { lo = lo'; hi = hi' }
-          | Bounds.Bounds _ | Bounds.No_bounds -> b
-        in
-        cc.ifp.(ix_add) <- cc.ifp.(ix_add) + 1;
-        cc.cycles <- cc.cycles + cyc_add;
-        let w' = s_ifpadd w ~delta ~bounds:out_bounds in
-        let w' =
-          if idx_delta > 0 then begin
-            cc.ifp.(ix_idx) <- cc.ifp.(ix_idx) + 1;
-            cc.cycles <- cc.cycles + cyc_idx;
-            s_ifpidx w' idx_delta
-          end
-          else w'
-        in
-        (* [out_bounds] is [b] itself exactly when the two are equal *)
-        if out_bounds != b then begin
-          cc.ifp.(ix_bnd) <- cc.ifp.(ix_bnd) + 1;
-          cc.cycles <- cc.cycles + cyc_bnd
-        end;
-        env.gb <- out_bounds;
-        w'
+  let cb = compile_expr c gbase in
+  (* the static shape: [coff] sums the field offsets, [fsz] is the
+     size of the last field, and the first [npre] index steps come
+     before that field, so they move its bounds as well as the
+     address *)
+  let coff = ref 0 and fsz = ref (-1) and npre = ref 0 and idxs = ref [] in
+  List.iter
+    (function
+      | R.Rs_field { off; fsize } ->
+        coff := !coff + off;
+        fsz := fsize;
+        npre := List.length !idxs
+      | R.Rs_index { esize; idx } -> idxs := (compile_expr_i c idx, esize) :: !idxs
+      | R.Rs_bad _ -> assert false)
+    steps;
+  let coff = !coff and fsz = !fsz and npre = !npre in
+  let have_nb = fsz >= 0 in
+  let idxs = Array.of_list (List.rev !idxs) in
+  let n = Array.length idxs in
+  let cc = st.c in
+  let float_ptr () = abort "float used as pointer" in
+  if c.instr then begin
+    let ix_add = Counters.kind_index Insn.Ifpadd
+    and cyc_add = Cost.ifp_cycles Insn.Ifpadd
+    and ix_idx = Counters.kind_index Insn.Ifpidx
+    and cyc_idx = Cost.ifp_cycles Insn.Ifpidx
+    and ix_bnd = Counters.kind_index Insn.Ifpbnd
+    and cyc_bnd = Cost.ifp_cycles Insn.Ifpbnd in
+    let dyn_cyc = n * Cost.mul in
+    (* the interpreter's gep finish on the instrumented path; [nb_lo] is
+       the last field's start, unmasked, and is read only when [have_nb] *)
+    let finish w b ~delta ~nb_lo =
+      if n > 0 then begin
+        cc.base_instrs <- cc.base_instrs + n;
+        cc.cycles <- cc.cycles + dyn_cyc
+      end;
+      let out_bounds =
+        match b with
+        | Bounds.Bounds { lo; hi } when have_nb ->
+          (* narrow only to a field inside the incoming bounds: one
+             outside them keeps them, and [s_ifpadd] poisons *)
+          let lo' = nb_lo land Bounds.mask48 in
+          let hi' = (nb_lo + fsz) land Bounds.mask48 in
+          if (lo' <> lo || hi' <> hi) && lo <= lo' && hi' <= hi then
+            Bounds.Bounds { lo = lo'; hi = hi' }
+          else b
+        | Bounds.Bounds _ | Bounds.No_bounds -> b
       in
-      let[@inline] nb_lo w pre = (Int64.to_int w land addr_mask_i) + coff + pre in
-      match idxs with
-      | [||] ->
-        Some
-          (fun fr ->
-            match cb fr with
-            | VP (w, b) -> finish w b ~delta:coff ~nb_lo:(nb_lo w 0)
-            | VI w -> finish w Bounds.No_bounds ~delta:coff ~nb_lo:0
-            | VF _ -> float_ptr ())
-      | [| (ci, es) |] ->
-        let pre = npre = 1 in
-        Some
-          (fun fr ->
-            let v = cb fr in
-            (match v with VF _ -> float_ptr () | VP _ | VI _ -> ());
+      cc.ifp.(ix_add) <- cc.ifp.(ix_add) + 1;
+      cc.cycles <- cc.cycles + cyc_add;
+      let w' = s_ifpadd w ~delta ~bounds:out_bounds in
+      let w' =
+        if idx_delta > 0 then begin
+          cc.ifp.(ix_idx) <- cc.ifp.(ix_idx) + 1;
+          cc.cycles <- cc.cycles + cyc_idx;
+          s_ifpidx w' idx_delta
+        end
+        else w'
+      in
+      (* [out_bounds] is [b] itself exactly when the two are equal *)
+      if out_bounds != b then begin
+        cc.ifp.(ix_bnd) <- cc.ifp.(ix_bnd) + 1;
+        cc.cycles <- cc.cycles + cyc_bnd
+      end;
+      env.gb <- out_bounds;
+      w'
+    in
+    let[@inline] nb_lo w pre = (Int64.to_int w land addr_mask_i) + coff + pre in
+    match idxs with
+    | [||] ->
+      (fun fr ->
+          match cb fr with
+          | VP (w, b) -> finish w b ~delta:coff ~nb_lo:(nb_lo w 0)
+          | VI w -> finish w Bounds.No_bounds ~delta:coff ~nb_lo:0
+          | VF _ -> float_ptr ())
+    | [| (ci, es) |] ->
+      let pre = npre = 1 in
+      (fun fr ->
+          let v = cb fr in
+          (match v with VF _ -> float_ptr () | VP _ | VI _ -> ());
+          let k = Int64.to_int (ci fr) * es in
+          match v with
+          | VP (w, b) ->
+            finish w b ~delta:(coff + k) ~nb_lo:(nb_lo w (if pre then k else 0))
+          | VI w -> finish w Bounds.No_bounds ~delta:(coff + k) ~nb_lo:0
+          | VF _ -> float_ptr ())
+    | _ ->
+      (fun fr ->
+          let v = cb fr in
+          (match v with VF _ -> float_ptr () | VP _ | VI _ -> ());
+          let tot = ref coff and pre = ref 0 in
+          for i = 0 to n - 1 do
+            let ci, es = Array.unsafe_get idxs i in
             let k = Int64.to_int (ci fr) * es in
-            match v with
-            | VP (w, b) ->
-              finish w b ~delta:(coff + k) ~nb_lo:(nb_lo w (if pre then k else 0))
-            | VI w -> finish w Bounds.No_bounds ~delta:(coff + k) ~nb_lo:0
-            | VF _ -> float_ptr ())
-      | _ ->
-        Some
-          (fun fr ->
-            let v = cb fr in
-            (match v with VF _ -> float_ptr () | VP _ | VI _ -> ());
-            let tot = ref coff and pre = ref 0 in
-            for i = 0 to n - 1 do
-              let ci, es = Array.unsafe_get idxs i in
-              let k = Int64.to_int (ci fr) * es in
-              tot := !tot + k;
-              if i < npre then pre := !pre + k
-            done;
-            match v with
-            | VP (w, b) -> finish w b ~delta:!tot ~nb_lo:(nb_lo w !pre)
-            | VI w -> finish w Bounds.No_bounds ~delta:!tot ~nb_lo:0
-            | VF _ -> float_ptr ())
-    end
-    else begin
-      let coffL = Int64.of_int coff in
-      let dyn_instrs = 2 * n and dyn_cyc = n * (Cost.mul + Cost.alu) in
-      let word fr =
-        match cb fr with VP (w, _) | VI w -> w | VF _ -> float_ptr ()
-      in
-      let charge_dyn () =
-        cc.base_instrs <- cc.base_instrs + dyn_instrs;
-        cc.cycles <- cc.cycles + dyn_cyc;
-        env.gb <- Bounds.no_bounds
-      in
-      match idxs with
-      | [||] ->
-        Some
-          (fun fr ->
-            let w = word fr in
-            env.gb <- Bounds.no_bounds;
-            Int64.add w coffL)
-      | [| (ci, es) |] ->
-        let esL = Int64.of_int es in
-        Some
-          (fun fr ->
-            let w = word fr in
-            let k = ci fr in
-            charge_dyn ();
-            Int64.add w (Int64.add coffL (Int64.mul k esL)))
-      | [| (ci1, es1); (ci2, es2) |] ->
-        let esL1 = Int64.of_int es1 and esL2 = Int64.of_int es2 in
-        Some
-          (fun fr ->
-            let w = word fr in
-            let k1 = ci1 fr in
-            let k2 = ci2 fr in
-            charge_dyn ();
-            Int64.add w
-              (Int64.add coffL (Int64.add (Int64.mul k1 esL1) (Int64.mul k2 esL2))))
-      | _ ->
-        Some
-          (fun fr ->
-            let w = word fr in
-            let d =
-              Array.fold_left
-                (fun d (ci, es) -> Int64.add d (Int64.mul (ci fr) (Int64.of_int es)))
-                coffL idxs
-            in
-            charge_dyn ();
-            Int64.add w d)
-    end
+            tot := !tot + k;
+            if i < npre then pre := !pre + k
+          done;
+          match v with
+          | VP (w, b) -> finish w b ~delta:!tot ~nb_lo:(nb_lo w !pre)
+          | VI w -> finish w Bounds.No_bounds ~delta:!tot ~nb_lo:0
+          | VF _ -> float_ptr ())
+  end
+  else begin
+    let coffL = Int64.of_int coff in
+    let dyn_instrs = 2 * n and dyn_cyc = n * (Cost.mul + Cost.alu) in
+    let word fr =
+      match cb fr with VP (w, _) | VI w -> w | VF _ -> float_ptr ()
+    in
+    let charge_dyn () =
+      cc.base_instrs <- cc.base_instrs + dyn_instrs;
+      cc.cycles <- cc.cycles + dyn_cyc;
+      env.gb <- Bounds.no_bounds
+    in
+    match idxs with
+    | [||] ->
+      (fun fr ->
+          let w = word fr in
+          env.gb <- Bounds.no_bounds;
+          Int64.add w coffL)
+    | [| (ci, es) |] ->
+      let esL = Int64.of_int es in
+      (fun fr ->
+          let w = word fr in
+          let k = ci fr in
+          charge_dyn ();
+          Int64.add w (Int64.add coffL (Int64.mul k esL)))
+    | [| (ci1, es1); (ci2, es2) |] ->
+      let esL1 = Int64.of_int es1 and esL2 = Int64.of_int es2 in
+      (fun fr ->
+          let w = word fr in
+          let k1 = ci1 fr in
+          let k2 = ci2 fr in
+          charge_dyn ();
+          Int64.add w
+            (Int64.add coffL (Int64.add (Int64.mul k1 esL1) (Int64.mul k2 esL2))))
+    | _ ->
+      (fun fr ->
+          let w = word fr in
+          let d =
+            Array.fold_left
+              (fun d (ci, es) -> Int64.add d (Int64.mul (ci fr) (Int64.of_int es)))
+              coffL idxs
+          in
+          charge_dyn ();
+          Int64.add w d)
+  end
 
-(* gep producing a boxed pointer value: the fused address closure, or —
-   with an injector armed or an [Rs_bad] step — the generic walk, whose
-   [Rt.gep_finish] charges every shape the same way *)
+(* gep producing a boxed pointer value: the fused address closure plus
+   one [VP]. A gep with an [Rs_bad] step evaluates its base and the
+   index steps before it, then aborts. *)
 and compile_gep c gbase steps idx_delta : vcode =
-  match compile_gep_addr c gbase steps idx_delta with
-  | Some ga ->
-    let env = c.env in
+  if fusable steps then begin
+    let ga = compile_gep_addr c gbase steps idx_delta and env = c.env in
     fun fr ->
       let w' = ga fr in
       VP (w', env.gb)
-  | None ->
-    let st = c.env.st in
+  end
+  else
     let cb = compile_expr c gbase in
-    let csteps =
-      List.map
-        (function
-          | R.Rs_field { off; fsize } -> `F (Int64.of_int off, Int64.of_int fsize)
-          | R.Rs_index { esize; idx } ->
-            `I (Int64.of_int esize, compile_expr_i c idx)
-          | R.Rs_bad msg -> `B msg)
-        steps
+    let rec before_bad acc = function
+      | R.Rs_bad msg :: _ -> (List.rev acc, msg)
+      | R.Rs_index { idx; esize = _ } :: rest ->
+        before_bad (compile_expr_i c idx :: acc) rest
+      | R.Rs_field _ :: rest -> before_bad acc rest
+      | [] -> assert false
     in
+    let idxs, msg = before_bad [] steps in
     fun fr ->
-      let v = cb fr in
-      let w =
-        match v with
-        | VP (w, _) | VI w -> w
-        | VF _ -> abort "float used as pointer"
-      in
-      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-      let addr0 = Tag.addr w in
-      let rec walk cs addr nb_lo nb_hi have_nb dyn =
-        match cs with
-        | [] -> (addr, nb_lo, nb_hi, have_nb, dyn)
-        | `F (offL, fsizeL) :: rest ->
-          let a' = Int64.add addr offL in
-          walk rest a' a' (Int64.add a' fsizeL) true dyn
-        | `I (esizeL, ci) :: rest ->
-          let k = ci fr in
-          walk rest (Int64.add addr (Int64.mul k esizeL)) nb_lo nb_hi have_nb
-            (dyn + 1)
-        | `B msg :: _ -> abort msg
-      in
-      let addr, nb_lo, nb_hi, have_nb, dyn = walk csteps addr0 0L 0L false 0 in
-      gep_finish st fr w b idx_delta
-        ~delta:(Int64.sub addr addr0)
-        ~dyn ~nb_lo ~nb_hi ~have_nb
+      (match cb fr with
+      | VF _ -> abort "float used as pointer"
+      | VP _ | VI _ -> ());
+      List.iter (fun ci -> ignore (ci fr)) idxs;
+      abort msg
 
-(* ---- loads (with fusion) -------------------------------------------- *)
+(* ---- loads and stores ----------------------------------------------- *)
 
-and compile_load c cls bytes addr : vcode =
+(* The one staged access path of every load and store site: the address
+   producer — a fused gep word, bounds in [env.gb], or any boxed value —
+   then the function's [check], then the tail. A store's value runs
+   between the address and the check, as in the reference, and its
+   writer after the check. Each (producer, check, tail) triple is its
+   own closure, so the unarmed ones keep [check_instr] open-coded. *)
+and compile_access : type r. ctx -> R.expr -> size:int -> r tail -> frame -> r =
+ fun c addr ~size tail ->
   let st = c.env.st in
   let env = c.env in
-  match addr with
-  | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-    match compile_gep_addr c gbase steps idx_delta with
-    | Some ga ->
-      (* gep→check→load superinstruction *)
-      let tail = load_tail (stage_load st bytes) cls bytes in
-      if c.instr then
-        fun fr ->
-          let w' = ga fr in
-          let ob = env.gb in
-          tail (check_instr st w' ob ~is_store:false ~size:bytes)
-      else
-        fun fr ->
-          tail (Int64.logand (ga fr) addr_mask)
-    | None -> compile_load_generic c cls bytes addr)
-  | R.Ifp_promote { e; site = _ } when st.inj = None ->
-    (* promote→check→load superinstruction *)
-    let ce = compile_expr c e in
-    let tail = load_tail (stage_load st bytes) cls bytes in
-    let charge = env.pcharge in
-    if c.instr then
-      fun fr ->
-        match eval_promote_with st ~charge (ce fr) with
-        | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
-        | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
-        | VF _ -> abort "float used as pointer"
-    else
-      fun fr ->
-        let w =
-          match eval_promote_with st ~charge (ce fr) with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        tail (Int64.logand w addr_mask)
-  | addr -> compile_load_generic c cls bytes addr
-
-and compile_load_generic c cls bytes addr : vcode =
-  let st = c.env.st in
-  let ca = compile_expr c addr in
-  if st.inj <> None then
-    fun fr -> do_load st fr cls bytes (ca fr)
-  else
-    (* staged twin of [Rt.do_load]: the [as_ptr] split, the checked
-       access (static per mode), then the staged load tail *)
-    let tail = load_tail (stage_load st bytes) cls bytes in
-    if c.instr then
-      (fun fr ->
-        match ca fr with
-        | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
-        | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
-        | VF _ -> abort "float used as pointer")
-    else
-      (fun fr ->
-        match ca fr with
-        | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
-        | VF _ -> abort "float used as pointer")
-
-(* the [eval_i] integer-load context: same fusion, unboxed result *)
-and compile_load_int c bytes addr : icode =
-  let st = c.env.st in
-  let env = c.env in
-  match addr with
-  | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-    match compile_gep_addr c gbase steps idx_delta with
-    | Some ga ->
-      let tail = load_tail_i (stage_load st bytes) bytes in
-      if c.instr then
-        fun fr ->
-          let w' = ga fr in
-          let ob = env.gb in
-          tail (check_instr st w' ob ~is_store:false ~size:bytes)
-      else
-        fun fr ->
-          tail (Int64.logand (ga fr) addr_mask)
-    | None -> compile_load_int_generic c bytes addr)
-  | addr -> compile_load_int_generic c bytes addr
-
-and compile_load_int_generic c bytes addr : icode =
-  let st = c.env.st in
-  let ca = compile_expr c addr in
-  if st.inj <> None then
-    fun fr -> do_load_int st fr bytes (ca fr)
-  else
-    let tail = load_tail_i (stage_load st bytes) bytes in
-    if c.instr then
-      (fun fr ->
-        match ca fr with
-        | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
-        | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
-        | VF _ -> abort "float used as pointer")
-    else
-      (fun fr ->
-        match ca fr with
-        | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
-        | VF _ -> abort "float used as pointer")
-
-(* staged twins of [Rt.do_store_int] / [Rt.do_store] for non-fused
-   store addresses; generic [do_store*] kept when an injector is armed *)
-and compile_store_int_generic c bytes addr v next : ucode =
-  let st = c.env.st in
-  let ca = compile_expr c addr and cv = compile_expr_i c v in
-  if st.inj <> None then
+  let src =
+    match addr with
+    | R.Gep { base = gbase; steps; idx_delta; site = _ } when fusable steps ->
+      Word (compile_gep_addr c gbase steps idx_delta)
+    | addr -> Boxed (compile_expr c addr)
+  in
+  match (src, c.check, tail) with
+  | Word ga, Unchecked, Load ld -> fun fr -> ld (Int64.logand (ga fr) addr_mask)
+  | Word ga, Checked, Load ld ->
+    fun fr ->
+      let w' = ga fr in
+      ld (check_instr st w' env.gb ~is_store:false ~size)
+  | Word ga, Armed chk, Load ld ->
+    let chk = chk ~is_store:false ~size in
+    fun fr ->
+      let w' = ga fr in
+      ld (chk w' env.gb)
+  | Boxed ca, Unchecked, Load ld -> (
+    fun fr ->
+      match ca fr with
+      | VP (w, _) | VI w -> ld (Int64.logand w addr_mask)
+      | VF _ -> abort "float used as pointer")
+  | Boxed ca, Checked, Load ld -> (
+    fun fr ->
+      match ca fr with
+      | VP (w, b) -> ld (check_instr st w b ~is_store:false ~size)
+      | VI w -> ld (check_instr st w Bounds.No_bounds ~is_store:false ~size)
+      | VF _ -> abort "float used as pointer")
+  | Boxed ca, Armed chk, Load ld ->
+    let chk = chk ~is_store:false ~size in
+    fun fr ->
+      let w, b = as_ptr (ca fr) in
+      ld (chk w b)
+  | Word ga, Unchecked, Store (cv, wr, next) ->
+    fun fr ->
+      let w' = ga fr in
+      let v = cv fr in
+      wr (Int64.logand w' addr_mask) v;
+      next fr
+  | Word ga, Checked, Store (cv, wr, next) ->
+    fun fr ->
+      let w' = ga fr in
+      let ob = env.gb in
+      let v = cv fr in
+      wr (check_instr st w' ob ~is_store:true ~size) v;
+      next fr
+  | Word ga, Armed chk, Store (cv, wr, next) ->
+    let chk = chk ~is_store:true ~size in
+    fun fr ->
+      let w' = ga fr in
+      let ob = env.gb in
+      let v = cv fr in
+      wr (chk w' ob) v;
+      next fr
+  | Boxed ca, Unchecked, Store (cv, wr, next) ->
     fun fr ->
       let a = ca fr in
-      let raw = cv fr in
-      do_store_int st fr bytes a raw;
+      let v = cv fr in
+      (match a with
+      | VP (w, _) | VI w -> wr (Int64.logand w addr_mask) v
+      | VF _ -> abort "float used as pointer");
       next fr
-  else
-    let stw = stage_store st bytes in
-    if c.instr then
-      fun fr ->
-        let a = ca fr in
-        let raw = cv fr in
-        (match a with
-        | VP (w, b) -> stw (check_instr st w b ~is_store:true ~size:bytes) raw
-        | VI w -> stw (check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes) raw
-        | VF _ -> abort "float used as pointer");
-        next fr
-    else
-      fun fr ->
-        let a = ca fr in
-        let raw = cv fr in
-        (match a with
-        | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) raw
-        | VF _ -> abort "float used as pointer");
-        next fr
-
-and compile_store_generic c cls bytes addr v next : ucode =
-  let st = c.env.st in
-  let ca = compile_expr c addr and cv = compile_expr c v in
-  if st.inj <> None then
+  | Boxed ca, Checked, Store (cv, wr, next) ->
     fun fr ->
       let a = ca fr in
-      let value = cv fr in
-      do_store st fr cls bytes a value;
+      let v = cv fr in
+      (match a with
+      | VP (w, b) -> wr (check_instr st w b ~is_store:true ~size) v
+      | VI w -> wr (check_instr st w Bounds.No_bounds ~is_store:true ~size) v
+      | VF _ -> abort "float used as pointer");
       next fr
-  else
-    let stw = stage_store st bytes in
-    let sraw = stage_store_raw st ~instr:c.instr cls in
-    if c.instr then
-      fun fr ->
-        let a = ca fr in
-        let value = cv fr in
-        (match a with
-        | VP (w, b) ->
-          let ma = check_instr st w b ~is_store:true ~size:bytes in
-          stw ma (sraw value)
-        | VI w ->
-          let ma = check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes in
-          stw ma (sraw value)
-        | VF _ -> abort "float used as pointer");
-        next fr
-    else
-      fun fr ->
-        let a = ca fr in
-        let value = cv fr in
-        (match a with
-        | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) (sraw value)
-        | VF _ -> abort "float used as pointer");
-        next fr
+  | Boxed ca, Armed chk, Store (cv, wr, next) ->
+    let chk = chk ~is_store:true ~size in
+    fun fr ->
+      let a = ca fr in
+      let v = cv fr in
+      let w, b = as_ptr a in
+      wr (chk w b) v;
+      next fr
 
 (* ---- calls ---------------------------------------------------------- *)
 
@@ -1520,7 +1452,6 @@ and compile_call c target args n_args : vcode =
    statement, no dispatch. *)
 and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
   let st = c.env.st in
-  let env = c.env in
   match s with
   | R.Let { slot; k; e } -> (
     match k with
@@ -1590,55 +1521,12 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
          fr.local_tyid.(slot) <- tyid
        end);
       next fr
-  | R.Store { cls = R.Cls_int; bytes; addr; v } -> (
-    match addr with
-    | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-      match compile_gep_addr c gbase steps idx_delta with
-      | Some ga ->
-        (* gep→check→store superinstruction. Reference order: the gep
-           (address) evaluates and charges first, then the value, then
-           check + store. *)
-        let cv = compile_expr_i c v in
-        let stw = stage_store st bytes in
-        if c.instr then
-          fun fr ->
-            let w' = ga fr in
-            let ob = env.gb in
-            let raw = cv fr in
-            stw (check_instr st w' ob ~is_store:true ~size:bytes) raw;
-            next fr
-        else
-          fun fr ->
-            let w' = ga fr in
-            let raw = cv fr in
-            stw (Int64.logand w' addr_mask) raw;
-            next fr
-      | None -> compile_store_int_generic c bytes addr v next)
-    | addr -> compile_store_int_generic c bytes addr v next)
-  | R.Store { cls; bytes; addr; v } -> (
-    match addr with
-    | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-      match compile_gep_addr c gbase steps idx_delta with
-      | Some ga ->
-        let cv = compile_expr c v in
-        let stw = stage_store st bytes in
-        let sraw = stage_store_raw st ~instr:c.instr cls in
-        if c.instr then
-          fun fr ->
-            let w' = ga fr in
-            let ob = env.gb in
-            let value = cv fr in
-            let ma = check_instr st w' ob ~is_store:true ~size:bytes in
-            stw ma (sraw value);
-            next fr
-        else
-          fun fr ->
-            let w' = ga fr in
-            let value = cv fr in
-            stw (Int64.logand w' addr_mask) (sraw value);
-            next fr
-      | None -> compile_store_generic c cls bytes addr v next)
-    | addr -> compile_store_generic c cls bytes addr v next)
+  | R.Store { cls = R.Cls_int; bytes; addr; v } ->
+    compile_access c addr ~size:bytes
+      (Store (compile_expr_i c v, stage_store st bytes, next))
+  | R.Store { cls; bytes; addr; v } ->
+    compile_access c addr ~size:bytes
+      (Store (compile_expr c v, stage_store_value st ~instr:c.instr cls bytes, next))
   | R.Store_global { g; cls = R.Cls_int; bytes; e } ->
     let ce = compile_expr_i c e in
     let go = st.globals.(g) in
@@ -1652,13 +1540,10 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
   | R.Store_global { g; cls; bytes; e } ->
     let ce = compile_expr c e in
     let go = st.globals.(g) in
-    let sraw = stage_store_raw st ~instr:c.instr cls in
+    let wr = stage_store_value st ~instr:c.instr cls bytes in
+    let ga = Int64.logand go.gaddr addr_mask in
     fun fr ->
-      let v = ce fr in
-      (* reference order ([Vm_slot.exec]): charge first, then demote *)
-      charge_store st go.gaddr bytes;
-      let raw = sraw v in
-      Memory.write_size st.mem go.gaddr ~bytes raw;
+      wr ga (ce fr);
       next fr
   | R.If (cond, t, e) ->
     let cc = compile_cond c cond in
@@ -1699,27 +1584,9 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
       next fr
   | R.Break -> fun _ -> raise Break_exc
   | R.Continue -> fun _ -> raise Continue_exc
-  | R.Ifp_register_local { slot; site } ->
-    (* inline cache: memoize this site's (tyid → layout pointer)
-       resolution; fall back to the per-run table walk on miss. *)
+  | R.Ifp_register_local { slot; site = _ } ->
     fun fr ->
-      let addr = fr.local_addr.(slot) in
-      if Int64.equal addr local_unset then
-        abort ("register of unknown local " ^ fr.rf.local_names.(slot))
-      else begin
-        let tyid = fr.local_tyid.(slot) in
-        let lp =
-          if Array.unsafe_get env.ic_tyid site = tyid then
-            Array.unsafe_get env.ic_ptr site
-          else begin
-            let lp = layout_ptr_of st tyid in
-            Array.unsafe_set env.ic_tyid site tyid;
-            Array.unsafe_set env.ic_ptr site lp;
-            lp
-          end
-        in
-        register_local_lp st fr slot lp
-      end;
+      register_local st fr slot;
       next fr
   | R.Ifp_deregister_local slot ->
     fun fr ->
@@ -1738,9 +1605,17 @@ and compile_seq c stmts (next : ucode) : ucode =
 
 (* ---- program -------------------------------------------------------- *)
 
+(* The only place the fault injector is read: it picks each function's
+   check, so armed runs compile the same closures with [armed_check]. *)
 let compile_func env (f : R.func) : ucode =
-  let c = { env; instr = ifp_mode env.st && f.instrumented } in
-  compile_seq c f.body nop_u
+  let st = env.st in
+  let instr = ifp_mode st && f.instrumented in
+  let check =
+    match st.inj with
+    | Some inj -> Armed (armed_check st inj ~instr)
+    | None -> if instr then Checked else Unchecked
+  in
+  compile_seq { env; instr; check } f.body nop_u
 
 let program (st : state) : env =
   let n = Array.length st.rp.funcs in
@@ -1748,8 +1623,6 @@ let program (st : state) : env =
     {
       st;
       fbodies = Array.make n nop_u;
-      ic_tyid = Array.make (Ifp_util.Bits.imax 1 st.rp.n_sites) (-1);
-      ic_ptr = Array.make (Ifp_util.Bits.imax 1 st.rp.n_sites) 0L;
       gb = Bounds.no_bounds;
       pcharge = stage_fetch_charge st;
     }

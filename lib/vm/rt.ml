@@ -501,13 +501,13 @@ let eval_promote st v = eval_promote_with st ~charge:charge_fetches v
 
 (* ---- local object registration -------------------------------------- *)
 
-(* Registration with the layout pointer already resolved: the closure
-   engine feeds this from a per-site inline cache; the interpreter goes
-   through {!register_local}, which resolves via the per-run tyid
-   table. The split is observationally invisible — resolving the layout
-   pointer is host-side work with no charges. *)
-let register_local_lp st frame slot layout_ptr =
+(* The layout pointer resolves through the per-run tyid table
+   ({!layout_ptr_of}): host-side work with no charges. *)
+let register_local st frame slot =
   let addr = frame.local_addr.(slot) in
+  if Int64.equal addr local_unset then
+    abort ("register of unknown local " ^ frame.rf.local_names.(slot));
+  let layout_ptr = layout_ptr_of st frame.local_tyid.(slot) in
   let meta = match st.meta with Some m -> m | None -> assert false in
   let size = frame.local_size.(slot) in
   let has_layout = not (Int64.equal layout_ptr 0L) in
@@ -534,13 +534,6 @@ let register_local_lp st frame slot layout_ptr =
     | None ->
       frame.local_tagged.(slot) <- addr;
       base st 20
-
-let register_local st frame slot =
-  let addr = frame.local_addr.(slot) in
-  if Int64.equal addr local_unset then
-    abort ("register of unknown local " ^ frame.rf.local_names.(slot))
-  else
-    register_local_lp st frame slot (layout_ptr_of st frame.local_tyid.(slot))
 
 let deregister_local st frame slot =
   if Int64.equal frame.local_addr.(slot) local_unset then ()
@@ -682,10 +675,15 @@ let eval_unop st op a =
 
 let gep_finish st frame w b idx_delta ~delta ~dyn ~nb_lo ~nb_hi ~have_nb =
   if ifp_mode st && frame.instrumented then begin
+    (* narrow to the last field only when it lies inside the incoming
+       bounds: a field outside them keeps them, so [ifpadd] poisons *)
     let out_bounds =
-      match b with
-      | Bounds.No_bounds -> Bounds.no_bounds
-      | _ -> if have_nb then Bounds.make ~lo:nb_lo ~hi:nb_hi else b
+      match (b, have_nb) with
+      | Bounds.Bounds { lo; hi }, true -> (
+        match Bounds.make ~lo:nb_lo ~hi:nb_hi with
+        | Bounds.Bounds n as nb when lo <= n.lo && n.hi <= hi -> nb
+        | Bounds.Bounds _ | Bounds.No_bounds -> b)
+      | (Bounds.Bounds _ | Bounds.No_bounds), _ -> b
     in
     (* the muls for dynamic indexes stay ordinary ALU work; the final add
        becomes ifpadd (address + tag update) *)

@@ -1,9 +1,10 @@
 (** The closure-compiled engine (third generation). {!Compile} lowers
     {!Ifp_compiler.Resolve} output to trees of OCaml closures — one
     closure per node, successors pre-linked, hot tagged-pointer
-    sequences fused into superinstructions, metadata layout walks
-    served from per-site inline caches — and [run] executes main's
-    compiled body. Each IR node has exactly one compiled form.
+    sequences fused into superinstructions, every load and store on one
+    staged access path whether or not a fault injector is armed — and
+    [run] executes main's compiled body. Each IR node has exactly one
+    compiled form.
 
     The production engine: [Rt.default_config] selects it, and
     {!Vm.run} dispatches here for [Eng_closure]. Observationally

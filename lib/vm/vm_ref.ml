@@ -264,10 +264,14 @@ let eval_gep st frame pointee basev steps ~eval =
   let final_addr, nb = walk pointee addr0 None true steps in
   let delta = Int64.sub final_addr addr0 in
   if ifp_mode st && frame.instrumented then begin
+    (* narrow to the last field only when it lies inside the incoming
+       bounds: a field outside them keeps them, so [ifpadd] poisons *)
     let out_bounds =
-      match b with
-      | Bounds.No_bounds -> Bounds.no_bounds
-      | _ -> ( match nb with Some x -> x | None -> b)
+      match (b, nb) with
+      | Bounds.Bounds { lo; hi }, Some (Bounds.Bounds n as x)
+        when lo <= n.lo && n.hi <= hi ->
+        x
+      | (Bounds.Bounds _ | Bounds.No_bounds), _ -> b
     in
     (* the muls for dynamic indexes stay ordinary ALU work; the final add
        becomes ifpadd (address + tag update) *)

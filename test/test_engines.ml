@@ -2,16 +2,19 @@
    observationally identical to the reference (Oracle.agree: same
    outcome, every counter, IFP trace, cache statistics, footprint and
    output) on workloads, on failure paths (aborts, budget exhaustion,
-   bounds traps) and on the inline-cache path. Generated programs go
-   through the same oracle in test_fuzz.
+   bounds traps), on local registration and on runs with a fault
+   injector armed. Generated programs go through the same oracle in
+   test_fuzz.
 
-   The closure engine's fused superinstructions and inline caches are
-   specializations, not semantics: any divergence here is a bug in the
-   compiler, and this suite is what keeps it honest. *)
+   The closure engine's fused superinstructions are specializations, not
+   semantics: any divergence here is a bug in the compiler, and this
+   suite is what keeps it honest. *)
 
 open Core
 open Ir
 module Oracle = Ifp_fuzz.Oracle
+module Fault = Ifp_faultinject.Fault
+module Victim = Ifp_faultinject.Victim
 
 (* every engine of Engines.all against the reference, full signatures *)
 let check_all_engines_agree name config prog =
@@ -325,6 +328,95 @@ let test_multi_step_geps () =
              | Vm.Aborted a -> Vm.abort_reason_string a)))
     (run "multi-gep-escape" (parse "multi_gep_escape.minic" gep_escape_src))
 
+(* A gep whose last field lies outside the incoming bounds: [rows[i]]
+   runs off the 3-row array from i = 3 on. Narrowing must never widen
+   the bounds to that field's range; they stay the object's, so
+   [ifpadd] poisons the address and the store traps. *)
+let widen_src =
+  {|struct Row { i64 id; i64 vals[4]; };
+struct Grid { i64 n; Row rows[3]; };
+
+i64 main() {
+  let g: Grid* = malloc(Grid);
+  let i: i64 = 0;
+  while (i < 60) {
+    g->rows[i].vals[0] = 7;
+    i = i + 1;
+  }
+  return 1;
+}
+|}
+
+let test_narrowing_never_widens () =
+  let prog =
+    match Frontend.check ~file:"widen.minic" widen_src with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun cname ->
+      let name = "widen/" ^ cname in
+      let failures, r = Oracle.agree name (List.assoc cname configs) prog in
+      Alcotest.(check (list string)) name [] (List.map Oracle.to_line failures);
+      match (cname, r.Vm.outcome) with
+      | "baseline", Vm.Finished 1L | ("ifp-subheap" | "ifp-wrapped"), Vm.Trapped _ -> ()
+      | _, o ->
+        Alcotest.fail
+          (Printf.sprintf "%s: %s" name
+             (match o with
+             | Vm.Trapped t -> Trap.to_string t
+             | Vm.Finished v -> Printf.sprintf "finished %Ld" v
+             | Vm.Aborted a -> Vm.abort_reason_string a)))
+    [ "baseline"; "ifp-subheap"; "ifp-wrapped" ]
+
+(* ---- armed fault runs ----------------------------------------------- *)
+
+(* An armed injector changes only the check every access runs: each
+   class's corruption, and everything after it, must be the same on
+   every engine. The signature includes the corruptions performed. *)
+let test_armed_runs_agree () =
+  let victims =
+    [
+      (Victim.name, Victim.program ());
+      (Victim.temporal_name, Victim.temporal_program ());
+    ]
+  in
+  let armed_configs =
+    [
+      ("ifp-wrapped", Vm.ifp_wrapped);
+      ("ifp-subheap", Vm.ifp_subheap);
+      ("ifp-subheap-t", { Vm.ifp_subheap with temporal = true });
+    ]
+  in
+  let fired = ref 0 in
+  List.iter
+    (fun (vname, prog) ->
+      List.iter
+        (fun cls ->
+          List.iter
+            (fun seed ->
+              List.iter
+                (fun (cname, config) ->
+                  let plan = Fault.default_plan cls ~seed:(Int64.of_int seed) in
+                  let name =
+                    Printf.sprintf "%s/%s/%d/%s" vname (Fault.class_name cls) seed
+                      cname
+                  in
+                  let failures, r =
+                    Oracle.agree name
+                      { config with Vm.fault_plan = Some plan; max_cycles = 2_000_000 }
+                      prog
+                  in
+                  Alcotest.(check (list string))
+                    name [] (List.map Oracle.to_line failures);
+                  if r.Vm.fault_injections <> [] then incr fired)
+                armed_configs)
+            [ 0; 1 ])
+        Fault.all_classes)
+    victims;
+  (* the agreement means something only where the faults land *)
+  Alcotest.(check bool) "most armed runs inject" true (!fired * 2 > 2 * 8 * 2 * 3)
+
 (* ---- guest output cap ----------------------------------------------- *)
 
 let test_output_cap () =
@@ -358,12 +450,12 @@ let test_output_cap () =
         Vm.max_output_lines (List.length r.Vm.output))
     [ "baseline"; "ifp-subheap"; "ifp-wrapped" ]
 
-(* ---- local registration (inline-cache path) ------------------------- *)
+(* ---- local registration --------------------------------------------- *)
 
 let test_local_registration () =
-  (* address-taken locals in a function called repeatedly: the closure
-     engine's per-site inline cache must serve every repeat without
-     changing a single counter *)
+  (* address-taken locals in a function called repeatedly: every
+     registration resolves its layout through the per-run type table,
+     and every repeat must charge the same on every engine *)
   let prog =
     program ~tenv ~globals:[]
       [
@@ -441,8 +533,11 @@ let tests =
     Alcotest.test_case "subobject pointer through memory" `Quick
       test_subobj_through_memory;
     Alcotest.test_case "multi-step geps" `Quick test_multi_step_geps;
+    Alcotest.test_case "narrowing never widens bounds" `Quick
+      test_narrowing_never_widens;
+    Alcotest.test_case "armed fault runs agree" `Quick test_armed_runs_agree;
     Alcotest.test_case "guest output is capped" `Quick test_output_cap;
-    Alcotest.test_case "local registration via inline cache" `Quick
+    Alcotest.test_case "local registration" `Quick
       test_local_registration;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
     Alcotest.test_case "closure is the production engine" `Quick
