@@ -30,9 +30,8 @@
    finish and are cached, pending jobs are skipped, and the process
    exits nonzero.
 
-   Usage: ifp_experiments [TARGET] [-j N] [--cache-dir DIR] [--no-cache]
-                          [--log FILE] [--no-log] [--bench-out FILE]
-                          [--seeds N] *)
+   Usage: ifp_experiments [TARGET] [OPTION]... (`--help` lists the
+   options) *)
 
 open Core
 module W = Ifp_workloads.Workload
@@ -52,76 +51,51 @@ module Victim = Ifp_faultinject.Victim
 
 (* ---------------- options ---------------- *)
 
+let targets =
+  [ "all"; "table2"; "table4"; "fig10"; "fig11"; "fig12"; "fig13"; "baselines";
+    "extensions"; "juliet"; "faults"; "temporal" ]
+
 type opts = {
-  target : string;
-  workers : int;
-  cache_dir : string option;
-  log_path : string option;
-  bench_out : string;
-  chaos_kill_after : int option;
-  seeds : int;  (** fault plans per class x variant ([faults]) *)
+  mutable target : string;
+  campaign : Cli.campaign;
+  mutable bench_out : string;
+  mutable chaos_kill_after : int option;
+  mutable seeds : int;  (** fault plans per class x variant ([faults]) *)
 }
 
-let default_opts =
-  {
-    target = "all";
-    workers = 1;
-    cache_dir = Some ".ifp-cache";
-    log_path = Some "campaign.jsonl";
-    bench_out = "BENCH_experiments.json";
-    chaos_kill_after = None;
-    seeds = 20;
-  }
-
-let usage () =
-  prerr_endline
-    "usage: ifp_experiments [TARGET] [-j N] [--cache-dir DIR] [--no-cache]\n\
-    \                       [--log FILE] [--no-log] [--bench-out FILE]\n\
-    \                       [--seeds N]\n\
-     TARGET: all table2 table4 fig10 fig11 fig12 fig13 baselines extensions\n\
-    \        juliet faults temporal  (default: all)\n\
-    \  --seeds N: fault plans per class x variant for faults (default 20)\n\
-    \  an interrupted run resumes by re-running it with the same --cache-dir\n\
-    \  (--chaos-kill-after N: test hook — SIGKILL self after N jobs)";
-  exit 1
-
-let parse_opts argv =
-  let o = ref default_opts in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
+let parse_opts () =
+  let o =
+    {
+      target = "all";
+      campaign =
+        { Cli.workers = 1; cache_dir = Some ".ifp-cache"; log_path = Some "campaign.jsonl" };
+      bench_out = "BENCH_experiments.json";
+      chaos_kill_after = None;
+      seeds = 20;
+    }
   in
-  let int_arg what =
-    let s = next what in
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
-    | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
-    | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--log" -> o := { !o with log_path = Some (next "--log") }
-    | "--no-log" -> o := { !o with log_path = None }
-    | "--chaos-kill-after" ->
-      o := { !o with chaos_kill_after = Some (int_arg "--chaos-kill-after") }
-    | "--bench-out" -> o := { !o with bench_out = next "--bench-out" }
-    | "--seeds" -> o := { !o with seeds = max 1 (int_arg "--seeds") }
-    | "-h" | "--help" -> usage ()
-    | s when String.length s > 0 && s.[0] = '-' ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ()
-    | target -> o := { !o with target });
-    incr i
-  done;
-  !o
+  Cli.parse
+    ~usage:
+      ("usage: ifp_experiments [TARGET] [OPTION]...\n\
+        TARGET: " ^ String.concat " " targets ^ " (default all)\n\
+        An interrupted run resumes by re-running it with the same --cache-dir.")
+    (Cli.campaign_specs o.campaign
+    @ [
+        ( "--bench-out",
+          Arg.String (fun f -> o.bench_out <- f),
+          "FILE Run aggregate (default " ^ o.bench_out ^ ")" );
+        ( "--seeds",
+          Cli.nat (fun n -> o.seeds <- max 1 n),
+          Printf.sprintf "N Fault plans per class x variant, faults only (default %d)"
+            o.seeds );
+        ( "--chaos-kill-after",
+          Cli.nat (fun n -> o.chaos_kill_after <- Some n),
+          "N Test hook: SIGKILL self after N completed jobs" );
+      ])
+    (fun t ->
+      if List.mem t targets then o.target <- t
+      else raise (Arg.Bad ("unknown experiment " ^ t)));
+  o
 
 (* ---------------- the job matrix ---------------- *)
 
@@ -312,9 +286,7 @@ let jobs_for_target ~seeds = function
     row_jobs () @ extensions_jobs () @ juliet_jobs juliet_cases juliet_configs
   | "faults" -> fault_jobs ~seeds
   | "temporal" -> temporal_jobs ()
-  | other ->
-    Printf.eprintf "unknown experiment %s\n" other;
-    usage ()
+  | t -> invalid_arg ("unknown experiment " ^ t)
 
 (* identical (program, config) work submitted under two labels — e.g.
    em3d/subheap appearing in both the row matrix and the extensions set —
@@ -706,16 +678,6 @@ let juliet ctx =
 
 (* ---------------- Fault-injection coverage ---------------- *)
 
-let observed (r : Vm.result) =
-  {
-    Classify.outcome =
-      (match r.Vm.outcome with
-      | Vm.Finished n -> `Finished n
-      | Vm.Trapped t -> `Trapped t
-      | Vm.Aborted m -> `Aborted (Vm.abort_reason_string m));
-    output = r.Vm.output;
-  }
-
 type tally = {
   mutable detected : int;  (** trapped with a class-appropriate trap *)
   mutable detected_other : int;  (** trapped, but not the expected trap *)
@@ -747,7 +709,7 @@ let detection_rate t =
 let fault_tallies ctx ~seeds classes variants golden_name =
   let golden vname =
     match (outcome_of ctx (golden_name vname)).Engine.result with
-    | Some r -> observed r
+    | Some r -> Vm.observe r
     | None ->
       Printf.eprintf "fatal: golden run %s did not complete\n"
         (golden_name vname);
@@ -768,7 +730,7 @@ let fault_tallies ctx ~seeds classes variants golden_name =
               | Some r ->
                 count t
                   (Classify.classify ~cls ~fired:(r.Vm.fault_injections <> [])
-                     ~golden ~faulted:(observed r))
+                     ~golden ~faulted:(Vm.observe r))
               | None -> t.engine_failed <- t.engine_failed + 1
             done;
             (vname, t))
@@ -1164,7 +1126,7 @@ let bench_aggregate ~opts ~(stats : Engine.stats) ctx =
       ("target", String opts.target);
       ("model_digest", String Job.model_digest);
       ("campaign", Obj (Engine.stats_json stats));
-      ("events_log", match opts.log_path with Some p -> String p | None -> Null);
+      ("events_log", match opts.campaign.log_path with Some p -> String p | None -> Null);
       ("workloads", workloads);
       ("geomean", geomean);
       ( "faults",
@@ -1189,18 +1151,18 @@ let runner job =
   Engine.default_runner job
 
 let () =
-  let opts = parse_opts Sys.argv in
+  let opts = parse_opts () in
   let jobs = dedupe_jobs (jobs_for_target ~seeds:opts.seeds opts.target) in
-  let cache = Option.map (fun dir -> Rcache.create ~dir ()) opts.cache_dir in
+  let cache = Option.map (fun dir -> Rcache.create ~dir ()) opts.campaign.cache_dir in
   let stop = Cli.install_interrupt () in
-  let log = Cli.open_log ~path:opts.log_path in
+  let log = Cli.open_log ~path:opts.campaign.log_path in
   let on_job_done =
     match opts.chaos_kill_after with
     | Some n -> Ifp_campaign.Chaos.arm_kill ~after:n
     | None -> fun _ -> ()
   in
   let outcomes, stats =
-    Engine.run ~workers:opts.workers ?cache ~log ~stop ~on_job_done ~runner
+    Engine.run ~workers:opts.campaign.workers ?cache ~log ~stop ~on_job_done ~runner
       jobs
   in
   if stats.Engine.interrupted then
@@ -1227,9 +1189,7 @@ let () =
     | "juliet" -> juliet ctx
     | "faults" -> faults ctx ~seeds:opts.seeds
     | "temporal" -> temporal ctx
-    | other ->
-      Printf.eprintf "unknown experiment %s\n" other;
-      exit 1
+    | t -> invalid_arg ("unknown experiment " ^ t)
   in
   List.iter run (targets_of opts.target);
   Events.write_json_file ~path:opts.bench_out

@@ -15,15 +15,9 @@
    130). A killed campaign re-run with the same --cache-dir resumes from
    the cache and reaches the same final report.
 
-   Usage:
-     ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]
-              [-j N] [--cache-dir DIR] [--no-cache]
-              [--log FILE] [--no-log] [--corpus DIR]
-              [--shrink-budget N] [--out FILE]
-     ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]
-     ifp_fuzz [--fault-seed S] [--shrink-budget N] --shrink FILE
-     ifp_fuzz --canon FILE
-     ifp_fuzz [--quick] --emit-seed S *)
+   Usage: ifp_fuzz [OPTION]... (`--help` lists the options). The
+   one-shot modes --repro, --shrink, --canon and --emit-seed run after
+   every flag is read, whatever the order. *)
 
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
@@ -37,156 +31,83 @@ module Gen = Ifp_fuzz.Gen
 module Oracle = Ifp_fuzz.Oracle
 module Fuzz = Ifp_fuzz.Fuzz
 
+(* the one-shot modes; without one, ifp_fuzz runs a campaign *)
+type mode = Campaign | Repro of string | Shrink of string | Canon of string | Emit of int64
+
 type opts = {
-  seed : int64;
-  rounds : int;
-  cases : int;
-  dry : int;
-  quick : bool;
-  workers : int;
-  cache_dir : string option;
-  log_path : string option;
-  corpus : string;
-  shrink_budget : int;
-  out : string;
-  repro : string option;
-  fault_seed : int64;
+  mutable seed : int64;
+  mutable rounds : int;
+  mutable cases : int;
+  mutable dry : int;
+  mutable quick : bool;
+  campaign : Cli.campaign;
+  mutable corpus : string;
+  mutable shrink_budget : int;
+  mutable out : string;
+  mutable mode : mode;
+  mutable fault_seed : int64;
 }
 
-let default_opts =
-  {
-    seed = 1L;
-    rounds = 8;
-    cases = 250;
-    dry = 2;
-    quick = false;
-    workers = 1;
-    cache_dir = None;
-    log_path = Some "fuzz.jsonl";
-    corpus = "test/golden/fuzz";
-    shrink_budget = 1200;
-    out = "BENCH_fuzz.json";
-    repro = None;
-    fault_seed = 1L;
-  }
-
-let usage () =
-  prerr_endline
-    "usage: ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]\n\
-    \                [-j N] [--cache-dir DIR] [--no-cache]\n\
-    \                [--log FILE] [--no-log] [--corpus DIR]\n\
-    \                [--shrink-budget N] [--out FILE]\n\
-    \       ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]\n\
-    \       ifp_fuzz [--fault-seed S] [--shrink-budget N] --shrink FILE\n\
-    \       ifp_fuzz --canon FILE\n\
-    \       ifp_fuzz [--quick] --emit-seed S";
-  exit 1
-
-(* a MiniC file through the front end, or its located error and exit 1 *)
-let load path =
-  match Ifp_compiler.Frontend.load path with
-  | Ok loaded -> loaded
-  | Error m ->
-    prerr_endline m;
-    exit 1
-
-let parse_opts argv =
-  let o = ref default_opts in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
+let parse_opts () =
+  let o =
+    {
+      seed = 1L;
+      rounds = 8;
+      cases = 250;
+      dry = 2;
+      quick = false;
+      campaign = { Cli.workers = 1; cache_dir = None; log_path = Some "fuzz.jsonl" };
+      corpus = "test/golden/fuzz";
+      shrink_budget = 1200;
+      out = "BENCH_fuzz.json";
+      mode = Campaign;
+      fault_seed = 1L;
+    }
   in
-  let int_arg what =
-    let s = next what in
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  let int64_arg what =
-    let s = next what in
-    match Int64.of_string_opt s with
-    | Some n -> n
-    | None ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--seed" -> o := { !o with seed = int64_arg "--seed" }
-    | "--rounds" -> o := { !o with rounds = max 1 (int_arg "--rounds") }
-    | "--cases" -> o := { !o with cases = max 1 (int_arg "--cases") }
-    | "--dry" -> o := { !o with dry = max 1 (int_arg "--dry") }
-    | "--quick" -> o := { !o with quick = true }
-    | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
-    | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
-    | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--log" -> o := { !o with log_path = Some (next "--log") }
-    | "--no-log" -> o := { !o with log_path = None }
-    | "--corpus" -> o := { !o with corpus = next "--corpus" }
-    | "--shrink-budget" ->
-      o := { !o with shrink_budget = int_arg "--shrink-budget" }
-    | "--out" -> o := { !o with out = next "--out" }
-    | "--repro" -> o := { !o with repro = Some (next "--repro") }
-    | "--canon" ->
-      (* parse + typecheck + reprint: the corpus' canonical text form *)
-      let _, p = load (next "--canon") in
-      print_string (Ifp_compiler.Ir_pp.program_to_string p);
-      exit 0
-    | "--shrink" ->
-      (* minimize a diverging source file and print the result *)
-      let path = next "--shrink" in
-      let _, prog = load path in
-      let fault_seed = !o.fault_seed in
-      (match Oracle.check ~fault_seed prog with
-      | [], _ ->
-        Printf.eprintf "%s: no divergence to minimize\n" path;
-        exit 1
-      | f :: _, _ ->
-        let key = Oracle.failure_key f in
-        let small =
-          Fuzz.minimize ~budget:!o.shrink_budget ~fault_seed ~key prog
-        in
-        print_string (Ifp_compiler.Ir_pp.program_to_string small);
-        exit 0)
-    | "--emit-seed" ->
-      (* debug aid: print the generated source for a raw case seed *)
-      let s = int64_arg "--emit-seed" in
-      let knobs = if !o.quick then Gen.quick else Gen.default in
-      print_string (Gen.source ~knobs ~seed:s ());
-      exit 0
-    | "--fault-seed" -> o := { !o with fault_seed = int64_arg "--fault-seed" }
-    | "-h" | "--help" -> usage ()
-    | s ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ());
-    incr i
-  done;
-  !o
+  let count f = Cli.nat (fun n -> f (max 1 n)) in
+  Cli.parse
+    ~usage:
+      "usage: ifp_fuzz [OPTION]...\n\
+       Runs a campaign, or one of the modes --repro, --shrink, --canon and\n\
+       --emit-seed after reading every other flag."
+    (Cli.campaign_specs o.campaign
+    @ [
+        ("--seed", Cli.int64 (fun n -> o.seed <- n), "S Campaign seed (default 1)");
+        ("--rounds", count (fun n -> o.rounds <- n), "N Round cap (default 8)");
+        ("--cases", count (fun n -> o.cases <- n), "N Cases per round (default 250)");
+        ( "--dry",
+          count (fun n -> o.dry <- n),
+          "K Stop after K rounds with no new counterexample (default 2)" );
+        ("--quick", Arg.Unit (fun () -> o.quick <- true), " Small generated programs");
+        ( "--corpus",
+          Arg.String (fun d -> o.corpus <- d),
+          "DIR Counterexample corpus (default " ^ o.corpus ^ ")" );
+        ( "--shrink-budget",
+          Cli.nat (fun n -> o.shrink_budget <- n),
+          "N Candidate checks one minimization may spend (default 1200)" );
+        ( "--out",
+          Arg.String (fun f -> o.out <- f),
+          "FILE Campaign aggregate (default " ^ o.out ^ ")" );
+        ( "--repro",
+          Arg.String (fun t -> o.mode <- Repro t),
+          "FILE-or-DIGEST Replay a file or a corpus entry by digest prefix" );
+        ( "--shrink",
+          Arg.String (fun f -> o.mode <- Shrink f),
+          "FILE Minimize a diverging program" );
+        ( "--canon",
+          Arg.String (fun f -> o.mode <- Canon f),
+          "FILE Reprint a program canonically" );
+        ( "--emit-seed",
+          Cli.int64 (fun s -> o.mode <- Emit s),
+          "S Print the generated source for case seed S" );
+        ( "--fault-seed",
+          Cli.int64 (fun n -> o.fault_seed <- n),
+          "S Fault plan seed for --repro and --shrink (default 1)" );
+      ])
+    (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)));
+  o
 
 (* ---------------- repro mode ---------------- *)
-
-let print_sig_diff a b =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec go la lb =
-    match (la, lb) with
-    | x :: la', y :: lb' ->
-      if not (String.equal x y) then Printf.printf "  -%s\n  +%s\n" x y;
-      go la' lb'
-    | x :: la', [] ->
-      Printf.printf "  -%s\n" x;
-      go la' []
-    | [], y :: lb' ->
-      Printf.printf "  +%s\n" y;
-      go [] lb'
-    | [], [] -> ()
-  in
-  go la lb
 
 let repro opts target =
   let path =
@@ -202,13 +123,13 @@ let repro opts target =
       | [ (d, _) ] -> Filename.concat opts.corpus (d ^ ".minic")
       | [] ->
         Printf.eprintf "repro: no file and no corpus entry matching %s\n" target;
-        exit 2
+        exit 1
       | many ->
         Printf.eprintf "repro: ambiguous digest %s (%s)\n" target
           (String.concat ", " (List.map fst many));
-        exit 2
+        exit 1
   in
-  let src, prog = load path in
+  let src, prog = Cli.load_minic path in
   Printf.printf "== repro %s (digest %s, fault seed %Ld) ==\n" path
     (Fuzz.text_digest src) opts.fault_seed;
   (* the full engine x config matrix, with signatures kept for diffing *)
@@ -218,9 +139,8 @@ let repro opts target =
         ( cname,
           List.map
             (fun engine ->
-              ( Engines.to_string engine,
-                Oracle.result_sig
-                  (Vm.run ~config:{ cfg with Vm.engine } prog) ))
+              let r = Vm.run ~config:{ cfg with Vm.engine } prog in
+              (Engines.to_string engine, r, Oracle.result_sig r))
             Engines.all ))
       Oracle.configs
   in
@@ -229,39 +149,29 @@ let repro opts target =
     List.concat_map
       (fun (cname, per_engine) ->
         List.map
-          (fun (ename, s) ->
-            let line n =
-              match List.nth_opt (String.split_on_char '\n' s) n with
-              | Some l -> l
-              | None -> ""
-            in
-            let outcome =
-              match String.index_opt (line 0) '=' with
-              | Some k ->
-                String.sub (line 0) (k + 1) (String.length (line 0) - k - 1)
-              | None -> line 0
-            in
-            let cycles =
-              List.nth_opt (String.split_on_char ' ' (line 1)) 1
-              |> Option.value ~default:""
-            in
-            let out_line = line 6 in
-            [ cname; ename; outcome; cycles; out_line ])
+          (fun (ename, (r : Vm.result), _) ->
+            [ cname; ename; Vm.outcome_string r.outcome;
+              Printf.sprintf "cycles=%d" r.counters.Ifp_vm.Counters.cycles;
+              "output=" ^ String.concat "|" r.output ])
           per_engine)
       matrix
   in
   Table.print ~header body;
-  (* per-config engine diffs: first divergent step, unified style *)
+  (* per-config engine diffs: every divergent line, unified style *)
   List.iter
     (fun (cname, per_engine) ->
       match per_engine with
-      | (ref_name, ref_sig) :: rest ->
+      | (ref_name, _, ref_sig) :: rest ->
         List.iter
-          (fun (ename, s) ->
+          (fun (ename, _, s) ->
             if not (String.equal s ref_sig) then begin
               Printf.printf "\n-- %s: %s vs %s diverge --\n" cname ref_name
                 ename;
-              print_sig_diff ref_sig s
+              List.iter
+                (fun (a, b) ->
+                  Option.iter (Printf.printf "  -%s\n") a;
+                  Option.iter (Printf.printf "  +%s\n") b)
+                (Oracle.line_diff ref_sig s)
             end)
           rest
       | [] -> ())
@@ -281,15 +191,46 @@ let repro opts target =
     exit 1
   end
 
+(* ---------------- the other one-shot modes ---------------- *)
+
+(* minimize a diverging source file and print the result *)
+let shrink opts path =
+  let _, prog = Cli.load_minic path in
+  let fault_seed = opts.fault_seed in
+  match Oracle.check ~fault_seed prog with
+  | [], _ ->
+    Printf.eprintf "%s: no divergence to minimize\n" path;
+    exit 1
+  | f :: _, _ ->
+    let key = Oracle.failure_key f in
+    let small = Fuzz.minimize ~budget:opts.shrink_budget ~fault_seed ~key prog in
+    print_string (Ifp_compiler.Ir_pp.program_to_string small)
+
+let one_shot opts = function
+  | Campaign -> ()
+  | Repro target -> repro opts target
+  | Shrink path ->
+    shrink opts path;
+    exit 0
+  | Canon path ->
+    (* parse + typecheck + reprint: the corpus' canonical text form *)
+    print_string (Ifp_compiler.Ir_pp.program_to_string (snd (Cli.load_minic path)));
+    exit 0
+  | Emit seed ->
+    (* debug aid: print the generated source for a raw case seed *)
+    let knobs = if opts.quick then Gen.quick else Gen.default in
+    print_string (Gen.source ~knobs ~seed ());
+    exit 0
+
 (* ---------------- campaign mode ---------------- *)
 
 let () =
-  let opts = parse_opts Sys.argv in
-  (match opts.repro with Some t -> repro opts t | None -> ());
+  let opts = parse_opts () in
+  one_shot opts opts.mode;
   let knobs = if opts.quick then Gen.quick else Gen.default in
-  let cache = Option.map (fun dir -> Rcache.create ~dir ()) opts.cache_dir in
+  let cache = Option.map (fun dir -> Rcache.create ~dir ()) opts.campaign.cache_dir in
   let stop = Cli.install_interrupt () in
-  let log = Cli.open_log ~path:opts.log_path in
+  let log = Cli.open_log ~path:opts.campaign.log_path in
   let seen = Hashtbl.create 16 in
   (* corpus entries already present count as known, not new *)
   List.iter
@@ -311,7 +252,7 @@ let () =
           Fuzz.job ~knobs ~campaign_seed:opts.seed ~round:r ~idx)
     in
     let outcomes, stats =
-      Engine.run ~workers:opts.workers ?cache ~log ~stop ~runner:Fuzz.runner
+      Engine.run ~workers:opts.campaign.workers ?cache ~log ~stop ~runner:Fuzz.runner
         jobs
     in
     agg := stats :: !agg;

@@ -4,96 +4,70 @@
    lib/compiler/parser.mli), which is parsed and typechecked first —
    a located parse, lex or type error exits 1.
 
-   Usage: ifp_run [TARGET] [-c CONFIG]... [--engine ENGINE] [-v]
-                  [--dump-ir] [--dump-instrumented] [--trace]
+   Usage: ifp_run [TARGET] [OPTION]... (`--help` lists the options)
 
    -c names a configuration of Report.configs (repeatable; default
    baseline, subheap and wrapped). --engine picks the execution engine
-   (vm | vm-ref | closure, default closure — Vm.default_config.engine);
-   all engines give identical results. -v prints detailed counters; --dump-ir and
+   (default closure — Vm.default_config.engine); all engines give
+   identical results. -v prints detailed counters; --dump-ir and
    --dump-instrumented print the program before and after the IFP
    instrumentation pass; --trace prints the first 64 IFP events of each
    run. *)
 
 open Core
+module Cli = Ifp_campaign.Cli
 
 type opts = {
-  target : string;
-  configs : string list;
-  engine : Vm.engine;
-  verbose : bool;
-  dump_ir : bool;
-  dump_instrumented : bool;
-  trace : bool;
+  mutable target : string;
+  mutable configs : string list;
+  mutable engine : Vm.engine;
+  mutable verbose : bool;
+  mutable dump_ir : bool;
+  mutable dump_instrumented : bool;
+  mutable trace : bool;
 }
 
-let usage () =
-  prerr_endline
-    "usage: ifp_run [TARGET] [-c CONFIG]... [--engine ENGINE] [-v]\n\
-    \               [--dump-ir] [--dump-instrumented] [--trace]\n\
-     TARGET: a workload name, all (default), or a FILE.minic";
-  Printf.eprintf "CONFIG: %s\nENGINE: %s (default %s)\n"
-    (String.concat " | " (List.map fst Report.configs))
-    (String.concat " | " Engines.names)
-    (Engines.to_string Vm.default_config.engine);
-  exit 1
-
-let parse_opts argv =
+let parse_opts () =
   let o =
-    ref
-      {
-        target = "all";
-        configs = [];
-        engine = Vm.default_config.engine;
-        verbose = false;
-        dump_ir = false;
-        dump_instrumented = false;
-        trace = false;
-      }
+    {
+      target = "all";
+      configs = [];
+      engine = Vm.default_config.engine;
+      verbose = false;
+      dump_ir = false;
+      dump_instrumented = false;
+      trace = false;
+    }
   in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
+  let config =
+    Arg.Symbol (List.map fst Report.configs, fun c -> o.configs <- o.configs @ [ c ])
   in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "-c" | "--variant" ->
-      let c = next "-c" in
-      if not (List.mem_assoc c Report.configs) then (
-        Printf.eprintf "unknown config %s\n" c;
-        usage ());
-      o := { !o with configs = !o.configs @ [ c ] }
-    | "--engine" -> (
-      let e = next "--engine" in
-      match Engines.of_string e with
-      | Some engine -> o := { !o with engine }
-      | None ->
-        Printf.eprintf "unknown engine %s\n" e;
-        usage ())
-    | "-v" | "--verbose" -> o := { !o with verbose = true }
-    | "--dump-ir" -> o := { !o with dump_ir = true }
-    | "--dump-instrumented" -> o := { !o with dump_instrumented = true }
-    | "--trace" -> o := { !o with trace = true }
-    | "-h" | "--help" -> usage ()
-    | s when String.length s > 0 && s.[0] = '-' ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ()
-    | target -> o := { !o with target });
-    incr i
-  done;
-  if !o.configs = [] then { !o with configs = [ "baseline"; "subheap"; "wrapped" ] }
-  else !o
-
-let load_minic file =
-  match Frontend.load file with
-  | Ok (_, prog) -> prog
-  | Error m ->
-    prerr_endline m;
-    exit 1
+  let verbose = Arg.Unit (fun () -> o.verbose <- true) in
+  Cli.parse
+    ~usage:
+      "usage: ifp_run [TARGET] [OPTION]...\n\
+       TARGET: a workload name, all (default), or a FILE.minic"
+    [
+      ( "-c",
+        config,
+        " Run under this configuration (repeatable; default baseline, subheap, wrapped)" );
+      ("--variant", config, " Same as -c");
+      ( "--engine",
+        Arg.Symbol (Engines.names, fun e -> o.engine <- Option.get (Engines.of_string e)),
+        " Execution engine (default " ^ Engines.to_string o.engine ^ ")" );
+      ("-v", verbose, " Print detailed counters");
+      ("--verbose", verbose, " Same as -v");
+      ("--dump-ir", Arg.Unit (fun () -> o.dump_ir <- true), " Print the program");
+      ( "--dump-instrumented",
+        Arg.Unit (fun () -> o.dump_instrumented <- true),
+        " Print the program after IFP instrumentation" );
+      ( "--trace",
+        Arg.Unit (fun () -> o.trace <- true),
+        " Print the first 64 IFP events of each run" );
+    ]
+    (fun t -> o.target <- t);
+  if o.configs = [] then o.configs <- [ "baseline"; "subheap"; "wrapped" ];
+  o
 
 let programs target =
   let workload name =
@@ -104,21 +78,9 @@ let programs target =
         (String.concat ", " Ifp_workloads.Registry.names);
       exit 1
   in
-  if Filename.check_suffix target ".minic" then [ (target, load_minic target) ]
+  if Filename.check_suffix target ".minic" then [ (target, snd (Cli.load_minic target)) ]
   else if target = "all" then List.map workload Ifp_workloads.Registry.names
   else [ workload target ]
-
-let print_trace (r : Vm.result) =
-  List.iter
-    (function
-      | Vm.T_promote { ptr; outcome; bounds } ->
-        Printf.printf "trace: promote 0x%Lx -> %s %s\n" ptr outcome bounds
-      | Vm.T_register { what; ptr; size } ->
-        Printf.printf "trace: register %s 0x%Lx (%d B)\n" what ptr size
-      | Vm.T_deregister { what; ptr } ->
-        Printf.printf "trace: deregister %s 0x%Lx\n" what ptr
-      | Vm.T_trap msg -> Printf.printf "trace: TRAP %s\n" msg)
-    r.trace
 
 let print_details (r : Vm.result) =
   let c = r.counters in
@@ -150,22 +112,18 @@ let run_one opts name prog cfg_name =
   let t0 = Sys.time () in
   let r = Vm.run ~config prog in
   let dt = Sys.time () -. t0 in
-  print_trace r;
+  List.iter (fun e -> print_endline ("trace: " ^ Vm.trace_event_string e)) r.trace;
   List.iter print_endline r.output;
   let c = r.counters in
   Printf.printf "%-12s %-11s %-22s instrs=%-10d cycles=%-11d promotes=%-8d valid=%-8d footprint=%-9d (%.2fs)\n"
-    name cfg_name
-    (match r.outcome with
-    | Vm.Finished x -> Printf.sprintf "ret=%Ld" x
-    | Vm.Trapped t -> "TRAP " ^ Trap.to_string t
-    | Vm.Aborted m -> "ABORT " ^ Vm.abort_reason_string m)
+    name cfg_name (Vm.outcome_string r.outcome)
     (Counters.total_instrs c) c.cycles
     (Counters.ifp_count c Insn.Promote)
     c.promotes_valid r.mem_footprint dt;
   if opts.verbose then print_details r
 
 let () =
-  let opts = parse_opts Sys.argv in
+  let opts = parse_opts () in
   List.iter
     (fun (name, prog) ->
       if opts.dump_ir then print_string (Ir_pp.program_to_string prog);

@@ -1,5 +1,67 @@
-(* Shared plumbing for the campaign binaries: signal-driven stop flags,
-   the event log, and the exit path. *)
+(* Shared plumbing for the command-line tools: the Arg driver, the
+   campaign flags, signal-driven stop flags, the event log, and the exit
+   path. *)
+
+let parse ~usage specs anon =
+  let help = Arg.Unit (fun () -> raise (Arg.Help "")) in
+  let specs =
+    Arg.align
+      (specs
+      @ [
+          ("-h", help, " Print this help and exit");
+          ("--help", help, " Print this help and exit");
+          (* Arg's own spelling, which these tools never accepted *)
+          ("-help", Arg.Unit (fun () -> raise (Arg.Bad "unknown option '-help'")), "");
+        ])
+  in
+  try Arg.parse_argv Sys.argv specs anon usage with
+  | Arg.Help _ ->
+    print_string (Arg.usage_string specs usage);
+    exit 0
+  | Arg.Bad msg ->
+    prerr_string msg;
+    exit 1
+
+let nat f =
+  Arg.Int
+    (fun n ->
+      if n < 0 then raise (Arg.Bad (Printf.sprintf "negative count %d" n)) else f n)
+
+let int64 f =
+  Arg.String
+    (fun s ->
+      match Int64.of_string_opt s with
+      | Some n -> f n
+      | None -> raise (Arg.Bad (Printf.sprintf "bad integer %S" s)))
+
+let load_minic path =
+  match Ifp_compiler.Frontend.load path with
+  | Ok loaded -> loaded
+  | Error m ->
+    prerr_endline m;
+    exit 1
+
+type campaign = {
+  mutable workers : int;
+  mutable cache_dir : string option;
+  mutable log_path : string option;
+}
+
+let campaign_specs c =
+  let default = function Some v -> "default " ^ v | None -> "default none" in
+  let jobs = nat (fun n -> c.workers <- max 1 n) in
+  [
+    ("-j", jobs, Printf.sprintf "N Worker domains (default %d)" c.workers);
+    ("--jobs", jobs, "N Same as -j");
+    ( "--cache-dir",
+      Arg.String (fun d -> c.cache_dir <- Some d),
+      Printf.sprintf "DIR Result cache, also the resume point (%s)" (default c.cache_dir) );
+    ("--no-cache", Arg.Unit (fun () -> c.cache_dir <- None), " Run without a result cache");
+    ( "--log",
+      Arg.String (fun p -> c.log_path <- Some p),
+      Printf.sprintf "FILE JSONL event log (%s)" (default c.log_path) );
+    ("--no-log", Arg.Unit (fun () -> c.log_path <- None), " Write no event log");
+  ]
 
 let install_interrupt () =
   let flag = Atomic.make false in

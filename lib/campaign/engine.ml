@@ -29,12 +29,6 @@ type stats = {
 let default_runner (job : Job.t) =
   Ifp_vm.Vm.run ~config:job.Job.config job.Job.prog
 
-let outcome_label (r : Vm.result) =
-  match r.Vm.outcome with
-  | Vm.Finished _ -> "finished"
-  | Vm.Trapped t -> "trapped: " ^ Ifp_isa.Trap.to_string t
-  | Vm.Aborted m -> "aborted: " ^ Vm.abort_reason_string m
-
 (* One job: cache probe (with quarantine), run, cache store, events.
    The result is renamed into the cache before [on_job_done] fires, so a
    crash right after the n-th completion leaves at least n entries for
@@ -69,7 +63,7 @@ let run_job ~cache ~on_job_done ~log ~runner ~digest ~started (job : Job.t) =
       cache;
     finish "job_finish"
       [
-        ("outcome", String (outcome_label result));
+        ("outcome", String (Vm.outcome_string result.Vm.outcome));
         ("cycles", Int result.Vm.counters.Ifp_vm.Counters.cycles);
         ("instrs", Int (Ifp_vm.Counters.total_instrs result.Vm.counters));
         ("mem_footprint", Int result.Vm.mem_footprint);

@@ -212,7 +212,6 @@ let ( ==: ) a b = Binop (Eq, a, b)
 let ( <>: ) a b = Binop (Ne, a, b)
 let ( &&: ) a b = Binop (LAnd, a, b)
 let ( ||: ) a b = Binop (LOr, a, b)
-let not_ a = Unop (LNot, a)
 let null ty = Cast (Ifp_types.Ctype.Ptr ty, Int 0L)
 
 let idx base index steps pointee = Gep (pointee, base, S_index index :: steps)

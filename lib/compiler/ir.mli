@@ -145,7 +145,6 @@ val ( ==: ) : expr -> expr -> expr
 val ( <>: ) : expr -> expr -> expr
 val ( &&: ) : expr -> expr -> expr
 val ( ||: ) : expr -> expr -> expr
-val not_ : expr -> expr
 val null : Ifp_types.Ctype.t -> expr
 (** Typed NULL pointer constant. *)
 

@@ -166,6 +166,7 @@ type t = {
   last : int;
   error : exn option;
   mutable cur : int;
+  mutable taken : int;  (** index of the token [next] last returned *)
 }
 
 let arrive t = if t.cur = t.last then Option.iter raise t.error
@@ -202,7 +203,7 @@ let create src =
   let error = fill () in
   let t =
     { toks = Array.of_list (List.rev !toks); lines = Array.of_list (List.rev !lines);
-      last = !n - 1; error; cur = 0 }
+      last = !n - 1; error; cur = 0; taken = 0 }
   in
   arrive t;
   t
@@ -211,13 +212,16 @@ let peek t = t.toks.(t.cur lsr chunk_bits).(t.cur land (chunk - 1))
 
 let next t =
   let tok = peek t in
+  t.taken <- t.cur;
   if t.cur < t.last then begin
     t.cur <- t.cur + 1;
     arrive t
   end;
   tok
 
-let line t = t.lines.(t.cur lsr chunk_bits).(t.cur land (chunk - 1))
+let line_at t i = t.lines.(i lsr chunk_bits).(i land (chunk - 1))
+let line t = line_at t t.cur
+let taken_line t = line_at t t.taken
 let rewind t = t.cur <- 0
 
 let token_to_string = function

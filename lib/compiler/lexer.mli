@@ -32,6 +32,10 @@ val line : t -> int
 (** Line of the lookahead token; at {!EOF}, the line reached after all
     trailing whitespace and comments. *)
 
+val taken_line : t -> int
+(** Line of the token {!next} last returned: where an error about that
+    token is reported. *)
+
 val rewind : t -> unit
 (** Moves the cursor back to the first token. *)
 

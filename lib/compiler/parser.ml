@@ -16,23 +16,26 @@ type st = {
   mutable depth : int;
 }
 
-let err st fmt =
-  Format.kasprintf (fun m -> raise (Parse_error (m, L.line st.lx))) fmt
+let fail_at line fmt = Format.kasprintf (fun m -> raise (Parse_error (m, line))) fmt
+let err st fmt = fail_at (L.line st.lx) fmt
+
+(* an error about the token just taken with [L.next], at that token's line *)
+let err_taken st fmt = fail_at (L.taken_line st.lx) fmt
 
 let expect_punct st p =
   match L.next st.lx with
   | L.PUNCT q when String.equal p q -> ()
-  | tok -> err st "expected '%s', got %s" p (L.token_to_string tok)
+  | tok -> err_taken st "expected '%s', got %s" p (L.token_to_string tok)
 
 let expect_kw st k =
   match L.next st.lx with
   | L.KW q when String.equal k q -> ()
-  | tok -> err st "expected '%s', got %s" k (L.token_to_string tok)
+  | tok -> err_taken st "expected '%s', got %s" k (L.token_to_string tok)
 
 let expect_ident st =
   match L.next st.lx with
   | L.IDENT s -> s
-  | tok -> err st "expected identifier, got %s" (L.token_to_string tok)
+  | tok -> err_taken st "expected identifier, got %s" (L.token_to_string tok)
 
 let accept_punct st p =
   match L.peek st.lx with
@@ -56,7 +59,7 @@ let parse_type st =
     | L.KW "void" -> Ctype.Void
     | L.KW "struct" -> Ctype.Struct (expect_ident st)
     | L.IDENT s when List.mem s st.struct_names -> Ctype.Struct s
-    | tok -> err st "expected a type, got %s" (L.token_to_string tok)
+    | tok -> err_taken st "expected a type, got %s" (L.token_to_string tok)
   in
   let rec stars ty = if accept_punct st "*" then stars (Ctype.Ptr ty) else ty in
   match (base, stars base) with
@@ -74,10 +77,10 @@ let parse_array_suffix st ty =
         (* a literal past [max_int] (a hex one may even read as negative)
            would wrap in [Int64.to_int] to some other, smaller size *)
         if Int64.compare n 0L < 0 || Int64.compare n (Int64.of_int max_int) > 0
-        then err st "array dimension %Lu out of range" n;
+        then err_taken st "array dimension %Lu out of range" n;
         expect_punct st "]";
         dims (Int64.to_int n :: acc)
-      | tok -> err st "expected array dimension, got %s" (L.token_to_string tok)
+      | tok -> err_taken st "expected array dimension, got %s" (L.token_to_string tok)
     end
     else acc
   in
@@ -288,7 +291,7 @@ and parse_postfix st (p : pexpr) : pexpr =
           (Place
              { base = e; pointee = Ctype.Struct s; steps = [ Ir.S_field f ];
                ty = fty })
-      | exception Not_found -> err st "struct %s has no field %s" s f)
+      | exception Not_found -> err_taken st "struct %s has no field %s" s f)
     | _ -> err st "-> on non-struct-pointer")
   | L.PUNCT "." -> (
     ignore (L.next st.lx);
@@ -299,7 +302,7 @@ and parse_postfix st (p : pexpr) : pexpr =
       | fty ->
         parse_postfix st
           (Place { pl with steps = pl.steps @ [ Ir.S_field f ]; ty = fty })
-      | exception Not_found -> err st "struct %s has no field %s" s f)
+      | exception Not_found -> err_taken st "struct %s has no field %s" s f)
     | _ -> err st ". on non-struct place")
   | _ -> p
 
@@ -370,8 +373,8 @@ and parse_primary st : pexpr =
         | Some ty when Ctype.is_scalar ty -> Val (Ir.Load_global name, ty)
         | Some ty ->
           Place { base = Ir.Addr_global name; pointee = ty; steps = []; ty }
-        | None -> err st "unknown identifier %s" name))
-  | tok -> err st "unexpected %s in expression" (L.token_to_string tok)
+        | None -> err_taken st "unknown identifier %s" name))
+  | tok -> err_taken st "unexpected %s in expression" (L.token_to_string tok)
 
 (* ---- statements ------------------------------------------------------ *)
 
@@ -408,7 +411,7 @@ let rec parse_stmt st : Ir.stmt =
     let ty = parse_type st in
     (match L.next st.lx with
     | L.PUNCT "=" -> ()
-    | tok -> err st "expected '=', got %s" (L.token_to_string tok));
+    | tok -> err_taken st "expected '=', got %s" (L.token_to_string tok));
     let e, ety = rvalue st (parse_expr st) in
     expect_punct st ";";
     Hashtbl.replace st.scope name (ty, false);
@@ -503,10 +506,8 @@ let rec contains_by_value tenv ~target = function
 let parse_struct_decl st =
   expect_kw st "struct";
   let name = expect_ident st in
-  let line = L.line st.lx in
-  let fail fmt =
-    Format.kasprintf (fun m -> raise (Parse_error (m, line))) fmt
-  in
+  let line = L.taken_line st.lx in
+  let fail fmt = fail_at line fmt in
   (match Ctype.lookup st.tenv name with
   | _ -> fail "duplicate struct %s" name
   | exception Not_found -> ());
@@ -580,7 +581,7 @@ let prescan lx =
         | tok ->
           raise
             (Parse_error ("expected struct name, got " ^ L.token_to_string tok,
-                          L.line lx))
+                          L.taken_line lx))
       in
       (* only a declaration names a struct; a by-value use does not *)
       (match L.next lx with

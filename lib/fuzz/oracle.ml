@@ -42,24 +42,11 @@ let temporal_configs =
 
 (* ---- observable signature (the full result, line-oriented) ----------- *)
 
-let outcome_str = function
-  | Vm.Finished v -> "finished:" ^ Int64.to_string v
-  | Vm.Trapped t -> "trapped:" ^ Trap.to_string t
-  | Vm.Aborted r -> "aborted:" ^ Vm.abort_reason_string r
-
-let trace_str = function
-  | Vm.T_promote { ptr; outcome; bounds } ->
-    Printf.sprintf "promote:%Lx:%s:%s" ptr outcome bounds
-  | Vm.T_register { what; ptr; size } ->
-    Printf.sprintf "register:%s:%Lx:%d" what ptr size
-  | Vm.T_deregister { what; ptr } -> Printf.sprintf "deregister:%s:%Lx" what ptr
-  | Vm.T_trap m -> "trap:" ^ m
-
 let result_sig (r : Vm.result) =
   let c = r.Vm.counters in
   let b = Buffer.create 256 in
   let f fmt = Printf.ksprintf (fun s -> Buffer.add_string b s) fmt in
-  f "outcome=%s\n" (outcome_str r.Vm.outcome);
+  f "outcome=%s\n" (Vm.outcome_string r.Vm.outcome);
   f "base_instrs=%d cycles=%d loads=%d stores=%d checks=%d\n"
     c.Counters.base_instrs c.Counters.cycles c.Counters.loads c.Counters.stores
     c.Counters.implicit_checks;
@@ -77,23 +64,27 @@ let result_sig (r : Vm.result) =
   f "cache=%d/%d footprint=%d\n" r.Vm.cache_accesses r.Vm.cache_misses
     r.Vm.mem_footprint;
   f "output=%s\n" (String.concat "|" r.Vm.output);
-  f "trace=%s\n" (String.concat ";" (List.map trace_str r.Vm.trace));
+  f "trace=%s\n" (String.concat ";" (List.map Vm.trace_event_string r.Vm.trace));
   f "fault_injections=%s\n" (String.concat ";" r.Vm.fault_injections);
   Buffer.contents b
 
+(* every line position where two texts differ; [None] is past the end *)
+let line_diff a b =
+  let rec go acc = function
+    | x :: la, y :: lb ->
+      go (if String.equal x y then acc else (Some x, Some y) :: acc) (la, lb)
+    | x :: la, [] -> go ((Some x, None) :: acc) (la, [])
+    | [], y :: lb -> go ((None, Some y) :: acc) ([], lb)
+    | [], [] -> List.rev acc
+  in
+  go [] (String.split_on_char '\n' a, String.split_on_char '\n' b)
+
 (* the first line where two signatures disagree, unified-diff style *)
 let sig_diff a b =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec go la lb =
-    match (la, lb) with
-    | x :: la', y :: lb' ->
-      if String.equal x y then go la' lb'
-      else Printf.sprintf "-%s +%s" x y
-    | x :: _, [] -> Printf.sprintf "-%s +<eof>" x
-    | [], y :: _ -> Printf.sprintf "-<eof> +%s" y
-    | [], [] -> "<equal>"
-  in
-  go la lb
+  let side = Option.value ~default:"<eof>" in
+  match line_diff a b with
+  | [] -> "<equal>"
+  | (x, y) :: _ -> Printf.sprintf "-%s +%s" (side x) (side y)
 
 let failure_key f = f.oracle ^ "/" ^ f.site
 
@@ -110,16 +101,6 @@ let of_line s =
   | _ -> None
 
 (* ---- the battery ----------------------------------------------------- *)
-
-let observed (r : Vm.result) =
-  {
-    Classify.outcome =
-      (match r.Vm.outcome with
-      | Vm.Finished n -> `Finished n
-      | Vm.Trapped t -> `Trapped t
-      | Vm.Aborted m -> `Aborted (Vm.abort_reason_string m));
-    output = r.Vm.output;
-  }
 
 (* oracle A: every engine against the reference, the head of Engines.all *)
 let agree cname cfg prog =
@@ -165,15 +146,15 @@ let equivalence ~baseline results =
         | o ->
           fail
             (Printf.sprintf "baseline finished:%Ld but %s %s" n cname
-               (outcome_str o)))
+               (Vm.outcome_string o)))
       results
-  | o -> [ { oracle = "wellformed"; site = "baseline"; detail = outcome_str o } ]
+  | o -> [ { oracle = "wellformed"; site = "baseline"; detail = Vm.outcome_string o } ]
 
 (* one armed plan per class against [cfg] (plan seeds derived from
    [fault_seed]); the (class, plan, run) of every plan that classifies
    as silent corruption against [golden] *)
 let silent_plans ~fault_seed classes cfg prog golden =
-  let golden_obs = observed golden in
+  let golden_obs = Vm.observe golden in
   List.concat
     (List.mapi
        (fun k cls ->
@@ -183,7 +164,7 @@ let silent_plans ~fault_seed classes cfg prog golden =
          let r = Vm.run ~config:{ cfg with Vm.fault_plan = Some plan } prog in
          let fired = r.Vm.fault_injections <> [] in
          match
-           Classify.classify ~cls ~fired ~golden:golden_obs ~faulted:(observed r)
+           Classify.classify ~cls ~fired ~golden:golden_obs ~faulted:(Vm.observe r)
          with
          | Classify.Silent_corruption -> [ (cls, plan, r) ]
          | _ -> [])
@@ -216,8 +197,8 @@ let check ?(fault_seed = 1L) prog =
               Printf.sprintf "plan %s fired [%s] yet finished %s vs golden %s"
                 (Fault.fingerprint plan)
                 (String.concat ";" r.Vm.fault_injections)
-                (outcome_str r.Vm.outcome)
-                (outcome_str golden.Vm.outcome);
+                (Vm.outcome_string r.Vm.outcome)
+                (Vm.outcome_string golden.Vm.outcome);
           })
         (silent_plans ~fault_seed defended subheap_cfg prog golden)
     | _ -> []
@@ -241,7 +222,7 @@ let check_temporal ?(fault_seed = 1L) ?(expect_fault = false) prog =
         []
       | true, o ->
         fail "temporal" cname
-          ("temporal-fault program did not trap temporally: " ^ outcome_str o)
+          ("temporal-fault program did not trap temporally: " ^ Vm.outcome_string o)
       | false, Vm.Finished _ ->
         (* a safe program must finish under temporal mode; it is then the
            golden for the armed plans: temporal-mode IFP must never
@@ -253,9 +234,9 @@ let check_temporal ?(fault_seed = 1L) ?(expect_fault = false) prog =
               (Printf.sprintf "plan %s fired [%s] yet finished %s"
                  (Fault.fingerprint plan)
                  (String.concat ";" r.Vm.fault_injections)
-                 (outcome_str r.Vm.outcome)))
+                 (Vm.outcome_string r.Vm.outcome)))
           (silent_plans ~fault_seed temporal_defended cfg prog r0)
       | false, o ->
         fail "temporal" cname
-          ("safe program did not finish under temporal mode: " ^ outcome_str o))
+          ("safe program did not finish under temporal mode: " ^ Vm.outcome_string o))
     temporal_configs

@@ -57,6 +57,11 @@ val result_sig : Ifp_vm.Vm.result -> string
     fault injector performed — folded into a line-oriented string; two
     runs are equivalent iff their signatures are equal. *)
 
+val line_diff : string -> string -> (string option * string option) list
+(** Every line position, in order, where two texts (two {!result_sig}s)
+    differ, as (left, right); [None] is a side that has already ended.
+    [[]] iff the texts are equal. *)
+
 val agree :
   string ->
   Ifp_vm.Vm.config ->

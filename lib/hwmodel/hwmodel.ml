@@ -118,6 +118,3 @@ let stage_to_string = function
   | Issue -> "issue"
   | Execute -> "execute"
   | Frontend_other -> "frontend/other"
-
-let verilog_loc =
-  [ ("layout-table walker", 1030); ("three scheme blocks", 676) ]

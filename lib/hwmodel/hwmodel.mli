@@ -80,7 +80,3 @@ val by_stage : config -> (stage * int) list
 (** Added LUTs per pipeline stage (Fig. 13). *)
 
 val stage_to_string : stage -> string
-
-val verilog_loc : (string * int) list
-(** Indicative SystemVerilog line counts the paper reports (layout
-    walker 1,030; scheme blocks 676 combined). *)

@@ -20,8 +20,6 @@ let contains t ~addr ~size =
     let a = u48 addr in
     lo <= a && a + size <= hi
 
-let in_range t addr = contains t ~addr ~size:0
-
 let equal a b =
   match (a, b) with
   | No_bounds, No_bounds -> true

@@ -30,9 +30,5 @@ val contains : t -> addr:int64 -> size:int -> bool
 (** Access-size check (paper §4.1): [lo <= addr && addr + size <= hi].
     [No_bounds] always passes. *)
 
-val in_range : t -> int64 -> bool
-(** [contains] with [size = 0] — used by [ifpadd] poison updates, where
-    pointing one past the end is legal. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

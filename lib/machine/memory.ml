@@ -1,7 +1,7 @@
 let page_size = 4096
 let page_shift = 12
 
-type page = { data : Bytes.t; mutable written : bool }
+type page = { data : Bytes.t }
 
 (* Direct-mapped page-lookup cache. One entry is not enough: an
    instrumented run interleaves data accesses with metadata-region
@@ -17,7 +17,6 @@ let pcache_mask = pcache_slots - 1
 type t = {
   pages : (int, page) Hashtbl.t;
   mutable mapped : (int * int) list; (* inclusive pno intervals, sorted *)
-  mutable touched : int;
   pcache_pno : int array; (* -1 = empty *)
   pcache_page : page array;
 }
@@ -26,13 +25,12 @@ type fault_kind = Unmapped | Misaligned
 
 exception Fault of fault_kind * int64
 
-let dummy_page = { data = Bytes.create 0; written = true }
+let dummy_page = { data = Bytes.create 0 }
 
 let create () =
   {
     pages = Hashtbl.create 1024;
     mapped = [];
-    touched = 0;
     pcache_pno = Array.make pcache_slots (-1);
     pcache_page = Array.make pcache_slots dummy_page;
   }
@@ -105,7 +103,7 @@ let get_page t a =
       match Hashtbl.find_opt t.pages pno with
       | Some p -> p
       | None ->
-        let p = { data = Bytes.make page_size '\000'; written = false } in
+        let p = { data = Bytes.make page_size '\000' } in
         Hashtbl.replace t.pages pno p;
         p
     in
@@ -122,10 +120,6 @@ let read_u8 t a =
 
 let write_u8 t a v =
   let p = get_page t a in
-  if not p.written then begin
-    p.written <- true;
-    t.touched <- t.touched + 1
-  end;
   Bytes.unsafe_set p.data (off_of_addr a) (Char.unsafe_chr (v land 0xFF))
 
 let xor_u8 t a mask = write_u8 t a (read_u8 t a lxor (mask land 0xFF))
@@ -152,10 +146,6 @@ let write_u16 t a v =
   let off = off_of_addr a in
   if off <= page_size - 2 then begin
     let p = get_page t a in
-    if not p.written then begin
-      p.written <- true;
-      t.touched <- t.touched + 1
-    end;
     Bytes.unsafe_set p.data off (Char.unsafe_chr (v land 0xFF));
     Bytes.unsafe_set p.data (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF))
   end
@@ -178,10 +168,6 @@ let write_u32 t a v =
   let off = off_of_addr a in
   if off <= page_size - 4 then begin
     let p = get_page t a in
-    if not p.written then begin
-      p.written <- true;
-      t.touched <- t.touched + 1
-    end;
     Bytes.set_int32_le p.data off (Int64.to_int32 v)
   end
   else begin
@@ -204,10 +190,6 @@ let write_u64 t a v =
   let off = off_of_addr a in
   if off <= page_size - 8 then begin
     let p = get_page t a in
-    if not p.written then begin
-      p.written <- true;
-      t.touched <- t.touched + 1
-    end;
     Bytes.set_int64_le p.data off v
   end
   else begin
@@ -242,8 +224,6 @@ let blit_string t a s =
 
 let read_string t a ~len =
   String.init len (fun i -> Char.chr (read_u8 t (Int64.add a (Int64.of_int i))))
-
-let touched_pages t = t.touched
 
 let mapped_bytes t =
   List.fold_left (fun acc (l, h) -> acc + (h - l + 1)) 0 t.mapped * page_size

@@ -10,15 +10,13 @@
     are [int64] values whose upper 16 bits are ignored (pointer tags are
     stripped by the caller, see {!Ifp_isa.Tag}). *)
 
-type page = { data : Bytes.t; mutable written : bool }
-(** One 4 KiB page; [written] flips on the first store and feeds
-    {!touched_pages}. *)
+type page = { data : Bytes.t }
+(** One 4 KiB page. *)
 
 type t = {
   pages : (int, page) Hashtbl.t;
   mutable mapped : (int * int) list;
       (** sorted disjoint inclusive page-number intervals *)
-  mutable touched : int;
   pcache_pno : int array;  (** direct-mapped lookup cache; -1 = empty *)
   pcache_page : page array;
 }
@@ -83,9 +81,6 @@ val write_size : t -> int64 -> bytes:int -> int64 -> unit
 val fill : t -> int64 -> len:int -> char -> unit
 val blit_string : t -> int64 -> string -> unit
 val read_string : t -> int64 -> len:int -> string
-
-val touched_pages : t -> int
-(** Number of distinct pages ever written — a resident-set proxy. *)
 
 val mapped_bytes : t -> int
 (** Total bytes currently mapped. *)

@@ -10,9 +10,8 @@ type path = step list
    when an [Index] step stays on the same element. *)
 type node = { idx : int; children : (string * node) list; into : node option }
 
-type t = { root_ty : Ctype.t; elems : element array; tree : node }
+type t = { elems : element array; tree : node }
 
-let root_type t = t.root_ty
 let elements t = t.elems
 let length t = Array.length t.elems
 
@@ -82,7 +81,7 @@ let build env ty =
     | Ctype.(Void | I8 | I16 | I32 | I64 | F64 | Ptr _ | Array _) -> []
   in
   let tree = { idx = 0; children; into = None } in
-  { root_ty = ty; elems = Array.of_list (List.rev !acc); tree }
+  { elems = Array.of_list (List.rev !acc); tree }
 
 let index_of_path t path =
   let rec go node = function
@@ -97,21 +96,6 @@ let index_of_path t path =
       | None -> go node rest)
   in
   go t.tree path
-
-let type_of_path env ty path =
-  let rec go ty = function
-    | [] -> Some ty
-    | Field f :: rest -> (
-      match ty with
-      | Ctype.Struct s -> (
-        match Ctype.field_offset env s f with
-        | _, fty -> go fty rest
-        | exception Not_found -> None)
-      | _ -> None)
-    | Index :: rest -> (
-      match ty with Ctype.Array (e, _) -> go e rest | _ -> None)
-  in
-  go ty path
 
 let narrow t ~obj_base ~obj_size ~addr ~index =
   let n = Array.length t.elems in

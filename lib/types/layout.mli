@@ -38,7 +38,6 @@ val build : Ctype.tenv -> Ctype.t -> t
 (** Build the table for a root type. Scalars and scalar arrays get a
     1-element table (just the object element). *)
 
-val root_type : t -> Ctype.t
 val elements : t -> element array
 val length : t -> int
 
@@ -49,9 +48,6 @@ val index_of_path : t -> path -> int option
 (** The subobject index a pointer obtained by following [path] from the
     object base should carry; [None] if the path is invalid for the type.
     [Some 0] means "whole object". *)
-
-val type_of_path : Ctype.tenv -> Ctype.t -> path -> Ctype.t option
-(** Static type reached by a path. *)
 
 val narrow :
   t ->

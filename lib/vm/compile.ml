@@ -336,8 +336,7 @@ let stage_load st bytes : int64 -> int64 =
         Trap.raise_trap (Trap.Memory_fault fa))
 
 (* Staged store tail: same deal with [charge_store] and [write_size];
-   the sub-word masks of [Memory.write_size] and the page [written] /
-   [touched] bookkeeping are replicated exactly. *)
+   the sub-word masks of [Memory.write_size] are replicated exactly. *)
 let stage_store st bytes : int64 -> int64 -> unit =
   let cc = st.c and cache = st.cache and mem = st.mem in
   let cyc = 1 + Cost.mem in
@@ -347,12 +346,6 @@ let stage_store st bytes : int64 -> int64 -> unit =
   let lbytes = 1 lsl lsh in
   let lmask = lbytes - 1 in
   let ppno = mem.Memory.pcache_pno and ppage = mem.Memory.pcache_page in
-  let note_written p =
-    if not p.Memory.written then begin
-      p.Memory.written <- true;
-      mem.Memory.touched <- mem.Memory.touched + 1
-    end
-  in
   match bytes with
   | 8 ->
     let slow a raw =
@@ -377,7 +370,6 @@ let stage_store st bytes : int64 -> int64 -> unit =
         let slot = pno land pcache_mask in
         if Array.unsafe_get ppno slot = pno then begin
           let p = Array.unsafe_get ppage slot in
-          note_written p;
           Bytes.set_int64_le p.Memory.data off raw
         end
         else slow a raw
@@ -406,7 +398,6 @@ let stage_store st bytes : int64 -> int64 -> unit =
         let slot = pno land pcache_mask in
         if Array.unsafe_get ppno slot = pno then begin
           let p = Array.unsafe_get ppage slot in
-          note_written p;
           Bytes.set_int32_le p.Memory.data off (Int64.to_int32 raw)
         end
         else slow a raw
@@ -436,7 +427,6 @@ let stage_store st bytes : int64 -> int64 -> unit =
         let slot = pno land pcache_mask in
         if Array.unsafe_get ppno slot = pno then begin
           let p = Array.unsafe_get ppage slot in
-          note_written p;
           let data = p.Memory.data in
           Bytes.unsafe_set data off (Char.unsafe_chr (ri land 0xFF));
           Bytes.unsafe_set data (off + 1)
@@ -463,7 +453,6 @@ let stage_store st bytes : int64 -> int64 -> unit =
       let slot = pno land pcache_mask in
       if Array.unsafe_get ppno slot = pno then begin
         let p = Array.unsafe_get ppage slot in
-        note_written p;
         Bytes.unsafe_set p.Memory.data (ai land page_off_mask)
           (Char.unsafe_chr ri)
       end

@@ -1,5 +1,5 @@
 (* The public face of the VM: the {!Rt} vocabulary (configs, outcomes,
-   results) and the one engine dispatcher. *)
+   results), the one engine dispatcher, and the one rendering of a run. *)
 
 include Rt
 
@@ -8,3 +8,25 @@ let run ?(config = default_config) prog =
   | Eng_vm -> Vm_slot.run ~config prog
   | Eng_ref -> Vm_ref.run ~config prog
   | Eng_closure -> Vm_closure.run ~config prog
+
+let outcome_string = function
+  | Finished v -> "finished:" ^ Int64.to_string v
+  | Trapped t -> "trapped:" ^ Ifp_isa.Trap.to_string t
+  | Aborted r -> "aborted:" ^ abort_reason_string r
+
+let trace_event_string = function
+  | T_promote { ptr; outcome; bounds } ->
+    Printf.sprintf "promote:%Lx:%s:%s" ptr outcome bounds
+  | T_register { what; ptr; size } -> Printf.sprintf "register:%s:%Lx:%d" what ptr size
+  | T_deregister { what; ptr } -> Printf.sprintf "deregister:%s:%Lx" what ptr
+  | T_trap m -> "trap:" ^ m
+
+let observe r =
+  {
+    Ifp_faultinject.Classify.outcome =
+      (match r.outcome with
+      | Finished n -> `Finished n
+      | Trapped t -> `Trapped t
+      | Aborted m -> `Aborted (abort_reason_string m));
+    output = r.output;
+  }

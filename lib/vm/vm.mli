@@ -141,3 +141,14 @@ val run : ?config:config -> Ifp_compiler.Ir.program -> result
     library-level mutable globals, so concurrent [run]s from multiple
     domains are safe and deterministic. lib/campaign's parallel engine
     relies on this. *)
+
+val outcome_string : outcome -> string
+(** [finished:V], [trapped:TRAP] or [aborted:REASON] — the one rendering
+    of an outcome (signatures, event logs, tool output). *)
+
+val trace_event_string : trace_event -> string
+(** [promote:PTR:OUTCOME:BOUNDS], [register:WHAT:PTR:SIZE],
+    [deregister:WHAT:PTR] or [trap:MSG], pointers in hex. *)
+
+val observe : result -> Ifp_faultinject.Classify.observed
+(** The run as the fault classifier sees it: outcome and output. *)

@@ -5,8 +5,7 @@
    at a seeded point and assert that re-running against the same cache
    converges to byte-identical output.
 
-   Usage: chaos_child --out FILE [--cache DIR] [-j N] [--kill-after N]
-                      [--slow-ms M]
+   Usage: chaos_child [OPTION]... (`--help` lists the options)
 
    The result table is written to --out only when the campaign runs to
    completion; an interrupted run exits 130 (or dies raw on SIGKILL)
@@ -38,27 +37,15 @@ let () =
   let workers = ref 1 in
   let kill_after = ref None in
   let slow_ms = ref 0 in
-  let argv = Sys.argv in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "chaos_child: missing argument to %s\n" what;
-      exit 2)
-    else argv.(!i)
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--out" -> out := Some (next "--out")
-    | "--cache" -> cache_dir := Some (next "--cache")
-    | "-j" -> workers := max 1 (int_of_string (next "-j"))
-    | "--kill-after" -> kill_after := Some (int_of_string (next "--kill-after"))
-    | "--slow-ms" -> slow_ms := max 0 (int_of_string (next "--slow-ms"))
-    | s ->
-      Printf.eprintf "chaos_child: unknown option %s\n" s;
-      exit 2);
-    incr i
-  done;
+  Cli.parse ~usage:"usage: chaos_child [OPTION]..."
+    [
+      ("--out", Arg.String (fun f -> out := Some f), "FILE Result table");
+      ("--cache", Arg.String (fun d -> cache_dir := Some d), "DIR Result cache");
+      ("-j", Arg.Int (fun n -> workers := max 1 n), "N Worker domains");
+      ("--kill-after", Arg.Int (fun n -> kill_after := Some n), "N SIGKILL self after N jobs");
+      ("--slow-ms", Arg.Int (fun n -> slow_ms := max 0 n), "M Sleep M ms in each job");
+    ]
+    (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)));
   let jobs = List.init n_jobs job in
   let cache = Option.map (fun dir -> Rcache.create ~dir ()) !cache_dir in
   let stop = Cli.install_interrupt () in

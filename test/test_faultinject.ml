@@ -12,25 +12,15 @@ module Engine = Ifp_campaign.Engine
 
 let victim = lazy (Victim.program ())
 
-let observed (r : Vm.result) =
-  {
-    Classify.outcome =
-      (match r.Vm.outcome with
-      | Vm.Finished n -> `Finished n
-      | Vm.Trapped t -> `Trapped t
-      | Vm.Aborted m -> `Aborted (Vm.abort_reason_string m));
-    output = r.Vm.output;
-  }
-
 let run_planned config plan =
   Vm.run ~config:{ config with Vm.fault_plan = plan } (Lazy.force victim)
 
 let classify_seed config cls seed =
   let plan = Fault.default_plan cls ~seed:(Int64.of_int seed) in
-  let golden = observed (run_planned config None) in
+  let golden = Vm.observe (run_planned config None) in
   let r = run_planned config (Some plan) in
   let fired = r.Vm.fault_injections <> [] in
-  (fired, Classify.classify ~cls ~fired ~golden ~faulted:(observed r))
+  (fired, Classify.classify ~cls ~fired ~golden ~faulted:(Vm.observe r))
 
 (* Every class, on the full Ifp variant: the fault fires, the harness
    survives, and the run is classified. The defended classes — tag,

@@ -23,6 +23,7 @@ let () =
       ("trace-report", Test_trace_report.tests);
       ("campaign", Test_campaign.tests);
       ("chaos", Test_chaos.tests);
+      ("cli", Test_cli.tests);
       ("faultinject", Test_faultinject.tests);
       ("guarantees", Test_guarantees.tests);
       ("fuzz", Test_fuzz.tests);

@@ -279,14 +279,14 @@ let test_error_lines () =
       | Error m -> Alcotest.(check string) (String.escaped src) expected m)
     [
       ( "i64 main() {\n return 1\n}\n\n\n",
-        "f:6: parse error: expected ';', got '}'" );
+        "f:3: parse error: expected ';', got '}'" );
       ( "i64 main() {\n  return 0;\n}\n/* open\n comment\n",
         "f:5: lex error: unterminated comment" );
       ("struct 5 { };\n@", "f:1: parse error: expected struct name, got 5");
       ( "i64 main() {\n  return (1 +\n    2) @ 3;\n}\n",
         "f:3: lex error: unexpected character @" );
       ( "i64 main() {\n  return 1 +\n    2 *\n    ;\n}\n",
-        "f:5: parse error: unexpected ';' in expression" );
+        "f:4: parse error: unexpected ';' in expression" );
       ( "i64 main() {\n  let x: i64 = 1 +\n    y;\n  return x;\n}\n",
         "f:3: parse error: unknown identifier y" );
     ]
