@@ -151,12 +151,12 @@ let repro opts target =
         List.map
           (fun (ename, (r : Vm.result), _) ->
             [ cname; ename; Vm.outcome_string r.outcome;
-              Printf.sprintf "cycles=%d" r.counters.Ifp_vm.Counters.cycles;
-              "output=" ^ String.concat "|" r.output ])
+              string_of_int r.counters.Ifp_vm.Counters.cycles;
+              String.concat "|" r.output ])
           per_engine)
       matrix
   in
-  Table.print ~header body;
+  print_string (Table.render ~header body);
   (* per-config engine diffs: every divergent line, unified style *)
   List.iter
     (fun (cname, per_engine) ->

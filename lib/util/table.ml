@@ -1,12 +1,5 @@
-type align = Left | Right
-
-let default_aligns n = Left :: List.init (max 0 (n - 1)) (fun _ -> Right)
-
-let render ?aligns ~header rows =
+let render ~header rows =
   let ncols = List.length header in
-  let aligns =
-    match aligns with Some a -> a | None -> default_aligns ncols
-  in
   let widths = Array.make ncols 0 in
   let note_row r =
     List.iteri
@@ -16,22 +9,14 @@ let render ?aligns ~header rows =
   in
   note_row header;
   List.iter note_row rows;
-  let pad a w s =
-    let n = w - String.length s in
+  let pad i s =
+    let n = widths.(i) - String.length s in
     if n <= 0 then s
-    else
-      match a with
-      | Left -> s ^ String.make n ' '
-      | Right -> String.make n ' ' ^ s
+    else if i = 0 then s ^ String.make n ' '
+    else String.make n ' ' ^ s
   in
   let fmt_row r =
-    let cells =
-      List.mapi
-        (fun i cell ->
-          let a = try List.nth aligns i with _ -> Right in
-          pad a widths.(i) cell)
-        r
-    in
+    let cells = List.mapi pad r in
     "| " ^ String.concat " | " cells ^ " |"
   in
   let sep =
@@ -51,5 +36,3 @@ let render ?aligns ~header rows =
       Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
-
-let print ?aligns ~header rows = print_string (render ?aligns ~header rows)

@@ -1,9 +1,5 @@
 (** Plain-text table rendering for experiment reports. *)
 
-type align = Left | Right
-
-val render : ?aligns:align list -> header:string list -> string list list -> string
-(** [render ~header rows] renders an ASCII table. [aligns] defaults to
-    left for the first column and right for the rest. *)
-
-val print : ?aligns:align list -> header:string list -> string list list -> unit
+val render : header:string list -> string list list -> string
+(** [render ~header rows] renders an ASCII table: the first column
+    left-aligned, the rest right-aligned. *)

@@ -1,7 +1,8 @@
 (* The three tools' command lines: `--help` exits 0 and names every flag,
    a bad flag or a malformed value exits 1 with a usage line on stderr,
-   ifp_fuzz's one-shot modes read every flag whatever the order, and a
-   repro target that names nothing is bad input (exit 1). *)
+   ifp_fuzz's one-shot modes read every flag whatever the order, a
+   repro target that names nothing is bad input (exit 1), and the repro
+   table prints bare cells. *)
 
 (* the tools are built beside the test runner's directory (see test/dune);
    resolve them relative to the running executable so the tests work
@@ -118,10 +119,27 @@ let test_repro_no_match () =
       Alcotest.(check bool) "says why" true (String.starts_with ~prefix:"repro: " err))
     [ "0000"; (* every digest matches the empty prefix *) "" ]
 
+(* the repro table's cycles and output cells are bare values under
+   their column headers *)
+let test_repro_cells () =
+  let src = Filename.temp_file "repro" ".minic" in
+  Out_channel.with_open_text src (fun oc ->
+      output_string oc "i64 main() {\n  __print_i64(7);\n  __print_i64(42);\n  return 3;\n}\n");
+  let code, out, _ = run "ifp_fuzz" [ "--repro"; src ] in
+  Sys.remove src;
+  Alcotest.(check int) "a clean program: exit" 0 code;
+  let lines = String.split_on_char '\n' out in
+  Alcotest.(check (list string)) "header and first row"
+    [ "| config      |  engine |    outcome | cycles | output |";
+      "|-------------|---------|------------|--------|--------|";
+      "| baseline    |      vm | finished:3 |      6 |   7|42 |" ]
+    (List.filteri (fun i _ -> i >= 1 && i <= 3) lines)
+
 let tests =
   [
     Alcotest.test_case "--help names every flag" `Quick test_help;
     Alcotest.test_case "bad flags and values exit 1" `Quick test_bad_input;
     Alcotest.test_case "one-shot modes ignore flag order" `Quick test_flag_order;
     Alcotest.test_case "repro of no target exits 1" `Quick test_repro_no_match;
+    Alcotest.test_case "repro table cells" `Quick test_repro_cells;
   ]
