@@ -32,58 +32,64 @@ let create ?(size_bytes = 32768) ?(ways = 8) ?(line_bytes = 64) () =
     n_misses = 0;
   }
 
-(* line is < 2^48, so the truncation to int is exact; sets is a power of
-   two, so masking equals the modulo the set index needs. *)
-let line_of t addr =
-  Int64.to_int (Int64.shift_right_logical (Ifp_util.Bits.u48 addr) t.line_shift)
+(* Lines are numbered from an address's low 48 bits, taken as an
+   immediate int; sets is a power of two, so masking equals the modulo
+   the set index needs. *)
+let mask48 = (1 lsl 48) - 1
+let[@inline] low48 addr = Int64.to_int addr land mask48
 
-let access_line t line =
+(* A miss fills the line over the least recently used way; out of line,
+   so the inlined hit path stays small. *)
+let miss t base line =
+  t.n_misses <- t.n_misses + 1;
+  let victim = ref 0 in
+  for i = 1 to t.ways - 1 do
+    if Array.unsafe_get t.lru (base + i) < Array.unsafe_get t.lru (base + !victim)
+    then victim := i
+  done;
+  Array.unsafe_set t.tags (base + !victim) line;
+  Array.unsafe_set t.lru (base + !victim) t.clock;
+  false
+
+(* The way search is a loop, not a local recursive function: a local
+   function captures [t], [base] and [line] in a closure allocated on
+   every probe. *)
+let[@inline] access_line t line =
   t.n_accesses <- t.n_accesses + 1;
   t.clock <- t.clock + 1;
-  let set = line land t.set_mask in
-  let base = set * t.ways in
-  let rec find i =
-    if i >= t.ways then -1
-    else if Array.unsafe_get t.tags (base + i) = line then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  if i >= 0 then begin
-    t.lru.(base + i) <- t.clock;
+  let base = (line land t.set_mask) * t.ways in
+  let i = ref 0 in
+  while !i < t.ways && Array.unsafe_get t.tags (base + !i) <> line do
+    incr i
+  done;
+  if !i < t.ways then begin
+    Array.unsafe_set t.lru (base + !i) t.clock;
     true
   end
-  else begin
-    t.n_misses <- t.n_misses + 1;
-    (* evict the least recently used way *)
-    let victim = ref 0 in
-    for i = 1 to t.ways - 1 do
-      if t.lru.(base + i) < t.lru.(base + !victim) then victim := i
-    done;
-    t.tags.(base + !victim) <- line;
-    t.lru.(base + !victim) <- t.clock;
-    false
-  end
+  else miss t base line
 
-let access t addr _kind = access_line t (line_of t addr)
+let access t addr _kind = access_line t (low48 addr lsr t.line_shift)
 
 let access_range t addr ~bytes kind =
   ignore kind;
   if bytes <= 0 then 0
   else begin
     let line_bytes = 1 lsl t.line_shift in
-    let first = Int64.to_int (Int64.logand addr (Int64.of_int (line_bytes - 1))) in
+    let a48 = low48 addr in
+    let first = a48 land (line_bytes - 1) in
     let n_lines = (first + bytes + line_bytes - 1) / line_bytes in
-    if n_lines = 1 then if access_line t (line_of t addr) then 0 else 1
+    if n_lines = 1 then if access_line t (a48 lsr t.line_shift) then 0 else 1
     else begin
       let misses = ref 0 in
       for i = 0 to n_lines - 1 do
-        let a = Int64.add addr (Int64.of_int (i * line_bytes)) in
-        if not (access_line t (line_of t a)) then incr misses
+        let line = ((a48 + (i * line_bytes)) land mask48) lsr t.line_shift in
+        if not (access_line t line) then incr misses
       done;
       !misses
     end
   end
 
+let line_shift t = t.line_shift
 let accesses t = t.n_accesses
 let misses t = t.n_misses
 

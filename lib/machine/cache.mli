@@ -6,21 +6,7 @@
 
 type access = Load | Store
 
-type t = {
-  ways : int;
-  sets : int;
-  set_mask : int;  (** [sets - 1]; sets is a power of two *)
-  line_shift : int;
-  tags : int array;  (** [sets * ways], -1 = invalid *)
-  lru : int array;  (** [sets * ways]: higher = more recently used *)
-  mutable clock : int;
-  mutable n_accesses : int;
-  mutable n_misses : int;
-}
-(** The representation is concrete so the closure-compiled VM engine can
-    stage the line probe inline at its access sites; geometry fields and
-    the array identities are fixed after {!create}, so capturing them at
-    staging time is sound. Outside that use, treat [t] as abstract. *)
+type t
 
 val create : ?size_bytes:int -> ?ways:int -> ?line_bytes:int -> unit -> t
 
@@ -32,6 +18,14 @@ val access_range : t -> int64 -> bytes:int -> access -> int
 (** Touch every line overlapped by [\[addr, addr+bytes)]; returns the
     number of misses. An empty range ([bytes <= 0]) touches nothing and
     returns 0. *)
+
+val line_shift : t -> int
+(** log2 of the line size. *)
+
+val access_line : t -> int -> bool
+(** [access_line t line] is {!access} on a line number: an address
+    shifted right by {!line_shift}, below [2^48]. Inlined at call sites
+    in other libraries; it allocates nothing. *)
 
 val accesses : t -> int
 val misses : t -> int

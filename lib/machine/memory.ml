@@ -35,7 +35,7 @@ let create () =
     pcache_page = Array.make pcache_slots dummy_page;
   }
 
-let pno_of_addr a =
+let[@inline] pno_of_addr a =
   Int64.to_int (Int64.shift_right_logical (Ifp_util.Bits.u48 a) page_shift)
 
 (* insert [lo,hi] into a sorted disjoint interval list, merging
@@ -92,27 +92,29 @@ let unmap t ~base ~size =
 
 let is_mapped t a = iv_mem (pno_of_addr a) t.mapped
 
-let get_page t a =
+(* page-cache miss: out of line, so the inlined hit path stays small *)
+let fill_page t a pno slot =
+  if not (iv_mem pno t.mapped) then raise (Fault (Unmapped, a));
+  let page =
+    match Hashtbl.find_opt t.pages pno with
+    | Some p -> p
+    | None ->
+      let p = { data = Bytes.make page_size '\000' } in
+      Hashtbl.replace t.pages pno p;
+      p
+  in
+  Array.unsafe_set t.pcache_pno slot pno;
+  Array.unsafe_set t.pcache_page slot page;
+  page
+
+let[@inline] get_page t a =
   let pno = pno_of_addr a in
   let slot = pno land pcache_mask in
   if Array.unsafe_get t.pcache_pno slot = pno then
     Array.unsafe_get t.pcache_page slot
-  else begin
-    if not (iv_mem pno t.mapped) then raise (Fault (Unmapped, a));
-    let page =
-      match Hashtbl.find_opt t.pages pno with
-      | Some p -> p
-      | None ->
-        let p = { data = Bytes.make page_size '\000' } in
-        Hashtbl.replace t.pages pno p;
-        p
-    in
-    Array.unsafe_set t.pcache_pno slot pno;
-    Array.unsafe_set t.pcache_page slot page;
-    page
-  end
+  else fill_page t a pno slot
 
-let off_of_addr a = Int64.to_int (Int64.logand a 0xFFFL)
+let[@inline] off_of_addr a = Int64.to_int (Int64.logand a 0xFFFL)
 
 let read_u8 t a =
   let p = get_page t a in
@@ -133,14 +135,19 @@ let check_straddle t a =
   ignore (get_page t a);
   ignore (get_page t (Int64.add a (Int64.of_int (page_size - off))))
 
-(* Fast paths when the whole access fits in one page; otherwise byte-wise. *)
-let read_u16 t a =
+(* Fast paths when the whole access fits in one page; otherwise byte-wise.
+   The reads are inlined at call sites in other libraries (the promote
+   core and the metadata probes read through them), with the
+   page-straddling case out of line. *)
+let read_u16_straddle t a = read_u8 t a lor (read_u8 t (Int64.add a 1L) lsl 8)
+
+let[@inline] read_u16 t a =
   let off = off_of_addr a in
   if off <= page_size - 2 then
     let p = get_page t a in
     Char.code (Bytes.unsafe_get p.data off)
     lor (Char.code (Bytes.unsafe_get p.data (off + 1)) lsl 8)
-  else read_u8 t a lor (read_u8 t (Int64.add a 1L) lsl 8)
+  else read_u16_straddle t a
 
 let write_u16 t a v =
   let off = off_of_addr a in
@@ -155,14 +162,16 @@ let write_u16 t a v =
     write_u8 t (Int64.add a 1L) ((v lsr 8) land 0xFF)
   end
 
-let read_u32 t a =
+let read_u32_straddle t a =
+  let lo = read_u16 t a and hi = read_u16 t (Int64.add a 2L) in
+  Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 16)
+
+let[@inline] read_u32 t a =
   let off = off_of_addr a in
   if off <= page_size - 4 then
     let p = get_page t a in
     Int64.logand (Int64.of_int32 (Bytes.get_int32_le p.data off)) 0xFFFFFFFFL
-  else
-    let lo = read_u16 t a and hi = read_u16 t (Int64.add a 2L) in
-    Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 16)
+  else read_u32_straddle t a
 
 let write_u32 t a v =
   let off = off_of_addr a in
@@ -177,14 +186,16 @@ let write_u32 t a v =
       (Int64.to_int (Int64.logand (Int64.shift_right_logical v 16) 0xFFFFL))
   end
 
-let read_u64 t a =
+let read_u64_straddle t a =
+  let lo = read_u32 t a and hi = read_u32 t (Int64.add a 4L) in
+  Int64.logor lo (Int64.shift_left hi 32)
+
+let[@inline] read_u64 t a =
   let off = off_of_addr a in
   if off <= page_size - 8 then
     let p = get_page t a in
     Bytes.get_int64_le p.data off
-  else
-    let lo = read_u32 t a and hi = read_u32 t (Int64.add a 4L) in
-    Int64.logor lo (Int64.shift_left hi 32)
+  else read_u64_straddle t a
 
 let write_u64 t a v =
   let off = off_of_addr a in

@@ -51,16 +51,17 @@ type t = {
   mutable gt_free : int list;
   mutable gt_used : int;
   cregs : creg_v option array;
-  live : (int64, live_entry) Hashtbl.t;
+  live : (int64, live_entry) Hashtbl.t option;
       (* every metadata record currently in memory, keyed by address —
-         the fault injector's target registry *)
+         the fault injector's target registry; [None] when no injector
+         reads it, so registration costs no table update *)
   found : found;
 }
 
 let layout_magic = 0x4C544231L (* "LTB1" *)
 
-let create ?(temporal = false) ~memory ~mac_key ~layout_region:(lbase, lsize)
-    ~global_table:(gbase, entries) () =
+let create ?(temporal = false) ?(registry = true) ~memory ~mac_key
+    ~layout_region:(lbase, lsize) ~global_table:(gbase, entries) () =
   if entries < 1 || entries > Tag.global_table_entries then
     invalid_arg "Meta.create: global table entries";
   {
@@ -77,7 +78,7 @@ let create ?(temporal = false) ~memory ~mac_key ~layout_region:(lbase, lsize)
     gt_free = List.init (entries - 1) (fun i -> i + 1);
     gt_used = 0;
     cregs = Array.make 16 None;
-    live = Hashtbl.create 64;
+    live = (if registry then Some (Hashtbl.create 64) else None);
     found =
       { f_base = 0; f_size = 0; f_layout = 0L; f_gen = 0; f_freed = false;
         f_reason = "" };
@@ -89,12 +90,21 @@ let temporal t = t.temporal
 let found t = t.found
 let global_table t = (t.gt_base, t.gt_entries)
 
-let live_add t e = Hashtbl.replace t.live e.meta_addr e
-let live_remove t meta_addr = Hashtbl.remove t.live meta_addr
+(* inlined, so a context without the registry builds no entry *)
+let[@inline] live_add t scheme meta_addr meta_bytes mac_off =
+  match t.live with
+  | None -> ()
+  | Some h -> Hashtbl.replace h meta_addr { scheme; meta_addr; meta_bytes; mac_off }
+
+let[@inline] live_remove t meta_addr =
+  match t.live with None -> () | Some h -> Hashtbl.remove h meta_addr
 
 let live_entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.live []
-  |> List.sort (fun a b -> Int64.compare a.meta_addr b.meta_addr)
+  match t.live with
+  | None -> []
+  | Some h ->
+    Hashtbl.fold (fun _ e acc -> e :: acc) h []
+    |> List.sort (fun a b -> Int64.compare a.meta_addr b.meta_addr)
 
 let wipe_entry t e =
   for i = 0 to e.meta_bytes - 1 do
@@ -255,9 +265,7 @@ module Local_offset = struct
       if t.temporal then lw_pack ~layout_ptr ~gen ~freed:false else layout_ptr
     in
     write_record t ~meta_addr ~size ~layout_word;
-    live_add t
-      { scheme = Scheme_local_offset; meta_addr; meta_bytes = metadata_size;
-        mac_off = Some 2 };
+    live_add t Scheme_local_offset meta_addr metadata_size (Some 2);
     let granule_off = Bits.align_up size Tag.granule / Tag.granule in
     let p = Tag.make_local_offset ~addr:base ~granule_off ~subobj:0 in
     if t.temporal then Tag.with_gen p gen else p
@@ -412,9 +420,7 @@ module Subheap = struct
       done
     end
     else Memory.write_u16 t.mem (Int64.add meta_addr 30L) 0;
-    live_add t
-      { scheme = Scheme_subheap; meta_addr; meta_bytes = record_size t;
-        mac_off = Some 24 }
+    live_add t Scheme_subheap meta_addr (record_size t) (Some 24)
 
   let block_gen t ~creg ~block_base =
     if not t.temporal then 0
@@ -577,9 +583,7 @@ module Global_table = struct
       in
       Memory.write_u64 t.mem addr w0;
       Memory.write_u64 t.mem (Int64.add addr 8L) w1;
-      live_add t
-        { scheme = Scheme_global_table; meta_addr = addr; meta_bytes = 16;
-          mac_off = None };
+      live_add t Scheme_global_table addr 16 None;
       Some (Tag.make_global_table ~addr:base ~index:i)
 
   let deregister t ptr =

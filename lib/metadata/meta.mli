@@ -58,6 +58,7 @@ type free_status = [ `Freed_ok | `Already_freed | `Invalid ]
 
 val create :
   ?temporal:bool ->
+  ?registry:bool ->
   memory:Ifp_machine.Memory.t ->
   mac_key:Mac.key ->
   layout_region:int64 * int ->
@@ -70,7 +71,9 @@ val create :
     reserved. [temporal] (default off) turns on free-epoch generations:
     every record carries a generation and freed flag, mirrored into the
     pointer tag and checked at promote; with it off, every encoding is
-    bit-identical to the spatial-only design. *)
+    bit-identical to the spatial-only design. [registry] (default on)
+    keeps the live-entry registry below; without it {!live_entries} is
+    always [[]], and nothing else changes. *)
 
 val memory : t -> Ifp_machine.Memory.t
 val mac_key : t -> Mac.key
@@ -88,7 +91,9 @@ val global_table : t -> int64 * int
     Every metadata record currently materialised in memory, tracked so
     the fault injector ({!Ifp_faultinject.Fault}) can pick tampering
     targets without re-deriving each scheme's placement rules. The
-    registry is bookkeeping only — lookups never consult it. *)
+    registry is bookkeeping only — lookups never consult it — and costs
+    a table update on every registration and free, so a context built
+    with [~registry:false] keeps none. *)
 
 type scheme = Scheme_local_offset | Scheme_subheap | Scheme_global_table
 

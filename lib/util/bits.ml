@@ -1,29 +1,25 @@
-(* masks are precomputed: [mask] sits on hot paths (via [u48],
-   [extract], tag-field decoding) and without flambda the shift/sub
-   would re-run at every call *)
-let masks =
-  Array.init 64 (fun w ->
-      if w = 0 then 0L else Int64.sub (Int64.shift_left 1L w) 1L)
-
-let mask w =
+(* The field helpers are inlined at call sites in other libraries (tag
+   decoding, the promote core, the memory model), so a field read or
+   write there boxes no int64. *)
+let[@inline] mask w =
   if w < 0 || w > 63 then invalid_arg "Bits.mask";
-  Array.unsafe_get masks w
+  Int64.pred (Int64.shift_left 1L w)
 
-let extract x ~lo ~width =
+let[@inline] extract x ~lo ~width =
   Int64.logand (Int64.shift_right_logical x lo) (mask width)
 
-let insert x ~lo ~width v =
+let[@inline] insert x ~lo ~width v =
   let m = Int64.shift_left (mask width) lo in
   let v = Int64.shift_left (Int64.logand v (mask width)) lo in
   Int64.logor (Int64.logand x (Int64.lognot m)) v
 
-let extract_int x ~lo ~width =
+let[@inline] extract_int x ~lo ~width =
   if width > 62 then invalid_arg "Bits.extract_int";
   Int64.to_int (extract x ~lo ~width)
 
-let insert_int x ~lo ~width v = insert x ~lo ~width (Int64.of_int v)
+let[@inline] insert_int x ~lo ~width v = insert x ~lo ~width (Int64.of_int v)
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
+let[@inline] is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let log2_exact n =
   if not (is_pow2 n) then invalid_arg "Bits.log2_exact";
@@ -50,13 +46,13 @@ let align_up64 x a =
     (Int64.add x (Int64.sub a64 1L))
     (Int64.lognot (Int64.sub a64 1L))
 
-let align_down64 x a =
+let[@inline] align_down64 x a =
   if not (is_pow2 a) then invalid_arg "Bits.align_down64";
   Int64.logand x (Int64.lognot (Int64.sub (Int64.of_int a) 1L))
 
-let u48 x = Int64.logand x 0xFFFF_FFFF_FFFFL
+let[@inline] u48 x = Int64.logand x 0xFFFF_FFFF_FFFFL
 
 (* int-typed so the compiler emits an immediate compare: [Stdlib.min] /
    [max] are polymorphic and go through [compare_val] on every call *)
-let imin (a : int) b = if a <= b then a else b
-let imax (a : int) b = if a >= b then a else b
+let[@inline] imin (a : int) b = if a <= b then a else b
+let[@inline] imax (a : int) b = if a >= b then a else b

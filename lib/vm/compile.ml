@@ -28,8 +28,7 @@
      address closure plus one [VP];
    - {b streamed promote charges}: promote runs the list-free core
      ([Promote.promote]), whose fetches stream into a per-run buffer
-     and are charged through the staged cache-line probe once it
-     returns.
+     and are charged through [Cache.access_line] once it returns.
 
    Compilation happens per run (inside [run_with]'s [main_body]), after
    globals setup, with the state — config, fault injector, globals —
@@ -97,10 +96,11 @@ let run_body st (f : R.func) (body : ucode) callee_frame spills =
 
    The bit-level pieces — the 44-bit address mask of [Tag.addr], the
    poison-bit test of [Insn.load_store_poison_check], the range test of
-   [Bounds.contains] — are open-coded copies: they run on every access
-   and the cross-module calls are measurable without flambda. The
-   differential suite pins them against the interpreter, which still
-   goes through [lib/isa]. *)
+   [Bounds.contains] — are open-coded copies: the poison bits take one
+   shift-and-mask test on the fast path (the library check resolves the
+   trap cause on the cold, poisoned path) and the range test runs on the
+   already-masked immediate address. The differential suite pins them
+   against the interpreter, which still goes through [lib/isa]. *)
 
 let addr_mask = Tag.addr_mask (* 44-bit virtual address *)
 let addr_mask_i = Int64.to_int addr_mask
@@ -135,49 +135,13 @@ let armed_check st inj ~instr ~is_store ~size w' ob =
   let ob = Fault.on_access inj ~addr:(Int64.logand w' addr_mask) ~size ~bounds:ob in
   if instr then check_instr st w' ob ~is_store ~size else Int64.logand w' addr_mask
 
-(* Staged sim-cache probe: [Cache.access_line] over the exposed
-   representation, with the (immutable) geometry and arrays captured at
-   staging time. Returns the hit bit; counter/LRU updates are
-   byte-identical to the library version. *)
-let stage_cache_line (cache : Cache.t) : int -> bool =
-  let smask = cache.Cache.set_mask and ways = cache.Cache.ways in
-  let tags = cache.Cache.tags and lru = cache.Cache.lru in
-  fun line ->
-    cache.Cache.n_accesses <- cache.Cache.n_accesses + 1;
-    cache.Cache.clock <- cache.Cache.clock + 1;
-    let base = (line land smask) * ways in
-    let rec find i =
-      if i >= ways then -1
-      else if Array.unsafe_get tags (base + i) = line then i
-      else find (i + 1)
-    in
-    let i = find 0 in
-    if i >= 0 then begin
-      Array.unsafe_set lru (base + i) cache.Cache.clock;
-      true
-    end
-    else begin
-      cache.Cache.n_misses <- cache.Cache.n_misses + 1;
-      let victim = ref 0 in
-      for j = 1 to ways - 1 do
-        if
-          Array.unsafe_get lru (base + j)
-          < Array.unsafe_get lru (base + !victim)
-        then victim := j
-      done;
-      Array.unsafe_set tags (base + !victim) line;
-      Array.unsafe_set lru (base + !victim) cache.Cache.clock;
-      false
-    end
-
 (* Staged twin of [Rt.charge_fetches]: a buffered promote fetch that
-   stays within one line goes through the staged line probe; one that
+   stays within one line goes through [Cache.access_line]; one that
    crosses a line falls back to [Cache.access_range]. The buffer holds
    the addresses' low 63 bits, of which the line number reads 48. *)
 let stage_fetch_charge st : state -> unit =
   let cc = st.c and cache = st.cache and b = st.pbuf in
-  let probe = stage_cache_line cache in
-  let lsh = cache.Cache.line_shift in
+  let lsh = Cache.line_shift cache in
   let lbytes = 1 lsl lsh in
   let lmask = lbytes - 1 in
   let cyc = Cost.mem and pen = Cost.miss_penalty in
@@ -187,7 +151,7 @@ let stage_fetch_charge st : state -> unit =
       let bytes = Array.unsafe_get b.fb_bytes i in
       let misses =
         if bytes > 0 && (a land lmask) + bytes <= lbytes then
-          if probe ((a land Bounds.mask48) lsr lsh) then 0 else 1
+          if Cache.access_line cache ((a land Bounds.mask48) lsr lsh) then 0 else 1
         else Cache.access_range cache (Int64.of_int a) ~bytes Cache.Load
       in
       cc.cycles <- cc.cycles + cyc + (misses * pen)
@@ -205,16 +169,16 @@ let pcache_mask = Memory.pcache_slots - 1
    address, already masked by [check_instr] (or by the call site on
    uninstrumented paths), so the tag strip happens once per access; the
    masked address fits 48 bits, so the whole line/page computation runs
-   on immediate ints. The page-cache probe of [Memory.get_page] and the
-   line probe of [Cache.access_range] are inlined for the common case
-   (access within one page/line, page-cache hit); anything else falls
-   back to the library accessors, which keep the caches warm. *)
+   on immediate ints. The page-cache probe of [Memory.get_page] is
+   open-coded and the line probe is the inlined [Cache.access_line],
+   for the common case (access within one page/line, page-cache hit);
+   anything else falls back to the library accessors, which keep the
+   caches warm. *)
 let stage_load st bytes : int64 -> int64 =
   let cc = st.c and cache = st.cache and mem = st.mem in
   let cyc = 1 + Cost.mem in
   let pen = Cost.miss_penalty in
-  let probe = stage_cache_line cache in
-  let lsh = cache.Cache.line_shift in
+  let lsh = Cache.line_shift cache in
   let lbytes = 1 lsl lsh in
   let lmask = lbytes - 1 in
   let ppno = mem.Memory.pcache_pno and ppage = mem.Memory.pcache_page in
@@ -232,7 +196,7 @@ let stage_load st bytes : int64 -> int64 =
       let ai = Int64.to_int a in
       let misses =
         if (ai land lmask) + 8 <= lbytes then
-          if probe (ai lsr lsh) then 0 else 1
+          if Cache.access_line cache (ai lsr lsh) then 0 else 1
         else Cache.access_range cache a ~bytes:8 Cache.Load
       in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
@@ -258,7 +222,7 @@ let stage_load st bytes : int64 -> int64 =
       let ai = Int64.to_int a in
       let misses =
         if (ai land lmask) + 4 <= lbytes then
-          if probe (ai lsr lsh) then 0 else 1
+          if Cache.access_line cache (ai lsr lsh) then 0 else 1
         else Cache.access_range cache a ~bytes:4 Cache.Load
       in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
@@ -288,7 +252,7 @@ let stage_load st bytes : int64 -> int64 =
       let ai = Int64.to_int a in
       let misses =
         if (ai land lmask) + 2 <= lbytes then
-          if probe (ai lsr lsh) then 0 else 1
+          if Cache.access_line cache (ai lsr lsh) then 0 else 1
         else Cache.access_range cache a ~bytes:2 Cache.Load
       in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
@@ -316,7 +280,7 @@ let stage_load st bytes : int64 -> int64 =
       cc.loads <- cc.loads + 1;
       cc.base_instrs <- cc.base_instrs + 1;
       let ai = Int64.to_int a in
-      let misses = if probe (ai lsr lsh) then 0 else 1 in
+      let misses = if Cache.access_line cache (ai lsr lsh) then 0 else 1 in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
       let pno = ai lsr page_shift in
       let slot = pno land pcache_mask in
@@ -341,8 +305,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
   let cc = st.c and cache = st.cache and mem = st.mem in
   let cyc = 1 + Cost.mem in
   let pen = Cost.miss_penalty in
-  let probe = stage_cache_line cache in
-  let lsh = cache.Cache.line_shift in
+  let lsh = Cache.line_shift cache in
   let lbytes = 1 lsl lsh in
   let lmask = lbytes - 1 in
   let ppno = mem.Memory.pcache_pno and ppage = mem.Memory.pcache_page in
@@ -360,7 +323,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
       let ai = Int64.to_int a in
       let misses =
         if (ai land lmask) + 8 <= lbytes then
-          if probe (ai lsr lsh) then 0 else 1
+          if Cache.access_line cache (ai lsr lsh) then 0 else 1
         else Cache.access_range cache a ~bytes:8 Cache.Store
       in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
@@ -388,7 +351,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
       let ai = Int64.to_int a in
       let misses =
         if (ai land lmask) + 4 <= lbytes then
-          if probe (ai lsr lsh) then 0 else 1
+          if Cache.access_line cache (ai lsr lsh) then 0 else 1
         else Cache.access_range cache a ~bytes:4 Cache.Store
       in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
@@ -416,7 +379,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
       let ai = Int64.to_int a in
       let misses =
         if (ai land lmask) + 2 <= lbytes then
-          if probe (ai lsr lsh) then 0 else 1
+          if Cache.access_line cache (ai lsr lsh) then 0 else 1
         else Cache.access_range cache a ~bytes:2 Cache.Store
       in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
@@ -446,7 +409,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
       cc.stores <- cc.stores + 1;
       cc.base_instrs <- cc.base_instrs + 1;
       let ai = Int64.to_int a in
-      let misses = if probe (ai lsr lsh) then 0 else 1 in
+      let misses = if Cache.access_line cache (ai lsr lsh) then 0 else 1 in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
       let ri = Int64.to_int raw land 0xFF in
       let pno = ai lsr page_shift in
@@ -468,11 +431,12 @@ let stage_store st bytes : int64 -> int64 -> unit =
 (* ---- staged tag/ISA ops --------------------------------------------- *)
 
 (* Open-coded twins of [Insn.ifpadd] / [Insn.ifpidx] /
-   [Insn.poison_from_bounds] ([Insn.ifpextract]): straight shift/mask
-   int64 arithmetic with no cross-module calls — [Bits.insert] costs two
-   [Bits.mask] lookups per field write without flambda, and these run on
-   every fused gep. The differential suite pins them against the
-   [lib/isa] originals the interpreter still uses. *)
+   [Insn.poison_from_bounds] ([Insn.ifpextract]): they run on every
+   fused gep, take the address delta as an immediate [int] (the
+   originals take an [int64]) and decode the scheme with one shift,
+   where [Insn.ifpidx] goes through [Tag.subobj_index]'s option. The
+   differential suite pins them against the [lib/isa] originals the
+   interpreter still uses. *)
 
 let high_bits_mask = Int64.lognot addr_mask (* tag bits 63..44, gen included *)
 let poison_clear = Int64.lognot (Int64.shift_left 3L 62)

@@ -897,7 +897,9 @@ let run ?(config = default_config) (raw_prog : Ir.program) =
     | Baseline -> None
     | Ifp | Ifp_no_promote ->
       Some
-        (Meta.create ~temporal:config.temporal ~memory:mem
+        (* the fault injector is the live registry's only reader *)
+        (Meta.create ~temporal:config.temporal
+           ~registry:(Option.is_some config.fault_plan) ~memory:mem
            ~mac_key:(Ifp_metadata.Mac.fresh_key rng)
            ~layout_region:(Memmap.layout_region_base, Memmap.layout_region_size)
            ~global_table:(Memmap.global_table_base, Memmap.global_table_entries)

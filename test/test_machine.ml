@@ -245,6 +245,46 @@ let test_cache_flush () =
   Alcotest.(check int) "stats reset" 0 (Cache.accesses c);
   Alcotest.(check bool) "cold again" false (Cache.access c 0x1000L Cache.Load)
 
+(* Minor words allocated per call of [f], less those of an empty call:
+   [Gc.minor_words] boxes its own result, so the calibration cancels it. *)
+let words_per_call f =
+  let words g =
+    let w0 = Gc.minor_words () in
+    for i = 0 to 9_999 do
+      g i
+    done;
+    Gc.minor_words () -. w0
+  in
+  (words f -. words ignore) /. 10_000.
+
+(* the cache model is probed on every simulated access and metadata
+   fetch: no probe may allocate, hit or miss *)
+let test_cache_no_alloc () =
+  let c = Cache.create () in
+  (* 32 KiB apart: all in one set, so every probe after the first eight
+     misses in a cycle over 64 lines *)
+  let far = Array.init 64 (fun i -> Int64.of_int (0x10000 + (i * 32768))) in
+  let check name f = Alcotest.(check (float 0.)) name 0. (words_per_call f) in
+  ignore (Cache.access c 0x1000L Cache.Load);
+  check "access hit" (fun _ -> ignore (Cache.access c 0x1000L Cache.Load));
+  let m0 = Cache.misses c in
+  check "access miss" (fun i ->
+      ignore (Cache.access c far.(i land 63) Cache.Store));
+  Alcotest.(check int) "every far probe missed" 10_000 (Cache.misses c - m0);
+  check "range, one line" (fun _ ->
+      ignore (Cache.access_range c 0x1000L ~bytes:8 Cache.Load));
+  check "range, three lines" (fun _ ->
+      ignore (Cache.access_range c 0x1030L ~bytes:100 Cache.Load));
+  let m0 = Cache.misses c in
+  check "range miss" (fun i ->
+      ignore (Cache.access_range c far.(i land 63) ~bytes:16 Cache.Load));
+  (* from 48 bytes into each far line to 32 bytes into the next *)
+  let straddle = Array.map (fun a -> Int64.add a 48L) far in
+  check "range miss, two lines" (fun i ->
+      ignore (Cache.access_range c straddle.(i land 63) ~bytes:48 Cache.Load));
+  Alcotest.(check bool) "range probes missed" true
+    (Cache.misses c - m0 >= 20_000)
+
 let tests =
   [
     Alcotest.test_case "rw roundtrip" `Quick test_rw_roundtrip;
@@ -266,4 +306,5 @@ let tests =
     Alcotest.test_case "cache empty range" `Quick test_cache_empty_range;
     Alcotest.test_case "cache set indexing" `Quick test_cache_set_indexing;
     Alcotest.test_case "cache flush" `Quick test_cache_flush;
+    Alcotest.test_case "cache probes allocate nothing" `Quick test_cache_no_alloc;
   ]

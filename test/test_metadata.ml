@@ -522,6 +522,57 @@ let prop_global_table_roundtrip =
             end))
         rows)
 
+(* The live-entry registry serves the fault injector only: a context
+   built without it resolves every scheme's pointers exactly as one
+   built with it, before and after the objects are freed, and lists no
+   entries. *)
+let test_registry_off_same_results () =
+  let run registry =
+    let mem = Memory.create () in
+    Memory.map mem ~base:0x1000L ~size:(1 lsl 20);
+    Memory.map mem ~base:0x200000L ~size:(1 lsl 16);
+    Memory.map mem ~base:0x300000L ~size:(4096 * 16);
+    let meta =
+      Meta.create ~registry ~memory:mem ~mac_key:0x1234_5678L
+        ~layout_region:(0x200000L, 1 lsl 16)
+        ~global_table:(0x300000L, 256) ()
+    in
+    let lt = Meta.intern_layout meta tenv_s (Ctype.Struct "S") in
+    let local = Meta.Local_offset.register meta ~base:0x1000L ~size:24 ~layout_ptr:lt in
+    let narrow = Insn.ifpidx (Insn.ifpadd local ~delta:12L ~bounds:Bounds.no_bounds) 3 in
+    Meta.Subheap.set_creg meta 2
+      (Some { Meta.Subheap.block_size_log2 = 12; metadata_offset = 0L });
+    Meta.Subheap.write_block_metadata meta ~creg:2 ~block_base:0x3000L
+      ~slot_start:32 ~slot_end:4064 ~slot_size:32 ~obj_size:24 ~layout_ptr:lt;
+    let sub = Meta.Subheap.tag_pointer ~creg:2 ~addr:0x3088L in
+    let global =
+      Option.get (Meta.Global_table.register meta ~base:0x6000L ~size:4096 ~layout_ptr:0L)
+    in
+    let results () =
+      ( Meta.Local_offset.lookup meta local,
+        Meta.Subheap.lookup meta sub,
+        Meta.Global_table.lookup meta global,
+        List.map (Promote.run meta) [ local; narrow; sub; global ] )
+    in
+    let live = results () and entries = Meta.live_entries meta in
+    Meta.Local_offset.deregister meta local;
+    Meta.Subheap.clear_block_metadata meta ~creg:2 ~block_base:0x3000L;
+    Meta.Global_table.deregister meta global;
+    (live, entries, results (), Meta.live_entries meta)
+  in
+  let live, entries, freed, after = run true in
+  let live', entries', freed', after' = run false in
+  let _, _, _, promotes = live in
+  Alcotest.(check bool) "every live pointer resolves" true
+    (List.for_all
+       (fun r -> match r.Promote.outcome with Promote.Retrieved _ -> true | _ -> false)
+       promotes);
+  Alcotest.(check bool) "same results while live" true (live = live');
+  Alcotest.(check bool) "same results once freed" true (freed = freed');
+  Alcotest.(check int) "registry lists all three records" 3 (List.length entries);
+  Alcotest.(check int) "and none once freed" 0 (List.length after);
+  Alcotest.(check bool) "no registry, no entries" true (entries' = [] && after' = [])
+
 let tests =
   [
     Alcotest.test_case "mac" `Quick test_mac;
@@ -549,6 +600,8 @@ let tests =
       test_promote_invalid_metadata_poisons;
     Alcotest.test_case "promote oob recoverable" `Quick
       test_promote_oob_pointer_recovers;
+    Alcotest.test_case "promote without the registry" `Quick
+      test_registry_off_same_results;
     QCheck_alcotest.to_alcotest prop_promote_contains_addr;
     QCheck_alcotest.to_alcotest prop_local_offset_roundtrip;
     QCheck_alcotest.to_alcotest prop_subheap_roundtrip;
