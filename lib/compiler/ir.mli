@@ -1,5 +1,6 @@
-(** MiniC: the typed intermediate representation the workloads are
-    written in and the instrumentation pass transforms.
+(** MiniC: the typed intermediate representation that MiniC source (the
+    workloads included) parses into and the instrumentation pass
+    transforms.
 
     The IR models the C subset that matters for spatial safety: structs,
     arrays, pointers, address-of, pointer arithmetic via {!Gep}

@@ -132,21 +132,6 @@ let float_lit f =
       if wellformed s && exact s then s else float_fallback f
   end
 
-(* a type in a [parse_type] position: base name (structs by bare name —
-   the parser pre-scans declarations, so forward references work) plus
-   ['*']s. Array types have no spelling there (declaration-suffix only)
-   and print in the suffix form, which lexes but does not re-parse. *)
-let rec ty_str : Ctype.t -> string = function
-  | Ctype.Void -> "void"
-  | Ctype.I8 -> "i8"
-  | Ctype.I16 -> "i16"
-  | Ctype.I32 -> "i32"
-  | Ctype.I64 -> "i64"
-  | Ctype.F64 -> "f64"
-  | Ctype.Struct s -> s
-  | Ctype.Ptr t -> ty_str t ^ "*"
-  | Ctype.Array (t, n) -> Printf.sprintf "%s[%d]" (ty_str t) n
-
 (* declaration sites take array extents as a name suffix:
    [Array (Array (t, 2), 4)] is [t x[4][2]] *)
 let decl_ty ty =
@@ -158,6 +143,25 @@ let decl_ty ty =
 
 let dims_str dims = String.concat "" (List.map (Printf.sprintf "[%d]") dims)
 
+(* a type in a [parse_type] position: base name (structs by bare name —
+   the parser pre-scans declarations, so forward references work), then
+   ['*']s, each after the extents of the array it points to, in the
+   declaration's order: [Ptr (Array (Array (I64, 2), 4))] is
+   [i64[4][2]*]. An array type with no ['*'] after it re-parses only
+   as a [var] type. *)
+let rec ty_str : Ctype.t -> string = function
+  | Ctype.Void -> "void"
+  | Ctype.I8 -> "i8"
+  | Ctype.I16 -> "i16"
+  | Ctype.I32 -> "i32"
+  | Ctype.I64 -> "i64"
+  | Ctype.F64 -> "f64"
+  | Ctype.Struct s -> s
+  | Ctype.Ptr t -> ty_str t ^ "*"
+  | Ctype.Array _ as t ->
+    let core, dims = decl_ty t in
+    ty_str core ^ dims_str dims
+
 (* the level at which an expression's printed form binds; [pe]
    parenthesizes when the context requires tighter. Must stay in sync
    with [pe0]'s choice of form. *)
@@ -166,6 +170,7 @@ let print_level (e : Ir.expr) =
   | Int _ | Float _ | Var _ | Load_global _ | Call _ | Malloc _
   | Malloc_bytes _ | Malloc_sized _ | Ifp_promote _ ->
     lv_primary
+  | Cast (Ctype.Ptr (Ctype.Array _), _) -> lv_unary (* null(t[n]) does not parse *)
   | Cast (Ctype.Ptr _, Int 0L) -> lv_primary (* null(t) *)
   | Cast _ -> lv_unary (* cast(…) cannot take postfix steps *)
   | Unop ((I2F | F2I), _) -> lv_primary (* call-form fallbacks *)
@@ -209,7 +214,7 @@ and pe0 buf (e : Ir.expr) =
   | Unop (BNot, a) ->
     add "~";
     pe buf lv_unary a
-  | Load (_, Gep (_, b, (_ :: _ as steps))) -> place buf b steps
+  | Load (_, Gep (pointee, b, (_ :: _ as steps))) -> place buf pointee b steps
   | Load (_, Addr_local x) -> add x (* scalar stack-var read *)
   | Load (_, Addr_global g) -> add ("*(&" ^ g ^ ")") (* debug only *)
   | Load (_, a) ->
@@ -221,9 +226,9 @@ and pe0 buf (e : Ir.expr) =
     (* degenerate path (DSL only): [&*b] re-parses to just [b] *)
     add "&*";
     pe buf lv_unary b
-  | Gep (_, b, steps) ->
+  | Gep (pointee, b, steps) ->
     add "&";
-    place buf b steps
+    place buf pointee b steps
   | Call (f, args) -> call_form buf f args
   | Malloc (ty, n) ->
     add ("malloc(" ^ ty_str ty ^ ", ");
@@ -238,7 +243,8 @@ and pe0 buf (e : Ir.expr) =
     add ("malloc_sized(" ^ ty_str ty ^ ", ");
     pe buf lv_expr n;
     add ")"
-  | Cast (Ctype.Ptr t, Int 0L) -> add ("null(" ^ ty_str t ^ ")")
+  | Cast (Ctype.Ptr t, Int 0L) when print_level e = lv_primary ->
+    add ("null(" ^ ty_str t ^ ")")
   | Cast (ty, a) ->
     add ("cast(" ^ ty_str ty ^ ", ");
     pe buf lv_expr a;
@@ -255,17 +261,30 @@ and call_form buf f args =
   Buffer.add_string buf ")"
 
 (* A memory place [base] + gep steps, printed in postfix syntax. The
-   step spelling needs no type information: the first step off a
-   pointer-valued root uses [->f] / pointer-arithmetic [\[i\]]; steps
-   off an aggregate root ([&x]-style locals/globals) and all later
-   steps use [.f] / [\[i\]]. *)
-and place buf (base : Ir.expr) steps =
+   first step off a pointer-valued root uses [->f] / pointer-arithmetic
+   [\[i\]]; steps off an aggregate root ([&x]-style locals/globals) and
+   all later steps use [.f] / [\[i\]]. A pointer to an array is
+   dereferenced first, ["(*p)[i]"]: its leading index selects an element,
+   which [p[i]] would read as arithmetic over whole arrays. *)
+and place buf pointee (base : Ir.expr) steps =
+  (* the root, and whether its first step is off a pointer *)
   let ptr_root =
-    match base with Ir.Addr_local _ | Ir.Addr_global _ -> false | _ -> true
+    match (base, pointee) with
+    | (Ir.Addr_local x | Ir.Addr_global x), _ ->
+      Buffer.add_string buf x;
+      false
+    | _, Ctype.Array _ ->
+      Buffer.add_string buf "(*";
+      pe buf lv_unary base;
+      Buffer.add_char buf ')';
+      false
+    | Ir.Var x, _ ->
+      Buffer.add_string buf x;
+      true
+    | b, _ ->
+      pe buf lv_postfix b;
+      true
   in
-  (match base with
-  | Ir.Var x | Ir.Addr_local x | Ir.Addr_global x -> Buffer.add_string buf x
-  | b -> pe buf lv_postfix b);
   List.iteri
     (fun i (s : Ir.gstep) ->
       match s with
@@ -294,12 +313,10 @@ let rec ps buf ind gmap (s : Ir.stmt) =
     add (x ^ " = ");
     pe buf lv_expr e;
     add ";\n"
-  | Ir.Decl_local (x, ty) ->
-    let core, dims = decl_ty ty in
-    add ("var " ^ x ^ ": " ^ ty_str core ^ dims_str dims ^ ";\n")
+  | Ir.Decl_local (x, ty) -> add ("var " ^ x ^ ": " ^ ty_str ty ^ ";\n")
   | Ir.Store (ty, addr, v) ->
     (match addr with
-    | Ir.Gep (_, b, (_ :: _ as steps)) -> place buf b steps
+    | Ir.Gep (pointee, b, (_ :: _ as steps)) -> place buf pointee b steps
     | Ir.Addr_local x -> add x
     | Ir.Addr_global g -> add ("*(&" ^ g ^ ")") (* debug only *)
     | a ->

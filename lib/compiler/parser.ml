@@ -46,9 +46,33 @@ let accept_punct st p =
 
 (* ---- types --------------------------------------------------------- *)
 
-(* base type possibly followed by '*'s; array suffixes are parsed by the
-   declaration sites (they bind to the name, C-style but postfix) *)
-let parse_type st =
+(* one array extent, after its '[' *)
+let parse_dim st =
+  match L.next st.lx with
+  | L.INT n ->
+    (* a literal past [max_int] (a hex one may even read as negative)
+       would wrap in [Int64.to_int] to some other, smaller size *)
+    if Int64.compare n 0L < 0 || Int64.compare n (Int64.of_int max_int) > 0 then
+      err_taken st "array dimension %Lu out of range" n;
+    expect_punct st "]";
+    Int64.to_int n
+  | tok -> err_taken st "expected array dimension, got %s" (L.token_to_string tok)
+
+(* [wrap_arrays ty [4; 2]] is an array of 4 arrays of 2 [ty]s, as C's
+   [ty x[4][2]] *)
+let wrap_arrays ty dims = List.fold_right (fun n ty -> Ctype.Array (ty, n)) dims ty
+
+let rec parse_dims st =
+  if accept_punct st "[" then
+    let n = parse_dim st in
+    n :: parse_dims st
+  else []
+
+(* A base type, then '*'s, each of which may follow a group of array
+   extents: [i64[4][2]*] points to what [var x: i64[4][2]] declares.
+   Returns the type up to its last '*' and the extents after it, which
+   only a [var] declaration takes, as its suffix. *)
+let parse_type_parts st =
   let base =
     match L.next st.lx with
     | L.KW "i8" -> Ctype.I8
@@ -61,31 +85,28 @@ let parse_type st =
     | L.IDENT s when List.mem s st.struct_names -> Ctype.Struct s
     | tok -> err_taken st "expected a type, got %s" (L.token_to_string tok)
   in
-  let rec stars ty = if accept_punct st "*" then stars (Ctype.Ptr ty) else ty in
-  match (base, stars base) with
-  | Ctype.Struct n, Ctype.Struct _ when not (List.mem n st.struct_names) ->
-    (* a pointer may name an opaque struct; a value needs its layout *)
+  (match (base, L.peek st.lx) with
+  | Ctype.Struct n, tok when tok <> L.PUNCT "*" && not (List.mem n st.struct_names) ->
+    (* a pointer may name an opaque struct; a value or an array of it
+       needs its layout *)
     err st "undeclared struct %s used by value" n
-  | _, ty -> ty
-
-let parse_array_suffix st ty =
-  (* i64 x[4][2] parses as array of 4 arrays of 2 *)
-  let rec dims acc =
-    if accept_punct st "[" then begin
-      match L.next st.lx with
-      | L.INT n ->
-        (* a literal past [max_int] (a hex one may even read as negative)
-           would wrap in [Int64.to_int] to some other, smaller size *)
-        if Int64.compare n 0L < 0 || Int64.compare n (Int64.of_int max_int) > 0
-        then err_taken st "array dimension %Lu out of range" n;
-        expect_punct st "]";
-        dims (Int64.to_int n :: acc)
-      | tok -> err_taken st "expected array dimension, got %s" (L.token_to_string tok)
-    end
-    else acc
+  | _ -> ());
+  let rec stars ty =
+    let dims = parse_dims st in
+    if accept_punct st "*" then stars (Ctype.Ptr (wrap_arrays ty dims)) else (ty, dims)
   in
-  let ds = dims [] in
-  List.fold_left (fun ty n -> Ctype.Array (ty, n)) ty ds
+  stars base
+
+(* an array type has no value, so outside a [var] type its extents need
+   a '*' after them: [i64[4]] means one thing, or nothing *)
+let parse_type st =
+  match parse_type_parts st with
+  | ty, [] -> ty
+  | _ -> err st "expected '*' after array extents, got %s" (L.token_to_string (L.peek st.lx))
+
+(* declaration-suffix extents bind to the name: [i64 x[4][2]] is an
+   array of 4 arrays of 2 *)
+let parse_array_suffix st ty = wrap_arrays ty (parse_dims st)
 
 (* ---- typed expressions ---------------------------------------------- *)
 
@@ -399,8 +420,8 @@ let rec parse_stmt st : Ir.stmt =
     ignore (L.next st.lx);
     let name = expect_ident st in
     expect_punct st ":";
-    let ty = parse_type st in
-    let ty = parse_array_suffix st ty in
+    let ty, dims = parse_type_parts st in
+    let ty = wrap_arrays ty dims in
     expect_punct st ";";
     Hashtbl.replace st.scope name (ty, true);
     Ir.Decl_local (name, ty)

@@ -171,6 +171,12 @@ let rec type_of ctx (e : Ir.expr) : Ctype.t =
     | Some _ -> err "%s: by-name access to aggregate global %s" ctx.fn.fname g
     | None -> err "%s: unknown global %s" ctx.fn.fname g)
   | Gep (pointee, base, steps) ->
+    (* an array pointee may be spelled in type position ([i64[4]*]),
+       where no declaration checked its size; its size is the stride *)
+    (match pointee with
+    | Ctype.Array _ ->
+      ignore (object_size ctx.tenv pointee (fun () -> ctx.fn.fname ^ ": gep"))
+    | _ -> ());
     let bty = type_of ctx base in
     if not (compat bty (Ctype.Ptr pointee)) then
       err "%s: Gep base has type %s, expected %s*" ctx.fn.fname

@@ -11,9 +11,10 @@ exception Type_error of string
 
 val max_object_size : int
 (** The largest object size in bytes, the size of the VM's heap arena.
-    A declared struct, global, stack local or [malloc] type whose size
-    exceeds it, or whose size computation would overflow, is a
-    {!Type_error} naming the declaration. *)
+    A declared struct, global, stack local or [malloc] type, or an
+    array type a [Gep] indexes through a pointer, whose size exceeds it,
+    or whose size computation would overflow, is a {!Type_error} naming
+    the declaration. *)
 
 val builtin_sig : string -> (Ifp_types.Ctype.t list * Ifp_types.Ctype.t) option
 (** Host builtins callable from MiniC: [__print_i64 : i64 -> void],

@@ -945,15 +945,6 @@ and compile_cmp_bool c op a b : frame -> bool =
       base st 1;
       let cv = Int64.compare x y in
       if cv < 0 then an else if cv = 0 then az else ap
-  | R.Int x, R.Var ib ->
-    fun fr ->
-      let vb = Array.unsafe_get fr.vars ib in
-      if vb == unbound then
-        abort ("unbound variable " ^ fr.rf.var_names.(ib));
-      let y = as_int vb in
-      base st 1;
-      let cv = Int64.compare x y in
-      if cv < 0 then an else if cv = 0 then az else ap
   | R.Var ia, R.Var ib ->
     (* both sides may be pointers: keep the address-compare branch,
        but read the slots inline (b first, as the reference does) *)
@@ -978,6 +969,14 @@ and compile_cmp_bool c op a b : frame -> bool =
       base st 1;
       let cv = Int64.compare x y in
       if cv < 0 then an else if cv = 0 then az else ap
+  | R.Int _, b ->
+    (* a literal is pure and charges nothing, so [x < b] compiles as
+       [b > x] (the parser writes [a > 0] as [0 < a]); two literals
+       took the arm above *)
+    let mirror : Ir.binop -> Ir.binop = function
+      | Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
+    in
+    compile_cmp_bool c (mirror op) b a
   | a, b when never_ptr a || never_ptr b ->
     let ca = compile_expr_i c a and cb = compile_expr_i c b in
     fun fr ->

@@ -4,6 +4,3 @@ type t = {
   description : string;
   prog : Ifp_compiler.Ir.program Lazy.t;
 }
-
-let make ~name ~suite ~description build =
-  { name; suite; description; prog = Lazy.from_fun build }

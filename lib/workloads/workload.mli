@@ -1,7 +1,8 @@
 (** A benchmark workload: a MiniC program port, structurally faithful to
     the corresponding program of the paper's evaluation (§5.2) — same
     data-structure shapes, allocation behaviour and pointer-use patterns,
-    scaled to simulator-friendly sizes.
+    scaled to simulator-friendly sizes. Its source is
+    [lib/workloads/NAME.minic], checked and compiled in at build time.
 
     Every workload's [main] returns a checksum; all VM variants must
     produce the same value (checked by the test suite). *)
@@ -12,10 +13,3 @@ type t = {
   description : string;
   prog : Ifp_compiler.Ir.program Lazy.t;
 }
-
-val make :
-  name:string ->
-  suite:string ->
-  description:string ->
-  (unit -> Ifp_compiler.Ir.program) ->
-  t

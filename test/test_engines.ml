@@ -33,18 +33,30 @@ let configs =
 
 (* ---- workloads ------------------------------------------------------ *)
 
+(* the 24 (workload, config) pairs are independent: they run on two
+   worker domains, and their verdicts are checked here, in order *)
 let test_workloads () =
-  List.iter
-    (fun wname ->
-      match Ifp_workloads.Registry.find wname with
-      | None -> Alcotest.fail ("missing workload " ^ wname)
-      | Some w ->
-        let prog = Lazy.force w.Ifp_workloads.Workload.prog in
-        List.iter
-          (fun (cname, config) ->
-            check_all_engines_agree (wname ^ "/" ^ cname) config prog)
-          configs)
-    [ "treeadd"; "mst"; "ft"; "power" ]
+  let pairs =
+    List.concat_map
+      (fun wname ->
+        match Ifp_workloads.Registry.find wname with
+        | None -> Alcotest.fail ("missing workload " ^ wname)
+        | Some w ->
+          let prog = Lazy.force w.Ifp_workloads.Workload.prog in
+          List.map (fun (cname, config) -> (wname ^ "/" ^ cname, config, prog)) configs)
+      [ "treeadd"; "mst"; "ft"; "power" ]
+  in
+  let verdicts =
+    Ifp_campaign.Pool.run ~workers:2
+      (Array.of_list
+         (List.map
+            (fun (name, config, prog) () ->
+              List.map Oracle.to_line (fst (Oracle.agree name config prog)))
+            pairs))
+  in
+  List.iteri
+    (fun i (name, _, _) -> Alcotest.(check (list string)) name [] verdicts.(i))
+    pairs
 
 (* ---- failure paths -------------------------------------------------- *)
 
@@ -494,6 +506,41 @@ let test_local_registration () =
       check_all_engines_agree ("local-reg/" ^ cname) config prog)
     configs
 
+(* ---- comparisons with a literal on the left ------------------------- *)
+
+(* the parser writes [a > b] as [b < a], so [k > 0] reaches the engines
+   as [0 < k]; the closure compiler mirrors it to [k > 0]. Both-literal,
+   variable and expression operands, in conditions and as values *)
+let test_literal_left_comparisons () =
+  let prog =
+    Parser.parse
+      {|
+      i64 main() {
+        let acc: i64 = 0;
+        let k: i64 = 0 - 3;
+        while (4 > k) {
+          if (k > 0) { acc = acc + 1; }
+          if (k >= 1) { acc = acc + 10; }
+          if (0 == k) { acc = acc + 100; }
+          if (0 != k * 2) { acc = acc + 1000; }
+          if (k * 2 > 1) { acc = acc + 10000; }
+          let b: i64 = (k > 2) + (k - 1 >= 0) * 2 + (7 == k) * 4;
+          acc = acc + b * 100000;
+          k = k + 1;
+        }
+        if (2 > 1) { acc = acc + 3; }
+        if (1 >= 2) { acc = acc + 5; }
+        return acc;
+      }
+      |}
+  in
+  List.iter
+    (fun (cname, config) -> check_all_engines_agree ("literal-left/" ^ cname) config prog)
+    configs;
+  match (Vm.run prog).outcome with
+  | Vm.Finished n -> Alcotest.(check int64) "value" 736_136L n
+  | _ -> Alcotest.fail "did not finish"
+
 (* ---- dispatch ------------------------------------------------------- *)
 
 let test_engines_dispatch () =
@@ -539,6 +586,7 @@ let tests =
     Alcotest.test_case "guest output is capped" `Quick test_output_cap;
     Alcotest.test_case "local registration" `Quick
       test_local_registration;
+    Alcotest.test_case "literal-left comparisons" `Quick test_literal_left_comparisons;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
     Alcotest.test_case "closure is the production engine" `Quick
       test_production_engine;

@@ -5,8 +5,9 @@
    and [Frontend.check] must answer every input with a program or a
    located error, never an exception. The permitted disagreements are
    the nesting limit, on inputs that can nest deeper than it, the range
-   of array dimensions, and the line of an error about a token the
-   parser has taken, which the spec reports at the next token's line. *)
+   of array dimensions, the line of an error about a token the parser
+   has taken, which the spec reports at the next token's line, and array
+   extents in type position, which only the parser accepts. *)
 
 open Ifp_compiler
 module L = Lexer
@@ -93,18 +94,19 @@ let has_wide_literal toks =
       | _ -> false)
     toks
 
+(* a parse error's line and text after it: "LINE: parse error: ..." *)
+let split_error s =
+  match String.index_opt s ':' with
+  | Some i ->
+    let rest = String.sub s i (String.length s - i) in
+    if String.starts_with ~prefix:": parse error: " rest then
+      Option.map (fun l -> (l, rest)) (int_of_string_opt (String.sub s 0 i))
+    else None
+  | None -> None
+
 (* the same parse error at the line of the token before the spec's *)
 let one_token_earlier toks np sp =
-  let split s =
-    match String.index_opt s ':' with
-    | Some i ->
-      let rest = String.sub s i (String.length s - i) in
-      if String.starts_with ~prefix:": parse error: " rest then
-        Option.map (fun l -> (l, rest)) (int_of_string_opt (String.sub s 0 i))
-      else None
-    | None -> None
-  in
-  match (split np, split sp) with
+  match (split_error np, split_error sp) with
   | Some (nl, nm), Some (sl, sm) when String.equal nm sm ->
     let rec adjacent = function
       | (_, a) :: ((_, b) :: _ as rest) -> (a = nl && b = sl) || adjacent rest
@@ -113,24 +115,65 @@ let one_token_earlier toks np sp =
     adjacent toks
   | _ -> false
 
+(* the one form the parser accepts and the spec does not: array extents
+   before a '*' in type position ([let p: i64[4]* = ...]). The spec
+   fails at a '[' directly after a type (a type keyword, a struct name
+   or a '*'), or, in a [var] declaration, which took the extents as its
+   suffix, at the '*' after their ']'. The parser must then accept the
+   input, or fail no earlier than the spec *)
+let type_position_array toks np sp =
+  let rec structs = function
+    | (L.KW "struct", _) :: (L.IDENT s, _) :: (L.PUNCT "{", _) :: rest -> s :: structs rest
+    | _ :: rest -> structs rest
+    | [] -> []
+  in
+  let structs = structs toks in
+  let ends_type prev = function
+    | L.KW ("i8" | "i16" | "i32" | "i64" | "f64" | "void") | L.PUNCT "*" -> true
+    | L.IDENT s -> prev = L.KW "struct" || List.mem s structs
+    | _ -> false
+  in
+  (* a token pair on [line], with the token before it *)
+  let at_line line pair =
+    let rec go prev = function
+      | (a, _) :: ((b, l) :: _ as rest) -> (l = line && pair prev a b) || go a rest
+      | _ -> false
+    in
+    go L.EOF toks
+  in
+  let no_earlier line =
+    String.starts_with ~prefix:"ok\n" np
+    || match split_error np with Some (nl, _) -> nl >= line | None -> false
+  in
+  match split_error sp with
+  | Some (line, m) when String.ends_with ~suffix:"got '['" m ->
+    no_earlier line && at_line line (fun prev a b -> b = L.PUNCT "[" && ends_type prev a)
+  | Some (line, m) when String.ends_with ~suffix:"got '*'" m ->
+    no_earlier line
+    && at_line line (fun _ a _ -> a = L.KW "var")
+    && at_line line (fun _ a b -> a = L.PUNCT "]" && b = L.PUNCT "*")
+  | _ -> false
+
 let located m =
   Str.string_match
     (Str.regexp {|in\.minic\(:[1-9][0-9]*: \(parse\|lex\)\|: type\) error: |})
     m 0
 
-(* the judgment on one input: [Ok ()] or what went wrong *)
-let judge src =
+(* the judgment on one input: [Ok ()] or what went wrong. [parse] is
+   the parser under test *)
+let judge ?(parse = Parser.parse) src =
   let ntoks, nstop = walk_new src and stoks, sstop = walk_spec src in
   if ntoks <> stoks || not (String.equal nstop sstop) then
     Error
       (Printf.sprintf "token streams differ: %d tokens, %s / spec %d tokens, %s"
          (List.length ntoks) nstop (List.length stoks) sstop)
   else
-    let np = parsed Parser.parse src and sp = parsed SP.parse src in
+    let np = parsed parse src and sp = parsed SP.parse src in
     if (not (String.equal np sp))
        && not (String.ends_with ~suffix:nesting_error np && nesting_bound ntoks > max_depth)
        && not (Str.string_match dimension_error np 0 && has_wide_literal ntoks)
        && not (one_token_earlier ntoks np sp)
+       && not (type_position_array ntoks np sp)
     then
       Error
         (Printf.sprintf "parse outcomes differ (nesting bound %d):\n--- new\n%s\n--- spec\n%s"
@@ -159,6 +202,16 @@ let seeds =
       "struct S { i64 a[4611686018427387903]; };\ni64 main() { return sizeof(S); }" );
     ( "wrapping-array",
       "struct S { i64 a[0x8000000000000004]; };\ni64 main() { return sizeof(S); }" );
+    ( "type-position-array",
+      "struct s { i64 a; };\n\
+       i64 main() {\n\
+      \  var x: i64[2][4];\n\
+      \  let p: i64[2][4]* = &x;\n\
+      \  let q: s[2]* = cast(s[2]*, 0);\n\
+      \  let r: i64*[3]* = cast(i64*[3]*, 0);\n\
+      \  return sizeof(i64[3]*);\n\
+       }" );
+    ("declared-pointer-to-array", "i64 main() {\n  var q: i64[4]*;\n  return 0;\n}");
   ]
 
 let bases =
@@ -299,6 +352,25 @@ let prop_spec_agrees =
       | Ok () -> true
       | Error why -> QCheck.Test.fail_report why)
 
+(* the allowance is no wider than its form: where the spec fails at a
+   '[' that follows no type, or the parser fails earlier, the judge
+   still reports a difference *)
+let test_judge_reports () =
+  let fails line m _ = raise (Parser.Parse_error (m, line)) in
+  List.iter
+    (fun (name, src, parse) ->
+      match judge ~parse src with
+      | Ok () -> Alcotest.fail (name ^ ": accepted")
+      | Error _ -> ())
+    [
+      ( "index",
+        "i64 main() {\n  var a: i64[4];\n  a[0] = 1; let [ b = 2;\n  return 0;\n}",
+        fails 3 "other" );
+      ( "earlier error",
+        "i64 main() {\n  return 0;\n  let p: i64[2]* = 0;\n}",
+        fails 1 "other" );
+    ]
+
 (* every base input, unmutated: the fixed seeds must stay covered *)
 let test_bases () =
   Array.iter
@@ -309,5 +381,6 @@ let test_bases () =
 let tests =
   [
     Alcotest.test_case "unmutated inputs agree" `Quick test_bases;
+    Alcotest.test_case "judge reports other disagreements" `Quick test_judge_reports;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_spec_agrees;
   ]

@@ -389,6 +389,104 @@ let contains hay needle =
   in
   nn = 0 || go 0
 
+(* in type position, array extents come before a '*', in a
+   declaration's order: [i64[4][2]*] points to what [var x: i64[4][2]]
+   and [global i64 g[4][2]] declare *)
+let test_type_position_arrays () =
+  let src =
+    "global i64 g[4][2];\n\
+     global i64[4][2]* gp;\n\
+     i64 main() {\n\
+    \  var x: i64[4][2];\n\
+    \  let p: i64[4][2]* = &x;\n\
+    \  gp = &g;\n\
+    \  (*p)[3][1] = 7;\n\
+    \  (*gp)[3][1] = 1;\n\
+    \  return x[3][1] + g[3][1] + sizeof(i64[4][2]*);\n\
+     }\n"
+  in
+  let prog = parse src in
+  let main = Option.get (Ir.find_func prog "main") in
+  let x_ty = Ctype.Array (Ctype.Array (Ctype.I64, 2), 4) in
+  let same what want got = Alcotest.(check bool) what true (Ctype.equal want got) in
+  (match (prog.globals, main.body) with
+  | [ g; gp ], Ir.Decl_local (_, xt) :: Ir.Let (_, pt, _) :: _ ->
+    same "var x: i64[4][2]" x_ty xt;
+    same "global i64 g[4][2]" x_ty g.gty;
+    same "let p: i64[4][2]*" (Ctype.Ptr x_ty) pt;
+    same "global i64[4][2]* gp" (Ctype.Ptr x_ty) gp.gty
+  | _ -> Alcotest.fail "unexpected program");
+  Alcotest.(check int64) "(*p)[3][1] is x[3][1]" 16L (ret src);
+  (* extents after a [var] type's last '*' are its suffix *)
+  List.iter
+    (fun (decl, want) ->
+      match (parse ("i64 main() {\n  var a: " ^ decl ^ ";\n  return 0;\n}")).funcs with
+      | [ { Ir.body = Ir.Decl_local (_, t) :: _; _ } ] -> same decl want t
+      | _ -> Alcotest.fail "unexpected program")
+    [
+      ("i64*[3]", Ctype.Array (Ctype.Ptr Ctype.I64, 3));
+      ("i64[2]*[3]", Ctype.Array (Ctype.Ptr (Ctype.Array (Ctype.I64, 2)), 3));
+    ];
+  (* an array type with no '*' after it is no type outside a [var]; the
+     range check and the undeclared-struct check apply in type position
+     too *)
+  List.iter
+    (fun (src, expected) ->
+      match Frontend.check ~file:"t.minic" src with
+      | Ok _ -> Alcotest.fail ("accepted: " ^ src)
+      | Error m -> Alcotest.(check string) src expected m)
+    [
+      ( "i64 main() {\n  let p: i64[4] = 0;\n  return 0;\n}",
+        "t.minic:2: parse error: expected '*' after array extents, got '='" );
+      ( "i64 main() {\n  return sizeof(i64[4][2]);\n}",
+        "t.minic:2: parse error: expected '*' after array extents, got ')'" );
+      ( "global i64[4][2] g;\ni64 main() { return 0; }",
+        "t.minic:1: parse error: expected '*' after array extents, got g" );
+      ( "i64 main() {\n  let p: i64[4]* = null(i64[4]);\n  return 0;\n}",
+        "t.minic:2: parse error: expected '*' after array extents, got ')'" );
+      ( "i64 main() {\n  let p: i64[0x8000000000000000]* = cast(i64*, 0);\n  return 0;\n}",
+        "t.minic:2: parse error: array dimension 9223372036854775808 out of range" );
+      ( "i64 main() {\n  return sizeof(i64[2][0xffffffffffffffff]*);\n}",
+        "t.minic:2: parse error: array dimension 18446744073709551615 out of range" );
+      ( "i64 main() {\n  let p: struct t[2]* = cast(struct t*, 0);\n  return 0;\n}",
+        "t.minic:2: parse error: undeclared struct t used by value" );
+      ( "i64 main() {\n  return sizeof(struct t*[2]*) + sizeof(struct t[2]*);\n}",
+        "t.minic:2: parse error: undeclared struct t used by value" );
+      (* no declaration checks the size of an array a pointer type
+         spells: a gep through the pointer does *)
+      ( "i64 f(i64[1152921504606846977]* p) {\n  return (*p)[1];\n}\n\
+         i64 main() { return 0; }",
+        "t.minic: type error: f: gep: size of i64[1152921504606846977] out of range (max \
+         268435456 bytes)" );
+    ]
+
+(* a pointer to an array prints its leading index as ["(*p)[i]"], and a
+   null one as a cast, both of which re-parse to the same program *)
+let test_pointer_to_array_roundtrip () =
+  let src =
+    "global i64 board[16];\n\
+     i64 main() {\n\
+    \  var rows: i64[4][8];\n\
+    \  let b: i64[16]* = &board;\n\
+    \  let r: i64[4][8]* = cast(i64[4][8]*, 0);\n\
+    \  r = &rows;\n\
+    \  let k: i64 = 0;\n\
+    \  while (k < 16) {\n\
+    \    (*b)[k] = k;\n\
+    \    (*r)[k % 4][k % 8] = (*b)[k] * 2;\n\
+    \    k = k + 1;\n\
+    \  }\n\
+    \  return (*r)[3][7] + (*b)[15];\n\
+     }\n"
+  in
+  let prog = parse src in
+  let printed = Ir_pp.program_to_string prog in
+  List.iter
+    (fun form -> Alcotest.(check bool) ("prints " ^ form) true (contains printed form))
+    [ "(*b)[k]"; "var rows: i64[4][8];"; "cast(i64[4][8]*, 0)" ];
+  Alcotest.(check bool) "reparses equal" true (Ir.equal_program prog (parse printed));
+  Alcotest.(check int64) "value" 45L (ret printed)
+
 let test_pp_roundtrip () =
   (* parse -> pretty-print -> still contains the expected constructs *)
   let src =
@@ -434,4 +532,6 @@ let tests =
     Alcotest.test_case "oversized types" `Quick test_oversized_types;
     Alcotest.test_case "array dimension range" `Quick test_array_dimension_range;
     Alcotest.test_case "pretty-printer" `Quick test_pp_roundtrip;
+    Alcotest.test_case "type-position arrays" `Quick test_type_position_arrays;
+    Alcotest.test_case "pointer-to-array round trip" `Quick test_pointer_to_array_roundtrip;
   ]
