@@ -8,7 +8,7 @@ module B = Ifp_baselines.Baselines
 module H = Ifp_hwmodel.Hwmodel
 module Fault = Ifp_faultinject.Fault
 module Classify = Ifp_faultinject.Classify
-module Victim = Ifp_faultinject.Victim
+module Victim = Ifp_workloads.Victim
 
 let paper =
   [ "table2"; "table4"; "fig10"; "fig11"; "fig12"; "fig13"; "baselines";

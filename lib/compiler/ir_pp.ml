@@ -414,22 +414,3 @@ let program_to_string p =
   let buf = Buffer.create 1024 in
   print_program buf p;
   Buffer.contents buf
-
-(* ---- Format-based wrappers (kept for callers and debug printing) ---- *)
-
-let pp_expr _tenv fmt e =
-  let buf = Buffer.create 64 in
-  pe buf lv_expr e;
-  Format.pp_print_string fmt (Buffer.contents buf)
-
-let pp_stmt _tenv fmt s =
-  let buf = Buffer.create 64 in
-  ps buf 0 [] s;
-  Format.pp_print_string fmt (Buffer.contents buf)
-
-let pp_func _tenv fmt f =
-  let buf = Buffer.create 256 in
-  print_func buf [] f;
-  Format.pp_print_string fmt (Buffer.contents buf)
-
-let pp_program fmt p = Format.pp_print_string fmt (program_to_string p)

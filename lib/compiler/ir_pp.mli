@@ -15,9 +15,4 @@
     matching the paper's Listing 2 presentation) that lex but do not
     re-parse; they appear only in debug dumps. *)
 
-val pp_expr : Ifp_types.Ctype.tenv -> Format.formatter -> Ir.expr -> unit
-val pp_stmt : Ifp_types.Ctype.tenv -> Format.formatter -> Ir.stmt -> unit
-val pp_func : Ifp_types.Ctype.tenv -> Format.formatter -> Ir.func -> unit
-val pp_program : Format.formatter -> Ir.program -> unit
-
 val program_to_string : Ir.program -> string

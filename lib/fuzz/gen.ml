@@ -29,10 +29,7 @@ type knobs = {
   block_depth : int;
   extra_structs : int;
   extra_fields : int;
-  ptr_density : int;
-  graze : bool;
   floats : bool;
-  helpers : bool;
   list_len : int;
   temporal : bool;
 }
@@ -44,10 +41,7 @@ let default =
     block_depth = 2;
     extra_structs = 2;
     extra_fields = 2;
-    ptr_density = 40;
-    graze = true;
     floats = true;
-    helpers = true;
     list_len = 3;
     temporal = false;
   }
@@ -59,13 +53,13 @@ let quick =
     block_depth = 1;
     extra_structs = 1;
     extra_fields = 1;
-    ptr_density = 40;
-    graze = true;
     floats = false;
-    helpers = true;
     list_len = 2;
     temporal = false;
   }
+
+(* weight (0..100) of pointer-derivation and allocation statements *)
+let ptr_density = 40
 
 exception Gen_bug of string
 
@@ -140,7 +134,7 @@ let pow2_ext st = pick st [ 4; 4; 8; 8; 16 ]
 
 (* an index expression guaranteed in [0, ext) *)
 let rec index_expr st ext =
-  if st.k.graze && pct st 35 then
+  if pct st 35 then
     string_of_int (pick st [ 0; 0; ext - 1; ext / 2 ])
   else if pct st 50 then string_of_int (Prng.int st.rng ext)
   else Printf.sprintf "(%s & %d)" (int_expr st 1) (ext - 1)
@@ -200,7 +194,7 @@ and int_expr st d =
         (int_expr st (d - 1))
         (pick st [ "<"; "<="; "=="; "!="; ">"; ">=" ])
         (int_expr st (d - 1))
-    | 7 when st.k.helpers ->
+    | 7 ->
       Printf.sprintf "hmix(%s, %s)" (int_expr st (d - 1)) (int_expr st (d - 1))
     | 8 -> Printf.sprintf "(~%s)" (int_leaf st)
     | 9 -> Printf.sprintf "(!%s)" (int_leaf st)
@@ -263,7 +257,7 @@ let init_loop st (a : arr) =
 
 let rec emit_stmt st ~bdepth ~in_loop =
   let d = st.k.expr_depth in
-  let ptr_heavy = pct st st.k.ptr_density in
+  let ptr_heavy = pct st ptr_density in
   let choice = Prng.int st.rng (if bdepth > 0 then 14 else 11) in
   match choice with
   | 0 | 1 -> line st "%s = %s;" (pick st st.ints) (int_expr st d)
@@ -279,7 +273,7 @@ let rec emit_stmt st ~bdepth ~in_loop =
        power of two so masking remains exact *)
     let a = pick st st.arrays in
     let c =
-      if st.k.graze && pct st 30 then a.ext - 1
+      if pct st 30 then a.ext - 1
       else pick st [ 0; 0; a.ext / 2 ]
     in
     let rem = a.ext - c in
@@ -309,15 +303,15 @@ let rec emit_stmt st ~bdepth ~in_loop =
   | 8 -> line st "g0 = (g0 + %s);" (int_expr st (d - 1))
   | 9 -> line st "__print_i64(%s);" (int_expr st (d - 1))
   | 10 ->
-    if st.k.helpers && st.iptrs <> [] && pct st 50 then (
+    if st.iptrs <> [] && pct st 50 then (
       let p, ext = pick st st.iptrs in
       let x = fresh st "x" in
       line st "let %s: i64 = hsum(%s, %d);" x p ext;
       st.ints <- x :: st.ints)
-    else if st.k.helpers && st.nodes <> [] && pct st 50 then
+    else if st.nodes <> [] && pct st 50 then
       line st "%s = (%s + hchase(%s));" (pick st st.ints) (pick st st.ints)
         (pick st st.nodes)
-    else if st.k.helpers && pct st 50 then
+    else if pct st 50 then
       line st "%s = hleg(%s);" (pick st st.ints) (int_expr st 1)
     else if ptr_heavy then (
       (* self-contained alloc / use / free composite *)
@@ -327,7 +321,6 @@ let rec emit_stmt st ~bdepth ~in_loop =
       line st "%s[1] = (%s[0] + 1);" c c;
       line st "%s = (%s ^ %s[1]);" (pick st st.ints) (pick st st.ints) c;
       line st "free(%s);" c)
-    else if ptr_heavy then ()
     else line st "%s = %s;" (pick st st.ints) (int_expr st d)
   | 11 (* if *) ->
     let snap = snapshot st in
@@ -494,7 +487,7 @@ let source ?(knobs = default) ~seed () =
   let have_gs = pct st 50 in
   if have_gs then line st "global S0 gs;";
   blank st;
-  if st.k.helpers then emit_helpers st;
+  emit_helpers st;
   (* main *)
   line st "i64 main() {";
   st.ind <- 1;
@@ -621,17 +614,7 @@ let source ?(knobs = default) ~seed () =
       st.ind <- st.ind - 1;
       line st "}")
     st.arrays;
-  if st.k.helpers then line st "acc = (acc + hchase(%s));" head
-  else begin
-    let cur = fresh st "n" in
-    line st "let %s: S0* = %s;" cur head;
-    line st "while (%s != null(S0)) {" cur;
-    st.ind <- st.ind + 1;
-    line st "acc = (acc + %s->value);" cur;
-    line st "%s = %s->next;" cur cur;
-    st.ind <- st.ind - 1;
-    line st "}"
-  end;
+  line st "acc = (acc + hchase(%s));" head;
   List.iter
     (fun f ->
       line st "if (%s < 100000.0) {" f;

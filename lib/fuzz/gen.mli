@@ -15,6 +15,11 @@
     ({!Oracle}) the baseline and IFP configurations must behave
     identically on them, and every engine must agree bit-for-bit.
 
+    Every program calls helper functions (a legacy one among them) and
+    grazes boundaries (index 0, extent-1 and full-extent loops, not
+    only masked random indices). A statement draw allows pointer
+    derivation and allocation 40% of the time.
+
     Everything is driven by one {!Ifp_util.Prng} stream: the same
     [seed × knobs] always yields byte-identical source. *)
 
@@ -24,13 +29,7 @@ type knobs = {
   block_depth : int;  (** max if/while nesting depth *)
   extra_structs : int;  (** struct types beyond the fixed node struct S0 *)
   extra_fields : int;  (** max extra narrow scalar fields per struct *)
-  ptr_density : int;
-      (** 0..100: weight of pointer-derivation / allocation statements *)
-  graze : bool;
-      (** emit boundary-grazing accesses: index 0, extent-1 and
-          full-extent loops rather than only masked random indices *)
   floats : bool;  (** include f64 locals, fields and float arithmetic *)
-  helpers : bool;  (** emit callable helper functions (incl. a legacy one) *)
   list_len : int;  (** length of the linked-list prologue (>= 1) *)
   temporal : bool;
       (** emit one deliberate temporal-fault composite (use-after-free,

@@ -63,8 +63,6 @@ let flow_to_string = function
   | Via_global -> "via-global"
   | Via_field -> "via-field"
 
-(* ------------------------------------------------------------------ *)
-
 let n_elems = 12
 let arr_ty = Ctype.Array (Ctype.I64, n_elems)
 let jbuf_ty = Ctype.Struct "jbuf"
@@ -73,45 +71,21 @@ let inner_elems = 4
 let inner_arr_ty = Ctype.Array (Ctype.I64, inner_elems)
 
 let tenv =
-  let t =
-    Ctype.declare Ctype.empty_tenv
-      {
-        Ctype.sname = "jbuf";
-        fields =
-          [
-            { fname = "data"; fty = arr_ty };
-            { fname = "sentinel"; fty = Ctype.I64 };
-          ];
-      }
+  let struct_ sname fields =
+    { Ctype.sname; fields = List.map (fun (fname, fty) -> { Ctype.fname; fty }) fields }
   in
-  let t =
-    Ctype.declare t
-      {
-        Ctype.sname = "jinner";
-        fields =
-          [
-            { fname = "data"; fty = inner_arr_ty };
-            { fname = "guard"; fty = Ctype.I64 };
-          ];
-      }
-  in
-  Ctype.declare t
-    {
-      Ctype.sname = "jnested";
-      fields =
+  List.fold_left Ctype.declare Ctype.empty_tenv
+    [
+      struct_ "jbuf" [ ("data", arr_ty); ("sentinel", Ctype.I64) ];
+      struct_ "jinner" [ ("data", inner_arr_ty); ("guard", Ctype.I64) ];
+      struct_ "jnested"
         [
-          { fname = "pre"; fty = Ctype.I64 };
-          { fname = "inner"; fty = Ctype.Array (Ctype.Struct "jinner", 3) };
-          { fname = "post"; fty = Ctype.I64 };
+          ("pre", Ctype.I64);
+          ("inner", Ctype.Array (Ctype.Struct "jinner", 3));
+          ("post", Ctype.I64);
         ];
-    }
-
-let tenv =
-  Ctype.declare tenv
-    {
-      Ctype.sname = "jholder";
-      fields = [ { fname = "p"; fty = Ctype.Ptr Ctype.I8 } ];
-    }
+      struct_ "jholder" [ ("p", Ctype.Ptr Ctype.I8) ];
+    ]
 
 let jholder_ty = Ctype.Struct "jholder"
 let jnested_ty = Ctype.Struct "jnested"
@@ -141,77 +115,67 @@ let obj_ty kind =
   | Nested_intra -> jnested_ty
   | _ -> arr_ty
 
-(* an access to element [idx] of the buffer reached through [base] *)
-let access kind base idx =
-  let target =
-    match kind with
-    | Intra_object -> Gep (jbuf_ty, base, [ fld "data"; at idx ])
-    | Nested_intra ->
-      Gep (jnested_ty, base, [ fld "inner"; at (i 1); fld "data"; at idx ])
-    | _ -> Gep (arr_ty, base, [ at idx ])
-  in
-  if is_read kind then
-    [ Let ("sink", Ctype.I64, Load (Ctype.I64, target));
-      Store_global ("gsink", Load_global "gsink" +: v "sink") ]
-  else [ Store (Ctype.I64, target, i 7) ]
+(* the array a case indexes, and the field steps from the object to it *)
+let data_len = function Nested_intra -> inner_elems | _ -> n_elems
+let data_ty kind = Ctype.Array (Ctype.I64, data_len kind)
 
-(* like [access] but usable in a callee (unique sink temp name) *)
-let access_in tmp kind base idx =
-  let target =
-    match kind with
-    | Intra_object -> Gep (jbuf_ty, base, [ fld "data"; at idx ])
-    | Nested_intra ->
-      Gep (jnested_ty, base, [ fld "inner"; at (i 1); fld "data"; at idx ])
-    | _ -> Gep (arr_ty, base, [ at idx ])
-  in
+let data_path = function
+  | Intra_object -> [ fld "data" ]
+  | Nested_intra -> [ fld "inner"; at (i 1); fld "data" ]
+  | _ -> []
+
+(* element [idx] of the array, reached from the object at [base] *)
+let elem kind base idx = Gep (obj_ty kind, base, data_path kind @ [ at idx ])
+
+(* the case's access to [target]: a read into [tmp] summed into gsink,
+   or a store *)
+let use ?(tmp = "sink") kind target =
   if is_read kind then
     [ Let (tmp, Ctype.I64, Load (Ctype.I64, target));
       Store_global ("gsink", Load_global "gsink" +: v tmp) ]
   else [ Store (Ctype.I64, target, i 7) ]
 
+let for_ var ~from cond body =
+  [ Let (var, Ctype.I64, from); While (cond, body @ [ Assign (var, v var +: i 1) ]) ]
+
+(* initialise the legal elements so reads are deterministic *)
+let init kind base value =
+  for_ "ini" ~from:(i 0) (v "ini" <: i (data_len kind))
+    [ Store (Ctype.I64, elem kind base (v "ini"), value) ]
+
+let gidx = Load_global "gidx"
+
+let globals kind =
+  [ global "gidx" Ctype.I64; global "gsink" Ctype.I64;
+    global "gptr" (Ctype.Ptr (data_ty kind)) ]
+
+(* [ptr] is parked in memory, then a worker reloads it as [q] (typed
+   [ty]) and runs [uses q]: through a heap holder's field (demoted on the
+   store, promoted again on the reload) or through the global gptr.
+   Returns the worker, the parking statements and the call. *)
+let parked flow ~ty ptr uses =
+  match flow with
+  | Via_field ->
+    let q = Load (Ctype.Ptr Ctype.I8, Gep (jholder_ty, v "h", [ fld "p" ])) in
+    ( func "worker" [ ("h", Ctype.Ptr jholder_ty) ] Ctype.Void
+        ((Let ("q", ty, Cast (ty, q)) :: uses (v "q")) @ [ Return None ]),
+      [ Let ("holder", Ctype.Ptr jholder_ty, Malloc (jholder_ty, i 1));
+        Store (Ctype.Ptr Ctype.I8, Gep (jholder_ty, v "holder", [ fld "p" ]),
+               Cast (Ctype.Ptr Ctype.I8, ptr)) ],
+      Expr (Call ("worker", [ v "holder" ])) )
+  | Via_global ->
+    ( func "worker" [] Ctype.Void
+        ((Let ("q", ty, Load_global "gptr") :: uses (v "q")) @ [ Return None ]),
+      [ Store_global ("gptr", ptr) ],
+      Expr (Call ("worker", [])) )
+  | Direct | Loop | Ptr_arith | Via_call -> assert false
+
 let build_program kind place flow ~bad =
   let ty = obj_ty kind in
   let tp = Ctype.Ptr ty in
   let good_idx, bad_idx = indices kind in
-  let idx_value = if bad then bad_idx else good_idx in
-  let gidx = global "gidx" Ctype.I64 in
-  let gsink = global "gsink" Ctype.I64 in
-  (* pointer type stored in the global for the Via_global flow: for
-     intra-object cases the *subobject* pointer round-trips through
-     memory, exercising promote's layout-table narrowing *)
-  let gptr_ty =
-    match kind with
-    | Intra_object -> Ctype.Ptr arr_ty
-    | Nested_intra -> Ctype.Ptr inner_arr_ty
-    | _ -> tp
-  in
-  let worker_arr_ty =
-    match kind with Nested_intra -> inner_arr_ty | _ -> arr_ty
-  in
-  let gptr = global "gptr" gptr_ty in
   let touch = func "touch" [ ("p", tp) ] Ctype.Void [ Return None ] in
-  let for_ var ~from ~below body =
-    [ Let (var, Ctype.I64, from);
-      While (v var <: below, body @ [ Assign (var, v var +: i 1) ]) ]
-  in
-  let init_elems base =
-    (* initialise the legal elements so reads are deterministic *)
-    match kind with
-    | Nested_intra ->
-      for_ "ini" ~from:(i 0) ~below:(i inner_elems)
-        [
-          Store (Ctype.I64,
-                 Gep (jnested_ty, base, [ fld "inner"; at (i 1); fld "data"; at (v "ini") ]),
-                 v "ini");
-        ]
-    | Intra_object ->
-      for_ "ini" ~from:(i 0) ~below:(i n_elems)
-        [ Store (Ctype.I64, Gep (jbuf_ty, base, [ fld "data"; at (v "ini") ]), v "ini") ]
-    | _ ->
-      for_ "ini" ~from:(i 0) ~below:(i n_elems)
-        [ Store (Ctype.I64, Gep (arr_ty, base, [ at (v "ini") ]), v "ini") ]
-  in
-  let base_expr_main = v "bufp" in
+  let bufp = v "bufp" in
   let alloc_stmts =
     match place with
     | Stack ->
@@ -227,133 +191,47 @@ let build_program kind place flow ~bad =
       ]
     | Heap -> [ Let ("bufp", tp, Malloc (ty, i 1)) ]
   in
-  let idx = Load_global "gidx" in
   let funcs, site_stmts =
     match flow with
-    | Direct -> ([], access kind base_expr_main idx)
+    | Direct -> ([], use kind (elem kind bufp gidx))
     | Loop ->
       (* the loop bound comes from the opaque global; the bad variant
          walks one element too far (or starts one too early) *)
-      let body k = access kind base_expr_main (v k) in
+      let k = v "k" in
+      let body = use kind (elem kind bufp k) in
       ( [],
-        if is_read kind && kind = Underread then
-          [
-            Let ("k", Ctype.I64, idx);
-            While (v "k" <: i 3, body "k" @ [ Assign ("k", v "k" +: i 1) ]);
-          ]
-        else if kind = Underwrite then
-          [
-            Let ("k", Ctype.I64, idx);
-            While (v "k" <: i 3, body "k" @ [ Assign ("k", v "k" +: i 1) ]);
-          ]
-        else
-          [
-            Let ("k", Ctype.I64, i 0);
-            While (v "k" <=: idx, body "k" @ [ Assign ("k", v "k" +: i 1) ]);
-          ] )
+        match kind with
+        | Underwrite | Underread -> for_ "k" ~from:gidx (k <: i 3) body
+        | _ -> for_ "k" ~from:(i 0) (k <=: gidx) body )
     | Ptr_arith ->
       (* derive an element pointer, move it with pointer arithmetic *)
-      let elem0 =
-        match kind with
-        | Intra_object -> Gep (jbuf_ty, base_expr_main, [ fld "data"; at (i 0) ])
-        | Nested_intra ->
-          Gep (jnested_ty, base_expr_main,
-               [ fld "inner"; at (i 1); fld "data"; at (i 0) ])
-        | _ -> Gep (arr_ty, base_expr_main, [ at (i 0) ])
-      in
-      let stmts =
-        [ Let ("q", Ctype.Ptr Ctype.I64, elem0);
-          Let ("q2", Ctype.Ptr Ctype.I64, Gep (Ctype.I64, v "q", [ at idx ])) ]
-        @
-        if is_read kind then
-          [ Let ("sink", Ctype.I64, Load (Ctype.I64, v "q2"));
-            Store_global ("gsink", Load_global "gsink" +: v "sink") ]
-        else [ Store (Ctype.I64, v "q2", i 7) ]
-      in
-      ([], stmts)
+      ( [],
+        [ Let ("q", Ctype.Ptr Ctype.I64, elem kind bufp (i 0));
+          Let ("q2", Ctype.Ptr Ctype.I64, Gep (Ctype.I64, v "q", [ at gidx ])) ]
+        @ use kind (v "q2") )
     | Via_call ->
       let worker =
         func "worker" [ ("p", tp) ] Ctype.Void
-          (access_in "wsink" kind (v "p") (Load_global "gidx") @ [ Return None ])
+          (use ~tmp:"wsink" kind (elem kind (v "p") gidx) @ [ Return None ])
       in
-      ([ worker ], [ Expr (Call ("worker", [ base_expr_main ])) ])
-    | Via_field ->
-      (* store the (subobject) pointer into a heap holder's field, then a
-         worker reloads it — bounds are dropped at the store (demote) and
-         must be recovered by promote on the load *)
-      let stored_expr =
-        match kind with
-        | Intra_object -> Gep (jbuf_ty, base_expr_main, [ fld "data" ])
-        | Nested_intra ->
-          Gep (jnested_ty, base_expr_main, [ fld "inner"; at (i 1); fld "data" ])
-        | _ -> base_expr_main
+      ([ worker ], [ Expr (Call ("worker", [ bufp ])) ])
+    | Via_field | Via_global ->
+      (* for intra-object cases the *subobject* pointer round-trips
+         through memory, exercising promote's layout-table narrowing *)
+      let data = match data_path kind with [] -> bufp | p -> Gep (ty, bufp, p) in
+      let worker, park, call =
+        parked flow ~ty:(Ctype.Ptr (data_ty kind)) data (fun q ->
+            use ~tmp:"wsink" kind (Gep (data_ty kind, q, [ at gidx ])))
       in
-      let worker =
-        func "worker" [ ("h", Ctype.Ptr jholder_ty) ] Ctype.Void
-          (let q =
-             Let ("q", gptr_ty,
-                  Cast (gptr_ty,
-                        Load (Ctype.Ptr Ctype.I8,
-                              Gep (jholder_ty, v "h", [ fld "p" ]))))
-           in
-           let acc =
-             if is_read kind then
-               [ Let ("wsink", Ctype.I64,
-                      Load (Ctype.I64,
-                            Gep (worker_arr_ty, v "q", [ at (Load_global "gidx") ])));
-                 Store_global ("gsink", Load_global "gsink" +: v "wsink") ]
-             else
-               [ Store (Ctype.I64,
-                        Gep (worker_arr_ty, v "q", [ at (Load_global "gidx") ]), i 7) ]
-           in
-           (q :: acc) @ [ Return None ])
-      in
-      ( [ worker ],
-        [
-          Let ("holder", Ctype.Ptr jholder_ty, Malloc (jholder_ty, i 1));
-          Store (Ctype.Ptr Ctype.I8,
-                 Gep (jholder_ty, v "holder", [ fld "p" ]),
-                 Cast (Ctype.Ptr Ctype.I8, stored_expr));
-          Expr (Call ("worker", [ v "holder" ]));
-        ] )
-    | Via_global ->
-      let stored_expr =
-        match kind with
-        | Intra_object -> Gep (jbuf_ty, base_expr_main, [ fld "data" ])
-        | Nested_intra ->
-          Gep (jnested_ty, base_expr_main, [ fld "inner"; at (i 1); fld "data" ])
-        | _ -> base_expr_main
-      in
-      let worker =
-        func "worker" [] Ctype.Void
-          (let q = Let ("q", gptr_ty, Load_global "gptr") in
-           let acc =
-             if is_read kind then
-               [ Let ("wsink", Ctype.I64,
-                      Load (Ctype.I64,
-                            Gep (worker_arr_ty, v "q", [ at (Load_global "gidx") ])));
-                 Store_global ("gsink", Load_global "gsink" +: v "wsink") ]
-             else
-               [ Store (Ctype.I64,
-                        Gep (worker_arr_ty, v "q", [ at (Load_global "gidx") ]), i 7) ]
-           in
-           (q :: acc) @ [ Return None ])
-      in
-      ( [ worker ],
-        [ Store_global ("gptr", stored_expr); Expr (Call ("worker", [])) ] )
+      ([ worker ], park @ [ call ])
   in
   let main =
     func "main" [] Ctype.I64
-      ([ Store_global ("gidx", i idx_value) ]
-      @ alloc_stmts @ init_elems base_expr_main @ site_stmts
+      ([ Store_global ("gidx", i (if bad then bad_idx else good_idx)) ]
+      @ alloc_stmts @ init kind bufp (v "ini") @ site_stmts
       @ [ Return (Some (Load_global "gsink")) ])
   in
-  program ~tenv ~globals:[ gidx; gsink; gptr ] (touch :: funcs @ [ main ])
-
-(* Via_global with a non-array object type loads the object pointer, but
-   the worker indexes it as an array — for the plain-array kinds gptr_ty
-   is already Ptr arr_ty, so the Gep in the worker is well-typed for
-   every kind. *)
+  program ~tenv ~globals:(globals kind) (touch :: funcs @ [ main ])
 
 (* ---- temporal families (CWE-416 use-after-free, CWE-415 double free,
    write-to-freed) ----------------------------------------------------
@@ -370,52 +248,11 @@ let build_program kind place flow ~bad =
    the use; the [good] variant is identical but frees (once) after. *)
 let build_temporal_program kind flow ~bad =
   let tp = Ctype.Ptr arr_ty in
-  let gidx = global "gidx" Ctype.I64 in
-  let gsink = global "gsink" Ctype.I64 in
-  let gptr = global "gptr" tp in
-  let for_ var ~below body =
-    [ Let (var, Ctype.I64, i 0);
-      While (v var <: below, body @ [ Assign (var, v var +: i 1) ]) ]
-  in
-  let init base bump =
-    for_ "ini" ~below:(i n_elems)
-      [ Store (Ctype.I64, Gep (arr_ty, base, [ at (v "ini") ]),
-               v "ini" +: i bump) ]
-  in
-  let use_stmts q =
-    match kind with
-    | Use_after_free ->
-      [ Let ("wsink", Ctype.I64,
-             Load (Ctype.I64, Gep (arr_ty, q, [ at (Load_global "gidx") ])));
-        Store_global ("gsink", Load_global "gsink" +: v "wsink") ]
-    | Write_to_freed ->
-      [ Store (Ctype.I64, Gep (arr_ty, q, [ at (Load_global "gidx") ]), i 7) ]
-    | Double_free -> [ Free q ]
-    | _ -> assert false
-  in
   let worker, park_stmts, call_stmt =
-    match flow with
-    | Via_field ->
-      ( func "worker" [ ("h", Ctype.Ptr jholder_ty) ] Ctype.Void
-          (Let ("q", tp,
-                Cast (tp,
-                      Load (Ctype.Ptr Ctype.I8,
-                            Gep (jholder_ty, v "h", [ fld "p" ]))))
-           :: use_stmts (v "q")
-          @ [ Return None ]),
-        [ Let ("holder", Ctype.Ptr jholder_ty, Malloc (jholder_ty, i 1));
-          Store (Ctype.Ptr Ctype.I8,
-                 Gep (jholder_ty, v "holder", [ fld "p" ]),
-                 Cast (Ctype.Ptr Ctype.I8, v "bufp")) ],
-        Expr (Call ("worker", [ v "holder" ])) )
-    | Via_global ->
-      ( func "worker" [] Ctype.Void
-          (Let ("q", tp, Load_global "gptr")
-           :: use_stmts (v "q")
-          @ [ Return None ]),
-        [ Store_global ("gptr", v "bufp") ],
-        Expr (Call ("worker", [])) )
-    | _ -> assert false
+    parked flow ~ty:tp (v "bufp") (fun q ->
+        match kind with
+        | Double_free -> [ Free q ]
+        | _ -> use ~tmp:"wsink" kind (elem kind q gidx))
   in
   let main =
     func "main" [] Ctype.I64
@@ -424,13 +261,13 @@ let build_temporal_program kind flow ~bad =
            [ Store_global ("gidx", i 5);
              Let ("bufp", tp, Malloc (arr_ty, i 1)) ];
            park_stmts;
-           init (v "bufp") 0;
+           init kind (v "bufp") (v "ini" +: i 0);
            (if bad then [ Free (v "bufp") ] else []);
            (* same-sized churn: under a recycling allocator it takes over
               the freed chunk, so the stale use has live data to corrupt
               or leak instead of faulting on unmapped memory *)
            [ Let ("churn", tp, Malloc (arr_ty, i 1)) ];
-           init (v "churn") 100;
+           init kind (v "churn") (v "ini" +: i 100);
            [ call_stmt ];
            (match kind with
            | Double_free -> []
@@ -438,57 +275,36 @@ let build_temporal_program kind flow ~bad =
            [ Return (Some (Load_global "gsink")) ];
          ])
   in
-  program ~tenv ~globals:[ gidx; gsink; gptr ] [ worker; main ]
+  program ~tenv ~globals:(globals kind) [ worker; main ]
+
+let case kind place flow build =
+  {
+    id = String.concat "-" [ kind_to_string kind; place_to_string place; flow_to_string flow ];
+    kind;
+    place;
+    flow;
+    good = build ~bad:false;
+    bad = build ~bad:true;
+  }
 
 let temporal_cases () =
-  let kinds = [ Use_after_free; Write_to_freed; Double_free ] in
-  let flows = [ Via_field; Via_global ] in
   List.concat_map
     (fun kind ->
       List.map
-        (fun flow ->
-          let id =
-            Printf.sprintf "%s-heap-%s" (kind_to_string kind)
-              (flow_to_string flow)
-          in
-          {
-            id;
-            kind;
-            place = Heap;
-            flow;
-            good = build_temporal_program kind flow ~bad:false;
-            bad = build_temporal_program kind flow ~bad:true;
-          })
-        flows)
-    kinds
+        (fun flow -> case kind Heap flow (build_temporal_program kind flow))
+        [ Via_field; Via_global ])
+    [ Use_after_free; Write_to_freed; Double_free ]
 
 let all_cases () =
-  let kinds =
-    [ Overflow; Underwrite; Overread; Underread; Intra_object; Nested_intra ]
-  in
-  let places = [ Stack; Heap ] in
-  let flows = [ Direct; Loop; Ptr_arith; Via_call; Via_global; Via_field ] in
   List.concat_map
     (fun kind ->
       List.concat_map
         (fun place ->
           List.map
-            (fun flow ->
-              let id =
-                Printf.sprintf "%s-%s-%s" (kind_to_string kind)
-                  (place_to_string place) (flow_to_string flow)
-              in
-              {
-                id;
-                kind;
-                place;
-                flow;
-                good = build_program kind place flow ~bad:false;
-                bad = build_program kind place flow ~bad:true;
-              })
-            flows)
-        places)
-    kinds
+            (fun flow -> case kind place flow (build_program kind place flow))
+            [ Direct; Loop; Ptr_arith; Via_call; Via_global; Via_field ])
+        [ Stack; Heap ])
+    [ Overflow; Underwrite; Overread; Underread; Intra_object; Nested_intra ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -509,10 +325,6 @@ let outcome_of_results case ~bad ~good =
     | Vm.Trapped _ | Vm.Aborted _ -> false
   in
   { case; bad_verdict; good_ok }
-
-let run_case ~config case =
-  let run p = Vm.run ~config p in
-  outcome_of_results case ~bad:(run case.bad) ~good:(run case.good)
 
 type summary = {
   total : int;
@@ -543,4 +355,7 @@ let run_all_with ~run cases =
          outcome_of_results case ~bad:(run case `Bad) ~good:(run case `Good))
        cases)
 
-let run_all ~config cases = summarize (List.map (run_case ~config) cases)
+let run_all ~config =
+  run_all_with ~run:(fun case -> function
+    | `Good -> Vm.run ~config case.good
+    | `Bad -> Vm.run ~config case.bad)

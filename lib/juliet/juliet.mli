@@ -82,8 +82,6 @@ type outcome = {
   good_ok : bool;  (** the good program finished cleanly *)
 }
 
-val run_case : config:Ifp_vm.Vm.config -> case -> outcome
-
 type summary = {
   total : int;
   detected : int;

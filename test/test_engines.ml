@@ -14,7 +14,7 @@ open Core
 open Ir
 module Oracle = Ifp_fuzz.Oracle
 module Fault = Ifp_faultinject.Fault
-module Victim = Ifp_faultinject.Victim
+module Victim = Ifp_workloads.Victim
 
 (* every engine of Engines.all against the reference, full signatures *)
 let check_all_engines_agree name config prog =

@@ -6,7 +6,7 @@
 open Core
 module Fault = Ifp_faultinject.Fault
 module Classify = Ifp_faultinject.Classify
-module Victim = Ifp_faultinject.Victim
+module Victim = Ifp_workloads.Victim
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
 

@@ -167,7 +167,7 @@ let test_trapped_trace_ends_in_trap () =
   let config =
     { Vm.ifp_wrapped with Vm.trace_limit = 256; fault_plan = Some plan }
   in
-  let r = Vm.run ~config (Ifp_faultinject.Victim.program ()) in
+  let r = Vm.run ~config (Ifp_workloads.Victim.program ()) in
   Alcotest.(check bool) "run trapped" true
     (match r.Vm.outcome with Vm.Trapped _ -> true | _ -> false);
   match List.rev r.Vm.trace with

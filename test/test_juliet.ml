@@ -52,9 +52,22 @@ let test_good_programs_return_same_value_instrumented () =
       | _ -> Alcotest.fail (c.id ^ " good case did not finish"))
     (Lazy.force cases)
 
+(* The MD5 of every case program, printed: a builder change that alters
+   any program moves its Juliet job digests, and fails here first. *)
+let test_programs_pinned () =
+  let printed =
+    List.concat_map
+      (fun (c : J.case) ->
+        [ c.id; Ir_pp.program_to_string c.good; Ir_pp.program_to_string c.bad ])
+      (J.all_cases () @ J.temporal_cases ())
+  in
+  Alcotest.(check string) "MD5 of the printed cases" "ea369d3b7fcb32d5ecef39343b983242"
+    (Digest.to_hex (Digest.string (String.concat "\x00" printed)))
+
 let tests =
   [
     Alcotest.test_case "case inventory" `Quick test_case_count;
+    Alcotest.test_case "case programs pinned" `Quick test_programs_pinned;
     Alcotest.test_case "no-promote misses via-global" `Slow
       test_no_promote_misses_memory_flows;
     Alcotest.test_case "intra-object granularity" `Slow

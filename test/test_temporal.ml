@@ -287,7 +287,7 @@ let test_engines_agree_on_temporal () =
 
 let test_fault_classes_split () =
   let module Fault = Ifp_faultinject.Fault in
-  let module Victim = Ifp_faultinject.Victim in
+  let module Victim = Ifp_workloads.Victim in
   let config = temporal_cfg Vm.Alloc_wrapped in
   let run cls =
     let plan = Fault.default_plan cls ~seed:3L in
