@@ -132,14 +132,16 @@ let repro opts target =
   let src, prog = Cli.load_minic path in
   Printf.printf "== repro %s (digest %s, fault seed %Ld) ==\n" path
     (Fuzz.text_digest src) opts.fault_seed;
-  (* the full engine x config matrix, with signatures kept for diffing *)
+  (* the full engine x config matrix, with signatures kept for diffing;
+     the configs share one image per front-end key *)
+  let image = Vm.preparer prog in
   let matrix =
     List.map
       (fun (cname, cfg) ->
         ( cname,
           List.map
             (fun engine ->
-              let r = Vm.run ~config:{ cfg with Vm.engine } prog in
+              let r = Vm.run_image ~config:{ cfg with Vm.engine } (image cfg) in
               (Engines.to_string engine, r, Oracle.result_sig r))
             Engines.all ))
       Oracle.configs

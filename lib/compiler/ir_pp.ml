@@ -91,7 +91,9 @@ let float_fallback f = Printf.sprintf "f64_bits(0x%Lx)" (Int64.bits_of_float f)
 
 (* a float literal the lexer reads back to the same bits: digits, one
    dot, digits. Negative, non-finite and negative-zero values have no
-   literal form and use the non-parseable fallback. *)
+   literal form and use the non-parseable fallback. An integral value is
+   its exact digits and ".0", the text the general search below ends at
+   for it after 17 failed [%g] widths. *)
 let float_lit f =
   if
     f <> f (* nan *)
@@ -99,6 +101,7 @@ let float_lit f =
     || f < 0.0
     || (f = 0.0 && not (Int64.equal (Int64.bits_of_float f) 0L))
   then float_fallback f
+  else if Float.is_integer f then Printf.sprintf "%.1f" f
   else begin
     let exact s =
       match float_of_string_opt s with

@@ -16,3 +16,10 @@
     re-parse; they appear only in debug dumps. *)
 
 val program_to_string : Ir.program -> string
+
+val float_lit : float -> string
+(** The literal [program_to_string] prints for a float: the shortest
+    digits-dot-digits text the lexer reads back to the same bits, or the
+    non-parseable [f64_bits(0x…)] for negative, non-finite and
+    negative-zero values. Job digests hash this text, so its output for
+    a given float never changes. *)

@@ -15,13 +15,14 @@
     {- {!Vm}, {!Engines}, {!Counters}, {!Cost}, {!Memmap} — the
        execution engines (closure-compiled by default, the slot-resolved
        interpreter, the reference tree walker) behind the one entry
-       point {!Vm.run}, and their support}
+       point {!Vm.run_image}, and their support}
     {- {!Report} — multi-variant evaluation harness (Table 4 /
        Fig. 10–12 rows)}}
 
     Quickstart: build a MiniC program with the {!Ir} DSL and run it under
     all configurations with {!Report.evaluate}, or run a single variant
-    with {!Vm.run}. Both run on the closure-compiled engine, the default
+    with {!Vm.run} ({!Vm.prepare} and {!Vm.run_image} to run one program
+    under several configs). Both run on the closure-compiled engine, the default
     of every named config; set [config.engine] to pick another (the
     result is the same). *)
 

@@ -102,9 +102,10 @@ let of_line s =
 
 (* ---- the battery ----------------------------------------------------- *)
 
-(* oracle A: every engine against the reference, the head of Engines.all *)
-let agree cname cfg prog =
-  let run engine = Vm.run ~config:{ cfg with Vm.engine } prog in
+(* oracle A: every engine against the reference, the head of Engines.all,
+   all running one prepared image *)
+let agree_image cname cfg image =
+  let run engine = Vm.run_image ~config:{ cfg with Vm.engine } image in
   match Engines.all with
   | [] -> invalid_arg "Oracle.agree: no engines"
   | reference :: rest ->
@@ -125,6 +126,8 @@ let agree cname cfg prog =
         rest
     in
     (fails, r)
+
+let agree cname cfg prog = agree_image cname cfg (Vm.prepare cfg prog)
 
 (* oracle B: instrumented-vs-baseline behavioral equivalence *)
 let equivalence ~baseline results =
@@ -151,9 +154,9 @@ let equivalence ~baseline results =
   | o -> [ { oracle = "wellformed"; site = "baseline"; detail = Vm.outcome_string o } ]
 
 (* one armed plan per class against [cfg] (plan seeds derived from
-   [fault_seed]); the (class, plan, run) of every plan that classifies
-   as silent corruption against [golden] *)
-let silent_plans ~fault_seed classes cfg prog golden =
+   [fault_seed]), all running [image]; the (class, plan, run) of every
+   plan that classifies as silent corruption against [golden] *)
+let silent_plans ~fault_seed classes cfg image golden =
   let golden_obs = Vm.observe golden in
   List.concat
     (List.mapi
@@ -161,7 +164,7 @@ let silent_plans ~fault_seed classes cfg prog golden =
          let plan =
            Fault.default_plan cls ~seed:(Prng.mix2 fault_seed (Int64.of_int k))
          in
-         let r = Vm.run ~config:{ cfg with Vm.fault_plan = Some plan } prog in
+         let r = Vm.run_image ~config:{ cfg with Vm.fault_plan = Some plan } image in
          let fired = r.Vm.fault_injections <> [] in
          match
            Classify.classify ~cls ~fired ~golden:golden_obs ~faulted:(Vm.observe r)
@@ -170,9 +173,15 @@ let silent_plans ~fault_seed classes cfg prog golden =
          | _ -> [])
        classes)
 
+(* A battery prepares [prog] once per front-end key: one baseline image,
+   and one IFP image that both IFP configs, their temporal variants and
+   every armed plan share. *)
 let check ?(fault_seed = 1L) prog =
+  let image = Vm.preparer prog in
   let runs =
-    List.map (fun (cname, cfg) -> (cname, cfg, agree cname cfg prog)) configs
+    List.map
+      (fun (cname, cfg) -> (cname, cfg, agree_image cname cfg (image cfg)))
+      configs
   in
   let find name =
     let _, cfg, (_, r) = List.find (fun (n, _, _) -> String.equal n name) runs in
@@ -200,7 +209,7 @@ let check ?(fault_seed = 1L) prog =
                 (Vm.outcome_string r.Vm.outcome)
                 (Vm.outcome_string golden.Vm.outcome);
           })
-        (silent_plans ~fault_seed defended subheap_cfg prog golden)
+        (silent_plans ~fault_seed defended subheap_cfg (image subheap_cfg) golden)
     | _ -> []
   in
   (engine_fails @ equiv_fails @ fault_fails, golden)
@@ -208,9 +217,10 @@ let check ?(fault_seed = 1L) prog =
 (* ---- the temporal battery -------------------------------------------- *)
 
 let check_temporal ?(fault_seed = 1L) ?(expect_fault = false) prog =
+  let image = Vm.preparer prog in
   List.concat_map
     (fun (cname, cfg) ->
-      let engine_fails, r0 = agree cname cfg prog in
+      let engine_fails, r0 = agree_image cname cfg (image cfg) in
       let fail oracle site detail = [ { oracle; site; detail } ] in
       engine_fails
       @
@@ -235,7 +245,7 @@ let check_temporal ?(fault_seed = 1L) ?(expect_fault = false) prog =
                  (Fault.fingerprint plan)
                  (String.concat ";" r.Vm.fault_injections)
                  (Vm.outcome_string r.Vm.outcome)))
-          (silent_plans ~fault_seed temporal_defended cfg prog r0)
+          (silent_plans ~fault_seed temporal_defended cfg (image cfg) r0)
       | false, o ->
         fail "temporal" cname
           ("safe program did not finish under temporal mode: " ^ Vm.outcome_string o))

@@ -68,7 +68,8 @@ val agree :
   Ifp_compiler.Ir.program ->
   failure list * Ifp_vm.Vm.result
 (** [agree name config prog] is oracle [engines] for one configuration:
-    runs [prog] under [config] on every engine of
+    prepares [prog] once ({!Ifp_vm.Vm.prepare}) and runs the image under
+    [config] on every engine of
     {!Ifp_vm.Engines.all} (whatever engine [config] names) and returns
     one failure, site [name/engine], per engine whose {!result_sig}
     differs from the reference's, together with the reference result. *)
@@ -94,7 +95,9 @@ val check :
   failure list * Ifp_vm.Vm.result
 (** Runs the battery: {!agree} on each of {!configs}, {!equivalence}
     across them, and one armed plan per defended class (plan seeds
-    derived from [fault_seed], default 1). Also returns the nominal
+    derived from [fault_seed], default 1). The battery prepares [prog]
+    once per front-end key ({!Ifp_vm.Vm.preparer}): one baseline image,
+    and one IFP image every IFP run shares. Also returns the nominal
     ifp-subheap result (the golden run) so campaign runners can reuse
     it. Deterministic in [program x fault_seed]. *)
 
@@ -103,7 +106,8 @@ val check_temporal :
   ?expect_fault:bool ->
   Ifp_compiler.Ir.program ->
   failure list
-(** The temporal battery, over {!temporal_configs}:
+(** The temporal battery, over {!temporal_configs}, all sharing one
+    prepared IFP image:
 
     - oracle [engines] — {!agree} under temporal configurations too;
     - with [expect_fault:true] (a program generated with

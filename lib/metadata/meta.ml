@@ -48,7 +48,10 @@ type t = {
   layouts : (Ifp_types.Ctype.t, int64) Hashtbl.t;
   gt_base : int64;
   gt_entries : int;
-  mutable gt_free : int list;
+  mutable gt_next : int;  (* lowest row never handed out *)
+  mutable gt_returned : int list;
+      (* rows given back by [deregister], most recent first; handed out
+         before any never-used row *)
   mutable gt_used : int;
   cregs : creg_v option array;
   live : (int64, live_entry) Hashtbl.t option;
@@ -75,7 +78,8 @@ let create ?(temporal = false) ?(registry = true) ~memory ~mac_key
     gt_base = gbase;
     gt_entries = entries;
     (* row 0 is reserved so that a zero index never looks valid *)
-    gt_free = List.init (entries - 1) (fun i -> i + 1);
+    gt_next = 1;
+    gt_returned = [];
     gt_used = 0;
     cregs = Array.make 16 None;
     live = (if registry then Some (Hashtbl.create 64) else None);
@@ -566,11 +570,23 @@ module Global_table = struct
   let gt_with_gen w1 g =
     Bits.insert_int w1 ~lo:44 ~width:4 (g land 0xF)
 
-  let register t ~base ~size ~layout_ptr =
-    match t.gt_free with
-    | [] -> None
+  (* the next free row: the last one returned, else the lowest never
+     used; [-1] when the table is full *)
+  let claim_row t =
+    match t.gt_returned with
     | i :: rest ->
-      t.gt_free <- rest;
+      t.gt_returned <- rest;
+      i
+    | [] when t.gt_next < t.gt_entries ->
+      let i = t.gt_next in
+      t.gt_next <- i + 1;
+      i
+    | [] -> -1
+
+  let register t ~base ~size ~layout_ptr =
+    match claim_row t with
+    | -1 -> None
+    | i ->
       t.gt_used <- t.gt_used + 1;
       let addr = row_addr t i in
       let w0 =
@@ -593,7 +609,7 @@ module Global_table = struct
       Memory.write_u64 t.mem addr 0L;
       Memory.write_u64 t.mem (Int64.add addr 8L) 0L;
       live_remove t addr;
-      t.gt_free <- i :: t.gt_free;
+      t.gt_returned <- i :: t.gt_returned;
       t.gt_used <- t.gt_used - 1
     end
 

@@ -75,7 +75,7 @@ let stage_charge_ifp st k : unit -> unit =
     cc.ifp.(ix) <- cc.ifp.(ix) + 1;
     cc.cycles <- cc.cycles + cyc
 
-(* the closure-engine twin of Vm_slot.call_run *)
+(* the closure-engine twin of the slot engine's [call_run] *)
 let run_body st (f : R.func) (body : ucode) callee_frame spills =
   let saved_sp = st.sp in
   let ret =
@@ -764,7 +764,7 @@ let rec compile_expr c (e : R.expr) : vcode =
     fun fr -> eval_promote_with st ~charge (ce fr)
   | R.Bad msg -> fun _ -> abort msg
 
-(* Unboxed integer compilation: the staged twin of [Vm_slot.eval_i], used in
+(* Unboxed integer compilation: the staged twin of [Vm_slot]'s [eval_i], used in
    the same contexts (conditions, integer arithmetic, gep indexes,
    malloc counts, integer stores) so charges and failure order stay
    identical per context. *)
@@ -1014,7 +1014,7 @@ and compile_cond c (e : R.expr) : frame -> bool =
 (* Fused gep address computation: compiles a gep whose steps are all
    fields and indexes ([fusable]) to a closure returning the result
    pointer word (and writing its bounds register to [env.gb]) without
-   boxing a value — replicating [Vm_slot.eval_gep] charge-for-charge.
+   boxing a value — replicating [Vm_slot]'s [eval_gep] charge-for-charge.
    Field offsets fold into constants; the index expressions run in step
    order; the narrowed bounds are those of the last field step when it
    lies inside the incoming bounds, and the dynamic-index count is the

@@ -2,7 +2,8 @@
 
    Everything here is engine-independent — configuration, the machine
    state record, cost charging, checked memory access, promote, local
-   object registration, program setup and the run scaffolding.
+   object registration, the front end that prepares a program into an
+   image (for all three engines), program setup and the run scaffolding.
    {!Vm_slot} (the slot-resolved interpreter) and {!Vm_closure} (the
    closure-compiled engine) are thin recursion strategies over these
    primitives; keeping the primitives in one module is what makes the
@@ -801,29 +802,53 @@ let setup_globals st =
       st.globals.(i) <- go)
     st.rp.globals
 
-(* ---- run scaffolding ------------------------------------------------- *)
+(* ---- the front end: prepare once, run many times ------------------- *)
 
-(* Everything around the engine: typecheck, instrument, lower, build the
-   machine, run globals setup, dispatch into the engine's [main_body]
-   (which raises the usual control exceptions), and assemble the result.
-   [main_body st frame f] must execute [f]'s body in [frame]; a normal
-   return means main fell off the end. *)
-let run_with ~(config : config) (raw_prog : Ir.program)
-    ~(main_body : state -> frame -> R.func -> unit) =
+(* What a prepared image depends on in its config: whether the program is
+   instrumented, and how. Every other config field is read only by the
+   run. *)
+type front_end = Uninstrumented | Instrumented of { infer_alloc_types : bool }
+
+let front_end_of (config : config) =
+  match config.variant with
+  | Baseline -> Uninstrumented
+  | Ifp | Ifp_no_promote ->
+    Instrumented { infer_alloc_types = config.infer_alloc_types }
+
+(* A program as the engines run it: typechecked, instrumented when the
+   key says so, and lowered to slots. Immutable, so any number of runs,
+   on any engine and from any domain, may share one. *)
+type image = {
+  key : front_end;
+  prog : Ir.program;  (* the (instrumented) IR, {!Vm_ref}'s input *)
+  report : Instrument.report option;
+  rp : R.program;  (* its slot lowering, every other engine's input *)
+}
+
+(* the only place in the library that typechecks, instruments and
+   resolves *)
+let prepare (config : config) (raw_prog : Ir.program) =
   Typecheck.check_program raw_prog;
+  let key = front_end_of config in
   let prog, report =
-    match config.variant with
-    | Baseline -> (raw_prog, None)
-    | Ifp | Ifp_no_promote ->
-      let p, r =
-        Instrument.run
-          ~config:{ Instrument.infer_alloc_types = config.infer_alloc_types }
-          raw_prog
-      in
+    match key with
+    | Uninstrumented -> (raw_prog, None)
+    | Instrumented { infer_alloc_types } ->
+      let p, r = Instrument.run ~config:{ Instrument.infer_alloc_types } raw_prog in
       (p, Some r)
   in
-  (* one-time lowering to slots; everything after runs hash-free *)
-  let rp = R.run prog in
+  { key; prog; report; rp = R.run prog }
+
+(* ---- run scaffolding ------------------------------------------------- *)
+
+(* Everything around the engine: build the machine, run globals setup,
+   dispatch into the engine's [main_body] (which raises the usual control
+   exceptions), and assemble the result. [main_body st frame f] must
+   execute [f]'s body in [frame]; a normal return means main fell off the
+   end. The caller has checked that [image] was prepared for [config]. *)
+let run_with ~(config : config) (image : image)
+    ~(main_body : state -> frame -> R.func -> unit) =
+  let { prog; report; rp; key = _ } = image in
   let mem = Memory.create () in
   let cache = Cache.create () in
   (* map fixed regions *)

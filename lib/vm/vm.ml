@@ -3,11 +3,26 @@
 
 include Rt
 
-let run ?(config = default_config) prog =
+let run_image ~config image =
+  if front_end_of config <> image.key then
+    invalid_arg "Vm.run_image: the image was prepared for another front end";
   match config.engine with
-  | Eng_vm -> Vm_slot.run ~config prog
-  | Eng_ref -> Vm_ref.run ~config prog
-  | Eng_closure -> Vm_closure.run ~config prog
+  | Eng_vm -> Vm_slot.run ~config image
+  | Eng_ref -> Vm_ref.run ~config image
+  | Eng_closure -> Vm_closure.run ~config image
+
+let run ?(config = default_config) prog = run_image ~config (prepare config prog)
+
+let preparer prog =
+  let images = ref [] in
+  fun config ->
+    let key = front_end_of config in
+    match List.assoc_opt key !images with
+    | Some image -> image
+    | None ->
+      let image = prepare config prog in
+      images := (key, image) :: !images;
+      image
 
 let outcome_string = function
   | Finished v -> "finished:" ^ Int64.to_string v

@@ -30,7 +30,7 @@ type alloc_kind = Rt.alloc_kind =
     - [Eng_closure]: the closure-compiled engine ([Vm_closure]), the
       production engine and the default
 
-    {!run} dispatches on this field; the engine modules are private to
+    {!run_image} dispatches on this field; the engine modules are private to
     the library. The field is deliberately excluded from campaign job
     fingerprints: a cached result is valid whichever engine produced
     it. *)
@@ -58,7 +58,7 @@ type config = Rt.config = {
           [Invalid_metadata]) instead of deferring detection to the
           poisoned dereference. *)
   engine : engine;
-      (** which engine {!run} dispatches to; [Eng_closure] default *)
+      (** which engine {!run_image} dispatches to; [Eng_closure] default *)
   temporal : bool;
       (** free-epoch generations (default [false]): metadata records
           carry a generation and freed flag mirrored into the pointer
@@ -129,18 +129,46 @@ type result = Rt.result = {
           [[]] when [fault_plan = None] or the trigger never fired *)
 }
 
-val run : ?config:config -> Ifp_compiler.Ir.program -> result
-(** Typechecks, instruments (for IFP variants), executes [main] on the
-    engine [config.engine] names — the only way to run a program. Raises
-    {!Ifp_compiler.Typecheck.Type_error} on ill-typed programs; all
-    runtime failures are reported in [outcome].
+type image
+(** A program prepared for running: typechecked, instrumented when the
+    config's variant is [Ifp] or [Ifp_no_promote] (with the config's
+    [infer_alloc_types]), and lowered to the engines' slot form — what
+    the paper's compile-time pass produces once per binary. Its front-end
+    key is that pair: instrumented or not, and, if instrumented,
+    [infer_alloc_types]; no other config field shapes an image. An image
+    is immutable, so runs on any engine, from any domain, may share it. *)
 
-    Concurrency contract: [run] builds all of its state — {!Ifp_machine.Memory},
-    {!Ifp_metadata.Meta}, allocator, counters — afresh per call, never
-    mutates the input program (instrumentation copies it), and touches no
-    library-level mutable globals, so concurrent [run]s from multiple
-    domains are safe and deterministic. lib/campaign's parallel engine
-    relies on this. *)
+val prepare : config -> Ifp_compiler.Ir.program -> image
+(** The front end, once: typecheck, instrument (for IFP variants),
+    resolve. Raises {!Ifp_compiler.Typecheck.Type_error} on ill-typed
+    programs. Never mutates the program. *)
+
+val run_image : config:config -> image -> result
+(** Executes [main] of a prepared image on the engine [config.engine]
+    names — the one engine dispatcher. Raises [Invalid_argument] when
+    [config]'s front-end key differs from the one the image was prepared
+    for (a baseline image under an IFP config, or the reverse, or a
+    different [infer_alloc_types]); all runtime failures are reported in
+    [outcome].
+
+    Concurrency contract: a run builds all of its state —
+    {!Ifp_machine.Memory}, {!Ifp_metadata.Meta}, allocator, counters —
+    afresh per call, only reads the image, and touches no library-level
+    mutable globals, so concurrent runs from multiple domains are safe
+    and deterministic. lib/campaign's parallel engine relies on this. *)
+
+val run : ?config:config -> Ifp_compiler.Ir.program -> result
+(** [run_image ~config (prepare config prog)]: typechecks, instruments,
+    executes — the way to run a program once. A caller that runs one
+    program under several configs prepares one image per front-end key
+    instead ({!preparer}). *)
+
+val preparer : Ifp_compiler.Ir.program -> config -> image
+(** [preparer prog] is the front end of one battery of runs of [prog]:
+    [preparer prog config] is [prepare config prog], prepared on first
+    use of its front-end key and shared by every later config with the
+    same key. The returned function holds its images until it is
+    dropped; use it from one domain. *)
 
 val outcome_string : outcome -> string
 (** [finished:V], [trapped:TRAP] or [aborted:REASON] — the one rendering

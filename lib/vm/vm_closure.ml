@@ -5,9 +5,8 @@
    Compilation is host-side work and charges nothing, matching the
    interpreter (whose dispatch is equally uncharged). *)
 
-let run ?(config = Rt.default_config) (raw_prog : Ifp_compiler.Ir.program) :
-    Rt.result =
-  Rt.run_with ~config raw_prog ~main_body:(fun st frame mainf ->
+let run ~config image : Rt.result =
+  Rt.run_with ~config image ~main_body:(fun st frame mainf ->
       ignore mainf;
       let cp = Compile.program st in
       Compile.main_code cp frame)

@@ -13,7 +13,7 @@
     host-side wall time differs; [sh perfbench/run.sh --trace 1] times
     each engine ([vm.engine_s.*]). *)
 
-val run : ?config:Rt.config -> Ifp_compiler.Ir.program -> Rt.result
-(** The [Eng_closure] arm of {!Vm.run}, which carries the contract
-    (typecheck, instrument, execute, per-call state — safe to call
-    concurrently from multiple domains). *)
+val run : config:Rt.config -> Rt.image -> Rt.result
+(** The [Eng_closure] arm of {!Vm.run_image}, which carries the
+    contract (per-call state — safe to call concurrently from multiple
+    domains, on a shared image). *)

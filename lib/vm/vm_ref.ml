@@ -21,7 +21,6 @@ module Promote = Ifp_metadata.Promote
 module Alloc = Ifp_alloc.Alloc_intf
 module Ir = Ifp_compiler.Ir
 module Typecheck = Ifp_compiler.Typecheck
-module Instrument = Ifp_compiler.Instrument
 module Fault = Ifp_faultinject.Fault
 
 (* The public vocabulary (config, variants, outcomes, trace events,
@@ -868,19 +867,8 @@ let setup_globals st =
       Hashtbl.replace st.globals g.gname go)
     st.prog.globals
 
-let run ?(config = default_config) (raw_prog : Ir.program) =
-  Typecheck.check_program raw_prog;
-  let prog, report =
-    match config.variant with
-    | Baseline -> (raw_prog, None)
-    | Ifp | Ifp_no_promote ->
-      let p, r =
-        Instrument.run
-          ~config:{ Instrument.infer_alloc_types = config.infer_alloc_types }
-          raw_prog
-      in
-      (p, Some r)
-  in
+let run ~config (image : Rt.image) =
+  let prog = image.prog and report = image.report in
   let mem = Memory.create () in
   let cache = Cache.create () in
   (* map fixed regions *)

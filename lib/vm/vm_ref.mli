@@ -9,6 +9,6 @@
     test_engines); {!Vm.run} dispatches here only for [Eng_ref], which
     no named config selects. *)
 
-val run : ?config:Rt.config -> Ifp_compiler.Ir.program -> Rt.result
-(** The [Eng_ref] arm of {!Vm.run}, which carries the contract,
+val run : config:Rt.config -> Rt.image -> Rt.result
+(** The [Eng_ref] arm of {!Vm.run_image}, which carries the contract,
     including the concurrency guarantees. *)

@@ -394,6 +394,6 @@ and exec_list st frame = function
     exec st frame s;
     exec_list st frame rest
 
-let run ?(config = default_config) (raw_prog : Ir.program) =
-  run_with ~config raw_prog ~main_body:(fun st frame mainf ->
+let run ~config image =
+  run_with ~config image ~main_body:(fun st frame mainf ->
       exec_list st frame mainf.body)

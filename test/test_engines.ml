@@ -541,6 +541,68 @@ let test_literal_left_comparisons () =
   | Vm.Finished n -> Alcotest.(check int64) "value" 736_136L n
   | _ -> Alcotest.fail "did not finish"
 
+(* ---- prepared images ------------------------------------------------ *)
+
+(* running a shared image is running the program: under every oracle
+   config, temporal ones included, on every engine, and armed, one
+   image per front-end key gives the signature Vm.run gives *)
+let test_images_run_like_run () =
+  let workload name =
+    match Ifp_workloads.Registry.find name with
+    | Some w -> (name, Lazy.force w.Ifp_workloads.Workload.prog)
+    | None -> Alcotest.fail ("missing workload " ^ name)
+  in
+  let programs =
+    List.map
+      (fun seed ->
+        ( Printf.sprintf "fuzz seed %Ld" seed,
+          Ifp_fuzz.Gen.generate ~knobs:Ifp_fuzz.Gen.quick ~seed () ))
+      [ 1L; 2L; 3L ]
+    @ List.map workload [ "coremark"; "ks"; "wolfcrypt-dh" ]
+  in
+  let subheap = List.assoc "ifp-subheap" Oracle.configs in
+  let armed =
+    ( "ifp-subheap-armed",
+      { subheap with Vm.fault_plan = Some (Fault.default_plan Fault.Tag_flip ~seed:3L) } )
+  in
+  List.iter
+    (fun (pname, prog) ->
+      let image = Vm.preparer prog in
+      List.iter
+        (fun (cname, cfg) ->
+          List.iter
+            (fun engine ->
+              let config = { cfg with Vm.engine } in
+              Alcotest.(check string)
+                (String.concat "/" [ pname; cname; Engines.to_string engine ])
+                (Oracle.result_sig (Vm.run ~config prog))
+                (Oracle.result_sig (Vm.run_image ~config (image config))))
+            Engines.all)
+        ((armed :: Oracle.configs) @ Oracle.temporal_configs))
+    programs
+
+(* an image runs only under a config with its front-end key *)
+let test_image_key_mismatch () =
+  let prog = Ifp_fuzz.Gen.generate ~knobs:Ifp_fuzz.Gen.quick ~seed:1L () in
+  let base = Vm.prepare Vm.baseline prog and ifp = Vm.prepare Vm.ifp_subheap prog in
+  let refused name config image =
+    List.iter
+      (fun engine ->
+        match Vm.run_image ~config:{ config with Vm.engine } image with
+        | _ -> Alcotest.failf "%s: ran on %s" name (Engines.to_string engine)
+        | exception Invalid_argument _ -> ())
+      Engines.all
+  in
+  refused "baseline image, IFP config" Vm.ifp_subheap base;
+  refused "IFP image, baseline config" Vm.baseline ifp;
+  refused "other infer_alloc_types"
+    { Vm.ifp_subheap with infer_alloc_types = true } ifp;
+  (* allocator, promote, narrowing and temporal mode are run-time choices *)
+  List.iter
+    (fun config -> ignore (Vm.run_image ~config ifp))
+    [ Vm.ifp_wrapped; Vm.no_promote Vm.Alloc_wrapped; Vm.no_narrowing Vm.Alloc_subheap;
+      { Vm.ifp_mixed with temporal = true } ]
+
 (* ---- dispatch ------------------------------------------------------- *)
 
 let test_engines_dispatch () =
@@ -587,6 +649,9 @@ let tests =
     Alcotest.test_case "local registration" `Quick
       test_local_registration;
     Alcotest.test_case "literal-left comparisons" `Quick test_literal_left_comparisons;
+    Alcotest.test_case "prepared images run like Vm.run" `Quick
+      test_images_run_like_run;
+    Alcotest.test_case "image front-end key checked" `Quick test_image_key_mismatch;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
     Alcotest.test_case "closure is the production engine" `Quick
       test_production_engine;

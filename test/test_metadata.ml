@@ -184,6 +184,64 @@ let test_global_table_exhaustion () =
   Alcotest.(check int) "255 rows" 255 (fill 0);
   Alcotest.(check int) "rows in use" 255 (Meta.Global_table.rows_in_use meta)
 
+(* rows are handed out lowest-first, a returned row before any never-used
+   one, most recently returned first; a row deregistered twice is handed
+   out twice. Temporal frees quarantine: the row never comes back. *)
+let test_global_table_row_order () =
+  let table ~temporal entries =
+    let mem = Memory.create () in
+    Memory.map mem ~base:0x300000L ~size:(entries * 16);
+    Meta.create ~temporal ~memory:mem ~mac_key:0x1234_5678L
+      ~layout_region:(0x200000L, 0) ~global_table:(0x300000L, entries) ()
+  in
+  let meta = table ~temporal:false 8 in
+  let reg () =
+    Meta.Global_table.register meta ~base:0x6000L ~size:64 ~layout_ptr:0L
+  in
+  let row () =
+    match reg () with
+    | Some p -> p
+    | None -> Alcotest.fail "table full too early"
+  in
+  let rows = ref [] in
+  let take () =
+    let p = row () in
+    rows := Tag.table_index p :: !rows;
+    p
+  in
+  let p1 = take () in
+  let p2 = take () in
+  ignore (take ());
+  Meta.Global_table.deregister meta p2;
+  Meta.Global_table.deregister meta p1;
+  ignore (take ());
+  ignore (take ());
+  let p4 = take () in
+  Meta.Global_table.deregister meta p4;
+  Meta.Global_table.deregister meta p4;
+  for _ = 1 to 5 do
+    ignore (take ())
+  done;
+  Alcotest.(check (list int))
+    "row order" [ 1; 2; 3; 1; 2; 4; 4; 4; 5; 6; 7 ] (List.rev !rows);
+  Alcotest.(check bool) "full" true (reg () = None);
+  let meta = table ~temporal:true 4 in
+  let reg () =
+    Option.map Tag.table_index
+      (Meta.Global_table.register meta ~base:0x6000L ~size:64 ~layout_ptr:0L)
+  in
+  let p =
+    Option.get
+      (Meta.Global_table.register meta ~base:0x6000L ~size:64 ~layout_ptr:0L)
+  in
+  let status = Meta.Global_table.deregister_temporal meta in
+  Alcotest.(check bool) "freed" true (status p = `Freed_ok);
+  Alcotest.(check bool) "double free" true (status p = `Already_freed);
+  let r2 = reg () in
+  let r3 = reg () in
+  Alcotest.(check (list (option int)))
+    "quarantined row never returns" [ Some 2; Some 3; None ] [ r2; r3; reg () ]
+
 (* ---- promote ---- *)
 
 let test_promote_bypasses () =
@@ -587,6 +645,7 @@ let tests =
     Alcotest.test_case "subheap tamper" `Quick test_subheap_tamper;
     Alcotest.test_case "global-table roundtrip" `Quick test_global_table_roundtrip;
     Alcotest.test_case "global-table exhaustion" `Quick test_global_table_exhaustion;
+    Alcotest.test_case "global-table row order" `Quick test_global_table_row_order;
     Alcotest.test_case "promote bypasses" `Quick test_promote_bypasses;
     Alcotest.test_case "promote narrows (local offset)" `Quick
       test_promote_local_offset_narrowing;

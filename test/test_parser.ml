@@ -512,6 +512,72 @@ let test_pp_roundtrip () =
   Alcotest.(check bool) "instrumented shows promote" true
     (contains (Ir_pp.program_to_string instr) "IFP_Promote")
 
+(* [Ir_pp.float_lit] as it stood before its integral fast path, frozen:
+   job digests hash the printed text, so the printer must keep producing
+   exactly this for every float *)
+let frozen_float_lit f =
+  let fallback f = Printf.sprintf "f64_bits(0x%Lx)" (Int64.bits_of_float f) in
+  if
+    f <> f (* nan *)
+    || f = infinity || f = neg_infinity
+    || f < 0.0
+    || (f = 0.0 && not (Int64.equal (Int64.bits_of_float f) 0L))
+  then fallback f
+  else begin
+    let exact s =
+      match float_of_string_opt s with
+      | Some g -> Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
+      | None -> false
+    in
+    let wellformed s =
+      String.length s > 0
+      && s.[0] >= '0'
+      && s.[0] <= '9'
+      && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '.') s
+      && String.fold_left (fun n c -> if c = '.' then n + 1 else n) 0 s = 1
+    in
+    let rec shortest p =
+      if p > 17 then None
+      else
+        let s = Printf.sprintf "%.*g" p f in
+        if wellformed s && exact s then Some s else shortest (p + 1)
+    in
+    match shortest 1 with
+    | Some s -> s
+    | None ->
+      let s = Printf.sprintf "%.1074f" f in
+      let last = ref (String.length s - 1) in
+      while !last > 0 && s.[!last] = '0' do
+        decr last
+      done;
+      let last = if s.[!last] = '.' then !last + 1 else !last in
+      let s = String.sub s 0 (last + 1) in
+      if wellformed s && exact s then s else fallback f
+  end
+
+(* integral values (small, huge, powers of two and their neighbours),
+   arbitrary bit patterns, and short decimals *)
+let float_gen =
+  let open QCheck.Gen in
+  let pow2 = map (fun e -> Float.ldexp 1.0 e) (int_range (-1074) 1023) in
+  oneof
+    [
+      map float_of_int (int_bound 1_000_000);
+      map Int64.to_float int64;
+      pow2;
+      map Float.succ pow2;
+      map Float.pred pow2;
+      map Int64.float_of_bits int64;
+      map (fun (n, d) -> float_of_int n /. float_of_int (d + 1))
+        (pair (int_bound 100_000) (int_bound 1000));
+      map (fun x -> Float.round (x *. 1e6) /. 1e6) (float_bound_inclusive 1e3);
+    ]
+
+let prop_float_lit_frozen =
+  QCheck.Test.make ~count:3000 ~name:"float literals match the frozen printer"
+    (QCheck.make ~print:(fun f -> Printf.sprintf "%h" f) float_gen)
+    (fun f -> String.equal (Ir_pp.float_lit f) (frozen_float_lit f))
+
 let tests =
   [
     Alcotest.test_case "arith + control" `Quick test_arith_and_control;
@@ -534,4 +600,5 @@ let tests =
     Alcotest.test_case "pretty-printer" `Quick test_pp_roundtrip;
     Alcotest.test_case "type-position arrays" `Quick test_type_position_arrays;
     Alcotest.test_case "pointer-to-array round trip" `Quick test_pointer_to_array_roundtrip;
+    QCheck_alcotest.to_alcotest prop_float_lit_frozen;
   ]
