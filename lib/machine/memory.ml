@@ -10,12 +10,30 @@ let pcache_slots = 256
 
 let pcache_mask = pcache_slots - 1
 
+(* The slot of page [pno]. The regions of the memory map start at
+   power-of-two-aligned addresses, so their first pages all have the
+   same low page-number bits and [pno land pcache_mask] would put them
+   in one slot (heap, global table and layout region all in slot 0):
+   a promote's metadata read and the field access after it would evict
+   each other. Folding in the next eight bits spreads them. *)
+let[@inline] slot pno = (pno + (pno lsr 8)) land pcache_mask
+
+(* Page numbers are non-negative and dense within a region, so the
+   identity is a good hash; unlike [Hashtbl.hash] and polymorphic
+   equality it costs no C call. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = p
+end)
+
 (* The mapped set is a handful of large contiguous regions (globals,
    layout table, stack, heap), so it is kept as a sorted list of
    disjoint page-number intervals instead of a per-page table: mapping
    a 256 MiB heap is one cons, not 65536 hashtable inserts. *)
 type t = {
-  pages : (int, page) Hashtbl.t;
+  pages : page Pages.t;
   mutable mapped : (int * int) list; (* inclusive pno intervals, sorted *)
   pcache_pno : int array; (* -1 = empty *)
   pcache_page : page array;
@@ -29,7 +47,10 @@ let dummy_page = { data = Bytes.create 0 }
 
 let create () =
   {
-    pages = Hashtbl.create 1024;
+    (* small enough to be a minor-heap allocation: a short run (a fuzz
+       case) touches a handful of pages, and a long one grows the table
+       by doubling *)
+    pages = Pages.create 64;
     mapped = [];
     pcache_pno = Array.make pcache_slots (-1);
     pcache_page = Array.make pcache_slots dummy_page;
@@ -81,11 +102,11 @@ let unmap t ~base ~size =
   if last_full >= first_full then begin
     t.mapped <- iv_remove first_full last_full t.mapped;
     for p = first_full to last_full do
-      Hashtbl.remove t.pages p;
-      let slot = p land pcache_mask in
-      if t.pcache_pno.(slot) = p then begin
-        t.pcache_pno.(slot) <- -1;
-        t.pcache_page.(slot) <- dummy_page
+      Pages.remove t.pages p;
+      let s = slot p in
+      if t.pcache_pno.(s) = p then begin
+        t.pcache_pno.(s) <- -1;
+        t.pcache_page.(s) <- dummy_page
       end
     done
   end
@@ -93,26 +114,25 @@ let unmap t ~base ~size =
 let is_mapped t a = iv_mem (pno_of_addr a) t.mapped
 
 (* page-cache miss: out of line, so the inlined hit path stays small *)
-let fill_page t a pno slot =
+let fill_page t a pno s =
   if not (iv_mem pno t.mapped) then raise (Fault (Unmapped, a));
   let page =
-    match Hashtbl.find_opt t.pages pno with
+    match Pages.find_opt t.pages pno with
     | Some p -> p
     | None ->
       let p = { data = Bytes.make page_size '\000' } in
-      Hashtbl.replace t.pages pno p;
+      Pages.replace t.pages pno p;
       p
   in
-  Array.unsafe_set t.pcache_pno slot pno;
-  Array.unsafe_set t.pcache_page slot page;
+  Array.unsafe_set t.pcache_pno s pno;
+  Array.unsafe_set t.pcache_page s page;
   page
 
 let[@inline] get_page t a =
   let pno = pno_of_addr a in
-  let slot = pno land pcache_mask in
-  if Array.unsafe_get t.pcache_pno slot = pno then
-    Array.unsafe_get t.pcache_page slot
-  else fill_page t a pno slot
+  let s = slot pno in
+  if Array.unsafe_get t.pcache_pno s = pno then Array.unsafe_get t.pcache_page s
+  else fill_page t a pno s
 
 let[@inline] off_of_addr a = Int64.to_int (Int64.logand a 0xFFFL)
 

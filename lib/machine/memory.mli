@@ -13,20 +13,26 @@
 type page = { data : Bytes.t }
 (** One 4 KiB page. *)
 
+module Pages : Hashtbl.S with type key = int
+(** Materialised pages by page number, hashed by the identity. *)
+
 type t = {
-  pages : (int, page) Hashtbl.t;
+  pages : page Pages.t;
   mutable mapped : (int * int) list;
       (** sorted disjoint inclusive page-number intervals *)
-  pcache_pno : int array;  (** direct-mapped lookup cache; -1 = empty *)
+  pcache_pno : int array;
+      (** direct-mapped lookup cache, indexed by {!slot}; -1 = empty *)
   pcache_page : page array;
 }
 (** The representation is concrete so the closure-compiled VM engine can
     stage page-cache probes inline at its access sites (a hit is then a
-    shift, a mask, one array compare and a [Bytes] access — no calls).
-    The [pcache_pno]/[pcache_page] arrays are created once and never
-    replaced, so capturing them at staging time is sound; {!unmap}
-    invalidates their slots in place. Outside that use, treat [t] as
-    abstract and go through the accessors below. *)
+    shift, the {!slot} hash, one array compare and a [Bytes] access — no
+    calls). Page [pno] can only be cached in entry [slot pno] of
+    [pcache_pno]/[pcache_page]; a staged probe must index them with
+    {!slot}, as every accessor here does. The arrays are created once
+    and never replaced, so capturing them at staging time is sound;
+    {!unmap} invalidates their entries in place. Outside that use, treat
+    [t] as abstract and go through the accessors below. *)
 
 type fault_kind = Unmapped | Misaligned
 
@@ -41,8 +47,12 @@ val page_size : int
 val page_shift : int
 (** [log2 page_size]. *)
 
-val pcache_slots : int
-(** Number of entries of the page-lookup cache (a power of two). *)
+val slot : int -> int
+(** [slot pno] is the entry of the 256-entry page-lookup cache for page
+    number [pno]: [(pno + pno lsr 8) land 255]. The region bases of
+    the memory map are aligned to large powers of two, so their low
+    page-number bits agree; the fold of the next eight bits keeps their
+    first pages in distinct entries. *)
 
 val map : t -> base:int64 -> size:int -> unit
 (** Make every page overlapping [\[base, base+size)] accessible,

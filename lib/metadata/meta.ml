@@ -59,6 +59,7 @@ type t = {
          the fault injector's target registry; [None] when no injector
          reads it, so registration costs no table update *)
   found : found;
+  memo : Bytes.t;  (* MAC-check memo, see [local_mac_ok] *)
 }
 
 let layout_magic = 0x4C544231L (* "LTB1" *)
@@ -86,6 +87,7 @@ let create ?(temporal = false) ?(registry = true) ~memory ~mac_key
     found =
       { f_base = 0; f_size = 0; f_layout = 0L; f_gen = 0; f_freed = false;
         f_reason = "" };
+    memo = Bytes.make (11 * 8) '\255';
   }
 
 let memory t = t.mem
@@ -213,6 +215,65 @@ let collect probe t =
   (r, List.rev !fetches)
 
 (* ------------------------------------------------------------------ *)
+(* MAC-check memo                                                      *)
+
+(* The inputs of the last successful MAC check of each record kind, as
+   little-endian words of [t.memo]: a local-offset record's four
+   (meta_addr, size, layout word, MAC) at words 0-3, a subheap block
+   record's seven (block base, slot start, slot end, slot size, object
+   size, layout pointer, MAC) at words 4-10. [Mac.verify3] and
+   [Mac.verify6] are pure functions of the context's key, which never
+   changes, and of these inputs, so when every input, the stored MAC
+   included, equals the memo's, the check would succeed again and is
+   skipped; any other record, a tampered one included, is checked in
+   full. A 48-bit MAC is never all ones, the memo's initial value, so
+   an empty memo matches nothing. Bytes keep the words unboxed, so
+   updating the memo allocates nothing. *)
+
+let[@inline] memo_get t i = Bytes.get_int64_le t.memo (i lsl 3)
+let[@inline] memo_set t i x = Bytes.set_int64_le t.memo (i lsl 3) x
+
+let local_mac_ok t meta_addr size word mac =
+  let size = Int64.of_int size and mac64 = Int64.of_int mac in
+  (Int64.equal (memo_get t 3) mac64
+  && Int64.equal (memo_get t 0) meta_addr
+  && Int64.equal (memo_get t 1) size
+  && Int64.equal (memo_get t 2) word)
+  || Mac.verify3 ~key:t.key meta_addr size word ~mac
+     && begin
+       memo_set t 0 meta_addr;
+       memo_set t 1 size;
+       memo_set t 2 word;
+       memo_set t 3 mac64;
+       true
+     end
+
+let subheap_mac_ok t block_base slot_start slot_end slot_size obj_size layout
+    mac =
+  let slot_start = Int64.of_int slot_start and slot_end = Int64.of_int slot_end in
+  let slot_size = Int64.of_int slot_size and obj_size = Int64.of_int obj_size in
+  let mac64 = Int64.of_int mac in
+  (Int64.equal (memo_get t 10) mac64
+  && Int64.equal (memo_get t 4) block_base
+  && Int64.equal (memo_get t 5) slot_start
+  && Int64.equal (memo_get t 6) slot_end
+  && Int64.equal (memo_get t 7) slot_size
+  && Int64.equal (memo_get t 8) obj_size
+  && Int64.equal (memo_get t 9) layout)
+  || Mac.verify6 ~key:t.key block_base slot_start slot_end slot_size obj_size
+       layout ~mac
+     && begin
+       memo_set t 4 block_base;
+       memo_set t 5 slot_start;
+       memo_set t 6 slot_end;
+       memo_set t 7 slot_size;
+       memo_set t 8 obj_size;
+       memo_set t 9 layout;
+       memo_set t 10 mac64;
+       true
+     end
+
+(* ------------------------------------------------------------------ *)
 (* Local-offset scheme                                                 *)
 
 module Local_offset = struct
@@ -331,11 +392,8 @@ module Local_offset = struct
     | mac ->
       let size = f.f_size and layout_word = f.f_layout in
       if not (fits ~size) then fail f "bad object size"
-      else if
-        not
-          (Mac.verify3 ~key:t.key meta_addr (Int64.of_int size) layout_word
-             ~mac)
-      then fail f "MAC mismatch"
+      else if not (local_mac_ok t meta_addr size layout_word mac) then
+        fail f "MAC mismatch"
       else begin
         f.f_base <- Int64.to_int meta_addr - Bits.align_up size Tag.granule;
         if t.temporal then begin
@@ -523,9 +581,8 @@ module Subheap = struct
           fail f "bad slot geometry"
         else if
           not
-            (Mac.verify6 ~key:t.key block_base (Int64.of_int slot_start)
-               (Int64.of_int slot_end) (Int64.of_int slot_size)
-               (Int64.of_int obj_size) f.f_layout ~mac)
+            (subheap_mac_ok t block_base slot_start slot_end slot_size obj_size
+               f.f_layout mac)
         then fail f "MAC mismatch"
         else
           let off = Int64.to_int (Int64.sub addr block_base) in

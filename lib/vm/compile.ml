@@ -159,7 +159,25 @@ let stage_fetch_charge st : state -> unit =
 
 let page_shift = Memory.page_shift
 let page_off_mask = Memory.page_size - 1
-let pcache_mask = Memory.pcache_slots - 1
+
+(* Little-endian page accesses without [Bytes]' bounds check: a page's
+   [data] is [Memory.page_size] bytes and each staged probe has checked
+   the access against the page end already. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] get64 b i = if Sys.big_endian then swap64 (get64u b i) else get64u b i
+let[@inline] get32 b i = if Sys.big_endian then swap32 (get32u b i) else get32u b i
+
+let[@inline] set64 b i v =
+  if Sys.big_endian then set64u b i (swap64 v) else set64u b i v
+
+let[@inline] set32 b i v =
+  if Sys.big_endian then set32u b i (swap32 v) else set32u b i v
 
 (* Staged load tail, one closure per site: the static [bytes] resolves
    the size dispatch and sign-extension shape now, and the counter
@@ -203,9 +221,9 @@ let stage_load st bytes : int64 -> int64 =
       let off = ai land page_off_mask in
       if off <= page_off_mask - 7 then begin
         let pno = ai lsr page_shift in
-        let slot = pno land pcache_mask in
+        let slot = Memory.slot pno in
         if Array.unsafe_get ppno slot = pno then
-          Bytes.get_int64_le (Array.unsafe_get ppage slot).Memory.data off
+          get64 (Array.unsafe_get ppage slot).Memory.data off
         else slow a
       end
       else slow a
@@ -229,12 +247,11 @@ let stage_load st bytes : int64 -> int64 =
       let off = ai land page_off_mask in
       if off <= page_off_mask - 3 then begin
         let pno = ai lsr page_shift in
-        let slot = pno land pcache_mask in
+        let slot = Memory.slot pno in
         if Array.unsafe_get ppno slot = pno then
           Int64.logand
             (Int64.of_int32
-               (Bytes.get_int32_le (Array.unsafe_get ppage slot).Memory.data
-                  off))
+               (get32 (Array.unsafe_get ppage slot).Memory.data off))
             0xFFFFFFFFL
         else slow a
       end
@@ -259,7 +276,7 @@ let stage_load st bytes : int64 -> int64 =
       let off = ai land page_off_mask in
       if off <= page_off_mask - 1 then begin
         let pno = ai lsr page_shift in
-        let slot = pno land pcache_mask in
+        let slot = Memory.slot pno in
         if Array.unsafe_get ppno slot = pno then begin
           let data = (Array.unsafe_get ppage slot).Memory.data in
           Int64.of_int
@@ -283,7 +300,7 @@ let stage_load st bytes : int64 -> int64 =
       let misses = if Cache.access_line cache (ai lsr lsh) then 0 else 1 in
       cc.cycles <- cc.cycles + cyc + (misses * pen);
       let pno = ai lsr page_shift in
-      let slot = pno land pcache_mask in
+      let slot = Memory.slot pno in
       if Array.unsafe_get ppno slot = pno then
         Int64.of_int
           (Char.code
@@ -330,10 +347,10 @@ let stage_store st bytes : int64 -> int64 -> unit =
       let off = ai land page_off_mask in
       if off <= page_off_mask - 7 then begin
         let pno = ai lsr page_shift in
-        let slot = pno land pcache_mask in
+        let slot = Memory.slot pno in
         if Array.unsafe_get ppno slot = pno then begin
           let p = Array.unsafe_get ppage slot in
-          Bytes.set_int64_le p.Memory.data off raw
+          set64 p.Memory.data off raw
         end
         else slow a raw
       end
@@ -358,10 +375,10 @@ let stage_store st bytes : int64 -> int64 -> unit =
       let off = ai land page_off_mask in
       if off <= page_off_mask - 3 then begin
         let pno = ai lsr page_shift in
-        let slot = pno land pcache_mask in
+        let slot = Memory.slot pno in
         if Array.unsafe_get ppno slot = pno then begin
           let p = Array.unsafe_get ppage slot in
-          Bytes.set_int32_le p.Memory.data off (Int64.to_int32 raw)
+          set32 p.Memory.data off (Int64.to_int32 raw)
         end
         else slow a raw
       end
@@ -387,7 +404,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
       let off = ai land page_off_mask in
       if off <= page_off_mask - 1 then begin
         let pno = ai lsr page_shift in
-        let slot = pno land pcache_mask in
+        let slot = Memory.slot pno in
         if Array.unsafe_get ppno slot = pno then begin
           let p = Array.unsafe_get ppage slot in
           let data = p.Memory.data in
@@ -413,7 +430,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
       cc.cycles <- cc.cycles + cyc + (misses * pen);
       let ri = Int64.to_int raw land 0xFF in
       let pno = ai lsr page_shift in
-      let slot = pno land pcache_mask in
+      let slot = Memory.slot pno in
       if Array.unsafe_get ppno slot = pno then begin
         let p = Array.unsafe_get ppage slot in
         Bytes.unsafe_set p.Memory.data (ai land page_off_mask)

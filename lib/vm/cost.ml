@@ -10,7 +10,7 @@ let promote_base = 2
 let walk_per_elem = 2
 let mac_check = 1
 
-let ifp_cycles (k : Ifp_isa.Insn.kind) =
+let[@inline] ifp_cycles (k : Ifp_isa.Insn.kind) =
   match k with
   | Promote -> promote_base
   | Ifpmac -> 4

@@ -45,7 +45,7 @@ let create () =
     heap_objs_layout = 0;
   }
 
-let kind_index (k : Ifp_isa.Insn.kind) =
+let[@inline] kind_index (k : Ifp_isa.Insn.kind) =
   match k with
   | Promote -> 0
   | Ifpmac -> 1
@@ -58,7 +58,9 @@ let kind_index (k : Ifp_isa.Insn.kind) =
   | Ifpextract -> 8
   | Ifpmd -> 9
 
-let add_ifp t k n = t.ifp.(kind_index k) <- t.ifp.(kind_index k) + n
+let[@inline] add_ifp t k n =
+  let i = kind_index k in
+  t.ifp.(i) <- t.ifp.(i) + n
 let ifp_count t k = t.ifp.(kind_index k)
 let ifp_total t = Array.fold_left ( + ) 0 t.ifp
 let total_instrs t = t.base_instrs + ifp_total t

@@ -192,6 +192,110 @@ let fetch_buf_push b addr bytes =
   Array.unsafe_set b.fb_bytes n bytes;
   b.fb_n <- n + 1
 
+(* ---- the machine ------------------------------------------------- *)
+
+(* The simulated machine of one run, whatever the engine: memory with
+   the fixed regions mapped, the L1 model, the metadata context (IFP
+   variants only), the allocator the config names and the armed fault
+   injector. Every engine's state carries these same five fields. *)
+type machine = {
+  mem : Memory.t;
+  cache : Cache.t;
+  meta : Meta.t option;
+  allocator : Alloc.t;
+  inj : Fault.t option;
+}
+
+let machine (config : config) ~tenv =
+  let mem = Memory.create () in
+  let cache = Cache.create () in
+  (* map fixed regions *)
+  Memory.map mem ~base:Memmap.globals_base ~size:Memmap.globals_size;
+  Memory.map mem ~base:Memmap.layout_region_base ~size:Memmap.layout_region_size;
+  Memory.map mem ~base:Memmap.global_table_base
+    ~size:(Memmap.global_table_entries * 16);
+  Memory.map mem
+    ~base:(Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size))
+    ~size:Memmap.stack_size;
+  let rng = Ifp_util.Prng.create config.seed in
+  let meta =
+    match config.variant with
+    | Baseline -> None
+    | Ifp | Ifp_no_promote ->
+      Some
+        (* the fault injector is the live registry's only reader *)
+        (Meta.create ~temporal:config.temporal
+           ~registry:(Option.is_some config.fault_plan) ~memory:mem
+           ~mac_key:(Ifp_metadata.Mac.fresh_key rng)
+           ~layout_region:(Memmap.layout_region_base, Memmap.layout_region_size)
+           ~global_table:(Memmap.global_table_base, Memmap.global_table_entries)
+           ())
+  in
+  let allocator =
+    match (config.variant, config.alloc) with
+    | Baseline, _ | _, Alloc_baseline ->
+      Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
+        ~size:(1 lsl Memmap.heap_size_log2)
+    | _, Alloc_wrapped ->
+      let base_alloc =
+        Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
+          ~size:(1 lsl Memmap.heap_size_log2)
+      in
+      let meta = Option.get meta in
+      Ifp_alloc.Wrapped.create ~meta ~tenv ~base_alloc
+    | _, Alloc_subheap ->
+      let meta = Option.get meta in
+      Ifp_alloc.Subheap_alloc.create ~meta ~tenv ~memory:mem
+        ~base:Memmap.heap_base ~size_log2:Memmap.heap_size_log2
+    | _, Alloc_mixed ->
+      (* split the heap: buddy arena in the lower half (naturally aligned
+         to its size), baseline/wrapped heap in the upper half *)
+      let meta = Option.get meta in
+      let half_log2 = Memmap.heap_size_log2 - 1 in
+      let subheap =
+        Ifp_alloc.Subheap_alloc.create ~meta ~tenv ~memory:mem
+          ~base:Memmap.heap_base ~size_log2:half_log2
+      in
+      let base_alloc =
+        Ifp_alloc.Baseline.create ~memory:mem
+          ~base:(Int64.add Memmap.heap_base (Int64.of_int (1 lsl half_log2)))
+          ~size:(1 lsl half_log2)
+      in
+      let wrapped = Ifp_alloc.Wrapped.create ~meta ~tenv ~base_alloc in
+      Ifp_alloc.Mixed.create ~subheap ~wrapped
+  in
+  let inj =
+    Option.map
+      (fun plan -> Fault.create plan ~mem ~heap_base:Memmap.heap_base)
+      config.fault_plan
+  in
+  (match (inj, meta) with
+  | Some i, Some m -> Fault.attach_meta i m
+  | _ -> ());
+  { mem; cache; meta; allocator; inj }
+
+(* The result of a run on machine [m]; [output] and [trace] are
+   reversed, as the engines accumulate them. *)
+let result_of (m : machine) ~outcome ~counters ~output ~trace ~report =
+  let alloc_stats = m.allocator.stats () in
+  let layout_bytes =
+    match m.meta with Some meta -> Meta.layout_bytes_used meta | None -> 0
+  in
+  {
+    outcome;
+    counters;
+    alloc_stats;
+    alloc_extra = m.allocator.extra_stats ();
+    cache_accesses = Cache.accesses m.cache;
+    cache_misses = Cache.misses m.cache;
+    mem_footprint = alloc_stats.footprint_bytes + layout_bytes;
+    output = List.rev output;
+    instrument_report = report;
+    trace = List.rev trace;
+    fault_injections =
+      (match m.inj with Some i -> Fault.injections i | None -> []);
+  }
+
 type state = {
   cfg : config;
   rp : R.program;
@@ -253,7 +357,7 @@ let base st n =
 
 let cycles st n = st.c.cycles <- st.c.cycles + n
 
-let charge_ifp st k n =
+let[@inline] charge_ifp st k n =
   Counters.add_ifp st.c k n;
   st.c.cycles <- st.c.cycles + (n * Cost.ifp_cycles k)
 
@@ -849,73 +953,7 @@ let prepare (config : config) (raw_prog : Ir.program) =
 let run_with ~(config : config) (image : image)
     ~(main_body : state -> frame -> R.func -> unit) =
   let { prog; report; rp; key = _ } = image in
-  let mem = Memory.create () in
-  let cache = Cache.create () in
-  (* map fixed regions *)
-  Memory.map mem ~base:Memmap.globals_base ~size:Memmap.globals_size;
-  Memory.map mem ~base:Memmap.layout_region_base ~size:Memmap.layout_region_size;
-  Memory.map mem ~base:Memmap.global_table_base
-    ~size:(Memmap.global_table_entries * 16);
-  Memory.map mem
-    ~base:(Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size))
-    ~size:Memmap.stack_size;
-  let rng = Ifp_util.Prng.create config.seed in
-  let meta =
-    match config.variant with
-    | Baseline -> None
-    | Ifp | Ifp_no_promote ->
-      Some
-        (* the fault injector is the live registry's only reader *)
-        (Meta.create ~temporal:config.temporal
-           ~registry:(Option.is_some config.fault_plan) ~memory:mem
-           ~mac_key:(Ifp_metadata.Mac.fresh_key rng)
-           ~layout_region:(Memmap.layout_region_base, Memmap.layout_region_size)
-           ~global_table:(Memmap.global_table_base, Memmap.global_table_entries)
-           ())
-  in
-  let allocator =
-    match (config.variant, config.alloc) with
-    | Baseline, _ | _, Alloc_baseline ->
-      Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
-        ~size:(1 lsl Memmap.heap_size_log2)
-    | _, Alloc_wrapped ->
-      let base_alloc =
-        Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
-          ~size:(1 lsl Memmap.heap_size_log2)
-      in
-      let meta = Option.get meta in
-      Ifp_alloc.Wrapped.create ~meta ~tenv:prog.tenv ~base_alloc
-    | _, Alloc_subheap ->
-      let meta = Option.get meta in
-      Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
-        ~base:Memmap.heap_base ~size_log2:Memmap.heap_size_log2
-    | _, Alloc_mixed ->
-      (* split the heap: buddy arena in the lower half (naturally aligned
-         to its size), baseline/wrapped heap in the upper half *)
-      let meta = Option.get meta in
-      let half_log2 = Memmap.heap_size_log2 - 1 in
-      let subheap =
-        Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
-          ~base:Memmap.heap_base ~size_log2:half_log2
-      in
-      let base_alloc =
-        Ifp_alloc.Baseline.create ~memory:mem
-          ~base:(Int64.add Memmap.heap_base (Int64.of_int (1 lsl half_log2)))
-          ~size:(1 lsl half_log2)
-      in
-      let wrapped =
-        Ifp_alloc.Wrapped.create ~meta ~tenv:prog.tenv ~base_alloc
-      in
-      Ifp_alloc.Mixed.create ~subheap ~wrapped
-  in
-  let inj =
-    Option.map
-      (fun plan -> Fault.create plan ~mem ~heap_base:Memmap.heap_base)
-      config.fault_plan
-  in
-  (match (inj, meta) with
-  | Some i, Some m -> Fault.attach_meta i m
-  | _ -> ());
+  let m = machine config ~tenv:prog.tenv in
   let dummy_gobj =
     { gaddr = 0L; gsize = 0; gtagged = 0L; gbounds = Bounds.no_bounds }
   in
@@ -927,11 +965,11 @@ let run_with ~(config : config) (image : image)
       cfg = config;
       rp;
       tenv = prog.tenv;
-      mem;
-      cache;
-      meta;
-      allocator;
-      inj;
+      mem = m.mem;
+      cache = m.cache;
+      meta = m.meta;
+      allocator = m.allocator;
+      inj = m.inj;
       c = Counters.create ();
       globals = Array.make (Array.length rp.globals) dummy_gobj;
       layout_ptrs = Array.make (Array.length rp.types) (-1L);
@@ -971,21 +1009,4 @@ let run_with ~(config : config) (image : image)
             (Program_error (Printf.sprintf "double free detected by allocator (0x%Lx)" p)))
     | exception Abort msg -> Aborted msg
   in
-  let alloc_stats = st.allocator.stats () in
-  let layout_bytes =
-    match meta with Some m -> Meta.layout_bytes_used m | None -> 0
-  in
-  {
-    outcome;
-    counters = st.c;
-    alloc_stats;
-    alloc_extra = st.allocator.extra_stats ();
-    cache_accesses = Cache.accesses cache;
-    cache_misses = Cache.misses cache;
-    mem_footprint = alloc_stats.footprint_bytes + layout_bytes;
-    output = List.rev st.out;
-    instrument_report = report;
-    trace = List.rev st.trace;
-    fault_injections =
-      (match inj with Some i -> Fault.injections i | None -> []);
-  }
+  result_of m ~outcome ~counters:st.c ~output:st.out ~trace:st.trace ~report

@@ -186,6 +186,61 @@ let prop_byte_model =
       done;
       !ok)
 
+(* ---- page-lookup cache index ---- *)
+
+let pno a = Int64.to_int (Int64.shift_right_logical a Memory.page_shift)
+
+let region_bases =
+  [
+    ("globals", Memmap.globals_base);
+    ("layout region", Memmap.layout_region_base);
+    ("global table", Memmap.global_table_base);
+    ("heap", Memmap.heap_base);
+    ("stack", Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size));
+    ("stack top", Int64.pred Memmap.stack_top);
+  ]
+
+(* The region bases are aligned to large powers of two, so a
+   low-bits index would put their first pages in one slot and a
+   promote's metadata read would evict the data page it guards. *)
+let test_region_slots_distinct () =
+  List.iteri
+    (fun i (n1, b1) ->
+      List.iteri
+        (fun j (n2, b2) ->
+          if i < j then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s and %s slots differ" n1 n2)
+              true
+              (Memory.slot (pno b1) <> Memory.slot (pno b2)))
+        region_bases)
+    region_bases
+
+(* A global-table row and a heap object on the heap's first page, the
+   access pattern of a global-table promote followed by the field load:
+   both pages stay in the lookup cache, in the entries [Memory.slot]
+   names, and every read sees the last write. *)
+let test_alternating_regions () =
+  let m = Memory.create () in
+  let row = Int64.add Memmap.global_table_base 16L in
+  let obj = Int64.add Memmap.heap_base 0x40L in
+  Memory.map m ~base:Memmap.global_table_base
+    ~size:(Memmap.global_table_entries * 16);
+  Memory.map m ~base:Memmap.heap_base ~size:(1 lsl 20);
+  for i = 1 to 200 do
+    Memory.write_u64 m row (Int64.of_int i);
+    Memory.write_u64 m obj (Int64.of_int (-i));
+    Alcotest.(check int64) "row" (Int64.of_int i) (Memory.read_u64 m row);
+    Alcotest.(check int64) "object" (Int64.of_int (-i)) (Memory.read_u64 m obj)
+  done;
+  List.iter
+    (fun (what, a) ->
+      Alcotest.(check int)
+        (what ^ " page cached in its slot")
+        (pno a)
+        m.Memory.pcache_pno.(Memory.slot (pno a)))
+    [ ("global table", row); ("heap", obj) ]
+
 let test_cache_hit_miss () =
   let c = Cache.create () in
   Alcotest.(check bool) "cold miss" false (Cache.access c 0x1000L Cache.Load);
@@ -300,6 +355,10 @@ let tests =
     Alcotest.test_case "map interval merging" `Quick test_map_intervals;
     Alcotest.test_case "no torn store on straddle fault" `Quick test_torn_store;
     QCheck_alcotest.to_alcotest prop_byte_model;
+    Alcotest.test_case "region bases in distinct page-cache slots" `Quick
+      test_region_slots_distinct;
+    Alcotest.test_case "global-table row and heap base alternate" `Quick
+      test_alternating_regions;
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache range access" `Quick test_cache_range;

@@ -631,6 +631,135 @@ let test_registry_off_same_results () =
   Alcotest.(check int) "and none once freed" 0 (List.length after);
   Alcotest.(check bool) "no registry, no entries" true (entries' = [] && after' = [])
 
+(* ---- MAC-check memo ---- *)
+
+(* [Meta] skips a MAC check whose inputs, the stored MAC included, all
+   equal those of the last successful check of the same record kind.
+   These tests tamper with records between lookups and compare each
+   lookup with [Mac.verify3]/[Mac.verify6] run on the record as it now
+   is in memory. *)
+
+type mac_record = {
+  ptr : int64;
+  rec_addr : int64;
+  covered : int;  (** bytes of fields and MAC the check reads *)
+  expect : Memory.t -> [ `Ok | `Mac | `Geometry ];
+      (** the check [Meta]'s probe must make, recomputed from memory *)
+}
+
+let read_mac mem a =
+  Memory.read_u16 mem a lor (Int64.to_int (Memory.read_u32 mem (Int64.add a 2L)) lsl 16)
+
+let mac_records () =
+  let mem, meta = mk_ctx () in
+  let key = Meta.mac_key meta in
+  let lt = Meta.intern_layout meta tenv_s (Ctype.Struct "S") in
+  let local = Meta.Local_offset.register meta ~base:0x2000L ~size:24 ~layout_ptr:lt in
+  let local_meta = Int64.add 0x2000L 32L in
+  Meta.Subheap.set_creg meta 2
+    (Some { Meta.Subheap.block_size_log2 = 12; metadata_offset = 0L });
+  Meta.Subheap.write_block_metadata meta ~creg:2 ~block_base:0x3000L
+    ~slot_start:32 ~slot_end:4064 ~slot_size:32 ~obj_size:24 ~layout_ptr:lt;
+  let local_expect mem =
+    let size = Memory.read_u16 mem local_meta in
+    let word = Memory.read_u64 mem (Int64.add local_meta 8L) in
+    if not (Meta.Local_offset.fits ~size) then `Geometry
+    else if
+      Mac.verify3 ~key local_meta (Int64.of_int size) word
+        ~mac:(read_mac mem (Int64.add local_meta 2L))
+    then `Ok
+    else `Mac
+  in
+  let subheap_expect mem =
+    let field off = Memory.read_u32 mem (Int64.add 0x3000L (Int64.of_int off)) in
+    let slot_size = Int64.to_int (field 8) and obj_size = Int64.to_int (field 12) in
+    if slot_size <= 0 || obj_size <= 0 || obj_size > slot_size then `Geometry
+    else if
+      Mac.verify6 ~key 0x3000L (field 0) (field 4) (field 8) (field 12)
+        (Memory.read_u64 mem 0x3010L) ~mac:(read_mac mem 0x3018L)
+    then `Ok
+    else `Mac
+  in
+  ( mem,
+    meta,
+    [|
+      { ptr = local; rec_addr = local_meta; covered = 16; expect = local_expect };
+      {
+        ptr = Meta.Subheap.tag_pointer ~creg:2 ~addr:0x3088L;
+        rec_addr = 0x3000L;
+        covered = 30 (* the flags halfword is not covered *);
+        expect = subheap_expect;
+      };
+    |] )
+
+let promote_class meta r =
+  match (Promote.run meta r.ptr).Promote.outcome with
+  | Promote.Retrieved _ -> `Ok
+  | Promote.Metadata_invalid "MAC mismatch" -> `Mac
+  | _ -> `Geometry
+
+let flip_bit mem r bit =
+  Memory.xor_u8 mem (Int64.add r.rec_addr (Int64.of_int (bit / 8))) (1 lsl (bit mod 8))
+
+let test_mac_memo_bit_flips () =
+  let mem, meta, records = mac_records () in
+  Array.iter
+    (fun r ->
+      for bit = 0 to (r.covered * 8) - 1 do
+        Alcotest.(check bool) "valid" true (promote_class meta r = `Ok);
+        Alcotest.(check bool) "valid again (memo hit)" true (promote_class meta r = `Ok);
+        flip_bit mem r bit;
+        let want = r.expect mem in
+        Alcotest.(check bool)
+          (Printf.sprintf "bit %d of the record at 0x%Lx rejected" bit r.rec_addr)
+          true
+          (want <> `Ok && promote_class meta r = want);
+        flip_bit mem r bit
+      done)
+    records
+
+type memo_op = Lookup | Flip of int | Restore
+
+let prop_mac_memo_agrees =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (pair bool
+           (frequency
+              [
+                (4, return Lookup);
+                (2, map (fun b -> Flip b) (int_bound 239));
+                (1, return Restore);
+              ])))
+  in
+  let print =
+    QCheck.Print.list (fun (sub, op) ->
+        Printf.sprintf "%s:%s"
+          (if sub then "subheap" else "local")
+          (match op with
+          | Lookup -> "lookup"
+          | Flip b -> Printf.sprintf "flip %d" b
+          | Restore -> "restore"))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"memoised MAC check agrees with Mac.verify3/verify6"
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let mem, meta, records = mac_records () in
+      let pristine =
+        Array.map (fun r -> Memory.read_string mem r.rec_addr ~len:r.covered) records
+      in
+      List.for_all
+        (fun (sub, op) ->
+          let i = if sub then 1 else 0 in
+          let r = records.(i) in
+          (match op with
+          | Lookup -> ()
+          | Flip b -> flip_bit mem r (b mod (r.covered * 8))
+          | Restore -> Memory.blit_string mem r.rec_addr pristine.(i));
+          promote_class meta r = r.expect mem)
+        ops)
+
 let tests =
   [
     Alcotest.test_case "mac" `Quick test_mac;
@@ -665,4 +794,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_local_offset_roundtrip;
     QCheck_alcotest.to_alcotest prop_subheap_roundtrip;
     QCheck_alcotest.to_alcotest prop_global_table_roundtrip;
+    Alcotest.test_case "memoised MAC check rejects every bit flip" `Quick
+      test_mac_memo_bit_flips;
+    QCheck_alcotest.to_alcotest prop_mac_memo_agrees;
   ]
