@@ -2,17 +2,25 @@ type access = Load | Store
 
 type t = {
   ways : int;
-  sets : int;
-  set_mask : int; (* sets - 1; sets is a power of two *)
+  mutable set_mask : int; (* sets - 1; sets is a power of two *)
   line_shift : int;
-  tags : int array; (* sets * ways, -1 = invalid; lines are < 2^48 so
-                       they fit an immediate int and tag compares stay
-                       unboxed *)
-  lru : int array; (* sets * ways: higher = more recently used *)
+  mutable tags : int array; (* sets * ways, -1 = invalid; lines are < 2^48
+                               so they fit an immediate int and tag
+                               compares stay unboxed *)
+  mutable lru : int array; (* sets * ways: higher = more recently used *)
   mutable clock : int;
   mutable n_accesses : int;
   mutable n_misses : int;
+  (* the line of the last access; -1 when there is none (after
+     [create], [flush] and [release]) *)
+  mutable last_line : int;
 }
+
+(* The arrays of a released model, kept per domain for the next model
+   that domain creates with the same geometry. A domain runs one
+   machine at a time, so one spare pair is all its next run can use. *)
+let spare_key : (int array * int array) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let create ?(size_bytes = 32768) ?(ways = 8) ?(line_bytes = 64) () =
   if not (Ifp_util.Bits.is_pow2 line_bytes) then invalid_arg "Cache.create";
@@ -20,16 +28,26 @@ let create ?(size_bytes = 32768) ?(ways = 8) ?(line_bytes = 64) () =
   if lines mod ways <> 0 then invalid_arg "Cache.create";
   let sets = lines / ways in
   if not (Ifp_util.Bits.is_pow2 sets) then invalid_arg "Cache.create";
+  let spare = Domain.DLS.get spare_key in
+  let tags, lru =
+    match !spare with
+    | Some (tags, lru) when Array.length tags = lines ->
+      spare := None;
+      Array.fill tags 0 lines (-1);
+      Array.fill lru 0 lines 0;
+      (tags, lru)
+    | Some _ | None -> (Array.make lines (-1), Array.make lines 0)
+  in
   {
     ways;
-    sets;
     set_mask = sets - 1;
     line_shift = Ifp_util.Bits.log2_exact line_bytes;
-    tags = Array.make (sets * ways) (-1);
-    lru = Array.make (sets * ways) 0;
+    tags;
+    lru;
     clock = 0;
     n_accesses = 0;
     n_misses = 0;
+    last_line = -1;
   }
 
 (* Lines are numbered from an address's low 48 bits, taken as an
@@ -49,24 +67,33 @@ let miss t base line =
   done;
   Array.unsafe_set t.tags (base + !victim) line;
   Array.unsafe_set t.lru (base + !victim) t.clock;
+  t.last_line <- line;
   false
 
-(* The way search is a loop, not a local recursive function: a local
-   function captures [t], [base] and [line] in a closure allocated on
-   every probe. *)
+(* A repeat of the last line hits without the way search: nothing has
+   touched the cache since that access, so the line is resident and
+   already holds the newest [lru] stamp of its set. Leaving that stamp
+   (and the clock) as it is keeps every set's LRU order, so hits,
+   misses and victims are those the search gives. The way search is a
+   loop, not a local recursive function: a local function captures [t],
+   [base] and [line] in a closure allocated on every probe. *)
 let[@inline] access_line t line =
   t.n_accesses <- t.n_accesses + 1;
-  t.clock <- t.clock + 1;
-  let base = (line land t.set_mask) * t.ways in
-  let i = ref 0 in
-  while !i < t.ways && Array.unsafe_get t.tags (base + !i) <> line do
-    incr i
-  done;
-  if !i < t.ways then begin
-    Array.unsafe_set t.lru (base + !i) t.clock;
-    true
+  if line = t.last_line then true
+  else begin
+    t.clock <- t.clock + 1;
+    let base = (line land t.set_mask) * t.ways in
+    let i = ref 0 in
+    while !i < t.ways && Array.unsafe_get t.tags (base + !i) <> line do
+      incr i
+    done;
+    if !i < t.ways then begin
+      Array.unsafe_set t.lru (base + !i) t.clock;
+      t.last_line <- line;
+      true
+    end
+    else miss t base line
   end
-  else miss t base line
 
 let access t addr _kind = access_line t (low48 addr lsr t.line_shift)
 
@@ -100,4 +127,17 @@ let reset_stats t =
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.lru 0 (Array.length t.lru) 0;
+  t.last_line <- -1;
+  reset_stats t
+
+let release t =
+  let spare = Domain.DLS.get spare_key in
+  spare := Some (t.tags, t.lru);
+  (* what is left is a one-set model of its own, so a later access
+     cannot touch the arrays the next model on this domain takes *)
+  t.set_mask <- 0;
+  t.tags <- Array.make t.ways (-1);
+  t.lru <- Array.make t.ways 0;
+  t.last_line <- -1;
+  t.clock <- 0;
   reset_stats t

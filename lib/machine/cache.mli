@@ -25,10 +25,19 @@ val line_shift : t -> int
 val access_line : t -> int -> bool
 (** [access_line t line] is {!access} on a line number: an address
     shifted right by {!line_shift}, below [2^48]. Inlined at call sites
-    in other libraries; it allocates nothing. *)
+    in other libraries; it allocates nothing. A repeat of the last
+    accessed line skips the way search; hits, misses, LRU order and the
+    counters are those of the search. *)
 
 val accesses : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
 val flush : t -> unit
 (** Invalidate all lines and reset statistics. *)
+
+val release : t -> unit
+(** [release t] ends [t]'s run: its line arrays go to the calling
+    domain, for the next model it creates with the same geometry
+    (invalidated, with clock and statistics reset). [t] is left a
+    one-set model of its own, which no result should read. Called once
+    per run, after its statistics have been read. *)

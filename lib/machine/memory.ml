@@ -45,6 +45,34 @@ exception Fault of fault_kind * int64
 
 let dummy_page = { data = Bytes.create 0 }
 
+(* Pages of finished runs, kept per domain for the next run on the same
+   domain (campaign workers are domains, so a pool shared between them
+   would need a lock). A short run (a fuzz case) touches a handful of
+   pages; taking them from here instead of allocating a fresh 4 KiB
+   [Bytes] spares the major heap most of its direct allocations. The
+   cap bounds the memory a domain keeps between runs. *)
+let pool_cap = 32
+
+type pool = { free : page array; mutable n_free : int }
+
+let pool_key =
+  Domain.DLS.new_key (fun () -> { free = Array.make pool_cap dummy_page; n_free = 0 })
+
+let pooled_pages () = (Domain.DLS.get pool_key).n_free
+
+(* A zero-filled page: a pooled one wiped, or a fresh one. *)
+let new_page () =
+  let pool = Domain.DLS.get pool_key in
+  if pool.n_free = 0 then { data = Bytes.make page_size '\000' }
+  else begin
+    let n = pool.n_free - 1 in
+    let p = pool.free.(n) in
+    pool.free.(n) <- dummy_page;
+    pool.n_free <- n;
+    Bytes.fill p.data 0 page_size '\000';
+    p
+  end
+
 let create () =
   {
     (* small enough to be a minor-heap allocation: a short run (a fuzz
@@ -111,6 +139,20 @@ let unmap t ~base ~size =
     done
   end
 
+let release t =
+  let pool = Domain.DLS.get pool_key in
+  Pages.iter
+    (fun _ p ->
+      if pool.n_free < pool_cap then begin
+        pool.free.(pool.n_free) <- p;
+        pool.n_free <- pool.n_free + 1
+      end)
+    t.pages;
+  Pages.reset t.pages;
+  t.mapped <- [];
+  Array.fill t.pcache_pno 0 pcache_slots (-1);
+  Array.fill t.pcache_page 0 pcache_slots dummy_page
+
 let is_mapped t a = iv_mem (pno_of_addr a) t.mapped
 
 (* page-cache miss: out of line, so the inlined hit path stays small *)
@@ -120,7 +162,7 @@ let fill_page t a pno s =
     match Pages.find_opt t.pages pno with
     | Some p -> p
     | None ->
-      let p = { data = Bytes.make page_size '\000' } in
+      let p = new_page () in
       Pages.replace t.pages pno p;
       p
   in

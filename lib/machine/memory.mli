@@ -31,8 +31,8 @@ type t = {
     [pcache_pno]/[pcache_page]; a staged probe must index them with
     {!slot}, as every accessor here does. The arrays are created once
     and never replaced, so capturing them at staging time is sound;
-    {!unmap} invalidates their entries in place. Outside that use, treat
-    [t] as abstract and go through the accessors below. *)
+    {!unmap} and {!release} invalidate their entries in place. Outside
+    that use, treat [t] as abstract and go through the accessors below. *)
 
 type fault_kind = Unmapped | Misaligned
 
@@ -61,6 +61,19 @@ val map : t -> base:int64 -> size:int -> unit
 val unmap : t -> base:int64 -> size:int -> unit
 (** Revoke accessibility (contents are discarded). Only whole pages fully
     inside the range are unmapped. *)
+
+val release : t -> unit
+(** [release m] ends [m]'s run: its pages go to the calling domain's
+    page pool, up to {!pool_cap} pages held, for the next page a memory
+    on that domain materialises (wiped to zeros first), and [m] maps
+    nothing any more, so a later access raises [Fault (Unmapped, _)].
+    Called once per run, when the run's result has been read. *)
+
+val pool_cap : int
+(** The most pages a domain's pool holds: 32 (128 KiB). *)
+
+val pooled_pages : unit -> int
+(** Pages the calling domain's pool holds now. *)
 
 val is_mapped : t -> int64 -> bool
 

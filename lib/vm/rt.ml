@@ -275,26 +275,33 @@ let machine (config : config) ~tenv =
   { mem; cache; meta; allocator; inj }
 
 (* The result of a run on machine [m]; [output] and [trace] are
-   reversed, as the engines accumulate them. *)
+   reversed, as the engines accumulate them. Every run of every engine
+   ends here, so this is where the machine's pages and L1 arrays go back
+   to the domain for its next run, once the statistics are read. *)
 let result_of (m : machine) ~outcome ~counters ~output ~trace ~report =
   let alloc_stats = m.allocator.stats () in
   let layout_bytes =
     match m.meta with Some meta -> Meta.layout_bytes_used meta | None -> 0
   in
-  {
-    outcome;
-    counters;
-    alloc_stats;
-    alloc_extra = m.allocator.extra_stats ();
-    cache_accesses = Cache.accesses m.cache;
-    cache_misses = Cache.misses m.cache;
-    mem_footprint = alloc_stats.footprint_bytes + layout_bytes;
-    output = List.rev output;
-    instrument_report = report;
-    trace = List.rev trace;
-    fault_injections =
-      (match m.inj with Some i -> Fault.injections i | None -> []);
-  }
+  let r =
+    {
+      outcome;
+      counters;
+      alloc_stats;
+      alloc_extra = m.allocator.extra_stats ();
+      cache_accesses = Cache.accesses m.cache;
+      cache_misses = Cache.misses m.cache;
+      mem_footprint = alloc_stats.footprint_bytes + layout_bytes;
+      output = List.rev output;
+      instrument_report = report;
+      trace = List.rev trace;
+      fault_injections =
+        (match m.inj with Some i -> Fault.injections i | None -> []);
+    }
+  in
+  Memory.release m.mem;
+  Cache.release m.cache;
+  r
 
 type state = {
   cfg : config;

@@ -208,14 +208,13 @@ let do_store st frame ty addrv v =
   let raw =
     match (ty, v) with
     | Ctype.F64, _ -> Int64.bits_of_float (as_float v)
-    | Ctype.Ptr _, VP (pw, pb) ->
+    | Ctype.Ptr _, VP (pw, (Bounds.Bounds _ as pb))
+      when ifp_mode st && frame.instrumented ->
       (* demote: the pointer value (tag included) goes to memory; the
          bounds register is dropped. ifpextract refreshes poison bits. *)
-      if ifp_mode st && frame.instrumented && pb <> Bounds.No_bounds then begin
-        charge_ifp st Insn.Ifpextract 1;
-        Insn.ifpextract pw ~bounds:pb
-      end
-      else pw
+      charge_ifp st Insn.Ifpextract 1;
+      Insn.ifpextract pw ~bounds:pb
+    | Ctype.Ptr _, VP (pw, _) -> pw
     | _, v -> as_int v
   in
   charge_store st a bytes;
@@ -726,12 +725,11 @@ and exec st frame (s : Ir.stmt) : unit =
       let raw =
         match (gty, v) with
         | Ctype.F64, _ -> Int64.bits_of_float (as_float v)
-        | Ctype.Ptr _, VP (pw, pb) ->
-          if ifp_mode st && frame.instrumented && pb <> Bounds.No_bounds then begin
-            charge_ifp st Insn.Ifpextract 1;
-            Insn.ifpextract pw ~bounds:pb
-          end
-          else pw
+        | Ctype.Ptr _, VP (pw, (Bounds.Bounds _ as pb))
+          when ifp_mode st && frame.instrumented ->
+          charge_ifp st Insn.Ifpextract 1;
+          Insn.ifpextract pw ~bounds:pb
+        | Ctype.Ptr _, VP (pw, _) -> pw
         | _, v -> as_int v
       in
       Memory.write_size st.mem go.gaddr ~bytes raw)

@@ -340,6 +340,194 @@ let test_cache_no_alloc () =
   Alcotest.(check bool) "range probes missed" true
     (Cache.misses c - m0 >= 20_000)
 
+(* The L1 model against a naive 8-way LRU reference: one list per set,
+   most recently used first. The streams favour what the model's
+   last-line fast path has to get right: repeats of the last line,
+   other lines of its set, bursts of new lines that evict the whole set
+   and returns to a line a few accesses back; a flush forgets it. *)
+type l1_op = Recent of int | Same_set of int | Evict | Other of int | Flush
+
+let l1_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return (Recent 0));
+        (3, map (fun i -> Recent i) (int_range 1 15));
+        (4, map (fun k -> Same_set k) (int_bound 15));
+        (2, return Evict);
+        (1, map (fun k -> Other k) (int_bound 1023));
+        (1, return Flush);
+      ])
+
+let l1_op_to_string = function
+  | Recent i -> Printf.sprintf "recent %d" i
+  | Same_set k -> Printf.sprintf "same-set %d" k
+  | Evict -> "evict"
+  | Other k -> Printf.sprintf "line %d" k
+  | Flush -> "flush"
+
+let prop_l1_reference =
+  QCheck.Test.make ~count:300 ~name:"L1 model matches a naive 8-way LRU"
+    (QCheck.make
+       ~print:QCheck.Print.(list l1_op_to_string)
+       QCheck.Gen.(list_size (int_range 1 400) l1_op_gen))
+    (fun ops ->
+      let sets = 64 and ways = 8 in
+      let c = Cache.create () in
+      let ref_sets = Array.make sets [] in
+      let ref_accesses = ref 0 and ref_misses = ref 0 in
+      (* lines accessed, most recent first; [fresh] numbers the tags
+         nothing has used yet *)
+      let history = ref [ 0 ] and fresh = ref 16 in
+      let access line =
+        history := List.filteri (fun i _ -> i < 16) (line :: !history);
+        incr ref_accesses;
+        let s = line land (sets - 1) in
+        let hit = List.mem line ref_sets.(s) in
+        if not hit then incr ref_misses;
+        let rest = List.filter (fun l -> l <> line) ref_sets.(s) in
+        ref_sets.(s) <- List.filteri (fun i _ -> i < ways) (line :: rest);
+        Bool.equal (Cache.access_line c line) hit
+        && Cache.accesses c = !ref_accesses
+        && Cache.misses c = !ref_misses
+      in
+      let set_of_last () = List.hd !history land (sets - 1) in
+      List.for_all
+        (function
+          | Flush ->
+            Cache.flush c;
+            Array.fill ref_sets 0 sets [];
+            ref_accesses := 0;
+            ref_misses := 0;
+            true
+          | Recent i ->
+            access
+              (match List.nth_opt !history i with
+              | Some l -> l
+              | None -> List.hd !history)
+          | Same_set k -> access (set_of_last () + (k * sets))
+          | Evict ->
+            let s = set_of_last () in
+            List.for_all
+              (fun _ ->
+                incr fresh;
+                access (s + (!fresh * sets)))
+              (List.init ways Fun.id)
+          | Other k -> access k)
+        ops)
+
+(* A released L1 model keeps nothing the next model on its domain
+   takes: probing it afterwards leaves the new model's lines alone. *)
+let test_cache_release () =
+  let c1 = Cache.create () in
+  ignore (Cache.access c1 0x1000L Cache.Load);
+  Cache.release c1;
+  let c2 = Cache.create () in
+  Alcotest.(check bool) "next model starts cold" false
+    (Cache.access c2 0x1000L Cache.Load);
+  for i = 0 to 1023 do
+    ignore (Cache.access c1 (Int64.of_int (i * 64)) Cache.Store)
+  done;
+  Alcotest.(check bool) "line kept" true (Cache.access c2 0x1000L Cache.Load);
+  Alcotest.(check int) "stats kept" 2 (Cache.accesses c2)
+
+(* A released memory maps nothing: a late access faults instead of
+   reading zeros or a page another run now owns. *)
+let test_released_memory_faults () =
+  let m = mapped_mem () in
+  Memory.write_u64 m 0x1000L 42L;
+  Memory.write_u64 m 0x5000L 43L;
+  Memory.release m;
+  Alcotest.(check bool) "not mapped" false (Memory.is_mapped m 0x1000L);
+  let faults name f =
+    Alcotest.check_raises name (Memory.Fault (Memory.Unmapped, 0x1000L)) f
+  in
+  faults "read_u8" (fun () -> ignore (Memory.read_u8 m 0x1000L));
+  faults "read_u16" (fun () -> ignore (Memory.read_u16 m 0x1000L));
+  faults "read_u32" (fun () -> ignore (Memory.read_u32 m 0x1000L));
+  faults "read_u64" (fun () -> ignore (Memory.read_u64 m 0x1000L));
+  faults "write_u8" (fun () -> Memory.write_u8 m 0x1000L 1);
+  faults "write_u16" (fun () -> Memory.write_u16 m 0x1000L 1);
+  faults "write_u32" (fun () -> Memory.write_u32 m 0x1000L 1L);
+  faults "write_u64" (fun () -> Memory.write_u64 m 0x1000L 1L);
+  (* the pooled pages come back wiped *)
+  let m' = mapped_mem () in
+  Alcotest.(check int64) "recycled page reads zero" 0L (Memory.read_u64 m' 0x1000L);
+  Alcotest.(check int64) "second recycled page" 0L (Memory.read_u64 m' 0x5000L)
+
+let minic name src =
+  match Frontend.check ~file:name src with Ok p -> p | Error e -> Alcotest.fail e
+
+(* Dirties globals, heap and stack with nonzero words. *)
+let dirty_src =
+  "global i64 g[1024];\n\
+   i64 fill(i64* p, i64 n) {\n\
+  \  let i: i64 = 0;\n\
+  \  while (i < n) { p[i] = 0 - 1 - i; i = i + 1; }\n\
+  \  return n;\n\
+   }\n\
+   i64 main() {\n\
+  \  var buf: i64[1024];\n\
+  \  let h: i64* = malloc(i64, 4096);\n\
+  \  return fill(&g[0], 1024) + fill(&buf[0], 1024) + fill(h, 4096);\n\
+   }\n"
+
+(* Reads globals, heap and stack it never wrote. *)
+let reader_src =
+  "global i64 g[1024];\n\
+   i64 sum(i64* p, i64 n) {\n\
+  \  let i: i64 = 0;\n\
+  \  let acc: i64 = 0;\n\
+  \  while (i < n) { acc = acc + p[i]; i = i + 1; }\n\
+  \  return acc;\n\
+   }\n\
+   i64 main() {\n\
+  \  var buf: i64[1024];\n\
+  \  let h: i64* = malloc(i64, 4096);\n\
+  \  __print_i64(sum(&g[0], 1024));\n\
+  \  __print_i64(sum(&buf[0], 1024));\n\
+  \  __print_i64(sum(h, 4096));\n\
+  \  return 7;\n\
+   }\n"
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* A run on pages an earlier run of the same domain dirtied sees what a
+   run on a fresh domain (an empty pool) sees. *)
+let test_recycled_pages_fresh () =
+  let dirty = minic "dirty.minic" dirty_src
+  and reader = minic "reader.minic" reader_src in
+  List.iter
+    (fun (cname, config) ->
+      let run p = Ifp_fuzz.Oracle.result_sig (Vm.run ~config p) in
+      let fresh = in_fresh_domain (fun () -> run reader) in
+      let pooled, recycled =
+        in_fresh_domain (fun () ->
+            ignore (run dirty);
+            let pooled = Memory.pooled_pages () in
+            (pooled, run reader))
+      in
+      Alcotest.(check bool) (cname ^ ": the first run filled the pool") true
+        (pooled > 0);
+      Alcotest.(check string) (cname ^ ": same result as a fresh domain") fresh
+        recycled)
+    [ ("baseline", Vm.baseline); ("subheap", Vm.ifp_subheap); ("wrapped", Vm.ifp_wrapped) ]
+
+(* A run touching more pages than the cap leaves the pool at the cap. *)
+let test_pool_capped () =
+  let treeadd =
+    Lazy.force (Option.get (Ifp_workloads.Registry.find "treeadd")).prog
+  in
+  let footprint, pooled =
+    in_fresh_domain (fun () ->
+        let r = Vm.run ~config:Vm.baseline treeadd in
+        (r.Vm.mem_footprint, Memory.pooled_pages ()))
+  in
+  Alcotest.(check bool) "the run touched more pages than the cap" true
+    (footprint > Memory.pool_cap * Memory.page_size);
+  Alcotest.(check bool) "the pool holds at most the cap" true
+    (pooled <= Memory.pool_cap)
+
 let tests =
   [
     Alcotest.test_case "rw roundtrip" `Quick test_rw_roundtrip;
@@ -366,4 +554,10 @@ let tests =
     Alcotest.test_case "cache set indexing" `Quick test_cache_set_indexing;
     Alcotest.test_case "cache flush" `Quick test_cache_flush;
     Alcotest.test_case "cache probes allocate nothing" `Quick test_cache_no_alloc;
+    QCheck_alcotest.to_alcotest prop_l1_reference;
+    Alcotest.test_case "released cache shares nothing" `Quick test_cache_release;
+    Alcotest.test_case "released memory faults" `Quick test_released_memory_faults;
+    Alcotest.test_case "recycled pages read like fresh ones" `Quick
+      test_recycled_pages_fresh;
+    Alcotest.test_case "page pool capped" `Quick test_pool_capped;
   ]
