@@ -7,7 +7,7 @@ module J = Ifp_juliet.Juliet
 module B = Ifp_baselines.Baselines
 module H = Ifp_hwmodel.Hwmodel
 module Fault = Ifp_faultinject.Fault
-module Classify = Ifp_faultinject.Classify
+module Verdict = Ifp_faultinject.Verdict
 module Victim = Ifp_workloads.Victim
 
 let paper =
@@ -39,7 +39,8 @@ let juliet_configs = named [ "baseline"; "wrapped"; "subheap"; "subheap-np" ]
 (* the §5.3 walker ablation compares full narrowing against none *)
 let juliet_ext_configs = named [ "subheap"; "no-narrowing" ]
 
-let juliet_job_name case_id which cname =
+let juliet_job_name case_id expect cname =
+  let which = match expect with Verdict.Detect -> "bad" | Verdict.Pass -> "good" in
   Printf.sprintf "juliet/%s/%s/%s" case_id which cname
 
 let juliet_jobs cases cfgs =
@@ -47,14 +48,12 @@ let juliet_jobs cases cfgs =
     (fun (c : J.case) ->
       List.concat_map
         (fun (cname, config) ->
-          [
-            Job.make
-              ~name:(juliet_job_name c.id "bad" cname)
-              ~group:("juliet/" ^ c.id) ~variant:cname ~config c.bad;
-            Job.make
-              ~name:(juliet_job_name c.id "good" cname)
-              ~group:("juliet/" ^ c.id) ~variant:cname ~config c.good;
-          ])
+          List.map
+            (fun expect ->
+              Job.make
+                ~name:(juliet_job_name c.id expect cname)
+                ~group:("juliet/" ^ c.id) ~variant:cname ~config (J.program c expect))
+            [ Verdict.Detect; Verdict.Pass ])
         cfgs)
     (Lazy.force cases)
 
@@ -503,15 +502,13 @@ let baselines rows =
 
 (* ---------------- Extensions / ablations ---------------- *)
 
-let juliet_summary result cases cname =
-  snd
-    (J.run_all_with
-       ~run:(fun (c : J.case) which ->
-         let which = match which with `Bad -> "bad" | `Good -> "good" in
-         result (juliet_job_name c.id which cname))
+let juliet_tally result cases cname =
+  Verdict.tally
+    (J.rows ~config:cname
+       ~run:(fun (c : J.case) expect -> result (juliet_job_name c.id expect cname))
        (Lazy.force cases))
 
-let detected (s : J.summary) = out_of s.detected s.total
+let detected (t : Verdict.tally) = out_of t.detected t.total
 
 let extensions result =
   (* A1b: the mixed allocator fixes the subheap's array-fragmentation cost *)
@@ -546,8 +543,8 @@ let extensions result =
        line "layout-walker ablation (saves {luts} LUTs in the area model):"
          [ ("luts", count (H.added_luts H.full - H.added_luts no_walker)) ];
        line "  full narrowing: {full} detected; walker disabled: {ablated}"
-         [ ("full", detected (juliet_summary result juliet_cases "subheap"));
-           ("ablated", detected (juliet_summary result juliet_cases "no-narrowing")) ];
+         [ ("full", detected (juliet_tally result juliet_cases "subheap"));
+           ("ablated", detected (juliet_tally result juliet_cases "no-narrowing")) ];
        text "  -> the difference is exactly the intra-object cases only hardware";
        text "     narrowing can catch after a pointer's round trip through memory";
        Blank;
@@ -578,10 +575,10 @@ let juliet result =
   make ~id:"juliet" ~title:"Functional evaluation (§5.1): Juliet-style suite"
     (List.map
        (fun (c, _) ->
-         let s = juliet_summary result juliet_cases c in
+         let t = juliet_tally result juliet_cases c in
          line
            (Printf.sprintf "  %-12s {%s} bad cases detected, {%s.good} good-case failures" c c c)
-           [ (c, detected s); (c ^ ".good", count s.good_failures) ])
+           [ (c, detected t); (c ^ ".good", count t.pass_failures) ])
        juliet_configs)
     [
       ( "Juliet: IFP 72/72, baseline 0/72",
@@ -591,6 +588,19 @@ let juliet result =
     ]
 
 (* ---------------- Fault-injection coverage ---------------- *)
+
+(* the fault-table column of a faulted run: a run that finished without
+   its fault landing says nothing of the defense *)
+let fault_column ~fired : Verdict.t -> string = function
+  | Detected { expected = true; _ } -> "detected"
+  | Detected { expected = false; _ } -> "other-trap"
+  | Error _ -> "aborted"
+  | (Silent | Benign) when not fired -> "not-fired"
+  | Silent -> "silent"
+  | Benign -> "benign"
+
+let fault_columns =
+  [ "detected"; "other-trap"; "silent"; "benign"; "not-fired"; "aborted"; "failed" ]
 
 (* one row per (class, variant) cell: its runs classified against the
    variant's uninjected golden run, and the detection rate over the
@@ -603,30 +613,22 @@ let fault_table look ~seeds classes variants golden_name =
   in
   let cell cls (vname, _) =
     let golden = golden vname in
-    let runs =
+    let columns =
       List.init seeds (fun seed ->
-          Option.map
-            (fun r ->
-              Classify.classify ~cls ~fired:(r.Vm.fault_injections <> []) ~golden
-                ~faulted:(Vm.observe r))
-            (look (fault_name cls vname seed)))
+          match look (fault_name cls vname seed) with
+          | None -> "failed"
+          | Some r ->
+            fault_column ~fired:(r.Vm.fault_injections <> [])
+              (Verdict.classify ~expect:(Fault.expected_trap cls) ~golden (Vm.observe r)))
     in
-    let n p = List.length (List.filter p runs) in
-    let detected expected =
-      n (function Some (Classify.Detected d) -> d.expected = expected | _ -> false)
-    in
-    let is c = n (( = ) (Some c)) in
-    let aborted = n (function Some (Classify.Aborted _) -> true | _ -> false) in
-    let caught = detected true + detected false in
-    let fired = caught + is Classify.Silent_corruption + is Classify.Benign + aborted in
-    [ Text (Fault.class_name cls); Text vname; count (detected true); count (detected false);
-      count (is Classify.Silent_corruption); count (is Classify.Benign);
-      count (is Classify.Not_fired); count aborted; count (n Option.is_none);
-      (if fired = 0 then Text "-" else pct0 (100.0 *. float_of_int caught /. float_of_int fired)) ]
+    let n col = List.length (List.filter (String.equal col) columns) in
+    let caught = n "detected" + n "other-trap" in
+    let fired = caught + n "silent" + n "benign" + n "aborted" in
+    (Text (Fault.class_name cls) :: Text vname :: List.map (fun c -> count (n c)) fault_columns)
+    @ [ (if fired = 0 then Text "-" else pct0 (100.0 *. float_of_int caught /. float_of_int fired)) ]
   in
   table
-    [ "fault class"; "variant"; "detected"; "other-trap"; "silent"; "benign"; "not-fired";
-      "aborted"; "failed"; "detection" ]
+    (("fault class" :: "variant" :: fault_columns) @ [ "detection" ])
     (List.concat_map (fun cls -> List.map (cell cls) variants) classes)
 
 let none_aborted_or_failed a =
@@ -710,8 +712,8 @@ let temporal result =
         table [ "config"; "detected"; "missed"; "good failures" ]
           (List.map
              (fun (c, _) ->
-               let s = juliet_summary result temporal_cases c in
-               [ Text c; detected s; count s.missed; count s.good_failures ])
+               let t = juliet_tally result temporal_cases c in
+               [ Text c; detected t; count t.missed; count t.pass_failures ])
              temporal_configs);
       ]
       [

@@ -13,6 +13,12 @@ val jobs : seeds:int -> string -> Ifp_campaign.Job.t list
 (** The target's campaign jobs, each name once. [seeds] is the number
     of fault plans per class and variant ([faults] only). *)
 
+val fault_column : fired:bool -> Ifp_faultinject.Verdict.t -> string
+(** The column of the [faults] tables a faulted run lands in:
+    [detected], [other-trap], [silent], [benign], [not-fired] or
+    [aborted]. [fired] is whether the fault landed: a run that finished
+    without it is [not-fired], whatever its verdict. *)
+
 val temporal_workloads : string list
 (** The workloads of the [temporal] overhead table, each with a claim
     that its runs agree on the checksum. *)

@@ -3,6 +3,7 @@ module Meta = Ifp_metadata.Meta
 module Mac = Ifp_metadata.Mac
 module Tag = Ifp_isa.Tag
 module Bounds = Ifp_isa.Bounds
+module Trap = Ifp_isa.Trap
 module Prng = Ifp_util.Prng
 module Bits = Ifp_util.Bits
 
@@ -42,6 +43,33 @@ let class_name = function
 
 let class_of_name s =
   List.find_opt (fun c -> String.equal (class_name c) s) all_classes
+
+(* Poisoned_dereference appears everywhere a promote can poison the
+   pointer instead of trapping immediately; Heap_smash may legitimately
+   surface as any trap, depending on what the bytes hit. *)
+let expected_trap cls (trap : Trap.t) =
+  match (cls, trap) with
+  | Heap_smash, _ -> true
+  | Tag_flip, _ -> true
+  | Bounds_corrupt, (Trap.Bounds_violation _ | Trap.Poisoned_dereference _) -> true
+  | ( Meta_tamper,
+      ( Trap.Mac_mismatch _ | Trap.Invalid_metadata _ | Trap.Poisoned_dereference _
+      | Trap.Bounds_violation _ ) ) ->
+    true
+  | Mac_flip, (Trap.Mac_mismatch _ | Trap.Invalid_metadata _ | Trap.Poisoned_dereference _)
+    ->
+    true
+  | Stale_meta, _ ->
+    (* wiped metadata can surface as any of the five traps, depending on
+       what the zeroed record aliases *)
+    true
+  | (Uaf_use | Double_free), _ ->
+    (* temporal mode pins these to Use_after_free / Write_to_freed /
+       Double_free at the stale promote or re-free; outside it the
+       injection is a spatial wipe and, like [Stale_meta], any trap is a
+       legitimate detection *)
+    true
+  | (Bounds_corrupt | Meta_tamper | Mac_flip), _ -> false
 
 type trigger =
   | Nth_promote of int

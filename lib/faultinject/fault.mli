@@ -47,6 +47,10 @@ val all_classes : fault_class list
 val class_name : fault_class -> string
 val class_of_name : string -> fault_class option
 
+val expected_trap : fault_class -> Ifp_isa.Trap.t -> bool
+(** Whether a trap is one the fault class is architecturally supposed
+    to raise: the [expect] of its {!Verdict.classify}. *)
+
 (** When the corruption happens, counted in dynamic events. *)
 type trigger =
   | Nth_promote of int

@@ -3,7 +3,7 @@ module Engines = Ifp_vm.Engines
 module Counters = Ifp_vm.Counters
 module Trap = Ifp_isa.Trap
 module Fault = Ifp_faultinject.Fault
-module Classify = Ifp_faultinject.Classify
+module Verdict = Ifp_faultinject.Verdict
 module Prng = Ifp_util.Prng
 
 type failure = { oracle : string; site : string; detail : string }
@@ -155,9 +155,9 @@ let equivalence ~baseline results =
 
 (* one armed plan per class against [cfg] (plan seeds derived from
    [fault_seed]), all running [image]; the (class, plan, run) of every
-   plan that classifies as silent corruption against [golden] *)
+   plan whose fault landed and whose run is [Silent] against [golden] *)
 let silent_plans ~fault_seed classes cfg image golden =
-  let golden_obs = Vm.observe golden in
+  let golden = Vm.observe golden in
   List.concat
     (List.mapi
        (fun k cls ->
@@ -165,11 +165,10 @@ let silent_plans ~fault_seed classes cfg image golden =
            Fault.default_plan cls ~seed:(Prng.mix2 fault_seed (Int64.of_int k))
          in
          let r = Vm.run_image ~config:{ cfg with Vm.fault_plan = Some plan } image in
-         let fired = r.Vm.fault_injections <> [] in
          match
-           Classify.classify ~cls ~fired ~golden:golden_obs ~faulted:(Vm.observe r)
+           Verdict.classify ~expect:(Fault.expected_trap cls) ~golden (Vm.observe r)
          with
-         | Classify.Silent_corruption -> [ (cls, plan, r) ]
+         | Verdict.Silent when r.Vm.fault_injections <> [] -> [ (cls, plan, r) ]
          | _ -> [])
        classes)
 
@@ -193,7 +192,7 @@ let check ?(fault_seed = 1L) prog =
   let equiv_fails =
     equivalence ~baseline:base_r (List.map (fun (n, _, (_, r)) -> (n, r)) runs)
   in
-  (* oracle C: armed plans never classify silent for defended classes *)
+  (* oracle C: no armed plan of a defended class is [Silent] *)
   let fault_fails =
     match golden.Vm.outcome with
     | Vm.Finished _ ->
@@ -236,7 +235,7 @@ let check_temporal ?(fault_seed = 1L) ?(expect_fault = false) prog =
       | false, Vm.Finished _ ->
         (* a safe program must finish under temporal mode; it is then the
            golden for the armed plans: temporal-mode IFP must never
-           classify a defended temporal fault as silent corruption *)
+           let a defended temporal fault run [Silent] *)
         List.concat_map
           (fun (cls, plan, r) ->
             fail "temporal-faults"

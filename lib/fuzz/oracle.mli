@@ -15,9 +15,10 @@
       the same exit value and the same output as baseline:
       instrumentation may change costs, never behavior;
     - oracle [faults] — an armed {!Ifp_faultinject} plan of each
-      defended class against the subheap configuration must never
-      classify as silent corruption: the defense either detects the
-      corruption, aborts, or the fault was never consumed.
+      defended class against the subheap configuration must never be
+      an {!Ifp_faultinject.Verdict.Silent} run whose fault landed: the
+      defense either detects the corruption, aborts, or the fault was
+      never consumed.
 
     A baseline run that does not finish is reported as oracle
     [wellformed] — a generator bug surfaced through the same pipeline.
@@ -116,6 +117,6 @@ val check_temporal :
       [Double_free]), never finish and never trap for a spatial reason;
     - with [expect_fault:false] (default, a safe program): the run must
       finish, and one armed plan per {!temporal_defended} class must
-      never classify as silent corruption (oracle [temporal-faults]) —
+      never be [Silent] with its fault landed (oracle [temporal-faults]) —
       temporal-mode IFP either detects the injected free, aborts, or the
       trigger never fired. *)

@@ -1,6 +1,7 @@
 open Ifp_compiler.Ir
 module Ctype = Ifp_types.Ctype
 module Vm = Ifp_vm.Vm
+module Verdict = Ifp_faultinject.Verdict
 
 type kind =
   | Overflow
@@ -308,54 +309,15 @@ let all_cases () =
 
 (* ------------------------------------------------------------------ *)
 
-type verdict = Detected | Silent | Error of string
+let program c = function Verdict.Detect -> c.bad | Verdict.Pass -> c.good
 
-type outcome = { case : case; bad_verdict : verdict; good_ok : bool }
-
-let outcome_of_results case ~bad ~good =
-  let bad_verdict =
-    match bad.Vm.outcome with
-    | Vm.Trapped _ -> Detected
-    | Vm.Finished _ -> Silent
-    | Vm.Aborted m -> Error (Vm.abort_reason_string m)
-  in
-  let good_ok =
-    match good.Vm.outcome with
-    | Vm.Finished _ -> true
-    | Vm.Trapped _ | Vm.Aborted _ -> false
-  in
-  { case; bad_verdict; good_ok }
-
-type summary = {
-  total : int;
-  detected : int;
-  missed : int;
-  good_failures : int;
-}
-
-let summarize outcomes =
-  let summary =
-    List.fold_left
-      (fun s o ->
-        {
-          total = s.total + 1;
-          detected = (s.detected + match o.bad_verdict with Detected -> 1 | _ -> 0);
-          missed = (s.missed + match o.bad_verdict with Silent -> 1 | _ -> 0);
-          good_failures = s.good_failures + (if o.good_ok then 0 else 1);
-        })
-      { total = 0; detected = 0; missed = 0; good_failures = 0 }
-      outcomes
-  in
-  (outcomes, summary)
-
-let run_all_with ~run cases =
-  summarize
-    (List.map
-       (fun case ->
-         outcome_of_results case ~bad:(run case `Bad) ~good:(run case `Good))
-       cases)
-
-let run_all ~config =
-  run_all_with ~run:(fun case -> function
-    | `Good -> Vm.run ~config case.good
-    | `Bad -> Vm.run ~config case.bad)
+(* every trap of a bad program is the detection the suite asks for *)
+let rows ~config ~run cases =
+  List.concat_map
+    (fun c ->
+      List.map
+        (fun expect ->
+          let verdict = Verdict.classify ~expect:(fun _ -> true) (Vm.observe (run c expect)) in
+          { Verdict.program = c; config; expect; verdict })
+        [ Verdict.Detect; Verdict.Pass ])
+    cases

@@ -10,12 +10,14 @@
     variants), a {e good} program that stays in bounds and a {e bad}
     program whose only difference is the out-of-bounds access.
 
-    The experimental question is the paper's: every bad case must trap
-    under In-Fat Pointer, every good case must pass, and the baseline
-    must stay silent on (almost all of) the bad cases. Intra-object cases
-    additionally separate subobject granularity from object granularity:
-    object-level schemes (and the no-promote control) cannot catch
-    them. *)
+    A case yields two {!Ifp_faultinject.Verdict} rows ({!rows}): its
+    bad program expecting [Detect], its good program expecting [Pass].
+    The experimental question is the paper's: every bad program must be
+    [Detected] under In-Fat Pointer, every good program must finish,
+    and the baseline must stay [Silent] on (almost all of) the bad
+    programs. Intra-object cases additionally separate subobject
+    granularity from object granularity: object-level schemes (and the
+    no-promote control) cannot catch them. *)
 
 type kind =
   | Overflow
@@ -74,27 +76,16 @@ val temporal_cases : unit -> case list
     spatial-only configuration promotes the stale pointer against the
     churn object's valid metadata and stays silent. *)
 
-type verdict = Detected | Silent | Error of string
+val program : case -> Ifp_faultinject.Verdict.expect -> Ifp_compiler.Ir.program
+(** The bad program of a case for [Detect], the good one for [Pass]. *)
 
-type outcome = {
-  case : case;
-  bad_verdict : verdict;  (** what happened on the bad program *)
-  good_ok : bool;  (** the good program finished cleanly *)
-}
-
-type summary = {
-  total : int;
-  detected : int;
-  missed : int;
-  good_failures : int;
-}
-
-val run_all : config:Ifp_vm.Vm.config -> case list -> outcome list * summary
-
-val run_all_with :
-  run:(case -> [ `Good | `Bad ] -> Ifp_vm.Vm.result) ->
+val rows :
+  config:string ->
+  run:(case -> Ifp_faultinject.Verdict.expect -> Ifp_vm.Vm.result) ->
   case list ->
-  outcome list * summary
-(** Like {!run_all}, but the per-program results come from [run] — the
-    hook the campaign engine uses to serve cached/parallel results while
-    the verdict logic stays here. *)
+  case Ifp_faultinject.Verdict.row list
+(** The verdict rows of [cases] under the config named [config]: for
+    each case its bad program expecting [Detect], then its good one
+    expecting [Pass], with the results [run] gives — a direct
+    [Vm.run] of {!program}, or the campaign's cached results. Any trap
+    is the expected one. *)

@@ -11,9 +11,6 @@ type t = {
   mutable clock : int;
   mutable n_accesses : int;
   mutable n_misses : int;
-  (* the line of the last access; -1 when there is none (after
-     [create], [flush] and [release]) *)
-  mutable last_line : int;
 }
 
 (* The arrays of a released model, kept per domain for the next model
@@ -47,7 +44,6 @@ let create ?(size_bytes = 32768) ?(ways = 8) ?(line_bytes = 64) () =
     clock = 0;
     n_accesses = 0;
     n_misses = 0;
-    last_line = -1;
   }
 
 (* Lines are numbered from an address's low 48 bits, taken as an
@@ -67,33 +63,24 @@ let miss t base line =
   done;
   Array.unsafe_set t.tags (base + !victim) line;
   Array.unsafe_set t.lru (base + !victim) t.clock;
-  t.last_line <- line;
   false
 
-(* A repeat of the last line hits without the way search: nothing has
-   touched the cache since that access, so the line is resident and
-   already holds the newest [lru] stamp of its set. Leaving that stamp
-   (and the clock) as it is keeps every set's LRU order, so hits,
-   misses and victims are those the search gives. The way search is a
-   loop, not a local recursive function: a local function captures [t],
-   [base] and [line] in a closure allocated on every probe. *)
+(* The way search is a loop, not a local recursive function: a local
+   function captures [t], [base] and [line] in a closure allocated on
+   every probe. *)
 let[@inline] access_line t line =
   t.n_accesses <- t.n_accesses + 1;
-  if line = t.last_line then true
-  else begin
-    t.clock <- t.clock + 1;
-    let base = (line land t.set_mask) * t.ways in
-    let i = ref 0 in
-    while !i < t.ways && Array.unsafe_get t.tags (base + !i) <> line do
-      incr i
-    done;
-    if !i < t.ways then begin
-      Array.unsafe_set t.lru (base + !i) t.clock;
-      t.last_line <- line;
-      true
-    end
-    else miss t base line
+  t.clock <- t.clock + 1;
+  let base = (line land t.set_mask) * t.ways in
+  let i = ref 0 in
+  while !i < t.ways && Array.unsafe_get t.tags (base + !i) <> line do
+    incr i
+  done;
+  if !i < t.ways then begin
+    Array.unsafe_set t.lru (base + !i) t.clock;
+    true
   end
+  else miss t base line
 
 let access t addr _kind = access_line t (low48 addr lsr t.line_shift)
 
@@ -127,7 +114,6 @@ let reset_stats t =
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.lru 0 (Array.length t.lru) 0;
-  t.last_line <- -1;
   reset_stats t
 
 let release t =
@@ -138,6 +124,5 @@ let release t =
   t.set_mask <- 0;
   t.tags <- Array.make t.ways (-1);
   t.lru <- Array.make t.ways 0;
-  t.last_line <- -1;
   t.clock <- 0;
   reset_stats t

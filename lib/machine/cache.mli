@@ -25,9 +25,7 @@ val line_shift : t -> int
 val access_line : t -> int -> bool
 (** [access_line t line] is {!access} on a line number: an address
     shifted right by {!line_shift}, below [2^48]. Inlined at call sites
-    in other libraries; it allocates nothing. A repeat of the last
-    accessed line skips the way search; hits, misses, LRU order and the
-    counters are those of the search. *)
+    in other libraries; it allocates nothing. *)
 
 val accesses : t -> int
 val misses : t -> int

@@ -38,7 +38,7 @@ let trace_event_string = function
 
 let observe r =
   {
-    Ifp_faultinject.Classify.outcome =
+    Ifp_faultinject.Verdict.outcome =
       (match r.outcome with
       | Finished n -> `Finished n
       | Trapped t -> `Trapped t

@@ -178,5 +178,6 @@ val trace_event_string : trace_event -> string
 (** [promote:PTR:OUTCOME:BOUNDS], [register:WHAT:PTR:SIZE],
     [deregister:WHAT:PTR] or [trap:MSG], pointers in hex. *)
 
-val observe : result -> Ifp_faultinject.Classify.observed
-(** The run as the fault classifier sees it: outcome and output. *)
+val observe : result -> Ifp_faultinject.Verdict.observed
+(** The run as {!Ifp_faultinject.Verdict.classify} sees it: outcome and
+    output. *)

@@ -3,6 +3,7 @@
 
 open Core
 module J = Ifp_juliet.Juliet
+module Verdict = Ifp_faultinject.Verdict
 module Registry = Ifp_workloads.Registry
 
 let test_mixed_allocator_semantics () =
@@ -21,24 +22,24 @@ let test_mixed_allocator_semantics () =
     [ "em3d"; "treeadd"; "health"; "bzip2" ]
 
 let test_mixed_protection_complete () =
-  let _, s = J.run_all ~config:Vm.ifp_mixed (J.all_cases ()) in
-  Alcotest.(check int) "mixed detects all" s.J.total s.J.detected;
-  Alcotest.(check int) "no false positives" 0 s.J.good_failures
+  let t = Verdict.tally (Test_juliet.rows "mixed" Vm.ifp_mixed (J.all_cases ())) in
+  Alcotest.(check int) "mixed detects all" t.total t.detected;
+  Alcotest.(check int) "no false positives" 0 t.pass_failures
 
 let test_no_narrowing_object_granularity () =
-  let cases = J.all_cases () in
-  let outcomes, s = J.run_all ~config:(Vm.no_narrowing Vm.Alloc_subheap) cases in
+  let rows =
+    Test_juliet.rows "no-narrowing" (Vm.no_narrowing Vm.Alloc_subheap) (J.all_cases ())
+  in
   (* exactly the intra-object/nested-intra memory-round-trip cases are lost *)
-  Alcotest.(check int) "64/72" 64 s.J.detected;
+  Alcotest.(check int) "64/72" 64 (Verdict.tally rows).detected;
   List.iter
-    (fun (o : J.outcome) ->
-      match o.bad_verdict with
-      | J.Silent ->
-        Alcotest.(check bool) (o.case.id ^ " is intra-object via-global") true
-          ((o.case.kind = J.Intra_object || o.case.kind = J.Nested_intra)
-          && (o.case.flow = J.Via_global || o.case.flow = J.Via_field))
-      | _ -> ())
-    outcomes
+    (fun (r : J.case Verdict.row) ->
+      let c = r.program in
+      if r.expect = Verdict.Detect && r.verdict = Verdict.Silent then
+        Alcotest.(check bool) (c.id ^ " is intra-object via-global") true
+          ((c.kind = J.Intra_object || c.kind = J.Nested_intra)
+          && (c.flow = J.Via_global || c.flow = J.Via_field)))
+    rows
 
 let test_promote_narrow_flag () =
   (* the architectural knob itself: promote with ~narrow:false returns

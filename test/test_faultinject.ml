@@ -5,10 +5,11 @@
 
 open Core
 module Fault = Ifp_faultinject.Fault
-module Classify = Ifp_faultinject.Classify
+module Verdict = Ifp_faultinject.Verdict
 module Victim = Ifp_workloads.Victim
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
+module Artifacts = Ifp_artifacts.Artifacts
 
 let victim = lazy (Victim.program ())
 
@@ -19,8 +20,8 @@ let classify_seed config cls seed =
   let plan = Fault.default_plan cls ~seed:(Int64.of_int seed) in
   let golden = Vm.observe (run_planned config None) in
   let r = run_planned config (Some plan) in
-  let fired = r.Vm.fault_injections <> [] in
-  (fired, Classify.classify ~cls ~fired ~golden ~faulted:(Vm.observe r))
+  ( r.Vm.fault_injections <> [],
+    Verdict.classify ~expect:(Fault.expected_trap cls) ~golden (Vm.observe r) )
 
 (* Every class, on the full Ifp variant: the fault fires, the harness
    survives, and the run is classified. The defended classes — tag,
@@ -39,16 +40,14 @@ let test_ifp_every_class_classified () =
           | Fault.Heap_smash ->
             Alcotest.(check bool) (name ^ ": classified") true
               (match c with
-              | Classify.Detected _ | Classify.Silent_corruption
-              | Classify.Benign ->
-                true
-              | Classify.Not_fired | Classify.Aborted _ -> false)
+              | Verdict.Detected _ | Verdict.Silent | Verdict.Benign -> true
+              | Verdict.Error _ -> false)
           | _ ->
             Alcotest.(check bool)
               (name ^ ": detected with the expected trap")
               true
               (match c with
-              | Classify.Detected { expected; _ } -> expected
+              | Verdict.Detected { expected; _ } -> expected
               | _ -> false))
         [ 0; 1 ])
     Fault.all_classes
@@ -63,10 +62,53 @@ let test_baseline_heap_smash_is_silent () =
   List.iter
     (fun (_, c) ->
       Alcotest.(check bool) "baseline never detects" false
-        (match c with Classify.Detected _ -> true | _ -> false))
+        (match c with Verdict.Detected _ -> true | _ -> false))
     results;
   Alcotest.(check bool) "some smash silently corrupts baseline" true
-    (List.exists (fun (_, c) -> c = Classify.Silent_corruption) results)
+    (List.exists (fun (fired, c) -> fired && c = Verdict.Silent) results)
+
+(* Every faulted outcome x fired x golden-equal lands in exactly one
+   column of the faults tables; the mapping both faults goldens rest on.
+   The class is [Bounds_corrupt], for which a bounds violation is the
+   expected trap and a MAC mismatch is not. *)
+let test_fault_columns () =
+  let golden = { Verdict.outcome = `Finished 7L; output = [ "golden" ] } in
+  let outcomes =
+    [
+      ("finished", `Finished 7L);
+      ("trapped-expected", `Trapped (Trap.Bounds_violation { ptr = 0L; lo = 0L; hi = 0L; size = 8 }));
+      ("trapped-unexpected", `Trapped (Trap.Mac_mismatch { ptr = 0L }));
+      ("aborted", `Aborted "cycle budget");
+    ]
+  in
+  let expected =
+    [
+      ("finished", true, true, "benign"); ("finished", true, false, "silent");
+      ("finished", false, true, "not-fired"); ("finished", false, false, "not-fired");
+      ("trapped-expected", true, true, "detected"); ("trapped-expected", true, false, "detected");
+      ("trapped-expected", false, true, "detected"); ("trapped-expected", false, false, "detected");
+      ("trapped-unexpected", true, true, "other-trap");
+      ("trapped-unexpected", true, false, "other-trap");
+      ("trapped-unexpected", false, true, "other-trap");
+      ("trapped-unexpected", false, false, "other-trap");
+      ("aborted", true, true, "aborted"); ("aborted", true, false, "aborted");
+      ("aborted", false, true, "aborted"); ("aborted", false, false, "aborted");
+    ]
+  in
+  List.iter
+    (fun (outcome, fired, golden_equal, column) ->
+      let faulted =
+        {
+          Verdict.outcome = List.assoc outcome outcomes;
+          output = (if golden_equal then golden.output else [ "corrupted" ]);
+        }
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s fired=%b golden-equal=%b" outcome fired golden_equal)
+        column
+        (Artifacts.fault_column ~fired
+           (Verdict.classify ~expect:(Fault.expected_trap Fault.Bounds_corrupt) ~golden faulted)))
+    expected
 
 (* Same plan, same program: identical corruption record, outcome and
    output — the property that makes campaign results cacheable. *)
@@ -151,6 +193,8 @@ let tests =
       test_ifp_every_class_classified;
     Alcotest.test_case "Baseline: heap smash corrupts silently" `Quick
       test_baseline_heap_smash_is_silent;
+    Alcotest.test_case "every outcome lands in one faults column" `Quick
+      test_fault_columns;
     Alcotest.test_case "same seed, same classification" `Quick
       test_same_seed_same_classification;
     Alcotest.test_case "fault plan is part of the job digest" `Quick

@@ -6,29 +6,31 @@
 
 open Core
 module J = Ifp_juliet.Juliet
+module Verdict = Ifp_faultinject.Verdict
 
 let cases = lazy (J.all_cases ())
+
+(* the verdict rows of [cases] run under [config], named [name] *)
+let rows name config cases =
+  J.rows ~config:name ~run:(fun c expect -> Vm.run ~config (J.program c expect)) cases
 
 let test_case_count () =
   Alcotest.(check int) "6 kinds x 2 places x 6 flows" 72
     (List.length (Lazy.force cases))
 
 let test_no_promote_misses_memory_flows () =
-  let config = Vm.no_promote Vm.Alloc_subheap in
-  let outcomes, s = J.run_all ~config (Lazy.force cases) in
-  Alcotest.(check int) "misses exactly the 24 memory-round-trip cases" 24
-    s.J.missed;
+  let rows = rows "subheap-np" (Vm.no_promote Vm.Alloc_subheap) (Lazy.force cases) in
+  let t = Verdict.tally rows in
+  Alcotest.(check int) "misses exactly the 24 memory-round-trip cases" 24 t.missed;
   List.iter
-    (fun (o : J.outcome) ->
-      match o.bad_verdict with
-      | J.Silent ->
+    (fun (r : J.case Verdict.row) ->
+      if r.expect = Verdict.Detect && r.verdict = Verdict.Silent then
         Alcotest.(check bool)
-          (o.case.id ^ " missed case is a memory round trip")
+          (r.program.id ^ " missed case is a memory round trip")
           true
-          (o.case.flow = J.Via_global || o.case.flow = J.Via_field)
-      | _ -> ())
-    outcomes;
-  Alcotest.(check int) "still no false positives" 0 s.J.good_failures
+          (r.program.flow = J.Via_global || r.program.flow = J.Via_field))
+    rows;
+  Alcotest.(check int) "still no false positives" 0 t.pass_failures
 
 let test_intra_object_needs_subobject_granularity () =
   (* run only intra-object cases under full IFP: all caught *)
@@ -37,8 +39,8 @@ let test_intra_object_needs_subobject_granularity () =
       (fun (c : J.case) -> c.kind = J.Intra_object || c.kind = J.Nested_intra)
       (Lazy.force cases)
   in
-  let _, s = J.run_all ~config:Vm.ifp_subheap intra in
-  Alcotest.(check int) "all intra-object detected" s.J.total s.J.detected
+  let t = Verdict.tally (rows "subheap" Vm.ifp_subheap intra) in
+  Alcotest.(check int) "all intra-object detected" t.total t.detected
 
 let test_good_programs_return_same_value_instrumented () =
   (* instrumentation must not change the semantics of correct programs *)

@@ -341,10 +341,10 @@ let test_cache_no_alloc () =
     (Cache.misses c - m0 >= 20_000)
 
 (* The L1 model against a naive 8-way LRU reference: one list per set,
-   most recently used first. The streams favour what the model's
-   last-line fast path has to get right: repeats of the last line,
-   other lines of its set, bursts of new lines that evict the whole set
-   and returns to a line a few accesses back; a flush forgets it. *)
+   most recently used first. The streams favour what LRU order has to
+   get right: repeats of the last line, other lines of its set, bursts
+   of new lines that evict the whole set, returns to a line a few
+   accesses back, and flushes. *)
 type l1_op = Recent of int | Same_set of int | Evict | Other of int | Flush
 
 let l1_op_gen =

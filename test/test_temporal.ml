@@ -9,6 +9,7 @@
 
 open Core
 module J = Ifp_juliet.Juliet
+module Verdict = Ifp_faultinject.Verdict
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
@@ -235,22 +236,20 @@ let test_temporal_detection_both_allocs () =
   List.iter
     (fun (name, alloc) ->
       let config = temporal_cfg alloc in
-      let _, s = J.run_all ~config (Lazy.force tcases) in
-      Alcotest.(check int) (name ^ " detects all temporal bads") s.J.total
-        s.J.detected;
-      Alcotest.(check int) (name ^ " no false positives") 0 s.J.good_failures)
+      let t = Verdict.tally (Test_juliet.rows (name ^ "-t") config (Lazy.force tcases)) in
+      Alcotest.(check int) (name ^ " detects all temporal bads") t.total t.detected;
+      Alcotest.(check int) (name ^ " no false positives") 0 t.pass_failures)
     [ ("wrapped", Vm.Alloc_wrapped); ("subheap", Vm.Alloc_subheap) ]
 
 let test_spatial_misses_temporal () =
   (* the point of the extension: a spatial-only config promotes the
      stale pointer against the churn object's valid metadata *)
-  let _, s = J.run_all ~config:Vm.ifp_wrapped (Lazy.force tcases) in
-  Alcotest.(check int) "spatial IFP misses every temporal bad" s.J.total
-    s.J.missed;
-  Alcotest.(check int) "and stays clean on the goods" 0 s.J.good_failures;
-  let _, sb = J.run_all ~config:Vm.baseline (Lazy.force tcases) in
-  Alcotest.(check int) "baseline detects nothing" 0 sb.J.detected;
-  Alcotest.(check int) "baseline goods fine" 0 sb.J.good_failures
+  let t = Verdict.tally (Test_juliet.rows "wrapped" Vm.ifp_wrapped (Lazy.force tcases)) in
+  Alcotest.(check int) "spatial IFP misses every temporal bad" t.total t.missed;
+  Alcotest.(check int) "and stays clean on the goods" 0 t.pass_failures;
+  let tb = Verdict.tally (Test_juliet.rows "baseline" Vm.baseline (Lazy.force tcases)) in
+  Alcotest.(check int) "baseline detects nothing" 0 tb.detected;
+  Alcotest.(check int) "baseline goods fine" 0 tb.pass_failures
 
 let test_temporal_trap_taxonomy () =
   let config = temporal_cfg Vm.Alloc_wrapped in
