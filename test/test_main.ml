@@ -11,6 +11,7 @@ let () =
       ("alloc", Test_alloc.tests);
       ("compiler", Test_compiler.tests);
       ("resolve", Test_resolve.tests);
+      ("ir", Test_ir.tests);
       ("vm", Test_vm.tests);
       ("engines", Test_engines.tests);
       ("pipeline", Test_pipeline.tests);
