@@ -30,42 +30,61 @@ let compat a b =
   | Ctype.Ptr x, Ctype.Ptr y -> pointee_compat x y
   | x, y -> Ctype.equal x y
 
-let type_of_gep tenv pointee steps =
-  let rec go ty steps ~leading =
-    match steps with
-    | [] -> ty
-    | Ir.S_field f :: rest -> (
+type gep_step =
+  | Field of { sname : string; field : string; fty : Ctype.t }
+  | Elem of { idx : Ir.expr; elt : Ctype.t; len : int }
+  | Arith of { idx : Ir.expr; ty : Ctype.t }
+
+type gep_fault =
+  | No_field of { sname : string; field : string }
+  | Not_struct of { field : string; ty : Ctype.t }
+  | Not_array of { idx : Ir.expr; ty : Ctype.t }
+
+let fold_gep tenv pointee steps f init =
+  let rec go ty ~leading acc = function
+    | [] -> Ok acc
+    | Ir.S_field field :: rest -> (
       match ty with
-      | Ctype.Struct s -> (
-        match Ctype.field_type tenv s f with
-        | fty -> go fty rest ~leading:false
-        | exception Not_found -> err "Gep: struct %s has no field %s" s f)
-      | _ -> err "Gep: field %s selected on non-struct %s" f (Ctype.to_string tenv ty))
-    | Ir.S_index _ :: rest -> (
+      | Ctype.Struct sname -> (
+        match Ctype.field_type tenv sname field with
+        | fty -> go fty ~leading:false (f acc (Field { sname; field; fty })) rest
+        | exception Not_found -> Error (acc, No_field { sname; field }))
+      | _ -> Error (acc, Not_struct { field; ty }))
+    | Ir.S_index idx :: rest -> (
       match ty with
-      | Ctype.Array (elt, _) -> go elt rest ~leading:false
-      | _ when leading -> go ty rest ~leading:false (* pointer arithmetic *)
-      | _ -> err "Gep: index into non-array %s" (Ctype.to_string tenv ty))
+      | Ctype.Array (elt, len) ->
+        go elt ~leading:false (f acc (Elem { idx; elt; len })) rest
+      | _ when leading -> go ty ~leading:false (f acc (Arith { idx; ty })) rest
+      | _ -> Error (acc, Not_array { idx; ty }))
   in
-  go pointee steps ~leading:true
+  go pointee ~leading:true init steps
+
+let type_of_gep tenv pointee steps =
+  let step_type _ = function
+    | Field { fty; _ } -> fty
+    | Elem { elt; _ } -> elt
+    | Arith { ty; _ } -> ty
+  in
+  match fold_gep tenv pointee steps step_type pointee with
+  | Ok ty -> ty
+  | Error (_, No_field { sname; field }) ->
+    err "Gep: struct %s has no field %s" sname field
+  | Error (_, Not_struct { field; ty }) ->
+    err "Gep: field %s selected on non-struct %s" field (Ctype.to_string tenv ty)
+  | Error (_, Not_array { ty; _ }) ->
+    err "Gep: index into non-array %s" (Ctype.to_string tenv ty)
 
 let layout_path tenv pointee steps =
-  let rec go ty steps ~leading acc =
-    match steps with
-    | [] -> List.rev acc
-    | Ir.S_field f :: rest -> (
-      match ty with
-      | Ctype.Struct s ->
-        let fty = Ctype.field_type tenv s f in
-        go fty rest ~leading:false (Layout.Field f :: acc)
-      | _ -> err "layout_path: non-struct")
-    | Ir.S_index _ :: rest -> (
-      match ty with
-      | Ctype.Array (elt, _) -> go elt rest ~leading:false (Layout.Index :: acc)
-      | _ when leading -> go ty rest ~leading:false acc
-      | _ -> err "layout_path: non-array")
+  let step path = function
+    | Field { field; _ } -> Layout.Field field :: path
+    | Elem _ -> Layout.Index :: path
+    | Arith _ -> path
   in
-  go pointee steps ~leading:true []
+  match fold_gep tenv pointee steps step [] with
+  | Ok path -> List.rev path
+  | Error (_, No_field _) -> raise Not_found
+  | Error (_, Not_struct _) -> err "layout_path: non-struct"
+  | Error (_, Not_array _) -> err "layout_path: non-array"
 
 (* the heap arena: the largest region of the VM's memory map, so no
    object larger than this can be placed *)

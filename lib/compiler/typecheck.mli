@@ -23,18 +23,47 @@ val builtin_sig : string -> (Ifp_types.Ctype.t list * Ifp_types.Ctype.t) option
 val check_program : Ir.program -> unit
 (** @raise Type_error with a location-ish message on the first error. *)
 
-val type_of_gep :
+(** {1 The gep step rule}
+
+    A [Gep]'s steps walk its pointee type: a field step selects a struct
+    member; an index on an array-typed subobject selects an element; an
+    index on anything else is pointer arithmetic when it leads the path
+    and an error after it. {!fold_gep} is that rule, written once; the
+    type checker, {!layout_path}, the instrumentation pass's static-safety
+    check and {!Resolve}'s lowering derive from it, each with its own
+    failure mode. *)
+
+type gep_step =
+  | Field of { sname : string; field : string; fty : Ifp_types.Ctype.t }
+      (** a member of struct [sname], of type [fty] *)
+  | Elem of { idx : Ir.expr; elt : Ifp_types.Ctype.t; len : int }
+      (** an element of an array of [len] [elt]s *)
+  | Arith of { idx : Ir.expr; ty : Ifp_types.Ctype.t }
+      (** leading pointer arithmetic in units of [ty] *)
+
+type gep_fault =
+  | No_field of { sname : string; field : string }
+      (** the struct is undeclared or has no such field *)
+  | Not_struct of { field : string; ty : Ifp_types.Ctype.t }
+  | Not_array of { idx : Ir.expr; ty : Ifp_types.Ctype.t }
+      (** an index after the first step, on a non-array [ty] *)
+
+val fold_gep :
   Ifp_types.Ctype.tenv ->
   Ifp_types.Ctype.t ->
   Ir.gstep list ->
-  Ifp_types.Ctype.t
-(** Resulting pointee type of a Gep over a pointee type; raises
-    {!Type_error} for invalid paths. Shared with the instrumentation
-    pass and the VM. *)
+  ('a -> gep_step -> 'a) ->
+  'a ->
+  ('a, 'a * gep_fault) result
+(** [fold_gep tenv pointee steps f init] folds [f] over the steps of a
+    [Gep] with pointee type [pointee], left to right. It stops at the
+    first step the rule rejects, with the accumulator so far. *)
 
 val layout_path :
   Ifp_types.Ctype.tenv -> Ifp_types.Ctype.t -> Ir.gstep list -> Ifp_types.Layout.path
 (** The {!Ifp_types.Layout.path} corresponding to a Gep: [S_field]
     becomes [Field]; [S_index] becomes [Index] when it indexes an
     array-typed subobject and is dropped when it is leading pointer
-    arithmetic (which does not change the subobject). *)
+    arithmetic (which does not change the subobject).
+    @raise Type_error for an invalid path, and [Not_found] for a missing
+    field. *)
