@@ -104,6 +104,13 @@ let parse_type st =
   | ty, [] -> ty
   | _ -> err st "expected '*' after array extents, got %s" (L.token_to_string (L.peek st.lx))
 
+(* a [parse_type_parts] type whose trailing extents are part of it: a
+   [var] declaration's type, or what [malloc] allocates, which [Ir_pp]
+   prints as [i64[12]] *)
+let parse_object_type st =
+  let ty, dims = parse_type_parts st in
+  wrap_arrays ty dims
+
 (* declaration-suffix extents bind to the name: [i64 x[4][2]] is an
    array of 4 arrays of 2 *)
 let parse_array_suffix st ty = wrap_arrays ty (parse_dims st)
@@ -361,7 +368,7 @@ and parse_primary st : pexpr =
     e
   | L.KW "malloc" ->
     expect_punct st "(";
-    let ty = parse_type st in
+    let ty = parse_object_type st in
     let count =
       if accept_punct st "," then fst (rvalue st (parse_expr st)) else Ir.Int 1L
     in
@@ -420,8 +427,7 @@ let rec parse_stmt st : Ir.stmt =
     ignore (L.next st.lx);
     let name = expect_ident st in
     expect_punct st ":";
-    let ty, dims = parse_type_parts st in
-    let ty = wrap_arrays ty dims in
+    let ty = parse_object_type st in
     expect_punct st ";";
     Hashtbl.replace st.scope name (ty, true);
     Ir.Decl_local (name, ty)

@@ -36,7 +36,8 @@
     name followed by ['*']s, each of which may follow the extents of the
     array it points to, in a declaration's order ([i64[4][2]*] points to
     what [var x: i64[4][2]] declares); extents with no ['*'] after them
-    are only a [var] type's suffix; a pointer [p] to an array is indexed
+    end only the type of a [var] or a [malloc] ([malloc(i64[12], 1)]
+    allocates one array of 12); a pointer [p] to an array is indexed
     ["(*p)[i]"], since [p[i]] is pointer arithmetic; [var] declares a stack local (address-taken /
     aggregate), [let] a register local;
     assignments infer the store type from the lvalue; [+ - * /] map to
