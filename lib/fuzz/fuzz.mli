@@ -19,8 +19,6 @@ val salt : string
 (** Digest salt for battery jobs (versioned: bump when the battery
     semantics change, invalidating cached verdicts). *)
 
-val case_seed : campaign_seed:int64 -> round:int -> idx:int -> int64
-
 val job :
   knobs:Gen.knobs -> campaign_seed:int64 -> round:int -> idx:int ->
   Ifp_campaign.Job.t

@@ -56,8 +56,6 @@ type case = {
 }
 
 val kind_to_string : kind -> string
-val place_to_string : place -> string
-val flow_to_string : flow -> string
 
 val all_cases : unit -> case list
 (** The full cross product (72 cases: 6 kinds x 2 places x 6 flows),

@@ -29,7 +29,6 @@ val access_line : t -> int -> bool
 
 val accesses : t -> int
 val misses : t -> int
-val reset_stats : t -> unit
 val flush : t -> unit
 (** Invalidate all lines and reset statistics. *)
 

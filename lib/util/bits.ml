@@ -13,10 +13,6 @@ let[@inline] insert x ~lo ~width v =
   let v = Int64.shift_left (Int64.logand v (mask width)) lo in
   Int64.logor (Int64.logand x (Int64.lognot m)) v
 
-let[@inline] extract_int x ~lo ~width =
-  if width > 62 then invalid_arg "Bits.extract_int";
-  Int64.to_int (extract x ~lo ~width)
-
 let[@inline] insert_int x ~lo ~width v = insert x ~lo ~width (Int64.of_int v)
 
 let[@inline] is_pow2 n = n > 0 && n land (n - 1) = 0

@@ -14,9 +14,6 @@ val insert : int64 -> lo:int -> width:int -> int64 -> int64
 (** [insert x ~lo ~width v] replaces the field with the low [width] bits
     of [v]. *)
 
-val extract_int : int64 -> lo:int -> width:int -> int
-(** Like {!extract} but returns an OCaml [int]; [width <= 62]. *)
-
 val insert_int : int64 -> lo:int -> width:int -> int -> int64
 
 val is_pow2 : int -> bool

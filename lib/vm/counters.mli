@@ -30,7 +30,6 @@ val create : unit -> t
 val kind_index : Ifp_isa.Insn.kind -> int
 val add_ifp : t -> Ifp_isa.Insn.kind -> int -> unit
 val ifp_count : t -> Ifp_isa.Insn.kind -> int
-val ifp_total : t -> int
 val total_instrs : t -> int
 val promotes_total : t -> int
 val pp : Format.formatter -> t -> unit
