@@ -42,7 +42,6 @@ type opts = {
   mutable quick : bool;
   campaign : Cli.campaign;
   mutable corpus : string;
-  mutable shrink_budget : int;
   mutable out : string;
   mutable mode : mode;
   mutable fault_seed : int64;
@@ -58,7 +57,6 @@ let parse_opts () =
       quick = false;
       campaign = { Cli.workers = 1; cache_dir = None; log_path = Some "fuzz.jsonl" };
       corpus = "test/golden/fuzz";
-      shrink_budget = 1200;
       out = "BENCH_fuzz.json";
       mode = Campaign;
       fault_seed = 1L;
@@ -82,9 +80,6 @@ let parse_opts () =
         ( "--corpus",
           Arg.String (fun d -> o.corpus <- d),
           "DIR Counterexample corpus (default " ^ o.corpus ^ ")" );
-        ( "--shrink-budget",
-          Cli.nat (fun n -> o.shrink_budget <- n),
-          "N Candidate checks one minimization may spend (default 1200)" );
         ( "--out",
           Arg.String (fun f -> o.out <- f),
           "FILE Campaign aggregate (default " ^ o.out ^ ")" );
@@ -205,7 +200,7 @@ let shrink opts path =
     exit 1
   | f :: _, _ ->
     let key = Oracle.failure_key f in
-    let small = Fuzz.minimize ~budget:opts.shrink_budget ~fault_seed ~key prog in
+    let small = Fuzz.minimize ~fault_seed ~key prog in
     print_string (Ifp_compiler.Ir_pp.program_to_string small)
 
 let one_shot opts = function
@@ -276,8 +271,7 @@ let () =
           let keys = List.map Oracle.failure_key failures in
           let fault_seed = j.Job.config.Vm.seed in
           let minimized =
-            Fuzz.minimize ~budget:opts.shrink_budget ~fault_seed
-              ~key:(List.hd keys) j.Job.prog
+            Fuzz.minimize ~fault_seed ~key:(List.hd keys) j.Job.prog
           in
           let text = Ifp_compiler.Ir_pp.program_to_string minimized in
           let digest = Fuzz.text_digest text in

@@ -33,28 +33,22 @@ let runner (j : Job.t) =
 
 let failures_of (r : Vm.result) = List.filter_map Oracle.of_line r.Vm.output
 
-let reproduces ~fault_seed ~key text =
-  match Parser.parse text with
-  | exception _ -> false
-  | p -> (
-    match Typecheck.check_program p with
-    | exception _ -> false
-    | () ->
-      let failures, _ = Oracle.check ~fault_seed p in
-      List.exists (fun f -> String.equal (Oracle.failure_key f) key) failures)
-
-let minimize ?(budget = 1200) ~fault_seed ~key prog =
-  let keep cand = reproduces ~fault_seed ~key (Ir_pp.program_to_string cand) in
-  let small = Shrink.minimize ~budget ~keep prog in
-  (* canonicalize: the corpus stores the printed text, so make the
-     returned AST the parse of that text (printing is then a fixpoint) *)
-  let text = Ir_pp.program_to_string small in
-  match Parser.parse text with p -> p | exception _ -> small
-
 let check_source ?(fault_seed = 1L) src =
   Result.map
     (fun p -> fst (Oracle.check ~fault_seed p))
     (Frontend.check ~file:"<source>" src)
+
+let minimize ~fault_seed ~key prog =
+  let keep cand =
+    match check_source ~fault_seed (Ir_pp.program_to_string cand) with
+    | Ok failures -> List.exists (fun f -> String.equal (Oracle.failure_key f) key) failures
+    | Error _ -> false
+  in
+  let small = Shrink.minimize ~keep prog in
+  (* canonicalize: the corpus stores the printed text, so make the
+     returned AST the parse of that text (printing is then a fixpoint) *)
+  Result.value ~default:small
+    (Frontend.check ~file:"<source>" (Ir_pp.program_to_string small))
 
 (* ---- corpus ---------------------------------------------------------- *)
 

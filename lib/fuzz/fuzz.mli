@@ -32,12 +32,14 @@ val failures_of : Ifp_vm.Vm.result -> Oracle.failure list
     too). *)
 
 val minimize :
-  ?budget:int -> fault_seed:int64 -> key:string ->
-  Ifp_compiler.Ir.program -> Ifp_compiler.Ir.program
-(** Shrink a diverging program while its printed text still re-parses,
-    re-typechecks and reproduces a failure with key [key] under the same
-    [fault_seed]. The result is re-parsed from its own printed text, so
-    it is a parser-image program: printing it again is a fixpoint. *)
+  fault_seed:int64 -> key:string -> Ifp_compiler.Ir.program -> Ifp_compiler.Ir.program
+(** {!Shrink.minimize} to a fixpoint, keeping a candidate while its
+    printed text still passes {!check_source} under the same
+    [fault_seed] with a failure of key [key]. There is no budget: every
+    edit strictly shrinks the program, so the search ends, and no
+    single edit of the result still reproduces. The result is re-parsed
+    from its own printed text, so it is a parser-image program: printing
+    it again is a fixpoint. *)
 
 val check_source :
   ?fault_seed:int64 -> string -> (Oracle.failure list, string) result

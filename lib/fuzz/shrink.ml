@@ -1,48 +1,38 @@
 open Ifp_compiler
 module Ctype = Ifp_types.Ctype
 
-(* ---- positions: pre-order over every function body ------------------ *)
+(* ---- edits ----------------------------------------------------------- *)
 
-let fold_funcs fold (p : Ir.program) f init =
-  List.fold_left (fun acc fn -> fold f acc fn.Ir.body) init p.Ir.funcs
-
-let map_bodies (p : Ir.program) block =
+(* the program with the body of its [k]-th function rebuilt by [block];
+   the other functions are shared *)
+let with_body (p : Ir.program) k block =
   {
     p with
-    Ir.funcs = List.map (fun fn -> { fn with Ir.body = block fn.Ir.body }) p.Ir.funcs;
+    Ir.funcs =
+      List.mapi
+        (fun j (f : Ir.func) -> if j = k then { f with Ir.body = block f.Ir.body } else f)
+        p.Ir.funcs;
   }
 
-(* the [n]-th item of a pre-order fold *)
-let nth fold p n =
-  fold_funcs fold p
-    (fun (i, found) x -> (i + 1, if i = n then Some x else found))
-    (0, None)
-  |> snd
-
-let count fold p = fold_funcs fold p (fun n _ -> n + 1) 0
-
-(* rebuild the program with the [n]-th statement replaced by [f s]
-   (deletion = [], unwrap = the branch's statements) *)
-let edit_stmt_at (p : Ir.program) n (f : Ir.stmt -> Ir.stmt list) =
+(* a body with its [n]-th statement (pre-order) replaced by [ss] *)
+let replace_stmt n ss body =
   let cnt = ref (-1) in
-  let rec block ss = List.concat_map one ss
+  let rec block b = List.concat_map one b
   and one s =
     incr cnt;
-    if !cnt = n then f s else [ Ir.map_stmt Fun.id block s ]
+    if !cnt = n then ss else [ Ir.map_stmt Fun.id block s ]
   in
-  map_bodies p block
+  block body
 
-(* rebuild the program with the [n]-th expression node replaced *)
-let edit_expr_at (p : Ir.program) n (repl : Ir.expr) =
+(* a body with its [n]-th expression node (pre-order) replaced by [r] *)
+let replace_expr n r body =
   let cnt = ref (-1) in
   let rec expr e =
     incr cnt;
-    if !cnt = n then repl else Ir.map_children expr e
+    if !cnt = n then r else Ir.map_children expr e
   in
-  let rec block ss = List.map (Ir.map_stmt expr block) ss in
-  map_bodies p block
-
-(* ---- top-level drops ------------------------------------------------- *)
+  let rec block b = List.map (Ir.map_stmt expr block) b in
+  block body
 
 let drop_func p name =
   {
@@ -67,91 +57,88 @@ let drop_struct p name =
   in
   { p with Ir.tenv }
 
-(* ---- the candidate lattice ------------------------------------------- *)
+(* ---- what may replace a node: each strictly decreases the measure ---- *)
 
-(* lazily enumerated one-edit candidates, coarsest edits first *)
-let candidates (p : Ir.program) : Ir.program Seq.t =
-  let funcs =
-    List.filter_map
-      (fun f -> if f.Ir.fname = "main" then None else Some f.Ir.fname)
-      p.Ir.funcs
-  in
+(* a statement: nothing, or the non-empty blocks it holds *)
+let stmt_edits (s : Ir.stmt) =
+  []
+  :: List.filter
+       (fun b -> b <> [])
+       (match s with Ir.If (_, t, e) -> [ t; e ] | Ir.While (_, b) -> [ b ] | _ -> [])
+
+(* |j| < |k|, compared unsigned so that [Int64.min_int] halves too *)
+let smaller j k = Int64.unsigned_compare (Int64.abs j) (Int64.abs k) < 0
+
+let rec dedup = function
+  | [] -> []
+  | e :: rest -> e :: dedup (List.filter (fun r -> not (Ir.equal_expr e r)) rest)
+
+(* a literal: a smaller one ([0] has none); any other expression: [0],
+   [1] or one of its children *)
+let expr_edits (e : Ir.expr) =
+  dedup
+    (match e with
+    | Ir.Int k ->
+      List.filter_map
+        (fun j -> if smaller j k then Some (Ir.Int j) else None)
+        [ 0L; 1L; Int64.div k 2L ]
+    | _ -> Ir.Int 0L :: Ir.Int 1L :: Ir.children e)
+
+(* ---- sites and the pass ---------------------------------------------- *)
+
+(* A pass visits the edit sites in segments, coarsest first: the
+   non-[main] functions, globals and structs; the statements of each
+   body; the expression nodes of each body, each in pre-order. A segment
+   gives, for the current program, its number of sites and the lazy
+   candidates of each. *)
+
+let tops (p : Ir.program) =
   let drops =
-    List.to_seq
-      (List.map (fun n () -> drop_func p n) funcs
+    Array.of_list
+      (List.filter_map
+         (fun (f : Ir.func) ->
+           if String.equal f.Ir.fname "main" then None
+           else Some (fun () -> drop_func p f.Ir.fname))
+         p.Ir.funcs
       @ List.map (fun (g : Ir.global) () -> drop_global p g.Ir.gname) p.Ir.globals
-      @ List.map
-          (fun (n, _) () -> drop_struct p n)
-          (Ctype.bindings p.Ir.tenv))
+      @ List.map (fun (n, _) () -> drop_struct p n) (Ctype.bindings p.Ir.tenv))
   in
-  let n_stmts = count Ir.fold_stmts p in
-  let deletes =
-    Seq.init n_stmts (fun i () -> edit_stmt_at p i (fun _ -> []))
-  in
-  let unwraps =
-    Seq.concat_map
-      (fun i ->
-        match nth Ir.fold_stmts p i with
-        | Some (Ir.If (_, t, e)) ->
-          List.to_seq
-            [
-              (fun () -> edit_stmt_at p i (fun _ -> t));
-              (fun () -> edit_stmt_at p i (fun _ -> e));
-            ]
-        | Some (Ir.While (_, b)) ->
-          List.to_seq [ (fun () -> edit_stmt_at p i (fun _ -> b)) ]
-        | _ -> Seq.empty)
-      (Seq.init n_stmts Fun.id)
-  in
-  let n_exprs = count Ir.fold_exprs p in
-  let expr_edits =
-    Seq.concat_map
-      (fun i ->
-        match nth Ir.fold_exprs p i with
-        | None -> Seq.empty
-        | Some e ->
-          let repls =
-            (match e with
-            | Ir.Int 0L | Ir.Int 1L -> []
-            | Ir.Int k when Int64.abs k > 1L -> [ Ir.Int (Int64.div k 2L) ]
-            | _ -> [])
-            @ [ Ir.Int 0L; Ir.Int 1L ]
-            @ Ir.children e
-          in
-          let repls =
-            List.filter (fun r -> not (Ir.equal_expr r e)) repls
-          in
-          List.to_seq (List.map (fun r () -> edit_expr_at p i r) repls))
-      (Seq.init n_exprs Fun.id)
-  in
-  Seq.concat (List.to_seq [ drops; deletes; unwraps; expr_edits ])
-  |> Seq.map (fun f -> f ())
+  (Array.length drops, fun i () -> Seq.Cons (drops.(i) (), Seq.empty))
 
-let minimize ?(budget = 1200) ~keep p0 =
-  if not (keep p0) then p0
-  else begin
-    let spent = ref 1 in
-    let cur = ref p0 in
-    let progress = ref true in
-    while !progress && !spent < budget do
-      progress := false;
-      let seq = ref (candidates !cur) in
-      let stop = ref false in
-      while not !stop do
-        match Seq.uncons !seq with
-        | None -> stop := true
-        | Some (cand, rest) ->
-          if !spent >= budget then stop := true
-          else begin
-            incr spent;
-            if keep cand then begin
-              cur := cand;
-              progress := true;
-              stop := true
-            end
-            else seq := rest
-          end
-      done
-    done;
-    !cur
-  end
+(* the nodes that [fold] visits in the [k]-th body; a candidate rebuilds
+   only that body *)
+let body_sites fold edits replace k (p : Ir.program) =
+  let nodes =
+    Array.of_list (List.rev (fold (fun acc x -> x :: acc) [] (List.nth p.Ir.funcs k).Ir.body))
+  in
+  ( Array.length nodes,
+    fun i -> Seq.map (fun r -> with_body p k (replace i r)) (List.to_seq (edits nodes.(i))) )
+
+let stmt_sites = body_sites Ir.fold_stmts stmt_edits replace_stmt
+let expr_sites = body_sites Ir.fold_exprs expr_edits replace_expr
+
+(* try a segment's sites from position [i] on; an accepted edit resumes
+   at the same position of the segment recomputed for the new program *)
+let rec scan ~keep segment p (n, cands) i accepted =
+  if i = n then (p, accepted)
+  else
+    match Seq.find keep (cands i) with
+    | Some q -> scan ~keep segment q (segment q) i true
+    | None -> scan ~keep segment p (n, cands) (i + 1) accepted
+
+let minimize ~keep p =
+  let scan_all segments p accepted =
+    List.fold_left
+      (fun (p, accepted) segment -> scan ~keep segment p (segment p) 0 accepted)
+      (p, accepted) segments
+  in
+  (* a pass that accepted an edit is followed by another *)
+  let rec pass p =
+    let p, accepted = scan_all [ tops ] p false in
+    let ks = List.init (List.length p.Ir.funcs) Fun.id in
+    let p, accepted =
+      scan_all (List.map stmt_sites ks @ List.map expr_sites ks) p accepted
+    in
+    if accepted then pass p else p
+  in
+  pass p

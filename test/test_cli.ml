@@ -43,9 +43,8 @@ let flags =
     ("ifp_experiments", campaign @ [ "--bench-out"; "--seeds"; "--chaos-kill-after" ]);
     ( "ifp_fuzz",
       campaign
-      @ [ "--seed"; "--rounds"; "--cases"; "--dry"; "--quick"; "--corpus";
-          "--shrink-budget"; "--out"; "--repro"; "--shrink"; "--canon"; "--emit-seed";
-          "--fault-seed" ] );
+      @ [ "--seed"; "--rounds"; "--cases"; "--dry"; "--quick"; "--corpus"; "--out";
+          "--repro"; "--shrink"; "--canon"; "--emit-seed"; "--fault-seed" ] );
   ]
 
 let test_help () =

@@ -190,12 +190,62 @@ let test_shrink_preserves_failure () =
   Alcotest.(check bool) "got smaller" true (lines text < lines oob_src);
   (* printing the minimized program is a fixpoint (parser image) *)
   Alcotest.(check string) "minimized reprint stable" text
-    (Ir_pp.program_to_string (Parser.parse text))
+    (Ir_pp.program_to_string (Parser.parse text));
+  (* and so is minimizing it: no single edit of it still reproduces *)
+  Alcotest.(check string) "minimizing again changes nothing" text
+    (Ir_pp.program_to_string (Fuzz.minimize ~fault_seed:1L ~key small))
 
 let test_shrink_keeps_input_when_keep_fails () =
   let prog = Parser.parse oob_src in
   let out = Shrink.minimize ~keep:(fun _ -> false) prog in
   Alcotest.(check bool) "unchanged" true (Ir.equal_program prog out)
+
+(* The measure the shrinker's edits decrease, compared lexicographically:
+   the nodes (functions, globals, structs, statements and expressions),
+   the expressions that are not literals, and the sum of the literals'
+   magnitudes as unsigned 64-bit numbers, kept exactly in 32-bit halves *)
+let measure (p : Ir.program) =
+  let over fold = List.concat_map (fun (f : Ir.func) -> fold (fun acc x -> x :: acc) [] f.body) p.funcs in
+  let exprs = over Ir.fold_exprs in
+  let hi, lo =
+    List.fold_left
+      (fun (hi, lo) -> function
+        | Ir.Int k ->
+          let m = Int64.abs k in
+          ( hi + Int64.to_int (Int64.shift_right_logical m 32),
+            lo + Int64.to_int (Int64.logand m 0xffff_ffffL) )
+        | _ -> (hi, lo))
+      (0, 0) exprs
+  in
+  ( List.length p.funcs + List.length p.globals
+    + List.length (Ifp_types.Ctype.bindings p.tenv)
+    + List.length (over Ir.fold_stmts) + List.length exprs,
+    List.length (List.filter (function Ir.Int _ -> false | _ -> true) exprs),
+    hi + (lo lsr 32),
+    lo land 0xffff_ffff )
+
+(* every candidate the shrinker offers is smaller: a keep that rejects
+   everything sees each candidate of the input once *)
+let test_shrink_candidates_decrease () =
+  let programs =
+    Parser.parse oob_src
+    :: List.map (fun (_, src) -> Parser.parse src) (Fuzz.corpus_entries ~dir:corpus_dir)
+    @ List.map (fun seed -> Gen.generate ~knobs:Gen.quick ~seed ()) (seeds 500L 6)
+    @ List.map (fun seed -> Gen.generate ~knobs:Gen.default ~seed ()) (seeds 600L 2)
+  in
+  List.iteri
+    (fun i p ->
+      let m = measure p and seen = ref 0 in
+      let keep q =
+        incr seen;
+        if compare (measure q) m >= 0 then
+          Alcotest.failf "program %d: a candidate does not decrease the measure:\n%s" i
+            (Ir_pp.program_to_string q);
+        false
+      in
+      Alcotest.(check bool) "input returned" true (Ir.equal_program p (Shrink.minimize ~keep p));
+      Alcotest.(check bool) (Printf.sprintf "program %d has candidates" i) true (!seen > 0))
+    programs
 
 (* ---- campaign plumbing ----------------------------------------------- *)
 
@@ -309,6 +359,8 @@ let tests =
       test_shrink_preserves_failure;
     Alcotest.test_case "shrinker no-op without failure" `Quick
       test_shrink_keeps_input_when_keep_fails;
+    Alcotest.test_case "shrinker candidates strictly shrink" `Quick
+      test_shrink_candidates_decrease;
     Alcotest.test_case "job digests deterministic" `Quick test_job_digests;
     Alcotest.test_case "runner verdict on clean case" `Quick
       test_runner_verdict;

@@ -160,19 +160,47 @@ let keeps_statements p0 =
   let n = n_stmts p0 in
   fun p -> n_stmts p = n && typechecks p
 
+(* Every Gen program shrunk to its fixpoint under "malloc"; the quick
+   ones only under "statements", whose candidates stay full-sized, so
+   that its sweep costs tier-1 about a second rather than four *)
+let shrunk =
+  lazy
+    (let gen = Lazy.force gen_programs in
+     List.map
+       (fun (kname, keep, programs) ->
+         ( kname,
+           keep,
+           List.map (fun (name, p) -> (name, p, Shrink.minimize ~keep:(keep p) p)) programs ))
+       [
+         ("malloc", Fun.const keeps_malloc, gen);
+         ( "statements",
+           keeps_statements,
+           List.filter (fun (name, _) -> String.starts_with ~prefix:"gen/quick/" name) gen );
+       ])
+
 let test_shrink_pinned () =
   List.iter2
-    (fun (kname, keep) pin ->
+    (fun (kname, _, results) pin ->
       let out =
         List.concat_map
-          (fun (name, p) ->
-            let small = Shrink.minimize ~budget:300 ~keep:(keep p) p in
-            [ name; Ir_pp.program_to_string small ])
-          (Lazy.force gen_programs)
+          (fun (name, _, small) -> [ name; Ir_pp.program_to_string small ])
+          results
       in
       Alcotest.(check string) ("MD5 of the shrunk programs, " ^ kname) pin (md5 out))
-    [ ("malloc", Fun.const keeps_malloc); ("statements", keeps_statements) ]
-    [ "0e971390375ac0395a4dc131e8f64419"; "8313498d4d843b38e7f8db479c21d89a" ]
+    (Lazy.force shrunk)
+    [ "08253e39c16a81cf0e94ac2c6288c65f"; "2f58654d7e07dd88b8c49b415984f1de" ]
+
+(* a shrunk program is a fixpoint: the predicate rejects every
+   candidate of it, so shrinking it again returns it unchanged *)
+let test_shrink_idempotent () =
+  List.iter
+    (fun (kname, keep, results) ->
+      List.iter
+        (fun (name, p, small) ->
+          if not (Ir.equal_program small (Shrink.minimize ~keep:(keep p) small)) then
+            Alcotest.failf "%s (%s): shrinking the shrunk program changed it" name kname)
+        results)
+    (Lazy.force shrunk)
 
 (* ---- the shared traversal ------------------------------------------- *)
 
@@ -263,6 +291,7 @@ let tests =
     Alcotest.test_case "instrumented programs pinned" `Quick test_instrumented_pinned;
     Alcotest.test_case "resolved programs pinned" `Quick test_resolved_pinned;
     Alcotest.test_case "shrunk programs pinned" `Quick test_shrink_pinned;
+    Alcotest.test_case "shrunk programs are fixpoints" `Quick test_shrink_idempotent;
     Alcotest.test_case "Ir's folds are complete" `Quick test_folds_complete;
     Alcotest.test_case "Ir's maps run in fold order" `Quick test_maps_in_fold_order;
     Alcotest.test_case "printed programs re-parse" `Quick test_printed_programs_reparse;

@@ -148,7 +148,8 @@ let workload_claims =
     Registry.names
   @ [
       ("treeadd profile", with_counters "treeadd/subheap" (fun c -> c.promotes_null <- 0));
-      ("coremark narrowing fails", with_counters "coremark/subheap" (fun c -> c.narrows_ok <- 1));
+      ( "coremark: no subobject promote",
+        with_counters "coremark/subheap" (fun c -> c.promotes_subobj <- 1) );
       ("sjeng global table", with_counters "sjeng/subheap" (fun c -> c.global_objs <- 0));
       ("anagram legacy promotes", with_counters "anagram/subheap" (fun c -> c.promotes_legacy <- 0));
       ("subheap wins on alloc-heavy", with_cycles "perimeter/subheap" 1300);
