@@ -90,9 +90,11 @@ let expr_edits (e : Ir.expr) =
    non-[main] functions, globals and structs; the statements of each
    body; the expression nodes of each body, each in pre-order. A segment
    gives, for the current program, its number of sites and the lazy
-   candidates of each. *)
+   candidates of each, every candidate with the segment of the program
+   it makes. *)
+type segment = { n : int; cands : int -> (Ir.program * (unit -> segment)) Seq.t }
 
-let tops (p : Ir.program) =
+let rec tops (p : Ir.program) =
   let drops =
     Array.of_list
       (List.filter_map
@@ -103,33 +105,73 @@ let tops (p : Ir.program) =
       @ List.map (fun (g : Ir.global) () -> drop_global p g.Ir.gname) p.Ir.globals
       @ List.map (fun (n, _) () -> drop_struct p n) (Ctype.bindings p.Ir.tenv))
   in
-  (Array.length drops, fun i () -> Seq.Cons (drops.(i) (), Seq.empty))
+  {
+    n = Array.length drops;
+    cands =
+      (fun i () ->
+        let q = drops.(i) () in
+        Seq.Cons ((q, fun () -> tops q), Seq.empty));
+  }
 
-(* the nodes that [fold] visits in the [k]-th body; a candidate rebuilds
-   only that body *)
-let body_sites fold edits replace k (p : Ir.program) =
-  let nodes =
-    Array.of_list (List.rev (fold (fun acc x -> x :: acc) [] (List.nth p.Ir.funcs k).Ir.body))
-  in
-  ( Array.length nodes,
-    fun i -> Seq.map (fun r -> with_body p k (replace i r)) (List.to_seq (edits nodes.(i))) )
+(* The sites of the [k]-th body: [nodes] is its nodes in pre-order, and
+   [sub r] the nodes of a replacement [r] in pre-order. A candidate
+   rebuilds only that body. An edit at [i] changes only the subtree
+   there, which is contiguous in pre-order, so the new body's sites are
+   the old ones with that subtree's spliced out and [sub r] in: the
+   sites before [i] are never visited again, and those after the subtree
+   are unchanged. *)
+let rec body_sites edits replace sub as_r k (p : Ir.program) nodes =
+  {
+    n = Array.length nodes;
+    cands =
+      (fun i ->
+        Seq.map
+          (fun r ->
+            let q = with_body p k (replace i r) in
+            let splice () =
+              let old = List.length (sub (as_r nodes.(i))) in
+              let fresh = Array.of_list (sub r) in
+              body_sites edits replace sub as_r k q
+                (Array.concat
+                   [
+                     Array.sub nodes 0 i;
+                     fresh;
+                     Array.sub nodes (i + old) (Array.length nodes - i - old);
+                   ])
+            in
+            (q, splice))
+          (List.to_seq (edits nodes.(i))));
+  }
 
-let stmt_sites = body_sites Ir.fold_stmts stmt_edits replace_stmt
-let expr_sites = body_sites Ir.fold_exprs expr_edits replace_expr
+let pre_order fold x = List.rev (fold (fun acc y -> y :: acc) [] x)
+
+let stmt_nodes ss = pre_order Ir.fold_stmts ss
+
+let rec expr_nodes e = e :: List.concat_map expr_nodes (Ir.children e)
+
+let body k (p : Ir.program) = (List.nth p.Ir.funcs k).Ir.body
+
+let stmt_sites k p =
+  body_sites stmt_edits replace_stmt stmt_nodes (fun s -> [ s ]) k p
+    (Array.of_list (stmt_nodes (body k p)))
+
+let expr_sites k p =
+  body_sites expr_edits replace_expr expr_nodes Fun.id k p
+    (Array.of_list (pre_order Ir.fold_exprs (body k p)))
 
 (* try a segment's sites from position [i] on; an accepted edit resumes
-   at the same position of the segment recomputed for the new program *)
-let rec scan ~keep segment p (n, cands) i accepted =
-  if i = n then (p, accepted)
+   at the same position of the new program's segment *)
+let rec scan ~keep seg p i accepted =
+  if i = seg.n then (p, accepted)
   else
-    match Seq.find keep (cands i) with
-    | Some q -> scan ~keep segment q (segment q) i true
-    | None -> scan ~keep segment p (n, cands) (i + 1) accepted
+    match Seq.find (fun (q, _) -> keep q) (seg.cands i) with
+    | Some (q, next) -> scan ~keep (next ()) q i true
+    | None -> scan ~keep seg p (i + 1) accepted
 
 let minimize ~keep p =
   let scan_all segments p accepted =
     List.fold_left
-      (fun (p, accepted) segment -> scan ~keep segment p (segment p) 0 accepted)
+      (fun (p, accepted) segment -> scan ~keep (segment p) p 0 accepted)
       (p, accepted) segments
   in
   (* a pass that accepted an edit is followed by another *)

@@ -687,10 +687,26 @@ let empty_i64 : int64 array = [||]
 let empty_int : int array = [||]
 let empty_vals : value array = [||]
 
+(* A function's variable slots, all [unbound]. The common small sizes
+   are array literals, which allocate inline on the minor heap without
+   [Array.make]'s C call. *)
+let make_vars n =
+  match n with
+  | 0 -> empty_vals
+  | 1 -> [| unbound |]
+  | 2 -> [| unbound; unbound |]
+  | 3 -> [| unbound; unbound; unbound |]
+  | 4 -> [| unbound; unbound; unbound; unbound |]
+  | 5 -> [| unbound; unbound; unbound; unbound; unbound |]
+  | 6 -> [| unbound; unbound; unbound; unbound; unbound; unbound |]
+  | 7 -> [| unbound; unbound; unbound; unbound; unbound; unbound; unbound |]
+  | 8 -> [| unbound; unbound; unbound; unbound; unbound; unbound; unbound; unbound |]
+  | n -> Array.make n unbound
+
 let make_frame (f : R.func) =
   if f.n_locals = 0 then
     {
-      vars = (if f.n_vars = 0 then empty_vals else Array.make f.n_vars unbound);
+      vars = make_vars f.n_vars;
       local_addr = empty_i64;
       local_tagged = empty_i64;
       local_size = empty_int;
@@ -700,7 +716,7 @@ let make_frame (f : R.func) =
     }
   else
     {
-      vars = Array.make f.n_vars unbound;
+      vars = make_vars f.n_vars;
       local_addr = Array.make f.n_locals local_unset;
       local_tagged = Array.make f.n_locals 0L;
       local_size = Array.make f.n_locals 0;

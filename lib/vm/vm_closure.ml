@@ -8,5 +8,6 @@
 let run ~config image : Rt.result =
   Rt.run_with ~config image ~main_body:(fun st frame mainf ->
       ignore mainf;
-      let cp = Compile.program st in
-      Compile.main_code cp frame)
+      match Compile.run_main (Compile.program st) frame with
+      | Some v -> raise (Rt.Return_exc v)
+      | None -> ())

@@ -462,6 +462,155 @@ let test_output_cap () =
         Vm.max_output_lines (List.length r.Vm.output))
     [ "baseline"; "ifp-subheap"; "ifp-wrapped" ]
 
+(* ---- control flow ---------------------------------------------------- *)
+
+(* The closure engine unwinds [return], [break] and [continue] through a
+   status word, not exceptions: each shape below must agree with the
+   reference and return its checksum. *)
+let control_flow_cases =
+  [
+    ( "return in nested loops",
+      "i64 find(i64 n, i64 k) {\n\
+      \  let i: i64 = 0;\n\
+      \  let j: i64 = 0;\n\
+      \  while (i < n) {\n\
+      \    j = 0;\n\
+      \    while (j < n) {\n\
+      \      if (i * n + j == k) {\n\
+      \        if (j > 0) { return i * 100 + j; }\n\
+      \        return 0 - 1;\n\
+      \      }\n\
+      \      j = j + 1;\n\
+      \    }\n\
+      \    i = i + 1;\n\
+      \  }\n\
+      \  return 0 - 2;\n\
+       }\n\
+       i64 main() {\n\
+      \  let a: i64 = find(5, 13);\n\
+      \  let b: i64 = find(5, 10);\n\
+      \  let c: i64 = find(3, 100);\n\
+      \  __print_i64(a);\n\
+      \  __print_i64(b);\n\
+      \  __print_i64(c);\n\
+      \  return a + b + c;\n\
+       }\n",
+      200L );
+    ( "break and continue nested",
+      "i64 main() {\n\
+      \  let total: i64 = 0;\n\
+      \  let i: i64 = 0;\n\
+      \  let j: i64 = 0;\n\
+      \  while (i < 6) {\n\
+      \    i = i + 1;\n\
+      \    if (i == 2) { continue; }\n\
+      \    j = 0;\n\
+      \    while (1) {\n\
+      \      j = j + 1;\n\
+      \      if (j > i) { break; }\n\
+      \      if (j % 2 == 0) { continue; }\n\
+      \      total = total + j;\n\
+      \    }\n\
+      \    if (i == 5) { break; }\n\
+      \    total = total + 100;\n\
+      \  }\n\
+      \  return total;\n\
+       }\n",
+      318L );
+    ( "continue as last statement",
+      "i64 main() {\n\
+      \  let i: i64 = 0;\n\
+      \  let s: i64 = 0;\n\
+      \  while (i < 10) {\n\
+      \    i = i + 1;\n\
+      \    s = s + i;\n\
+      \    continue;\n\
+      \  }\n\
+      \  while (i < 20) {\n\
+      \    i = i + 1;\n\
+      \    if (i % 3 == 0) { s = s + 1000; continue; }\n\
+      \  }\n\
+      \  return s;\n\
+       }\n",
+      3055L );
+    ( "early return from void",
+      "void fill(i64* p, i64 n) {\n\
+      \  let i: i64 = 0;\n\
+      \  while (1) {\n\
+      \    if (i == n) { return; }\n\
+      \    p[i] = i * i;\n\
+      \    i = i + 1;\n\
+      \  }\n\
+       }\n\
+       i64 main() {\n\
+      \  let p: i64* = malloc(i64, 8);\n\
+      \  fill(p, 8);\n\
+      \  fill(p, 0);\n\
+      \  let s: i64 = 0;\n\
+      \  let i: i64 = 0;\n\
+      \  while (i < 8) {\n\
+      \    s = s + p[i];\n\
+      \    i = i + 1;\n\
+      \  }\n\
+      \  free(p);\n\
+      \  return s;\n\
+       }\n",
+      140L );
+    ( "recursion returns through loops",
+      "i64 fib(i64 n) {\n\
+      \  while (1) {\n\
+      \    if (n < 2) { return n; }\n\
+      \    return fib(n - 1) + fib(n - 2);\n\
+      \  }\n\
+      \  return 0 - 1;\n\
+       }\n\
+       i64 depth(i64 n) {\n\
+      \  let acc: i64 = 0;\n\
+      \  let i: i64 = 0;\n\
+      \  while (i < 3) {\n\
+      \    i = i + 1;\n\
+      \    if (n == 0) { return 1; }\n\
+      \    acc = acc + depth(n - 1);\n\
+      \  }\n\
+      \  return acc;\n\
+       }\n\
+       i64 main() {\n\
+      \  return fib(12) * 1000 + depth(3);\n\
+       }\n",
+      144027L );
+    ( "return from main in a loop",
+      "i64 main() {\n\
+      \  let i: i64 = 0;\n\
+      \  while (1) {\n\
+      \    while (1) {\n\
+      \      i = i + 1;\n\
+      \      if (i == 7) { return i * 6; }\n\
+      \    }\n\
+      \  }\n\
+      \  return 0;\n\
+       }\n",
+      42L );
+  ]
+
+let test_control_flow () =
+  List.iter
+    (fun (case, src, expect) ->
+      let prog =
+        match Frontend.check ~file:"control_flow.minic" src with
+        | Ok p -> p
+        | Error e -> Alcotest.fail (case ^ ": " ^ e)
+      in
+      List.iter
+        (fun cname ->
+          let name = case ^ "/" ^ cname in
+          let failures, r = Oracle.agree name (List.assoc cname configs) prog in
+          Alcotest.(check (list string)) name [] (List.map Oracle.to_line failures);
+          Alcotest.(check string) (name ^ " value")
+            (Vm.outcome_string (Vm.Finished expect))
+            (Vm.outcome_string r.Vm.outcome))
+        [ "baseline"; "ifp-subheap"; "ifp-wrapped" ])
+    control_flow_cases
+
 (* ---- local registration --------------------------------------------- *)
 
 let test_local_registration () =
@@ -646,6 +795,7 @@ let tests =
       test_narrowing_never_widens;
     Alcotest.test_case "armed fault runs agree" `Quick test_armed_runs_agree;
     Alcotest.test_case "guest output is capped" `Quick test_output_cap;
+    Alcotest.test_case "control flow without exceptions" `Quick test_control_flow;
     Alcotest.test_case "local registration" `Quick
       test_local_registration;
     Alcotest.test_case "literal-left comparisons" `Quick test_literal_left_comparisons;
