@@ -8,14 +8,15 @@
    field offsets, gep element strides and static subobject-index deltas,
    malloc size scales and layout multiplicity, cast/let coercion kinds.
 
-   The lowering is purely structural — it must not change observable
-   behaviour. Programs that fail at runtime in the reference
-   interpreter (unbound variables reached through a non-taken branch,
-   unknown locals, unknown call targets) keep failing with the same
-   abort messages: slots for names that are never bound still exist and
-   the VM detects the unbound state with a sentinel, and statically
-   unresolvable references lower to [Bad]/[Bad_store_global] nodes that
-   abort with the reference message when (and only when) executed. *)
+   The input contract: the program passed [Typecheck.check_program]
+   before instrumentation. Every name then resolves, every gep step is
+   well-formed, call arities match and no [Let] binds an aggregate, so
+   the lowered program has no node that only aborts; a violation raises
+   [Invalid_argument] naming it. The lowering is purely structural — it
+   must not change observable behaviour. Typecheck is flow-insensitive,
+   so a variable or stack local may still be read on a path that never
+   bound it; slots for such names exist and the VM detects the unbound
+   state with a sentinel, aborting with the reference message. *)
 
 module Ctype = Ifp_types.Ctype
 module Layout = Ifp_types.Layout
@@ -29,21 +30,19 @@ type cast_kind =
   | Cast_f64
   | Cast_int of int  (* sign-extension width: max 1 (sizeof target) *)
 
-type coerce_kind = K_i8 | K_i16 | K_i32 | K_i64 | K_f64 | K_ptr | K_other
+type coerce_kind = K_i8 | K_i16 | K_i32 | K_i64 | K_f64 | K_ptr
 
 type call_target =
   | C_func of int
   | C_print_i64
   | C_print_f64
   | C_abort
-  | C_unknown of string
 
 type gstep =
   | Rs_field of { off : int; fsize : int }
       (** struct member: add [off]; narrowed bounds are [fsize] bytes *)
   | Rs_index of { esize : int; idx : expr }
       (** dynamic index with element stride [esize] *)
-  | Rs_bad of string  (** ill-formed step: abort when executed *)
 
 and expr =
   | Int of int64
@@ -65,7 +64,6 @@ and expr =
     }
   | Cast of { kind : cast_kind; e : expr }
   | Ifp_promote of { e : expr; site : int }
-  | Bad of string  (** statically-unresolvable reference; aborts *)
 
 type stmt =
   | Let of { slot : int; k : coerce_kind; e : expr }
@@ -82,7 +80,6 @@ type stmt =
   | Continue
   | Ifp_register_local of { slot : int; site : int }
   | Ifp_deregister_local of int
-  | Bad_store_global of { e : expr; msg : string }
 
 type func = {
   fname : string;
@@ -115,11 +112,16 @@ type program = {
 
 (* ------------------------------------------------------------------ *)
 
+(* a violation of the input contract: the name or step Typecheck would
+   have rejected *)
+let ill_typed fmt = Printf.ksprintf (fun s -> invalid_arg ("Resolve.run: " ^ s)) fmt
+
 type renv = {
   tenv : Ctype.tenv;
-  fidx : (string, int) Hashtbl.t;  (* function name -> index, last wins *)
-  gidx : (string, int) Hashtbl.t;  (* global name -> index, last wins *)
-  gfirst : (string, Ctype.t) Hashtbl.t;  (* first-declaration type *)
+  fidx : (string, int) Hashtbl.t;  (* function name -> index *)
+  fparams : int array;  (* function index -> parameter count *)
+  gidx : (string, int) Hashtbl.t;  (* global name -> index *)
+  globals : rglobal array;
   tyids : (Ctype.t, int) Hashtbl.t;
   mutable types_rev : Ctype.t list;
   mutable n_types : int;
@@ -199,7 +201,18 @@ let coerce_kind_of ty =
   | Ctype.I64 -> K_i64
   | Ctype.F64 -> K_f64
   | Ctype.Ptr _ -> K_ptr
-  | Ctype.Void | Ctype.Struct _ | Ctype.Array _ -> K_other
+  | Ctype.Void | Ctype.Struct _ | Ctype.Array _ -> ill_typed "Let of a non-scalar"
+
+let global_index r g =
+  match Hashtbl.find_opt r.gidx g with
+  | Some i -> i
+  | None -> ill_typed "unknown global %s" g
+
+(* a by-name access to global [g]: its index, value class and size *)
+let global_access r g =
+  let i = global_index r g in
+  let { gty; gsize; _ } = r.globals.(i) in
+  (i, vclass_of gty, gsize)
 
 (* Merge runs of consecutive field steps: offsets add, and the narrowed
    bounds the VM derives come from the last field of the run at the
@@ -213,11 +226,7 @@ let rec fold_fields = function
   | [] -> []
 
 (* Static mirror of the interpreter's gep walk, on Typecheck's step
-   rule. A bad field aborts before anything on that step runs; a bad
-   index aborts after the index expression has been evaluated and
-   counted, hence the zero-stride [Rs_index] in front of its [Rs_bad]; a
-   missing field raises [Not_found], as [Ctype.field_offset] does in the
-   reference. *)
+   rule *)
 let rec resolve_gep_steps r fe pointee steps =
   let step acc : Typecheck.gep_step -> gstep list = function
     | Field { sname; field; fty } ->
@@ -229,11 +238,10 @@ let rec resolve_gep_steps r fe pointee steps =
   in
   match Typecheck.fold_gep r.tenv pointee steps step [] with
   | Ok acc -> List.rev acc
-  | Error (acc, Not_struct _) -> List.rev (Rs_bad "gep: bad field" :: acc)
-  | Error (acc, Not_array { idx; _ }) ->
-    let idx = resolve_expr r fe idx in
-    List.rev (Rs_bad "gep: index into non-array" :: Rs_index { esize = 0; idx } :: acc)
-  | Error (_, No_field _) -> raise Not_found
+  | Error (_, No_field { sname; field }) ->
+    ill_typed "gep: struct %s has no field %s" sname field
+  | Error (_, Not_struct { field; _ }) -> ill_typed "gep: field %s of a non-struct" field
+  | Error (_, Not_array _) -> ill_typed "gep: index into a non-array"
 
 and resolve_expr r fe (e : Ir.expr) : expr =
   match e with
@@ -250,56 +258,40 @@ and resolve_expr r fe (e : Ir.expr) : expr =
         addr = resolve_expr r fe addr;
       }
   | Ir.Addr_local name -> Addr_local (local_slot fe name)
-  | Ir.Addr_global g -> (
-    match Hashtbl.find_opt r.gidx g with
-    | Some i -> Addr_global i
-    | None -> Bad ("unknown global " ^ g))
-  | Ir.Load_global g -> (
-    match Hashtbl.find_opt r.gidx g with
-    | Some i ->
-      (* the reference interpreter reads the type from the first
-         declaration of the name, the address from the last *)
-      let gty = Hashtbl.find r.gfirst g in
-      Load_global { g = i; cls = vclass_of gty; bytes = Ctype.sizeof r.tenv gty }
-    | None -> Bad ("unknown global " ^ g))
+  | Ir.Addr_global g -> Addr_global (global_index r g)
+  | Ir.Load_global g ->
+    let g, cls, bytes = global_access r g in
+    Load_global { g; cls; bytes }
   | Ir.Gep (pointee, base, steps) ->
     let site = new_site r in
     let rsteps = fold_fields (resolve_gep_steps r fe pointee steps) in
-    let clean =
-      List.for_all (function Rs_bad _ -> false | _ -> true) rsteps
-    in
     let idx_delta =
-      if not clean then 0
-      else
-        (* the static subobject-index immediate the compiler would bake
-           into ifpidx (reference: Vm.gep_idx_delta) *)
-        match Typecheck.layout_path r.tenv pointee steps with
-        | [] -> 0
-        | path -> (
-          match Layout.index_of_path (layout_of r pointee) path with
-          | Some d -> d
-          | None -> 0)
-        | exception Typecheck.Type_error _ -> 0
+      (* the static subobject-index immediate the compiler would bake
+         into ifpidx (reference: Vm.gep_idx_delta) *)
+      match Typecheck.layout_path r.tenv pointee steps with
+      | [] -> 0
+      | path -> (
+        match Layout.index_of_path (layout_of r pointee) path with
+        | Some d -> d
+        | None -> 0)
     in
     let base = resolve_expr r fe base in
     Gep { base; steps = rsteps; idx_delta; site }
   | Ir.Call (fn, args) ->
-    let target =
+    let target, arity =
       match fn with
-      | "__print_i64" -> C_print_i64
-      | "__print_f64" -> C_print_f64
-      | "__abort" -> C_abort
+      | "__print_i64" -> (C_print_i64, 1)
+      | "__print_f64" -> (C_print_f64, 1)
+      | "__abort" -> (C_abort, 0)
       | _ -> (
         match Hashtbl.find_opt r.fidx fn with
-        | Some i -> C_func i
-        | None -> C_unknown fn)
+        | Some i -> (C_func i, r.fparams.(i))
+        | None -> ill_typed "call to unknown function %s" fn)
     in
-    Call
-      {
-        target;
-        args = List.map (resolve_expr r fe) args;
-        n_args = List.length args;
-      }
+    let n_args = List.length args in
+    if n_args <> arity then
+      ill_typed "call to %s with %d arguments, expected %d" fn n_args arity;
+    Call { target; args = List.map (resolve_expr r fe) args; n_args }
   | Ir.Malloc (ty, n) ->
     Malloc
       {
@@ -353,14 +345,10 @@ let rec resolve_stmt r fe (s : Ir.stmt) : stmt =
         addr = resolve_expr r fe addr;
         v = resolve_expr r fe v;
       }
-  | Ir.Store_global (g, e) -> (
+  | Ir.Store_global (g, e) ->
     let e = resolve_expr r fe e in
-    match Hashtbl.find_opt r.gidx g with
-    | Some i ->
-      let gty = Hashtbl.find r.gfirst g in
-      Store_global
-        { g = i; cls = vclass_of gty; bytes = Ctype.sizeof r.tenv gty; e }
-    | None -> Bad_store_global { e; msg = "unknown global " ^ g })
+    let g, cls, bytes = global_access r g in
+    Store_global { g; cls; bytes; e }
   | Ir.If (c, t, e) ->
     If
       ( resolve_expr r fe c,
@@ -423,31 +411,19 @@ let resolve_func r (f : Ir.func) : func =
     ptr_regs;
   }
 
-let run (prog : Ir.program) : program =
-  let r =
-    {
-      tenv = prog.tenv;
-      fidx = Hashtbl.create 64;
-      gidx = Hashtbl.create 16;
-      gfirst = Hashtbl.create 16;
-      tyids = Hashtbl.create 16;
-      types_rev = [];
-      n_types = 0;
-      layouts = Hashtbl.create 16;
-      n_sites = 0;
-    }
-  in
+(* name -> position in [items], for names declared once and not
+   [reserved] *)
+let index_names ?(reserved = Fun.const false) what name items =
+  let t = Hashtbl.create 16 in
   List.iteri
-    (fun i (g : Ir.global) ->
-      (* last declaration wins for the address, like the reference
-         interpreter's Hashtbl.replace during setup; the first wins for
-         by-name access types, like Ir.find_global *)
-      Hashtbl.replace r.gidx g.gname i;
-      if not (Hashtbl.mem r.gfirst g.gname) then
-        Hashtbl.replace r.gfirst g.gname g.gty)
-    prog.globals;
-  List.iteri (fun i (f : Ir.func) -> Hashtbl.replace r.fidx f.fname i) prog.funcs;
-  let funcs = Array.of_list (List.map (resolve_func r) prog.funcs) in
+    (fun i x ->
+      let n = name x in
+      if Hashtbl.mem t n || reserved n then ill_typed "duplicate %s %s" what n;
+      Hashtbl.replace t n i)
+    items;
+  t
+
+let run (prog : Ir.program) : program =
   let globals =
     Array.of_list
       (List.map
@@ -460,6 +436,26 @@ let run (prog : Ir.program) : program =
            })
          prog.globals)
   in
+  let r =
+    {
+      tenv = prog.tenv;
+      fidx =
+        index_names "function"
+          ~reserved:(fun n -> Option.is_some (Typecheck.builtin_sig n))
+          (fun (f : Ir.func) -> f.fname)
+          prog.funcs;
+      fparams =
+        Array.of_list (List.map (fun (f : Ir.func) -> List.length f.params) prog.funcs);
+      gidx = index_names "global" (fun (g : Ir.global) -> g.gname) prog.globals;
+      globals;
+      tyids = Hashtbl.create 16;
+      types_rev = [];
+      n_types = 0;
+      layouts = Hashtbl.create 16;
+      n_sites = 0;
+    }
+  in
+  let funcs = Array.of_list (List.map (resolve_func r) prog.funcs) in
   let main =
     match Hashtbl.find_opt r.fidx "main" with Some i -> i | None -> -1
   in

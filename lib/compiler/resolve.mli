@@ -8,14 +8,21 @@
     static subobject-index delta (the [ifpidx] immediate), malloc size
     scales and layout multiplicity, and cast/let coercion kinds.
 
+    {b Input contract.} The program passed [Typecheck.check_program]
+    before it was instrumented ([Vm.prepare], the one way into an
+    engine, checks it first). So every global and function name
+    is declared once and resolves, every gep step is well-formed, every
+    call has its callee's arity and every [Let] binds a scalar: the
+    lowered program has no node that only aborts. An input that breaks
+    the contract raises [Invalid_argument] naming the offending name or
+    step.
+
     The pass is purely structural and must preserve observable
-    behaviour bit-for-bit, including the failure modes of ill-formed
-    programs that pass the type checker only because the offending code
-    is dynamically unreachable: unbound names keep their slots (the VM
-    aborts with the reference message on first touch via an unbound
-    sentinel), and statically unresolvable references lower to
-    {!expr.Bad} / {!stmt.Bad_store_global} nodes that abort with the
-    reference message when executed. *)
+    behaviour bit-for-bit. Typecheck is flow-insensitive, so a variable
+    or stack local may be read on a path that never bound it
+    ([if c { let x = 1; } return x;] is accepted): such names keep their
+    slots, and the VM aborts with the reference message on first touch
+    via an unbound sentinel. *)
 
 module Ctype = Ifp_types.Ctype
 
@@ -27,19 +34,17 @@ type cast_kind =
   | Cast_f64
   | Cast_int of int  (** sign-extension width: [max 1 (sizeof target)] *)
 
-type coerce_kind = K_i8 | K_i16 | K_i32 | K_i64 | K_f64 | K_ptr | K_other
+type coerce_kind = K_i8 | K_i16 | K_i32 | K_i64 | K_f64 | K_ptr
 
 type call_target =
   | C_func of int  (** index into {!program.funcs} *)
   | C_print_i64
   | C_print_f64
   | C_abort
-  | C_unknown of string  (** aborts after argument evaluation *)
 
 type gstep =
   | Rs_field of { off : int; fsize : int }
   | Rs_index of { esize : int; idx : expr }
-  | Rs_bad of string
 
 and expr =
   | Int of int64
@@ -61,7 +66,6 @@ and expr =
     }
   | Cast of { kind : cast_kind; e : expr }
   | Ifp_promote of { e : expr; site : int }
-  | Bad of string
 
 type stmt =
   | Let of { slot : int; k : coerce_kind; e : expr }
@@ -78,7 +82,6 @@ type stmt =
   | Continue
   | Ifp_register_local of { slot : int; site : int }
   | Ifp_deregister_local of int
-  | Bad_store_global of { e : expr; msg : string }
 
 type func = {
   fname : string;
@@ -120,7 +123,9 @@ type program = {
 }
 
 val run : Ir.program -> program
-(** Resolve an (instrumented) program. The input is not mutated and may
+(** Resolve an (instrumented) program that met the input contract above;
+    raises [Invalid_argument] on one that does not. The input is not
+    mutated and may
     be shared across concurrent resolutions; the pass is deterministic —
     resolving the same program twice yields structurally equal output,
     including slot assignment and site ids. *)

@@ -413,7 +413,9 @@ let check_program prog =
   let seen = Hashtbl.create 16 in
   List.iter
     (fun (f : Ir.func) ->
-      if Hashtbl.mem seen f.fname then err "duplicate function %s" f.fname;
+      (* a builtin's name is taken: calls to it bind the builtin *)
+      if Hashtbl.mem seen f.fname || Option.is_some (builtin_sig f.fname) then
+        err "duplicate function %s" f.fname;
       Hashtbl.replace seen f.fname ())
     prog.Ir.funcs;
   let gseen = Hashtbl.create 16 in

@@ -18,7 +18,8 @@ val max_object_size : int
 
 val builtin_sig : string -> (Ifp_types.Ctype.t list * Ifp_types.Ctype.t) option
 (** Host builtins callable from MiniC: [__print_i64 : i64 -> void],
-    [__print_f64 : f64 -> void], [__abort : void -> void]. *)
+    [__print_f64 : f64 -> void], [__abort : void -> void]. Their names
+    are taken: a function declared with one is a duplicate function. *)
 
 val check_program : Ir.program -> unit
 (** @raise Type_error with a location-ish message on the first error. *)

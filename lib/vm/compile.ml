@@ -617,12 +617,6 @@ let never_ptr (e : R.expr) =
 
 (* ---- access sites ---------------------------------------------------- *)
 
-(* a gep of fields and indexes only: it fuses to an address word *)
-let fusable steps =
-  List.for_all
-    (function R.Rs_field _ | R.Rs_index _ -> true | R.Rs_bad _ -> false)
-    steps
-
 (* Where a load or store site gets its address: a fused gep's word, which
    on the instrumented path leaves its bounds register in
    [env.glo]/[env.ghi] ([glo < 0]: no bounds), or a boxed value. *)
@@ -820,7 +814,6 @@ let rec compile_expr c (e : R.expr) : vcode =
     let ce = compile_expr c e in
     let charge = c.env.pcharge in
     fun fr -> eval_promote_with st ~charge (ce fr)
-  | R.Bad msg -> fun _ -> abort msg
 
 (* Unboxed integer compilation: the staged twin of [Vm_slot]'s [eval_i], used in
    the same contexts (conditions, integer arithmetic, gep indexes,
@@ -1069,9 +1062,8 @@ and compile_cond c (e : R.expr) : frame -> bool =
 
 (* ---- gep ------------------------------------------------------------ *)
 
-(* Fused gep address computation: compiles a gep whose steps are all
-   fields and indexes ([fusable]) to a closure returning the result
-   pointer word without boxing a value — replicating [Vm_slot]'s
+(* Fused gep address computation: compiles a gep to a closure returning
+   the result pointer word without boxing a value — replicating [Vm_slot]'s
    [eval_gep] charge-for-charge. Only the instrumented path writes a
    bounds register, to [env.glo]/[env.ghi] ([glo < 0]: no bounds).
    Field offsets fold into constants; the index expressions run in step
@@ -1099,8 +1091,7 @@ and compile_gep_addr c gbase steps idx_delta : frame -> int64 =
         coff := !coff + off;
         fsz := fsize;
         npre := List.length !idxs
-      | R.Rs_index { esize; idx } -> idxs := (compile_expr_i c idx, esize) :: !idxs
-      | R.Rs_bad _ -> assert false)
+      | R.Rs_index { esize; idx } -> idxs := (compile_expr_i c idx, esize) :: !idxs)
     steps;
   let coff = !coff and fsz = !fsz and npre = !npre in
   let have_nb = fsz >= 0 in
@@ -1234,32 +1225,13 @@ and compile_gep_addr c gbase steps idx_delta : frame -> int64 =
   end
 
 (* gep producing a boxed pointer value: the fused address closure plus
-   one [VP]. A gep with an [Rs_bad] step evaluates its base and the
-   index steps before it, then aborts. *)
+   one [VP] *)
 and compile_gep c gbase steps idx_delta : vcode =
-  if fusable steps then begin
-    let ga = compile_gep_addr c gbase steps idx_delta and env = c.env in
-    if c.instr then fun fr ->
-      let w' = ga fr in
-      VP (w', bounds_of_lh env.glo env.ghi)
-    else fun fr -> VP (ga fr, Bounds.no_bounds)
-  end
-  else
-    let cb = compile_expr c gbase in
-    let rec before_bad acc = function
-      | R.Rs_bad msg :: _ -> (List.rev acc, msg)
-      | R.Rs_index { idx; esize = _ } :: rest ->
-        before_bad (compile_expr_i c idx :: acc) rest
-      | R.Rs_field _ :: rest -> before_bad acc rest
-      | [] -> assert false
-    in
-    let idxs, msg = before_bad [] steps in
-    fun fr ->
-      (match cb fr with
-      | VF _ -> abort "float used as pointer"
-      | VP _ | VI _ -> ());
-      List.iter (fun ci -> ignore (ci fr)) idxs;
-      abort msg
+  let ga = compile_gep_addr c gbase steps idx_delta and env = c.env in
+  if c.instr then fun fr ->
+    let w' = ga fr in
+    VP (w', bounds_of_lh env.glo env.ghi)
+  else fun fr -> VP (ga fr, Bounds.no_bounds)
 
 (* ---- loads and stores ----------------------------------------------- *)
 
@@ -1276,7 +1248,7 @@ and compile_access : type r. ctx -> R.expr -> size:int -> r tail -> frame -> r =
   let env = c.env in
   let src =
     match addr with
-    | R.Gep { base = gbase; steps; idx_delta; site = _ } when fusable steps ->
+    | R.Gep { base = gbase; steps; idx_delta; site = _ } ->
       Word (compile_gep_addr c gbase steps idx_delta)
     | addr -> Boxed (compile_expr c addr)
   in
@@ -1360,10 +1332,10 @@ and compile_call c target args n_args : vcode =
   let st = c.env.st in
   let env = c.env in
   match target with
-  | R.C_func i when List.compare_lengths (st.rp.funcs.(i)).R.params args = 0 ->
-    (* arity matches: evaluate arguments straight into the callee's
-       slots, then prelude, then the compiled body (fetched at call
-       time — the callee may compile after this site). *)
+  | R.C_func i ->
+    (* evaluate arguments straight into the callee's slots, then
+       prelude, then the compiled body (fetched at call time — the
+       callee may compile after this site). *)
     let f = st.rp.funcs.(i) in
     let strip = not f.instrumented in
     (* stage the bounds-strip decision out of the call path: wrap the
@@ -1413,49 +1385,23 @@ and compile_call c target args n_args : vcode =
         done;
         let spills = call_prelude st f n_args in
         run_body env f (Array.unsafe_get env.fbodies i) callee_frame spills)
-  | target -> (
-    let cargs = List.map (compile_expr c) args in
-    match target with
-    | R.C_print_i64 ->
-      fun fr ->
-        let argv = List.map (fun ce -> ce fr) cargs in
-        base st 3;
-        (match argv with
-        | [ v ] -> print st (Int64.to_string (as_int v))
-        | _ -> ());
-        VI 0L
-    | R.C_print_f64 ->
-      fun fr ->
-        let argv = List.map (fun ce -> ce fr) cargs in
-        base st 3;
-        (match argv with
-        | [ v ] -> print st (Printf.sprintf "%.6g" (as_float v))
-        | _ -> ());
-        VI 0L
-    | R.C_abort ->
-      fun fr ->
-        let argv = List.map (fun ce -> ce fr) cargs in
-        ignore argv;
-        abort "program called __abort"
-    | R.C_unknown fn ->
-      fun fr ->
-        let argv = List.map (fun ce -> ce fr) cargs in
-        ignore argv;
-        abort ("call to unknown function " ^ fn)
-    | R.C_func i ->
-      (* arity mismatch: keep the reference path, including its
-         [Invalid_argument] after evaluating every argument *)
-      fun fr ->
-        let argv = List.map (fun ce -> ce fr) cargs in
-        let f = st.rp.funcs.(i) in
-        let spills = call_prelude st f n_args in
-        let callee_frame = make_frame f in
-        List.iter2
-          (fun slot v ->
-            let v = if f.instrumented then v else strip_bounds v in
-            Array.unsafe_set callee_frame.vars slot v)
-          f.params argv;
-        run_body env f (Array.unsafe_get env.fbodies i) callee_frame spills)
+  (* a print takes exactly one argument, [__abort] none (Resolve's
+     input contract) *)
+  | R.C_print_i64 ->
+    let ca = compile_expr c (List.hd args) in
+    fun fr ->
+      let v = ca fr in
+      base st 3;
+      print st (Int64.to_string (as_int v));
+      VI 0L
+  | R.C_print_f64 ->
+    let ca = compile_expr c (List.hd args) in
+    fun fr ->
+      let v = ca fr in
+      base st 3;
+      print st (Printf.sprintf "%.6g" (as_float v));
+      VI 0L
+  | R.C_abort -> fun _ -> abort "program called __abort"
 
 (* ---- statements ----------------------------------------------------- *)
 
@@ -1614,11 +1560,6 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     fun fr ->
       deregister_local st fr slot;
       next fr
-  | R.Bad_store_global { e; msg } ->
-    let ce = compile_expr c e in
-    fun fr ->
-      ignore (ce fr);
-      abort msg
 
 and compile_seq c stmts (next : ucode) : ucode =
   match stmts with

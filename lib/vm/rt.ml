@@ -883,7 +883,6 @@ let coerce k v =
   | R.K_f64 -> VF (as_float v)
   | R.K_ptr -> (
     match v with VP _ -> v | VI w -> VP (w, Bounds.no_bounds) | VF _ -> v)
-  | R.K_other -> v
 
 (* ---- program setup --------------------------------------------------- *)
 

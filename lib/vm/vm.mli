@@ -141,7 +141,15 @@ type image
 val prepare : config -> Ifp_compiler.Ir.program -> image
 (** The front end, once: typecheck, instrument (for IFP variants),
     resolve. Raises {!Ifp_compiler.Typecheck.Type_error} on ill-typed
-    programs. Never mutates the program. *)
+    programs. Never mutates the program.
+
+    The type check comes first, before instrumentation, and is the one
+    check between a program and an engine: {!Ifp_compiler.Resolve}'s
+    input contract is a program that passed it, and no engine has a
+    path for a construct it rejects (an unknown name, an ill-formed gep
+    step, a call of the wrong arity, an aggregate [Let]). A read of a
+    variable or stack local on a path that never bound it still aborts
+    the run, because the check is flow-insensitive. *)
 
 val run_image : config:config -> image -> result
 (** Executes [main] of a prepared image on the engine [config.engine]

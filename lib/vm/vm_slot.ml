@@ -82,7 +82,6 @@ let rec eval st frame (e : R.expr) : value =
         VI (Int64.of_float f)
       | v -> VI (sext (as_int v) n)))
   | R.Ifp_promote { e; site = _ } -> eval_promote st (eval st frame e)
-  | R.Bad msg -> abort msg
 
 (* Unboxed integer evaluation: [eval_i st frame e] computes
    [as_int (eval st frame e)] without materialising the intermediate
@@ -233,60 +232,38 @@ and gep_walk st frame steps addr nb_lo nb_hi have_nb dyn =
     gep_walk st frame rest
       (Int64.add addr (Int64.mul k (Int64.of_int esize)))
       nb_lo nb_hi have_nb (dyn + 1)
-  | R.Rs_bad msg :: _ -> abort msg
 
 and eval_call st frame target args n_args =
   match target with
-  | R.C_func i when List.compare_lengths (st.rp.funcs.(i)).R.params args = 0 ->
-    (* arity matches: evaluate arguments straight into the callee's
-       slots. Binds are unobservable between argument evaluations, so
-       this matches the reference's evaluate-all-then-bind order; the
-       arity-mismatch case keeps the reference path (and its
-       [Invalid_argument] after evaluating every argument). *)
+  | R.C_func i ->
+    (* evaluate arguments straight into the callee's slots. Binds are
+       unobservable between argument evaluations, so this matches the
+       reference's evaluate-all-then-bind order. *)
     let f = st.rp.funcs.(i) in
     let callee_frame = make_frame f in
-    let rec bind ps es =
-      match (ps, es) with
-      | [], [] -> ()
-      | p :: ps, e :: es ->
+    List.iter2
+      (fun p e ->
         let v = eval st frame e in
         (* extended calling convention: bounds travel with pointer args,
            unless the callee is legacy code *)
         let v = if f.instrumented then v else strip_bounds v in
-        Array.unsafe_set callee_frame.vars p v;
-        bind ps es
-      | _ -> assert false
-    in
-    bind f.params args;
+        Array.unsafe_set callee_frame.vars p v)
+      f.params args;
     let spills = call_prelude st f n_args in
     call_run st f callee_frame spills
-  | target -> (
-    let argv = List.map (eval st frame) args in
-    match target with
-    | R.C_print_i64 ->
-      base st 3;
-      (match argv with
-      | [ v ] -> print st (Int64.to_string (as_int v))
-      | _ -> ());
-      VI 0L
-    | R.C_print_f64 ->
-      base st 3;
-      (match argv with
-      | [ v ] -> print st (Printf.sprintf "%.6g" (as_float v))
-      | _ -> ());
-      VI 0L
-    | R.C_abort -> abort "program called __abort"
-    | R.C_unknown fn -> abort ("call to unknown function " ^ fn)
-    | R.C_func i ->
-      let f = st.rp.funcs.(i) in
-      let spills = call_prelude st f n_args in
-      let callee_frame = make_frame f in
-      List.iter2
-        (fun slot v ->
-          let v = if f.instrumented then v else strip_bounds v in
-          Array.unsafe_set callee_frame.vars slot v)
-        f.params argv;
-      call_run st f callee_frame spills)
+  (* a print takes exactly one argument, [__abort] none (Resolve's
+     input contract) *)
+  | R.C_print_i64 ->
+    let v = eval st frame (List.hd args) in
+    base st 3;
+    print st (Int64.to_string (as_int v));
+    VI 0L
+  | R.C_print_f64 ->
+    let v = eval st frame (List.hd args) in
+    base st 3;
+    print st (Printf.sprintf "%.6g" (as_float v));
+    VI 0L
+  | R.C_abort -> abort "program called __abort"
 
 and call_run st (f : R.func) callee_frame spills =
   let saved_sp = st.sp in
@@ -384,9 +361,6 @@ and exec st frame (s : R.stmt) : unit =
   | R.Continue -> raise Continue_exc
   | R.Ifp_register_local { slot; site = _ } -> register_local st frame slot
   | R.Ifp_deregister_local slot -> deregister_local st frame slot
-  | R.Bad_store_global { e; msg } ->
-    ignore (eval st frame e);
-    abort msg
 
 and exec_list st frame = function
   | [] -> ()

@@ -103,6 +103,75 @@ let test_rejects_addr_of_register_local () =
            [ Let ("x", Ctype.I64, i 1); Expr (Addr_local "x"); Return (Some (i 0)) ];
        ])
 
+(* Resolve's input contract, from both sides: every program here breaks
+   one Typecheck rule that the engines rely on, so the type checker
+   rejects it and Resolve, handed it anyway, raises [Invalid_argument]
+   naming what is wrong rather than lowering a node that aborts *)
+let test_resolve_contract () =
+  let main body = func "main" [] Ctype.I64 (body @ [ Return (Some (i 0)) ]) in
+  let pair_ptr =
+    Let ("p", Ctype.Ptr (Ctype.Struct "pair"), Malloc (Ctype.Struct "pair", i 1))
+  in
+  let gep steps = Expr (Gep (Ctype.Struct "pair", v "p", steps)) in
+  let g = global "g" Ctype.I64 in
+  List.iter
+    (fun (rule, p, msg) ->
+      (match Typecheck.check_program p with
+      | () -> Alcotest.failf "%s: Typecheck accepted it" rule
+      | exception Typecheck.Type_error _ -> ());
+      match Resolve.run p with
+      | _ -> Alcotest.failf "%s: Resolve lowered it" rule
+      | exception Invalid_argument m ->
+        Alcotest.(check string) rule ("Resolve.run: " ^ msg) m)
+    [
+      ( "&g of an unknown global",
+        prog [ main [ Expr (Addr_global "g") ] ],
+        "unknown global g" );
+      ( "by-name load of an unknown global",
+        prog [ main [ Expr (Load_global "g") ] ],
+        "unknown global g" );
+      ( "by-name store to an unknown global",
+        prog [ main [ Store_global ("g", i 1) ] ],
+        "unknown global g" );
+      ( "unknown function",
+        prog [ main [ Expr (Call ("f", [])) ] ],
+        "call to unknown function f" );
+      ( "field on a non-struct",
+        prog
+          [
+            main
+              [
+                Let ("q", Ctype.Ptr Ctype.I64, Malloc (Ctype.I64, i 1));
+                Expr (Gep (Ctype.I64, v "q", [ fld "a" ]));
+              ];
+          ],
+        "gep: field a of a non-struct" );
+      ( "missing field",
+        prog [ main [ pair_ptr; gep [ fld "zz" ] ] ],
+        "gep: struct pair has no field zz" );
+      ( "index into a non-array",
+        prog [ main [ pair_ptr; gep [ at (i 0); at (i 1) ] ] ],
+        "gep: index into a non-array" );
+      ( "user-function arity",
+        prog
+          [
+            func "f" [ ("x", Ctype.I64) ] Ctype.I64 [ Return (Some (v "x")) ];
+            main [ Expr (Call ("f", [])) ];
+          ],
+        "call to f with 0 arguments, expected 1" );
+      ( "builtin arity",
+        prog [ main [ Expr (Call ("__print_i64", [ i 1; i 2 ])) ] ],
+        "call to __print_i64 with 2 arguments, expected 1" );
+      ("duplicate function", prog [ main []; main [] ], "duplicate function main");
+      ( "function named as a builtin",
+        prog [ func "__abort" [] Ctype.Void [ Return None ]; main [] ],
+        "duplicate function __abort" );
+      ("duplicate global", prog ~globals:[ g; g ] [ main [] ], "duplicate global g");
+      ( "Let of an aggregate",
+        prog [ main [ Let ("s", Ctype.Struct "pair", i 0) ] ],
+        "Let of a non-scalar" );
+    ]
+
 let test_layout_path () =
   let t =
     Ctype.declare tenv
@@ -270,6 +339,7 @@ let tests =
       test_rejects_break_outside_loop;
     Alcotest.test_case "rejects & of register local" `Quick
       test_rejects_addr_of_register_local;
+    Alcotest.test_case "resolve input contract" `Quick test_resolve_contract;
     Alcotest.test_case "layout path" `Quick test_layout_path;
     Alcotest.test_case "static safety analysis" `Quick test_static_safety_analysis;
     Alcotest.test_case "pass inserts reg + promote" `Quick

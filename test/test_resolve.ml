@@ -61,7 +61,7 @@ let test_call_targets () =
         func "main" [] Ctype.I64
           [
             Expr (Call ("__print_i64", [ i 1 ]));
-            Expr (Call ("missing", []));
+            Expr (Call ("__abort", []));
             Return (Some (Call ("callee", [ i 7 ])));
           ];
       ]
@@ -70,7 +70,7 @@ let test_call_targets () =
   (match m.Resolve.body with
   | [
    Resolve.Expr (Resolve.Call { target = Resolve.C_print_i64; n_args = 1; _ });
-   Resolve.Expr (Resolve.Call { target = Resolve.C_unknown "missing"; _ });
+   Resolve.Expr (Resolve.Call { target = Resolve.C_abort; n_args = 0; _ });
    Resolve.Return
      (Some (Resolve.Call { target = Resolve.C_func idx; n_args = 1; _ }));
   ] ->
@@ -197,7 +197,7 @@ let collect_sites (r : Resolve.program) =
     | Resolve.Malloc { count; _ } -> expr count
     | Resolve.Cast { e; _ } -> expr e
     | Resolve.Int _ | Resolve.Float _ | Resolve.Var _ | Resolve.Addr_local _
-    | Resolve.Addr_global _ | Resolve.Load_global _ | Resolve.Bad _ ->
+    | Resolve.Addr_global _ | Resolve.Load_global _ ->
       ()
   and stmt (s : Resolve.stmt) =
     match s with
@@ -215,7 +215,6 @@ let collect_sites (r : Resolve.program) =
       List.iter stmt b
     | Resolve.Return (Some e) | Resolve.Expr e | Resolve.Free e -> expr e
     | Resolve.Ifp_register_local { site; _ } -> add site
-    | Resolve.Bad_store_global { e; _ } -> expr e
     | Resolve.Return None | Resolve.Break | Resolve.Continue
     | Resolve.Decl_local _ | Resolve.Ifp_deregister_local _ ->
       ()
@@ -226,9 +225,10 @@ let collect_sites (r : Resolve.program) =
 let test_site_stability () =
   (* an instrumented real workload exercises gep, promote and
      register-local sites; ids must be dense, unique, and identical
-     across re-resolution — the closure engine keys per-site inline
-     caches on them, and plan digests over resolved programs depend on
-     them *)
+     across re-resolution. No engine reads them yet: they are pinned
+     now, by the digests of resolved programs, so that the readers
+     planned for them (a per-site cycle ledger, source lines per site)
+     get the same ids at the same nodes on every run *)
   let wl =
     match Ifp_workloads.Registry.find "treeadd" with
     | Some wl -> wl
